@@ -81,5 +81,25 @@ from .weak_order import (
     weak_order_poset,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "MINUS", "PLUS", "Clan", "ClanError", "DIIIClan", "Involution",
+    "PairClassification", "parse_clan", "parse_diii",
+    "LabeledStep", "PathError", "WeightedDelannoyPath", "clan_to_path",
+    "path_to_clan", "validate_path",
+    "ClanSet", "assemble_clan", "count_by_pairs", "count_formula",
+    "count_recurrence", "enumerate_diii", "generate_diii",
+    "FlagMatrix", "QSqrt2", "intersection_dimension", "intersection_parity",
+    "representative_matrix", "verify_special_orthogonal",
+    "PartitionPair", "Pyramid", "PyramidCell", "PyramidParityError",
+    "RookPlacement", "clan_to_pyramid", "extend_odd", "extract_pyramid",
+    "partition_pair_to_pyramid", "placement_to_clan", "pyramid_to_clan",
+    "pyramid_to_partition_pair", "pyramid_to_placement", "rotate_placement",
+    "signed_involution_pair",
+    "PartialFPFInvolution", "SchubertSubset", "Sect", "base_clan_to_subset",
+    "big_sect", "big_sect_base", "clan_to_pfpf", "epsilon_count",
+    "epsilon_recurrence", "pfpf_to_clan", "sects", "subset_to_base_clan",
+    "LengthStats", "RankPolynomial", "WeakOrderPoset", "apply_reflection",
+    "clan_length", "maximal_clan", "rank_poly_recurrence", "rank_polynomial",
+    "weak_order_poset",
+]
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ Positions are 1-indexed in every public interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 PLUS = "+"
 MINUS = "-"
@@ -30,52 +30,50 @@ def _flip_sign(s: Symbol) -> Symbol:
     return MINUS if s == PLUS else PLUS
 
 
-def _canonical(symbols: Sequence[Symbol]) -> tuple[Symbol, ...]:
-    """Renumber pair labels 1..k by first occurrence."""
-    relabel: dict[Symbol, int] = {}
-    out: list[Symbol] = []
-    for s in symbols:
-        if s == PLUS or s == MINUS:
-            out.append(s)
-        else:
-            if s not in relabel:
-                relabel[s] = len(relabel) + 1
-            out.append(relabel[s])
-    return tuple(out)
-
-
 class Clan:
     """A balanced (n,n)-clan in canonical form.
 
     Accepts any iterable of symbols; labels may be arbitrary hashable
-    values and are canonicalized on construction.
+    values and are canonicalized on construction.  The same scan records
+    each position's mate, and every pair query reads that table.
     """
 
-    __slots__ = ("_symbols",)
+    __slots__ = ("_symbols", "_mates")
 
     def __init__(self, symbols: Iterable[Symbol]):
-        syms = _canonical(tuple(symbols))
+        first: dict[Symbol, int] = {}  # raw label -> index of its first occurrence
+        syms: list[Symbol] = []
+        mates: list[int] = []  # 1-based mate position; 0 at a sign
+        counts: list[int] = []  # occurrences of each canonical label
+        for p, s in enumerate(symbols):
+            if s == PLUS or s == MINUS:
+                syms.append(s)
+                mates.append(0)
+            elif s in first:
+                q = first[s]
+                syms.append(syms[q])
+                counts[syms[q] - 1] += 1
+                mates.append(q + 1)
+                mates[q] = p + 1
+            else:
+                first[s] = p
+                counts.append(1)
+                syms.append(len(counts))
+                mates.append(0)
         if not syms:
             raise ClanError("a clan must contain at least two symbols")
         if len(syms) % 2 != 0:
             raise ClanError(f"odd number of symbols ({len(syms)})")
-        counts: dict[int, int] = {}
-        plus = minus = 0
-        for s in syms:
-            if s == PLUS:
-                plus += 1
-            elif s == MINUS:
-                minus += 1
-            else:
-                counts[s] = counts.get(s, 0) + 1
-        for label, c in counts.items():
+        for label, c in enumerate(counts, start=1):
             if c != 2:
                 raise ClanError(f"label {label} appears {c} times, expected 2")
+        plus, minus = syms.count(PLUS), syms.count(MINUS)
         if plus != minus:
             raise ClanError(
                 f"unbalanced signs ({plus} plus vs {minus} minus): not an (n,n)-clan"
             )
-        self._symbols = syms
+        self._symbols = tuple(syms)
+        self._mates = tuple(mates)
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -105,10 +103,6 @@ class Clan:
 
     def __hash__(self) -> int:
         return hash(self._symbols)
-
-    def __lt__(self, other: "Clan") -> bool:
-        # canonical enumeration order: lexicographic on spaced text
-        return self.spaced() < other.spaced()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.text()!r})"
@@ -158,34 +152,14 @@ class Clan:
 
     def mate_positions(self) -> dict[int, int]:
         """Map each number-holding position to the position of its mate."""
-        first_seen: dict[Symbol, int] = {}
-        mates: dict[int, int] = {}
-        for pos, s in enumerate(self._symbols, start=1):
-            if s == PLUS or s == MINUS:
-                continue
-            if s in first_seen:
-                i = first_seen[s]
-                mates[i] = pos
-                mates[pos] = i
-            else:
-                first_seen[s] = pos
-        return mates
+        return {p: q for p, q in enumerate(self._mates, start=1) if q}
 
     def pairs(self) -> list[tuple[int, int]]:
         """Mate-position pairs (i, j) with i < j, in label order."""
-        first_seen: dict[Symbol, int] = {}
-        out: list[tuple[int, int]] = []
-        for pos, s in enumerate(self._symbols, start=1):
-            if s == PLUS or s == MINUS:
-                continue
-            if s in first_seen:
-                out.append((first_seen[s], pos))
-            else:
-                first_seen[s] = pos
-        return out
+        return [(p, q) for p, q in enumerate(self._mates, start=1) if p < q]
 
     def is_matchless(self) -> bool:
-        return all(s in (PLUS, MINUS) for s in self._symbols)
+        return not any(self._mates)
 
     def signatures(self) -> tuple[str, ...]:
         """Signature of each position in the default signed clan.
@@ -193,17 +167,10 @@ class Clan:
         Signs keep their own symbol; the first mate of each pair is signed
         ``-`` and the second ``+``.
         """
-        seen: set[Symbol] = set()
-        sig: list[str] = []
-        for s in self._symbols:
-            if s == PLUS or s == MINUS:
-                sig.append(s)
-            elif s in seen:
-                sig.append(PLUS)
-            else:
-                seen.add(s)
-                sig.append(MINUS)
-        return tuple(sig)
+        return tuple(
+            s if not q else MINUS if p < q else PLUS
+            for p, (s, q) in enumerate(zip(self._symbols, self._mates), start=1)
+        )
 
     # -- DIII validity ------------------------------------------------------
 
@@ -215,20 +182,20 @@ class Clan:
         mate pairs lying entirely in the first half is even.
         """
         n = self.n
-        syms = self._symbols
-        if _canonical(
-            tuple(
-                _flip_sign(s) if s in (PLUS, MINUS) else s
-                for s in reversed(syms)
-            )
-        ) != syms:
-            return "not skew-symmetric (clan differs from the reverse of its negative)"
-        mates = self.mate_positions()
-        for i, j in mates.items():
-            if j == 2 * n + 1 - i:
-                return f"antipodal mates at positions ({min(i, j)}, {max(i, j)})"
-        minus_count = sum(1 for s in syms[:n] if s == MINUS)
-        inner_pairs = sum(1 for (i, j) in self.pairs() if j <= n)
+        m = 2 * n
+        syms, mates = self._symbols, self._mates
+        # skew-symmetry, position by position: a sign flips at 2n+1-p, and
+        # mate(2n+1-p) = 2n+1-mate(p)
+        for p in range(n):
+            q, r = mates[p], m - 1 - p
+            mirrored = mates[r] == m + 1 - q if q else syms[r] == _flip_sign(syms[p])
+            if not mirrored:
+                return "not skew-symmetric (clan differs from the reverse of its negative)"
+        for p in range(n, 0, -1):
+            if mates[p - 1] == m + 1 - p:
+                return f"antipodal mates at positions ({p}, {m + 1 - p})"
+        minus_count = syms[:n].count(MINUS)
+        inner_pairs = sum(1 for p, q in enumerate(mates[:n], start=1) if p < q <= n)
         if (minus_count + inner_pairs) % 2 != 0:
             return (
                 f"odd parity in the first half ({minus_count} minus signs, "
@@ -246,13 +213,41 @@ class Clan:
 class DIIIClan(Clan):
     """A clan satisfying the three DIII conditions; validated on construction."""
 
-    __slots__ = ()
+    __slots__ = ("_length",)
 
     def __init__(self, symbols: Iterable[Symbol]):
         super().__init__(symbols)
         reason = self.diii_violation()
         if reason is not None:
             raise ClanError(f"not a DIII clan: {reason}")
+        self._length: int | None = None
+
+    @property
+    def length(self) -> int:
+        """Length in the weak order (not ``len``, which counts symbols).
+
+        Half of (sum of spreads - sum of weaves - z): a pair's spread is the
+        distance between its mates, its weave counts the pairs opening
+        before it and closing strictly inside it, and z is half the number
+        of straddling pairs.  Computed once and kept on the clan; the memo
+        is a pure function of the symbols.
+        """
+        if self._length is None:
+            n = self.n
+            pairs = self.pairs()  # in order of opening position
+            spread = sum(j - i for i, j in pairs)
+            weave = sum(
+                i < t < j for k, (i, j) in enumerate(pairs) for _, t in pairs[:k]
+            )
+            z = sum(i <= n < j for i, j in pairs) // 2
+            total = spread - weave - z
+            if total % 2 != 0:
+                raise ClanError("length formula did not produce an integer")
+            length = total // 2
+            if not 0 <= length <= n * (n - 1) // 2:
+                raise ClanError(f"length {length} outside [0, n(n-1)/2]")
+            self._length = length
+        return self._length
 
     # -- derived combinatorial data ------------------------------------------
 
@@ -292,11 +287,7 @@ class DIIIClan(Clan):
 
     def underlying_involution(self) -> "Involution":
         """The involution exchanging the two positions of each mate pair."""
-        mapping = list(range(1, len(self) + 1))
-        for i, j in self.pairs():
-            mapping[i - 1] = j
-            mapping[j - 1] = i
-        return Involution(tuple(mapping))
+        return Involution(tuple(q or p for p, q in enumerate(self._mates, start=1)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .clans import ClanError, parse_diii
 from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan, validate_path
-from .enumeration import count_formula, count_recurrence, enumerate_diii
+from .enumeration import count_recurrence, enumerate_diii
 from .flags import representative_matrix
 from .pyramids import (
     Pyramid,
@@ -106,11 +106,23 @@ def _positive(n: int, what: str = "n") -> int:
     return n
 
 
+#: Below 640, the smallest int/str digit limit the interpreter accepts.
+_CHUNK_DIGITS = 600
+
+
+def _decimal(value: int) -> str:
+    """Decimal text of a nonnegative int of any size, converted in chunks
+    of ``_CHUNK_DIGITS`` digits so the int/str digit limit never applies."""
+    chunk = 10**_CHUNK_DIGITS
+    parts = []
+    while value >= chunk:
+        value, low = divmod(value, chunk)
+        parts.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(value) + "".join(reversed(parts))
+
+
 def _cmd_count(args) -> int:
-    if args.n == 0:
-        print(count_recurrence(0))
-    else:
-        print(count_formula(_positive(args.n)))
+    print(_decimal(count_recurrence(args.n)))
     return 0
 
 

@@ -52,9 +52,7 @@ def count_recurrence(n: int) -> int:
     """
     if n < 0:
         raise ClanError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 1
-    prev, cur = 1, 1  # D(0), D(1)
+    prev, cur = 1, 1  # D(0), D(1): both 1, so n = 0 returns cur as well
     if n >= 2:
         prev, cur = cur, 3
     for k in range(3, n + 1):
@@ -168,10 +166,10 @@ def generate_diii(n: int) -> Iterator[DIIIClan]:
 
 @lru_cache(maxsize=None)
 def enumerate_diii(n: int) -> ClanSet:
-    """All DIII (n,n)-clans, deduplicated and sorted.
+    """All DIII (n,n)-clans, sorted by spaced text.
 
-    Cached: the result is immutable and reused heavily by the poset and
-    sect builders.
+    Cached per n, the package's only cache across calls: the result is
+    immutable, and ``verify``, the poset and sect builders, and the
+    bijection checks all reuse it.
     """
-    found = set(generate_diii(n))
-    return ClanSet(n, tuple(sorted(found, key=Clan.spaced)))
+    return ClanSet(n, tuple(sorted(generate_diii(n), key=Clan.spaced)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, Involution, Symbol
+from .clans import MINUS, PLUS, ClanError, DIIIClan, Involution, Symbol
 
 LEFT = "L"
 RIGHT = "R"
@@ -68,12 +68,6 @@ class Pyramid:
 
     def mirror(self) -> "Pyramid":
         return Pyramid(self.n, frozenset(c.mirrored() for c in self.rooks))
-
-    def row_rook(self, i: int) -> PyramidCell | None:
-        for cell in self.rooks:
-            if cell.row == i:
-                return cell
-        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,8 +127,9 @@ def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
     """
     n = pyramid.n
     syms: list[Symbol | None] = [None] * (2 * n)
+    by_row = {cell.row: cell for cell in pyramid.rooks}
     switch = LEFT
-    label = 0
+    flips = label = 0
 
     def place_pair(p: int, q: int) -> int:
         nonlocal label
@@ -143,12 +138,13 @@ def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
         return label
 
     for i in range(n, 0, -1):
-        cell = pyramid.row_rook(i)
+        cell = by_row.get(i)
         if cell is None:
             continue
         flipped = cell.side != switch
         if flipped:
             switch = cell.side
+            flips += 1
         if cell.col == i:
             syms[i - 1] = MINUS if flipped else PLUS
             syms[2 * n - i] = PLUS if flipped else MINUS
@@ -162,14 +158,14 @@ def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
             place_pair(cell.col, 2 * n + 1 - i)
     if any(s is None for s in syms):
         raise ClanError("pyramid decoding left positions unassigned")
-    clan = Clan(syms)
-    if clan.is_diii():
-        return DIIIClan(clan.symbols)
-    # skew-symmetry and antipodal-freeness hold by construction,
-    # so only the parity rule can fail here
-    raise PyramidParityError(
-        "decoded clan violates the parity rule; reflect the pyramid"
-    )
+    # skew-symmetry and antipodal-freeness hold by construction; each flip
+    # puts a minus sign or a contained pair in the first half, so the
+    # parity rule holds exactly when the flip count is even
+    if flips % 2 != 0:
+        raise PyramidParityError(
+            "decoded clan violates the parity rule; reflect the pyramid"
+        )
+    return DIIIClan(syms)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from typing import Iterator
 
 from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, Symbol
 from .enumeration import enumerate_diii
-from .weak_order import _length
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,8 @@ class Sect:
 
     def longest(self) -> DIIIClan:
         """The unique member of maximal length."""
-        best = max(self.members, key=_length)
-        top = _length(best)
-        if sum(1 for c in self.members if _length(c) == top) != 1:
+        best = max(self.members, key=lambda c: c.length)
+        if sum(1 for c in self.members if c.length == best.length) != 1:
             raise AssertionError(f"sect of {self.base} has no unique longest clan")
         return best
 

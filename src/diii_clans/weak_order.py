@@ -12,8 +12,7 @@ surviving candidate fixes the clan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan
 from .enumeration import enumerate_diii
@@ -31,33 +30,24 @@ class LengthStats:
 
 
 def clan_length(clan: Clan) -> LengthStats:
-    """Length statistics of a DIII clan.
+    """Length statistics of a DIII clan, keyed by pair label.
 
     The spread of a pair is the distance between its mates; its weave counts
     pairs opening strictly before it and closing strictly inside it.
     """
-    if not isinstance(clan, DIIIClan) and not clan.is_diii():
-        raise ClanError("clan_length requires a DIII clan")
-    n = clan.n
+    try:
+        clan = clan.to_diii()
+    except ClanError:
+        raise ClanError("clan_length requires a DIII clan") from None
     pairs = clan.pairs()
     spreads: dict[int, int] = {}
     weaves: dict[int, int] = {}
     for label, (i, j) in enumerate(pairs, start=1):
         spreads[label] = j - i
         weaves[label] = sum(1 for (u, t) in pairs if u < i < t < j)
-    z = sum(1 for (i, j) in pairs if i <= n < j) // 2
-    total = sum(spreads.values()) - sum(weaves.values()) - z
-    if total % 2 != 0:
-        raise ClanError("length formula did not produce an integer")
-    length = total // 2
-    if not 0 <= length <= n * (n - 1) // 2:
-        raise ClanError(f"length {length} outside [0, n(n-1)/2]")
-    return LengthStats(spreads=spreads, weaves=weaves, z=z, length=length)
-
-
-@lru_cache(maxsize=None)
-def _length(clan: DIIIClan) -> int:
-    return clan_length(clan).length
+    return LengthStats(
+        spreads=spreads, weaves=weaves, z=clan.classify_pairs().z, length=clan.length
+    )
 
 
 def _reflection_candidates(i: int, clan: DIIIClan) -> list[tuple]:
@@ -65,35 +55,28 @@ def _reflection_candidates(i: int, clan: DIIIClan) -> list[tuple]:
     syms = clan.symbols
     n = clan.n
     m = 2 * n
-    fresh1, fresh2 = m + 1, m + 2  # canonicalized away on construction
-    out: list[tuple] = []
+    # 0-based position pairs (a, b) and (c, d) that s_i swaps, or collapses
+    # into two fresh pairs when their signs allow
     if i < n:
-        # swap positions (i, i+1) and (2n-i, 2n+1-i)
-        swapped = list(syms)
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        swapped[m - i - 1], swapped[m - i] = swapped[m - i], swapped[m - i - 1]
-        out.append(tuple(swapped))
-        if {syms[i - 1], syms[i]} == {PLUS, MINUS}:
-            collapsed = list(syms)
-            collapsed[i - 1] = collapsed[i] = fresh1
-            collapsed[m - i - 1] = collapsed[m - i] = fresh2
-            out.append(tuple(collapsed))
+        (a, b), (c, d) = (i - 1, i), (m - i - 1, m - i)
+        collapsible = {syms[a], syms[b]} == {PLUS, MINUS}
     else:
-        # swap positions (n-1, n+1) and (n, n+2)
-        swapped = list(syms)
-        swapped[n - 2], swapped[n] = swapped[n], swapped[n - 2]
-        swapped[n - 1], swapped[n + 1] = swapped[n + 1], swapped[n - 1]
-        out.append(tuple(swapped))
+        (a, b), (c, d) = (n - 2, n), (n - 1, n + 1)
         quad = syms[n - 2 : n + 2]
-        if quad in ((PLUS, PLUS, MINUS, MINUS), (MINUS, MINUS, PLUS, PLUS)):
-            collapsed = list(syms)
-            collapsed[n - 2] = collapsed[n] = fresh1
-            collapsed[n - 1] = collapsed[n + 1] = fresh2
-            out.append(tuple(collapsed))
+        collapsible = quad in ((PLUS, PLUS, MINUS, MINUS), (MINUS, MINUS, PLUS, PLUS))
+    swapped = list(syms)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    swapped[c], swapped[d] = swapped[d], swapped[c]
+    out = [tuple(swapped)]
+    if collapsible:
+        # m+1 and m+2 are fresh labels, renumbered on construction
+        collapsed = list(syms)
+        collapsed[a] = collapsed[b] = m + 1
+        collapsed[c] = collapsed[d] = m + 2
+        out.append(tuple(collapsed))
     return out
 
 
-@lru_cache(maxsize=None)
 def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
     """The action of the i-th simple reflection on a DIII clan.
 
@@ -106,14 +89,14 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
         raise ClanError(f"reflection index {i} out of range 1..{n}")
     if n == 1:
         return clan
-    target = _length(clan) + 1
+    target = clan.length + 1
     accepted: list[DIIIClan] = []
     for symbols in _reflection_candidates(i, clan):
         try:
             candidate = DIIIClan(symbols)
         except ClanError:
             continue
-        if candidate != clan and _length(candidate) == target:
+        if candidate != clan and candidate.length == target:
             accepted.append(candidate)
     if len(accepted) > 1:
         raise AssertionError(
@@ -206,7 +189,7 @@ def maximal_clan(n: int) -> DIIIClan:
         syms[n - 1] = PLUS
         syms[n] = MINUS
     clan = DIIIClan(syms)
-    if _length(clan) != n * (n - 1) // 2:
+    if clan.length != n * (n - 1) // 2:
         raise AssertionError(f"maximal clan for n={n} has wrong length")
     return clan
 
@@ -224,17 +207,14 @@ class WeakOrderPoset:
         return len(self.nodes)
 
     def lengths(self) -> dict[DIIIClan, int]:
-        return {c: _length(c) for c in self.nodes}
+        return {c: c.length for c in self.nodes}
 
     def rank_sizes(self) -> list[int]:
         """Node counts by length, from length 0 upward."""
-        sizes = [0] * (max(_length(c) for c in self.nodes) + 1)
+        sizes = [0] * (max(c.length for c in self.nodes) + 1)
         for c in self.nodes:
-            sizes[_length(c)] += 1
+            sizes[c.length] += 1
         return sizes
-
-    def successors(self, clan: DIIIClan) -> list[tuple[DIIIClan, int]]:
-        return [(u, i) for (l, u, i) in self.covers if l == clan]
 
     def minimal_elements(self) -> list[DIIIClan]:
         uppers = {u for (_, u, _) in self.covers}
@@ -250,7 +230,7 @@ class WeakOrderPoset:
         lines = ["digraph weak_order {", "  rankdir=BT;", "  node [shape=plaintext];"]
         by_length: dict[int, list[DIIIClan]] = {}
         for c in self.nodes:
-            by_length.setdefault(_length(c), []).append(c)
+            by_length.setdefault(c.length, []).append(c)
         for ln in sorted(by_length):
             row = " ".join(f'"{c.text()}";' for c in by_length[ln])
             lines.append(f"  {{ rank=same; {row} }}")
@@ -286,7 +266,3 @@ def weak_order_poset(n: int) -> WeakOrderPoset:
 def rank_polynomial(poset: WeakOrderPoset) -> RankPolynomial:
     """Rank polynomial read off a built poset."""
     return RankPolynomial(tuple(poset.rank_sizes()))
-
-
-def iter_reflections(n: int) -> Iterator[int]:
-    return iter(range(1, n + 1))

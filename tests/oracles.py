@@ -39,6 +39,25 @@ def raw_is_diii(t):
     return (minus + contained) % 2 == 0
 
 
+def raw_pair_data(t):
+    """Mate pairs (in order of first position), the mate map, and the
+    default signatures of a raw clan tuple, read off the positions of each
+    label."""
+    positions = {}
+    for pos, s in enumerate(t, start=1):
+        if s not in ("+", "-"):
+            positions.setdefault(s, []).append(pos)
+    pairs = sorted(tuple(p) for p in positions.values())
+    mates = {}
+    for i, j in pairs:
+        mates[i], mates[j] = j, i
+    signatures = tuple(
+        s if s in ("+", "-") else ("-" if pos < mates[pos] else "+")
+        for pos, s in enumerate(t, start=1)
+    )
+    return pairs, mates, signatures
+
+
 def all_canonical_clans(n):
     """Every balanced (n,n)-clan in canonical form, by restricted growth."""
     out = []

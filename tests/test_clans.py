@@ -10,7 +10,7 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
-from oracles import naive_diii, raw_is_diii, all_canonical_clans
+from oracles import all_canonical_clans, naive_diii, raw_is_diii, raw_pair_data
 
 
 class TestParsing:
@@ -41,6 +41,21 @@ class TestParsing:
     def test_label_appearing_once_rejected(self):
         with pytest.raises(ClanError, match="appears 1"):
             parse_clan("12 1 2 3")
+
+    @pytest.mark.parametrize(
+        "symbols,message",
+        [
+            ([], "at least two symbols"),
+            ([1, 1, 1], r"odd number of symbols \(3\)"),
+            ([1, 1, 1, "+"], "label 1 appears 3 times"),
+            ([1, "+", 2, 2, 2, 1], "label 2 appears 3 times"),
+            (["+", "+"], r"unbalanced signs \(2 plus vs 0 minus\)"),
+        ],
+    )
+    def test_error_precedence(self, symbols, message):
+        # odd length before label counts before sign balance
+        with pytest.raises(ClanError, match=message):
+            Clan(symbols)
 
     def test_unknown_token_rejected(self):
         with pytest.raises(ClanError, match="unknown token"):
@@ -78,7 +93,7 @@ class TestDIIIConditions:
         assert "skew" in parse_clan("+12-12+-").diii_violation()
 
     def test_matches_literal_condition_checker(self):
-        for n in range(1, 4):
+        for n in range(1, 5):
             for raw in all_canonical_clans(n):
                 assert Clan(raw).is_diii() == raw_is_diii(raw)
 
@@ -90,6 +105,23 @@ class TestDIIIConditions:
     def test_clan_and_diii_clan_compare_equal(self):
         assert parse_diii("1212") == parse_clan("1212")
         assert hash(parse_diii("1212")) == hash(parse_clan("1212"))
+
+
+class TestMateTable:
+    def test_pair_queries_match_raw_oracle(self):
+        for n in range(1, 5):
+            for raw in all_canonical_clans(n):
+                clan = Clan(raw)
+                pairs, mates, signatures = raw_pair_data(raw)
+                assert clan.pairs() == pairs
+                assert clan.mate_positions() == mates
+                assert clan.signatures() == signatures
+                assert clan.is_matchless() == (not pairs)
+
+    def test_arbitrary_labels_share_the_table(self):
+        clan = Clan(["b", "+", "a", "b", "-", "a"])
+        assert clan.symbols == (1, "+", 2, 1, "-", 2)
+        assert clan.pairs() == [(1, 4), (3, 6)]
 
 
 class TestTransforms:

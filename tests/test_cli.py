@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from diii_clans import count_recurrence
 from diii_clans.cli import main
 
 
@@ -23,6 +25,19 @@ class TestCount:
     def test_negative_is_data_error(self, capsys):
         code, _, err = run(capsys, "count", "-5")
         assert code == 1 and "error:" in err
+
+    def test_past_the_int_str_digit_limit(self, capsys):
+        # D(2602) has 4301 digits, one more than the default conversion limit
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "count", "2602")
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(count_recurrence(2602))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) == 4301
+        assert out == expected + "\n"
 
 
 class TestEnumerate:

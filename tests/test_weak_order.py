@@ -39,6 +39,20 @@ class TestLength:
     def test_matchless_is_zero(self):
         assert clan_length(parse_diii("+--+-++-")).length == 0
 
+    def test_stats_keyed_by_canonical_label(self):
+        # label 3 opens before labels 1 and 2 close
+        stats = clan_length(parse_diii("12343412"))
+        assert stats.spreads == {1: 6, 2: 6, 3: 2, 4: 2}
+        assert stats.weaves == {1: 0, 2: 1, 3: 0, 4: 1}
+        assert stats.z == 2
+
+    def test_memoized_length_matches_stats(self):
+        for n in range(1, 6):
+            for clan in enumerate_diii(n):
+                stats = clan_length(clan)
+                total = sum(stats.spreads.values()) - sum(stats.weaves.values()) - stats.z
+                assert clan.length == stats.length == total // 2
+
     def test_apex_reaches_dimension_bound(self):
         assert clan_length(parse_diii("12343412")).length == 6
 
