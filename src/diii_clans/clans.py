@@ -13,7 +13,7 @@ Positions are 1-indexed in every public interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Mapping, Union
 
 PLUS = "+"
 MINUS = "-"
@@ -24,6 +24,29 @@ Symbol = Union[str, int]
 
 class ClanError(ValueError):
     """Raised for malformed clans and violated preconditions."""
+
+
+def json_fields(
+    data: Any,
+    what: str,
+    kinds: Mapping[str, type],
+    error: type[ClanError] = ClanError,
+    defaults: Mapping[str, Any] = {},
+) -> list[Any]:
+    """The values of the JSON object ``data`` at the keys of ``kinds``, in
+    order.  Each must be exactly of its kind, so nothing is coerced: an int
+    field refuses a bool, a float or a string.  Keys in ``defaults`` may be
+    absent; anything else malformed raises ``error``."""
+    values = []
+    for key, kind in kinds.items():
+        try:
+            value = data.get(key, defaults[key]) if key in defaults else data[key]
+        except (KeyError, TypeError) as exc:
+            raise error(f"malformed {what} JSON: {exc}") from None
+        if type(value) is not kind:
+            raise error(f"malformed {what} JSON: {key!r} must be {kind.__name__}, got {value!r}")
+        values.append(value)
+    return values
 
 
 def _flip_sign(s: Symbol) -> Symbol:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan, Symbol
+from .clans import MINUS, PLUS, ClanError, DIIIClan, Symbol, json_fields
 
 NORTH = "N"
 EAST = "E"
@@ -89,13 +89,9 @@ class WeightedDelannoyPath:
 
     @classmethod
     def from_json_list(cls, data: Iterable[dict]) -> "WeightedDelannoyPath":
-        steps = []
-        for item in data:
-            try:
-                steps.append(LabeledStep(str(item["direction"]), int(item.get("label", 1))))
-            except (KeyError, TypeError) as exc:
-                raise PathError(f"malformed step JSON: {exc}") from None
-        return cls(tuple(steps))
+        kinds = {"direction": str, "label": int}
+        steps = (json_fields(item, "step", kinds, PathError, {"label": 1}) for item in data)
+        return cls(tuple(LabeledStep(*fields) for fields in steps))
 
     def __str__(self) -> str:
         return self.to_word()

@@ -10,7 +10,7 @@ sign pattern of even parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
@@ -69,34 +69,35 @@ def assemble_clan(
     """Build a DIII clan from first-half data; the second half follows by
     skew-symmetry.
 
-    ``contained_pairs`` are mate pairs (i, j) with i < j <= n; each also
-    yields the mirror pair in the second half.  ``straddling_pairs`` (i, j)
-    with i < j <= n put mates at (i, 2n+1-j) and (j, 2n+1-i).  ``signs``
-    assigns ``+``/``-`` to the remaining first-half positions.
-    """
-    syms: list[Symbol | None] = [None] * (2 * n)
-    label = 0
+    This is the package's one place for skew-symmetric completion: the
+    generator and every decoder from first-half data build through it.
 
-    def place(p: int, q: int, lab: int) -> None:
+    ``contained_pairs`` are mate pairs (i, j) with i < j <= n; each also
+    yields the mirror pair (2n+1-j, 2n+1-i) in the second half.
+    ``straddling_pairs`` (i, j) with i < j <= n put mates at (i, 2n+1-j)
+    and (j, 2n+1-i).  ``signs`` assigns ``+``/``-`` to the remaining
+    first-half positions, and the opposite sign lands at 2n+1-p.
+    """
+    m = 2 * n + 1
+    syms: list[Symbol | None] = [None] * (2 * n)
+
+    def place(label: int, p: int, q: int) -> None:
         for pos in (p, q):
             if syms[pos - 1] is not None:
                 raise ClanError(f"position {pos} assigned twice")
-            syms[pos - 1] = lab
+        syms[p - 1] = syms[q - 1] = label
 
+    # a pair is labelled by its first position; Clan renumbers the labels
     for i, j in contained_pairs:
         if not 1 <= i < j <= n:
             raise ClanError(f"contained pair {(i, j)} out of range")
-        label += 1
-        place(i, j, label)
-        label += 1
-        place(2 * n + 1 - j, 2 * n + 1 - i, label)
+        place(i, i, j)
+        place(m - j, m - j, m - i)
     for i, j in straddling_pairs:
         if not 1 <= i < j <= n:
             raise ClanError(f"straddling pair {(i, j)} out of range")
-        label += 1
-        place(i, 2 * n + 1 - j, label)
-        label += 1
-        place(j, 2 * n + 1 - i, label)
+        place(i, i, m - j)
+        place(j, j, m - i)
     for pos, sign in signs.items():
         if not 1 <= pos <= n:
             raise ClanError(f"sign position {pos} out of range")
@@ -104,10 +105,9 @@ def assemble_clan(
             raise ClanError(f"bad sign {sign!r}")
         if syms[pos - 1] is not None:
             raise ClanError(f"position {pos} assigned twice")
-        syms[pos - 1] = sign
-        syms[2 * n - pos] = MINUS if sign == PLUS else PLUS
-    if any(s is None for s in syms):
-        missing = [p + 1 for p, s in enumerate(syms) if s is None]
+        syms[pos - 1], syms[m - 1 - pos] = sign, MINUS if sign == PLUS else PLUS
+    if None in syms:
+        missing = [p for p, s in enumerate(syms, start=1) if s is None]
         raise ClanError(f"positions {missing} left unassigned")
     return DIIIClan(syms)
 
@@ -136,8 +136,13 @@ class ClanSet:
     def __iter__(self) -> Iterator[DIIIClan]:
         return iter(self.clans)
 
+    @cached_property
+    def _members(self) -> frozenset[DIIIClan]:
+        """Hash index of ``clans``, built on the first lookup."""
+        return frozenset(self.clans)
+
     def __contains__(self, clan: object) -> bool:
-        return clan in set(self.clans)
+        return clan in self._members
 
 
 def generate_diii(n: int) -> Iterator[DIIIClan]:
@@ -154,10 +159,7 @@ def generate_diii(n: int) -> Iterator[DIIIClan]:
                     contained = [m for m, b in zip(matching, modes) if b]
                     straddling = [m for m, b in zip(matching, modes) if not b]
                     pair_parity = len(contained) % 2
-                    if not sign_slots:
-                        if pair_parity == 0:
-                            yield assemble_clan(n, contained, straddling, {})
-                        continue
+                    # with no sign slots the product yields one empty pattern
                     for pattern in product((PLUS, MINUS), repeat=len(sign_slots)):
                         if (pattern.count(MINUS) + pair_parity) % 2 == 0:
                             signs = dict(zip(sign_slots, pattern))

@@ -175,42 +175,24 @@ def _matmul(a: Sequence[Sequence[QSqrt2]], b: Sequence[Sequence[QSqrt2]]) -> lis
     ]
 
 
-def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
-    """Gaussian elimination with exact pivots over the field."""
-    m = len(rows)
-    work = [list(row) for row in rows]
-    det = ONE
-    for col in range(m):
-        pivot_row = next((r for r in range(col, m) if work[r][col]), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det = det * pivot
-        inv = pivot.inverse()
-        for r in range(col + 1, m):
-            factor = work[r][col] * inv
-            if factor:
-                for c in range(col, m):
-                    work[r][c] = work[r][c] - factor * work[col][c]
-    return det
-
-
-def exact_rank(rows: Sequence[Sequence[QSqrt2]]) -> int:
+def _eliminate(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, QSqrt2]:
+    """Exact Gaussian elimination on a copy: the rank and, for a square
+    matrix, the determinant (``ZERO`` once a column has no pivot)."""
     nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
     work = [list(row) for row in rows]
-    rank = 0
+    ncols = len(work[0]) if work else 0
+    rank, det = 0, ONE
     for col in range(ncols):
         pivot_row = next((r for r in range(rank, nrows) if work[r][col]), None)
         if pivot_row is None:
+            det = ZERO
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inverse()
+        if pivot_row != rank:
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            det = -det
+        pivot = work[rank][col]
+        det = det * pivot
+        inv = pivot.inverse()
         for r in range(rank + 1, nrows):
             factor = work[r][col] * inv
             if factor:
@@ -219,7 +201,16 @@ def exact_rank(rows: Sequence[Sequence[QSqrt2]]) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, det
+
+
+def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
+    """Determinant of a square matrix, by exact elimination."""
+    return _eliminate(rows)[1]
+
+
+def exact_rank(rows: Sequence[Sequence[QSqrt2]]) -> int:
+    return _eliminate(rows)[0]
 
 
 def verify_special_orthogonal(matrix: FlagMatrix) -> bool:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan, Involution, Symbol
+from .clans import MINUS, PLUS, ClanError, DIIIClan, Involution, json_fields
+from .enumeration import assemble_clan
 
 LEFT = "L"
 RIGHT = "R"
@@ -79,15 +80,9 @@ class Pyramid:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Pyramid":
-        try:
-            n = int(data["n"])
-            rooks = frozenset(
-                PyramidCell(str(r["side"]), int(r["i"]), int(r["j"]))
-                for r in data["rooks"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ClanError(f"malformed pyramid JSON: {exc}") from None
-        return cls(n, rooks)
+        n, rooks = json_fields(data, "pyramid", {"n": int, "rooks": list})
+        cells = (json_fields(r, "pyramid", {"side": str, "i": int, "j": int}) for r in rooks)
+        return cls(n, frozenset(PyramidCell(*fields) for fields in cells))
 
 
 def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
@@ -122,50 +117,32 @@ def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
 
     A rook on the scanning side means no switch flip happened (a plus sign,
     or a straddling pair); a rook on the other side means a flip (a minus
-    sign, or a contained pair).  Raises PyramidParityError when the decoded
-    clan fails the parity rule, in which case the mirror pyramid decodes.
+    sign, or a contained pair).  A rook at (i, i) is a sign at i, and one
+    at (i, col) is the first-half pair (i, col).  Raises PyramidParityError
+    when the decoded clan fails the parity rule, in which case the mirror
+    pyramid decodes.
     """
-    n = pyramid.n
-    syms: list[Symbol | None] = [None] * (2 * n)
-    by_row = {cell.row: cell for cell in pyramid.rooks}
     switch = LEFT
-    flips = label = 0
-
-    def place_pair(p: int, q: int) -> int:
-        nonlocal label
-        label += 1
-        syms[p - 1] = syms[q - 1] = label
-        return label
-
-    for i in range(n, 0, -1):
-        cell = by_row.get(i)
-        if cell is None:
-            continue
+    flips = 0
+    contained: list[tuple[int, int]] = []
+    straddling: list[tuple[int, int]] = []
+    signs: dict[int, str] = {}
+    for cell in sorted(pyramid.rooks, key=lambda c: -c.row):
         flipped = cell.side != switch
         if flipped:
             switch = cell.side
             flips += 1
-        if cell.col == i:
-            syms[i - 1] = MINUS if flipped else PLUS
-            syms[2 * n - i] = PLUS if flipped else MINUS
-        elif flipped:
-            # contained pair (i, col) and its mirror in the second half
-            place_pair(i, cell.col)
-            place_pair(2 * n + 1 - cell.col, 2 * n + 1 - i)
+        if cell.col == cell.row:
+            signs[cell.row] = MINUS if flipped else PLUS
         else:
-            # straddling pairs (i, 2n+1-col) and (col, 2n+1-i)
-            place_pair(i, 2 * n + 1 - cell.col)
-            place_pair(cell.col, 2 * n + 1 - i)
-    if any(s is None for s in syms):
-        raise ClanError("pyramid decoding left positions unassigned")
-    # skew-symmetry and antipodal-freeness hold by construction; each flip
-    # puts a minus sign or a contained pair in the first half, so the
-    # parity rule holds exactly when the flip count is even
+            (contained if flipped else straddling).append((cell.row, cell.col))
+    # each flip puts a minus sign or a contained pair in the first half, so
+    # the parity rule holds exactly when the flip count is even
     if flips % 2 != 0:
         raise PyramidParityError(
             "decoded clan violates the parity rule; reflect the pyramid"
         )
-    return DIIIClan(syms)
+    return assemble_clan(pyramid.n, contained, straddling, signs)
 
 
 @dataclass(frozen=True)
@@ -181,7 +158,8 @@ class RookPlacement:
 
     def __post_init__(self):
         m = len(self.perm)
-        if sorted(self.perm) != list(range(1, m + 1)):
+        ints = all(type(v) is int for v in self.perm)  # True == 1 passes the sort test
+        if not ints or sorted(self.perm) != list(range(1, m + 1)):
             raise ClanError(f"{self.perm} is not a permutation of 1..{m}")
         for i in range(1, m + 1):
             if self.perm[self.perm[i - 1] - 1] != i:
@@ -202,14 +180,10 @@ class RookPlacement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RookPlacement":
-        try:
-            perm = tuple(int(v) for v in data["perm"])
-            size = int(data["size"])
-        except (KeyError, TypeError) as exc:
-            raise ClanError(f"malformed placement JSON: {exc}") from None
+        perm, size = json_fields(data, "placement", {"perm": list, "size": int})
         if len(perm) != size:
             raise ClanError(f"perm has {len(perm)} entries, size says {size}")
-        return cls(perm)
+        return cls(tuple(perm))
 
 
 def pyramid_to_placement(pyramid: Pyramid) -> RookPlacement:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, Symbol
-from .enumeration import enumerate_diii
+from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan
+from .enumeration import assemble_clan, enumerate_diii
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,12 @@ def sects(n: int) -> list[Sect]:
 
 def big_sect_base(n: int) -> DIIIClan:
     """Base clan of the sect over the dense cell: all minus then all plus,
-    with the two middle signs traded when n is odd."""
+    with the two middle signs traded when n is odd.  Its first half is
+    minus everywhere except a plus at position n when n is odd."""
     if n < 1:
         raise ClanError(f"n must be positive, got {n}")
-    if n % 2 == 0:
-        syms = [MINUS] * n + [PLUS] * n
-    else:
-        syms = [MINUS] * (n - 1) + [PLUS, MINUS] + [PLUS] * (n - 1)
-    return DIIIClan(syms)
+    signs = {p: PLUS if p == n and n % 2 == 1 else MINUS for p in range(1, n + 1)}
+    return assemble_clan(n, [], [], signs)
 
 
 def big_sect(n: int) -> Sect:
@@ -194,54 +192,34 @@ class PartialFPFInvolution:
 
 
 def clan_to_pfpf(clan: DIIIClan) -> PartialFPFInvolution:
-    """Encode a big-sect clan: straddling mates (i, j) link i with 2n+1-j,
-    and a contained mate of position n links directly."""
+    """Encode a big-sect clan by its first-half pairs: each family
+    (i, j, 2n+1-j, 2n+1-i) links i with min(j, 2n+1-j), which is j for the
+    straddling pair (i, j) and n for the contained pair (i, n) of odd n."""
     clan = clan.to_diii()
     n = clan.n
     if clan.base_clan() != big_sect_base(n):
         raise ClanError("clan does not belong to the big sect")
     values = [0] * n
-    classified = clan.classify_pairs()
-    for (i, j) in classified.pi0:
-        if i <= n:
-            partner = 2 * n + 1 - j
-            values[i - 1] = partner
-            values[partner - 1] = i
-    for (i, j) in classified.pi1:
-        if j == n:
-            values[i - 1] = n
-            values[n - 1] = i
+    for (i, j, jj, _) in clan.classify_pairs().families:
+        partner = min(j, jj)
+        values[i - 1], values[partner - 1] = partner, i
     return PartialFPFInvolution(tuple(values))
 
 
 def pfpf_to_clan(x: PartialFPFInvolution, n: int) -> DIIIClan:
-    """Decode into the big sect; unmatched positions become minus signs
-    except position n when n is odd, which is a plus."""
+    """Decode into the big sect from first-half data: a block (i, j) is
+    the contained pair (i, n) when n is odd and j == n, and the straddling
+    pair (i, j) otherwise; unmatched positions keep the signs of the
+    big-sect base."""
     if x.n != n:
         raise ClanError(f"involution is on {x.n} letters, expected {n}")
-    syms: list[Symbol | None] = [None] * (2 * n)
-    label = 0
+    contained: list[tuple[int, int]] = []
+    straddling: list[tuple[int, int]] = []
     for (i, j) in x.blocks():
-        label += 1
-        a = label
-        label += 1
-        b = label
-        if j == n and n % 2 == 1:
-            # contained pair (i, n) with mirror (n+1, 2n+1-i)
-            syms[i - 1] = syms[n - 1] = a
-            syms[n] = syms[2 * n - i] = b
-        else:
-            # straddling pairs (i, 2n+1-j) and (j, 2n+1-i)
-            syms[i - 1] = syms[2 * n - j] = a
-            syms[j - 1] = syms[2 * n - i] = b
-    for i in range(1, n + 1):
-        if syms[i - 1] is None:
-            if i == n and n % 2 == 1:
-                syms[n - 1], syms[n] = PLUS, MINUS
-            else:
-                syms[i - 1] = MINUS
-                syms[2 * n - i] = PLUS
-    clan = DIIIClan(syms)
-    if clan.base_clan() != big_sect_base(n):
+        (contained if j == n and n % 2 == 1 else straddling).append((i, j))
+    base = big_sect_base(n)
+    signs = {p: base[p] for p in range(1, n + 1) if not x(p)}
+    clan = assemble_clan(n, contained, straddling, signs)
+    if clan.base_clan() != base:
         raise AssertionError("decoded clan left the big sect")
     return clan

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan
-from .enumeration import enumerate_diii
+from .enumeration import assemble_clan, enumerate_diii
 
 
 @dataclass(frozen=True)
@@ -172,23 +172,14 @@ def rank_poly_recurrence(n: int) -> RankPolynomial:
 def maximal_clan(n: int) -> DIIIClan:
     """The unique longest DIII (n,n)-clan, of length n(n-1)/2.
 
-    Pairs are laid down as (2j+1, 2n-2j-1) and (2j+2, 2n-2j) for
-    j = 0, 1, ...; when n is odd the two middle positions are +, -.
+    Its first half holds the straddling pairs (1, 2), (3, 4), ..., which
+    put mates at (2k-1, 2n-2k+1) and (2k, 2n-2k+2); when n is odd, position
+    n is a plus (so n+1 is a minus).
     """
     if n < 1:
         raise ClanError(f"n must be positive, got {n}")
-    syms: list = [None] * (2 * n)
-    label = 0
-    j = 0
-    while 2 * j + 2 <= (n if n % 2 == 0 else n - 1):
-        for (p, q) in ((2 * j + 1, 2 * n - 2 * j - 1), (2 * j + 2, 2 * n - 2 * j)):
-            label += 1
-            syms[p - 1] = syms[q - 1] = label
-        j += 1
-    if n % 2 == 1:
-        syms[n - 1] = PLUS
-        syms[n] = MINUS
-    clan = DIIIClan(syms)
+    straddling = [(p, p + 1) for p in range(1, n, 2)]
+    clan = assemble_clan(n, [], straddling, {n: PLUS} if n % 2 == 1 else {})
     if clan.length != n * (n - 1) // 2:
         raise AssertionError(f"maximal clan for n={n} has wrong length")
     return clan

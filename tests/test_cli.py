@@ -153,6 +153,19 @@ class TestConvert:
         _, out, _ = run(capsys, "convert", "--from", "pfpf", "--n", "2", "1:2")
         assert out.strip() == "1212"
 
+    @pytest.mark.parametrize(
+        "source, payload",
+        [
+            ("rooks", '{"size":"x","perm":[1,2]}'),
+            ("rooks", '{"size":2,"perm":[true,2.9]}'),
+            ("pyramid", '{"n":2,"rooks":[{"side":"L","i":"a","j":2}]}'),
+            ("pyramid", '{"n":1.7,"rooks":[{"side":"L","i":true,"j":1}]}'),
+        ],
+    )
+    def test_mistyped_json_is_data_error(self, capsys, source, payload):
+        code, out, err = run(capsys, "convert", "--from", source, payload)
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_pfpf_requires_n(self, capsys):
         code, _, err = run(capsys, "convert", "--from", "pfpf", "1:2")
         assert code == 1 and "--n" in err

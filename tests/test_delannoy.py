@@ -41,6 +41,15 @@ class TestSteps:
     def test_json_round_trip(self):
         path = WeightedDelannoyPath.from_word("D:5 E N D:2")
         assert WeightedDelannoyPath.from_json_list(path.to_json_list()) == path
+        assert WeightedDelannoyPath.from_json_list([{"direction": "E"}]).to_word() == "E"
+
+    @pytest.mark.parametrize(
+        "item", [{"label": 1}, {"direction": 1}, {"direction": "N", "label": True},
+                 {"direction": "D", "label": 2.0}, ["E"], 5]
+    )
+    def test_json_refuses_mistyped_steps(self, item):
+        with pytest.raises(PathError, match="malformed step JSON"):
+            WeightedDelannoyPath.from_json_list([item])
 
 
 class TestValidation:

@@ -104,3 +104,12 @@ class TestEnumeration:
     def test_rejects_nonpositive(self):
         with pytest.raises(ClanError):
             enumerate_diii(0)
+
+    def test_membership(self):
+        sets = {n: enumerate_diii(n) for n in range(1, 5)}
+        for n, clans in sets.items():
+            assert all(clan in clans for clan in clans)
+            assert all(clan not in sets[n % 4 + 1] for clan in clans)
+        non_diii = Clan("1122")
+        assert not non_diii.is_diii() and non_diii not in sets[2]
+        assert "1212" not in sets[2] and "1 2 1 2" not in sets[2]

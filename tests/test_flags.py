@@ -163,6 +163,11 @@ class TestExactLinearAlgebra:
         rows = [[ZERO, ONE], [ONE, ZERO]]
         assert exact_determinant(rows) == -ONE
 
+    def test_determinant_of_singular_matrix(self):
+        rows = [[ONE, INV_SQRT2, ZERO], [ONE, INV_SQRT2, ONE], [ZERO, ZERO, ONE]]
+        assert exact_determinant(rows) == ZERO
+        assert exact_rank(rows) == 2
+
     def test_rank_of_dependent_rows(self):
         rows = [[ONE, ONE], [ONE, ONE], [ZERO, INV_SQRT2]]
         assert exact_rank(rows) == 2

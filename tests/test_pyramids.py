@@ -26,7 +26,7 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
-from oracles import doubly_symmetric_count, minimally_intersecting_pairs
+from oracles import doubly_symmetric_count, minimally_intersecting_pairs, raw_is_diii
 
 REFERENCE_PYRAMID = Pyramid(
     4,
@@ -102,6 +102,17 @@ class TestClanPyramidBijection:
             with pytest.raises(PyramidParityError):
                 pyramid_to_clan(pyramid.mirror())
 
+    @given(diii_clans(min_n=7, max_n=24))
+    def test_round_trip_past_the_enumerated_sizes(self, clan):
+        # the strategy builds through assemble_clan too, so the raw oracle,
+        # not the package, vouches for both ends
+        assert raw_is_diii(clan.symbols)
+        pyramid = clan_to_pyramid(clan)
+        decoded = pyramid_to_clan(pyramid)
+        assert decoded == clan and raw_is_diii(decoded.symbols)
+        with pytest.raises(PyramidParityError):
+            pyramid_to_clan(pyramid.mirror())
+
     def test_mirror_swaps_every_side(self):
         mirrored = Pyramid(
             4,
@@ -122,6 +133,8 @@ class TestPlacements:
             RookPlacement((2, 1, 3, 4))
         with pytest.raises(ClanError, match="permutation"):
             RookPlacement((1, 1, 3))
+        with pytest.raises(ClanError, match="permutation"):
+            RookPlacement((True, 2))  # True == 1, but a bool is no row index
 
     def test_unfolds_to_reference_placement(self):
         placement = pyramid_to_placement(REFERENCE_PYRAMID)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from diii_clans import (
@@ -18,6 +20,8 @@ from diii_clans import (
     sects,
     subset_to_base_clan,
 )
+
+from oracles import raw_is_diii, raw_pair_data
 
 INVOLUTION_NUMBERS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76, 7: 232, 8: 764}
 
@@ -93,6 +97,15 @@ class TestBigSect:
         assert big_sect_base(3).text() == "--+-++"
         assert big_sect_base(4).text() == "----++++"
 
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_literal_base_layout(self, n):
+        if n % 2 == 0:
+            raw = ("-",) * n + ("+",) * n
+        else:
+            raw = ("-",) * (n - 1) + ("+", "-") + ("+",) * (n - 1)
+        assert big_sect_base(n).symbols == raw
+        assert raw_is_diii(raw)
+
     def test_n2_members(self):
         assert {m.text() for m in big_sect(2)} == {"--++", "1212"}
 
@@ -160,6 +173,23 @@ class TestPartialFPFInvolutions:
             assert pfpf_to_clan(x, n) == clan
             decoded.add(x.values)
         assert len(decoded) == len(members) == epsilon_count(n)
+
+    @pytest.mark.parametrize("n", (8, 16, 24))
+    def test_random_pfpf_past_the_enumerated_sizes(self, n):
+        rng = random.Random(n)
+        base = big_sect_base(n).symbols
+        for _ in range(50):
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            values = [0] * n
+            for k in range(rng.randint(0, n // 2)):
+                a, b = order[2 * k], order[2 * k + 1]
+                values[a - 1], values[b - 1] = b, a
+            x = PartialFPFInvolution(tuple(values))
+            clan = pfpf_to_clan(x, n)
+            assert raw_is_diii(clan.symbols)
+            assert raw_pair_data(clan.symbols)[2] == base
+            assert clan_to_pfpf(clan) == x
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_pfpf_decodes_into_the_big_sect(self, n):

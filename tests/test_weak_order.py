@@ -16,6 +16,7 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
+from oracles import canonical_raw, raw_is_diii
 
 
 def braid_and_commuting_pairs(n):
@@ -192,6 +193,23 @@ class TestMaximalClan:
         assert maximal_clan(2).text() == "1212"
         assert maximal_clan(3).text() == "12+-12"
         assert maximal_clan(4).text() == "12343412"
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_literal_layout(self, n):
+        # pairs (2j+1, 2n-2j-1) and (2j+2, 2n-2j) from the outside in; for
+        # odd n the two middle positions are +, -
+        raw = [None] * (2 * n)
+        for j in range(n // 2):
+            for label, (p, q) in enumerate(
+                ((2 * j + 1, 2 * n - 2 * j - 1), (2 * j + 2, 2 * n - 2 * j)),
+                start=2 * j + 1,
+            ):
+                raw[p - 1] = raw[q - 1] = label
+        if n % 2 == 1:
+            raw[n - 1], raw[n] = "+", "-"
+        clan = maximal_clan(n)
+        assert clan.symbols == canonical_raw(raw)
+        assert raw_is_diii(clan.symbols)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_unique_longest_by_exhaustion(self, n):
