@@ -49,6 +49,20 @@ def json_fields(
     return values
 
 
+def ascii_int(text: str) -> int | None:
+    """The value of ``text`` when it is nothing but ASCII digits, else None.
+
+    ``int()`` alone would take signs, underscores, spaces and other
+    scripts' digits, and fails on ``isdigit()`` characters such as ``²``.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int/str digit limit
+        return None
+
+
 def _flip_sign(s: Symbol) -> Symbol:
     return MINUS if s == PLUS else PLUS
 
@@ -372,7 +386,8 @@ class PairClassification:
 def parse_clan(text: str) -> Clan:
     """Parse compact (one char per symbol) or spaced (token per symbol) form.
 
-    The unicode minus sign is accepted as an alias for ``-``.
+    The unicode minus sign is accepted as an alias for ``-``; a label is
+    ASCII digits only.
     """
     cleaned = text.replace("−", "-").strip()
     if not cleaned:
@@ -385,8 +400,8 @@ def parse_clan(text: str) -> Clan:
     for tok in tokens:
         if tok == PLUS or tok == MINUS:
             symbols.append(tok)
-        elif tok.isdigit() and int(tok) >= 1:
-            symbols.append(int(tok))
+        elif (label := ascii_int(tok)) is not None and label >= 1:
+            symbols.append(label)
         else:
             raise ClanError(f"unknown token {tok!r}")
     return Clan(symbols)

@@ -14,9 +14,9 @@ earlier diagonal steps: a first-half label lies in [2, 2*m_i - 1], i.e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan, Symbol, json_fields
+from .clans import MINUS, PLUS, ClanError, DIIIClan, Symbol, ascii_int, json_fields
 
 NORTH = "N"
 EAST = "E"
@@ -35,6 +35,8 @@ class LabeledStep:
     def __post_init__(self):
         if self.direction not in (NORTH, EAST, DIAGONAL):
             raise PathError(f"unknown direction {self.direction!r}")
+        if type(self.label) is not int:
+            raise PathError(f"step label must be an int, got {self.label!r}")
         if self.direction in (NORTH, EAST):
             if self.label != 1:
                 raise PathError(f"{self.direction} steps carry label 1")
@@ -51,10 +53,10 @@ class LabeledStep:
         if token in (NORTH, EAST):
             return cls(token)
         if token.startswith(f"{DIAGONAL}:"):
-            try:
-                return cls(DIAGONAL, int(token[2:]))
-            except ValueError:
-                raise PathError(f"bad diagonal label in {token!r}") from None
+            label = ascii_int(token[2:])
+            if label is None:
+                raise PathError(f"bad diagonal label in {token!r}")
+            return cls(DIAGONAL, label)
         raise PathError(f"unknown step token {token!r}")
 
 
@@ -88,7 +90,9 @@ class WeightedDelannoyPath:
         return [{"direction": s.direction, "label": s.label} for s in self.steps]
 
     @classmethod
-    def from_json_list(cls, data: Iterable[dict]) -> "WeightedDelannoyPath":
+    def from_json_list(cls, data: list[dict]) -> "WeightedDelannoyPath":
+        if type(data) is not list:
+            raise PathError(f"malformed path JSON: expected a list of steps, got {data!r}")
         kinds = {"direction": str, "label": int}
         steps = (json_fields(item, "step", kinds, PathError, {"label": 1}) for item in data)
         return cls(tuple(LabeledStep(*fields) for fields in steps))

@@ -33,6 +33,8 @@ class PyramidCell:
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT):
             raise ClanError(f"side must be {LEFT!r} or {RIGHT!r}")
+        if type(self.row) is not int or type(self.col) is not int:
+            raise ClanError(f"cell row and col must be ints, got {self.row!r}, {self.col!r}")
         if not 1 <= self.row <= self.col:
             raise ClanError(f"cell ({self.side},{self.row},{self.col}) needs row <= col")
 
@@ -52,6 +54,8 @@ class Pyramid:
     rooks: frozenset[PyramidCell]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ClanError(f"pyramid size must be an int, got {self.n!r}")
         seen: dict[int, PyramidCell] = {}
         for cell in self.rooks:
             if cell.col > self.n:

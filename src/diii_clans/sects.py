@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan
+from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, ascii_int
 from .enumeration import assemble_clan, enumerate_diii
 
 
@@ -81,14 +81,12 @@ class Sect:
 
 
 def sects(n: int) -> list[Sect]:
-    """Partition of all DIII (n,n)-clans by base clan, sorted by base."""
+    """Partition of all DIII (n,n)-clans by base clan, sorted by base.
+    Members keep the spaced-text order of ``enumerate_diii``."""
     groups: dict[DIIIClan, list[DIIIClan]] = {}
     for clan in enumerate_diii(n):
         groups.setdefault(clan.base_clan(), []).append(clan)
-    return [
-        Sect(base, tuple(sorted(groups[base], key=Clan.spaced)))
-        for base in sorted(groups, key=Clan.spaced)
-    ]
+    return [Sect(base, tuple(groups[base])) for base in sorted(groups, key=Clan.spaced)]
 
 
 def big_sect_base(n: int) -> DIIIClan:
@@ -102,15 +100,10 @@ def big_sect_base(n: int) -> DIIIClan:
 
 
 def big_sect(n: int) -> Sect:
-    """The sect containing the unique maximal clan."""
+    """The sect containing the unique maximal clan, members in the
+    spaced-text order of ``enumerate_diii``."""
     base = big_sect_base(n)
-    members = tuple(
-        sorted(
-            (c for c in enumerate_diii(n) if c.base_clan() == base),
-            key=Clan.spaced,
-        )
-    )
-    return Sect(base, members)
+    return Sect(base, tuple(c for c in enumerate_diii(n) if c.base_clan() == base))
 
 
 def epsilon_count(n: int) -> int:
@@ -146,6 +139,8 @@ class PartialFPFInvolution:
     def __post_init__(self):
         n = len(self.values)
         for i, v in enumerate(self.values, start=1):
+            if type(v) is not int:
+                raise ClanError(f"value {v!r} is not an int")
             if not 0 <= v <= n:
                 raise ClanError(f"value {v} outside 0..{n}")
             if v == i:
@@ -175,11 +170,10 @@ class PartialFPFInvolution:
         cleaned = text.strip()
         if cleaned:
             for chunk in cleaned.split(","):
-                try:
-                    a_s, b_s = chunk.split(":")
-                    a, b = int(a_s), int(b_s)
-                except ValueError:
-                    raise ClanError(f"bad block {chunk!r}; expected i:j") from None
+                ends = [ascii_int(e) for e in chunk.split(":")]
+                if len(ends) != 2 or None in ends:
+                    raise ClanError(f"bad block {chunk!r}; expected i:j")
+                a, b = ends
                 if not (1 <= a <= n and 1 <= b <= n):
                     raise ClanError(f"block {chunk!r} outside 1..{n}")
                 if values[a - 1] or values[b - 1]:

@@ -132,41 +132,31 @@ class RankPolynomial:
         return "+".join(terms) if terms else "0"
 
 
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for k, c in enumerate(a):
-        out[k] += c
-    for k, c in enumerate(b):
-        out[k] += c
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for k, ca in enumerate(a):
-        if ca:
-            for l, cb in enumerate(b):
-                out[k + l] += ca * cb
-    return out
-
-
 def rank_poly_recurrence(n: int) -> RankPolynomial:
     """Rank polynomial via A_n = 2 A_{n-1} + m_n A_{n-2} where m_n has
     coefficient 1 on t^1..t^{2n-3} except 2 on t^{n-1}.
 
-    Seeds: A_1 = 1, A_2 = t + 2.
+    Seeds: A_1 = 1, A_2 = t + 2.  Coefficient d of m_k A_{k-2} is the sum
+    of A_{k-2}'s coefficients d-2k+3 .. d-1 plus its coefficient d-k+1;
+    that sum is kept as a running window (one coefficient enters and one
+    leaves per d), so step k costs O(k^2), linear in the degree of A_k.
     """
     if n < 1:
         raise ClanError(f"n must be positive, got {n}")
-    polys = {1: [1], 2: [2, 1]}
+    older, old = [1], [2, 1]  # A_{k-2}, A_{k-1}
     for k in range(3, n + 1):
-        middle = [0] * (2 * k - 2)
-        for e in range(1, 2 * k - 2):
-            middle[e] = 2 if e == k - 1 else 1
-        polys[k] = _poly_add(
-            [2 * c for c in polys[k - 1]], _poly_mul(middle, polys[k - 2])
-        )
-    return RankPolynomial(tuple(polys[n]))
+        size = k * (k - 1) // 2 + 1
+        width = 2 * k - 3
+        a = older + [0] * (size - len(older))
+        new = [2 * c for c in old] + [0] * (size - len(old))
+        window = 0  # sum of a[d - width .. d - 1]
+        for d in range(1, size):
+            window += a[d - 1]
+            if d > width:
+                window -= a[d - 1 - width]
+            new[d] += window + (a[d - k + 1] if d >= k - 1 else 0)
+        older, old = old, new
+    return RankPolynomial(tuple(old if n > 1 else older))
 
 
 def maximal_clan(n: int) -> DIIIClan:
@@ -242,7 +232,10 @@ class WeakOrderPoset:
 
 
 def weak_order_poset(n: int) -> WeakOrderPoset:
-    """Build the weak order from the reflection action on all clans."""
+    """Build the weak order from the reflection action on all clans.
+
+    Covers come out sorted by (lower, reflection index): the nodes are in
+    spaced-text order and each (lower, i) has at most one upper."""
     nodes = enumerate_diii(n).clans
     covers = []
     for clan in nodes:
@@ -250,7 +243,6 @@ def weak_order_poset(n: int) -> WeakOrderPoset:
             image = apply_reflection(i, clan)
             if image != clan:
                 covers.append((clan, image, i))
-    covers.sort(key=lambda e: (e[0].spaced(), e[2], e[1].spaced()))
     return WeakOrderPoset(n, nodes, tuple(covers))
 
 

@@ -213,3 +213,21 @@ def candidate_weighted_words(n):
             for pos, lab in zip(d_positions, labels):
                 word[pos] = ("D", lab)
             yield tuple(word)
+
+
+def rank_polys_convolution(n_max):
+    """Coefficient tuples of A_1 .. A_{n_max} from A_n = 2 A_{n-1} + m_n A_{n-2}
+    by full polynomial products, where m_n has coefficient 1 on t^1..t^{2n-3}
+    except 2 on t^{n-1}; A_1 = 1, A_2 = t + 2."""
+    polys = [[1], [2, 1]]
+    for k in range(3, n_max + 1):
+        middle = [0] + [2 if e == k - 1 else 1 for e in range(1, 2 * k - 2)]
+        older = polys[k - 3]
+        prod = [0] * (len(middle) + len(older) - 1)
+        for e, c in enumerate(middle):
+            for f, d in enumerate(older):
+                prod[e + f] += c * d
+        for e, c in enumerate(polys[k - 2]):
+            prod[e] += 2 * c
+        polys.append(prod)
+    return [tuple(p) for p in polys[:n_max]]

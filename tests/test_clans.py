@@ -62,6 +62,11 @@ class TestParsing:
             parse_clan("+x-+")
         with pytest.raises(ClanError, match="unknown token"):
             parse_clan("+ 0 - +")
+        # labels are ASCII digits only: isdigit() alone passes superscripts
+        # (which int() refuses) and other scripts' digits (which it reads)
+        for text in ("²²", "+²-²", "١٢١٢", "+ +1 - +1", "+ 1_0 - 1_0", "+ ¹ - ¹"):
+            with pytest.raises(ClanError, match="unknown token"):
+                parse_clan(text)
 
     def test_compact_needs_single_digit_labels(self):
         clan = Clan([1, "+"] + list(range(2, 11)) + ["-", 1] + list(range(2, 11)))

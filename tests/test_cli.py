@@ -1,7 +1,11 @@
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diii_clans import count_recurrence
 from diii_clans.cli import main
@@ -166,6 +170,19 @@ class TestConvert:
         code, out, err = run(capsys, "convert", "--from", source, payload)
         assert code == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("length", "²²"),  # isdigit() passes, int() fails
+            ("length", "١٢١٢"),  # int() reads it as 1212
+            ("convert", "--from", "delannoy", "E D:+4 D:3 D:0_2 D:5 N"),
+            ("convert", "--from", "pfpf", "--n", "12", "1_0:2"),  # int() reads 10
+        ],
+    )
+    def test_number_tokens_are_ascii_digits(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_pfpf_requires_n(self, capsys):
         code, _, err = run(capsys, "convert", "--from", "pfpf", "1:2")
         assert code == 1 and "--n" in err
@@ -206,3 +223,54 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "0", "count", "3"])
         assert exc.value.code == 2
+
+
+# JSON values with every int at most 50: unbounded sizes are a separate
+# limit, not a parsing question
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 50) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_small = st.integers(-3, 50) | _json
+_cell = st.fixed_dictionaries(
+    {"side": st.sampled_from("LR") | _json, "i": _small, "j": _small}
+)
+_step = st.sampled_from(["N", "E", "D:2", "D:3", "D:4", "D:5", "D:", ":"])
+_block = st.tuples(st.integers(-1, 50), st.integers(-1, 50)).map(lambda b: f"{b[0]}:{b[1]}")
+# payloads close to each source's format, so parsing gets past the first check
+_near = {
+    "pyramid": st.fixed_dictionaries(
+        {"n": _small, "rooks": st.lists(_cell | _json, max_size=8)}
+    ).map(json.dumps),
+    "rooks": st.fixed_dictionaries(
+        {"size": _small, "perm": st.lists(_small, max_size=12)}
+    ).map(json.dumps),
+    "delannoy": st.lists(_step | st.text(max_size=4), max_size=12).map(" ".join),
+    "pfpf": st.lists(_block | st.text(max_size=4), max_size=6).map(",".join),
+}
+
+
+def _exit_code(argv):
+    """cli.main's exit code with its output swallowed; anything raised
+    propagates."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+class TestNoTraceback:
+    @settings(max_examples=100, deadline=None)
+    @given(st.text() | st.text("+-−0123456789 ²١_", max_size=16))
+    def test_length_of_any_text(self, text):
+        assert _exit_code(["length", "--", text]) in (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_convert_from_any_payload(self, data):
+        source = data.draw(st.sampled_from(["pyramid", "rooks", "delannoy", "pfpf"]))
+        payload = data.draw(st.text() | _json.map(json.dumps) | _near[source])
+        argv = ["convert", "--from", source]
+        if source == "pfpf":
+            argv += ["--n", str(data.draw(st.integers(-1, 50)))]
+        assert _exit_code(argv + ["--", payload]) in (0, 1)

@@ -27,6 +27,9 @@ class TestSteps:
             LabeledStep("N", 2)
         with pytest.raises(PathError):
             LabeledStep("D", 1)
+        for direction, label in (("D", "3"), ("D", 2.0), ("N", True)):
+            with pytest.raises(PathError, match="must be an int"):
+                LabeledStep(direction, label)
         assert LabeledStep.from_token("D:4") == LabeledStep("D", 4)
 
     def test_word_parsing(self):
@@ -37,6 +40,10 @@ class TestSteps:
             WeightedDelannoyPath.from_word("E Q N")
         with pytest.raises(PathError):
             WeightedDelannoyPath.from_word("")
+        # a diagonal label is ASCII digits only
+        for word in ("E D:+4 D:3 D:0_2 D:5 N", "D:٤ N", "D: 4 N", "D:²"):
+            with pytest.raises(PathError, match="bad diagonal label"):
+                WeightedDelannoyPath.from_word(word)
 
     def test_json_round_trip(self):
         path = WeightedDelannoyPath.from_word("D:5 E N D:2")
@@ -50,6 +57,11 @@ class TestSteps:
     def test_json_refuses_mistyped_steps(self, item):
         with pytest.raises(PathError, match="malformed step JSON"):
             WeightedDelannoyPath.from_json_list([item])
+
+    @pytest.mark.parametrize("data", [5, None, {"direction": "E"}, "E"])
+    def test_json_refuses_non_list(self, data):
+        with pytest.raises(PathError, match="malformed path JSON"):
+            WeightedDelannoyPath.from_json_list(data)
 
 
 class TestValidation:

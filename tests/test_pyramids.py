@@ -44,6 +44,13 @@ class TestPyramidType:
             PyramidCell("M", 1, 1)
         with pytest.raises(ClanError, match="outside"):
             Pyramid(2, frozenset({PyramidCell("L", 1, 3), PyramidCell("R", 2, 2)}))
+        # exact ints only: True == 1 and 1.0 == 1 would otherwise pass
+        for row, col in ((True, 1.0), (1, 1.0), (True, 1), ("1", 1)):
+            with pytest.raises(ClanError, match="must be ints"):
+                PyramidCell("L", row, col)
+        for n in (1.0, True, "1"):
+            with pytest.raises(ClanError, match="size must be an int"):
+                Pyramid(n, frozenset({PyramidCell("L", 1, 1)}))
 
     def test_coverage_condition(self):
         # index 2 covered twice, index 3 not at all

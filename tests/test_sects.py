@@ -82,6 +82,8 @@ class TestSects:
                 assert clan not in seen
                 seen.add(clan)
             # unique longest member (raises internally if tied)
+            spaced = [c.spaced() for c in sect]
+            assert spaced == sorted(spaced)
             top = sect.longest()
             assert all(
                 clan_length(c).length < clan_length(top).length
@@ -119,6 +121,11 @@ class TestBigSect:
         assert epsilon_count(n) == epsilon_recurrence(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_members_in_spaced_order(self, n):
+        spaced = [c.spaced() for c in big_sect(n)]
+        assert spaced == sorted(spaced)
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_contains_the_maximum(self, n):
         assert maximal_clan(n) in big_sect(n).members
 
@@ -129,6 +136,10 @@ class TestPartialFPFInvolutions:
             PartialFPFInvolution((1, 0))
         with pytest.raises(ClanError, match="symmetric"):
             PartialFPFInvolution((2, 0))
+        with pytest.raises(ClanError, match="not an int"):
+            PartialFPFInvolution((1.5, 0))
+        with pytest.raises(ClanError, match="not an int"):
+            PartialFPFInvolution((2, True))
         PartialFPFInvolution((2, 1, 0))
 
     def test_text_round_trip(self):
@@ -144,6 +155,11 @@ class TestPartialFPFInvolutions:
             PartialFPFInvolution.from_text("1:9", 3)
         with pytest.raises(ClanError):
             PartialFPFInvolution.from_text("1:2,1:3", 3)
+        # block ends are ASCII digits only: no underscores, signs, spaces
+        # or other scripts' digits
+        for text in ("1_0:2", "+1:2", "1: 2", "1:2:3", "١:٢", "¹:²", "1:"):
+            with pytest.raises(ClanError, match="bad block"):
+                PartialFPFInvolution.from_text(text, 12)
 
     def test_matchless_base_maps_to_empty(self):
         for n in (2, 3, 4):

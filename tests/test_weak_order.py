@@ -7,6 +7,7 @@ from diii_clans import (
     ClanError,
     apply_reflection,
     clan_length,
+    count_recurrence,
     enumerate_diii,
     maximal_clan,
     parse_diii,
@@ -16,7 +17,7 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
-from oracles import canonical_raw, raw_is_diii
+from oracles import canonical_raw, rank_polys_convolution, raw_is_diii
 
 
 def braid_and_commuting_pairs(n):
@@ -144,6 +145,11 @@ class TestPoset:
         assert len(minimal) == 2 ** (n - 1)
         assert all(c.is_matchless() for c in minimal)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_covers_in_key_order(self, n):
+        keys = [(lower.spaced(), i) for lower, _, i in weak_order_poset(n).covers]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
     def test_covers_are_graded(self):
         poset = weak_order_poset(4)
         lengths = poset.lengths()
@@ -180,11 +186,17 @@ class TestRankPolynomial:
     def test_recurrence_matches_poset(self, n):
         assert rank_poly_recurrence(n).coeffs == rank_polynomial(weak_order_poset(n)).coeffs
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 61))
     def test_degree_and_total(self, n):
         poly = rank_poly_recurrence(n)
+        assert poly.total() == count_recurrence(n)
         assert poly.degree == n * (n - 1) // 2
-        assert poly.total() == sum(poly.coeffs)
+        assert poly.coeffs[-1] == 1  # the maximal clan alone
+        assert poly.coeffs[0] == 2 ** (n - 1)  # the matchless clans
+
+    def test_window_sum_matches_convolution(self):
+        for n, coeffs in enumerate(rank_polys_convolution(40), start=1):
+            assert rank_poly_recurrence(n).coeffs == coeffs, n
 
 
 class TestMaximalClan:
