@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .clans import ClanError, parse_diii
-from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan, validate_path
+from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan
 from .enumeration import count_recurrence, enumerate_diii
 from .flags import representative_matrix
 from .pyramids import (
@@ -221,11 +221,7 @@ def _cmd_convert(args) -> int:
     elif args.source == "rooks":
         print(placement_to_clan(RookPlacement.from_json_dict(_parse_json(args.payload))).text())
     elif args.source == "delannoy":
-        path = WeightedDelannoyPath.from_word(args.payload)
-        ok, violated = validate_path(path)
-        if not ok:
-            raise ClanError(f"invalid path: condition {violated} violated")
-        print(path_to_clan(path).text())
+        print(path_to_clan(WeightedDelannoyPath.from_word(args.payload)).text())
     else:
         if args.half_length is None:
             raise ClanError("--from pfpf requires --n")

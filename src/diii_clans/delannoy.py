@@ -66,6 +66,12 @@ class WeightedDelannoyPath:
 
     steps: tuple[LabeledStep, ...]
 
+    def __post_init__(self):
+        if type(self.steps) is not tuple or not all(
+            isinstance(s, LabeledStep) for s in self.steps
+        ):
+            raise PathError(f"path steps must be a tuple of steps, got {self.steps!r}")
+
     @property
     def n(self) -> int:
         return sum(1 for s in self.steps if s.direction in (EAST, DIAGONAL))

@@ -2,7 +2,8 @@
 
 Entries are pairs of rationals, so membership in the special orthogonal
 group (form identity and unit determinant) is decided exactly, with no
-floating point anywhere.
+floating point anywhere. The form identity is checked by pairing columns
+through their nonzero entries, and the intersection parity by an n x n rank.
 """
 
 from __future__ import annotations
@@ -163,18 +164,6 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     return FlagMatrix(clan, rows)
 
 
-def _antidiagonal(m: int) -> list[list[QSqrt2]]:
-    return [[ONE if r + c == m - 1 else ZERO for c in range(m)] for r in range(m)]
-
-
-def _matmul(a: Sequence[Sequence[QSqrt2]], b: Sequence[Sequence[QSqrt2]]) -> list[list[QSqrt2]]:
-    m = len(a)
-    return [
-        [sum((a[r][k] * b[k][c] for k in range(m)), ZERO) for c in range(m)]
-        for r in range(m)
-    ]
-
-
 def _eliminate(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, QSqrt2]:
     """Exact Gaussian elimination on a copy: the rank and, for a square
     matrix, the determinant (``ZERO`` once a column has no pivot)."""
@@ -214,27 +203,32 @@ def exact_rank(rows: Sequence[Sequence[QSqrt2]]) -> int:
 
 
 def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
-    """Exact check of the antidiagonal form identity and unit determinant."""
-    m = matrix.size
-    j = _antidiagonal(m)
-    g = [list(row) for row in matrix.rows]
-    gt = [[g[c][r] for c in range(m)] for r in range(m)]
-    if _matmul(_matmul(gt, j), g) != j:
-        return False
-    return exact_determinant(g) == ONE
+    """Exact check of G^T J G = J (J the antidiagonal ones) and det G = 1.
+
+    Row a of G^T J G is the sum, over each nonzero G[r][a], of G[r][a]
+    times row m-1-r of G; only products of nonzero entries are formed.
+    """
+    rows = matrix.rows
+    m = len(rows)
+    for a in range(m):
+        form_row = [ZERO] * m
+        for r in range(m):
+            g = rows[r][a]
+            if g:
+                for b, h in enumerate(rows[m - 1 - r]):
+                    if h:
+                        form_row[b] += g * h
+        if any(e != (ONE if a + b == m - 1 else ZERO) for b, e in enumerate(form_row)):
+            return False
+    return exact_determinant(rows) == ONE
 
 
 def intersection_dimension(matrix: FlagMatrix) -> int:
     """Dimension of the meet of the span of the first n columns with the
-    span of the first n basis vectors, by exact rank."""
-    m = matrix.size
-    n = m // 2
-    stacked: list[list[QSqrt2]] = []
-    for c in range(1, n + 1):
-        stacked.append(list(matrix.column(c)))
-    for r in range(1, n + 1):
-        stacked.append([ONE if k == r - 1 else ZERO for k in range(m)])
-    return 2 * n - exact_rank(stacked)
+    span of e_1..e_n: 2n - rank of those columns stacked over e_1..e_n,
+    which is n - rank of their last n rows."""
+    n = matrix.size // 2
+    return n - exact_rank([row[:n] for row in matrix.rows[n:]])
 
 
 def intersection_parity(matrix: FlagMatrix) -> int:

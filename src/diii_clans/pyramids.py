@@ -56,6 +56,10 @@ class Pyramid:
     def __post_init__(self):
         if type(self.n) is not int:
             raise ClanError(f"pyramid size must be an int, got {self.n!r}")
+        if type(self.rooks) is not frozenset or not all(
+            isinstance(cell, PyramidCell) for cell in self.rooks
+        ):
+            raise ClanError(f"pyramid rooks must be a frozenset of cells, got {self.rooks!r}")
         seen: dict[int, PyramidCell] = {}
         for cell in self.rooks:
             if cell.col > self.n:
@@ -161,6 +165,8 @@ class RookPlacement:
     perm: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.perm) is not tuple:
+            raise ClanError(f"placement perm must be a tuple, got {self.perm!r}")
         m = len(self.perm)
         ints = all(type(v) is int for v in self.perm)  # True == 1 passes the sort test
         if not ints or sorted(self.perm) != list(range(1, m + 1)):

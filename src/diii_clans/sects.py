@@ -124,7 +124,7 @@ def epsilon_recurrence(n: int) -> int:
     prev, cur = 1, 1
     for k in range(2, n + 1):
         prev, cur = cur, cur + (k - 1) * prev
-    return cur if n >= 1 else 1
+    return cur
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,8 @@ class PartialFPFInvolution:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.values) is not tuple:
+            raise ClanError(f"pfpf values must be a tuple, got {self.values!r}")
         n = len(self.values)
         for i, v in enumerate(self.values, start=1):
             if type(v) is not int:

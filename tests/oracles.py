@@ -4,6 +4,7 @@ Everything here works on raw tuples/ints and re-derives results from the
 definitions, so the package under test never validates itself.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -231,3 +232,89 @@ def rank_polys_convolution(n_max):
             prod[e] += 2 * c
         polys.append(prod)
     return [tuple(p) for p in polys[:n_max]]
+
+
+# Q(sqrt 2) as raw (a, b) Fraction pairs meaning a + b*sqrt(2).
+RAW_ZERO = (Fraction(0), Fraction(0))
+RAW_ONE = (Fraction(1), Fraction(0))
+
+
+def _q_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _q_neg(x):
+    return (-x[0], -x[1])
+
+
+def _q_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _q_inverse(x):
+    norm = x[0] * x[0] - 2 * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _raw_matmul(a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for c in range(len(b[0])):
+            total = RAW_ZERO
+            for k, e in enumerate(row):
+                total = _q_add(total, _q_mul(e, b[k][c]))
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
+def raw_antidiagonal(m):
+    return [[RAW_ONE if r + c == m - 1 else RAW_ZERO for c in range(m)] for r in range(m)]
+
+
+def raw_form(rows):
+    """G^T J G, J the antidiagonal ones, by two dense products."""
+    m = len(rows)
+    transposed = [[rows[c][r] for c in range(m)] for r in range(m)]
+    return _raw_matmul(_raw_matmul(transposed, raw_antidiagonal(m)), rows)
+
+
+def raw_rank_and_determinant(rows):
+    """Rank and (for a square matrix) determinant by Gaussian elimination."""
+    work = [list(row) for row in rows]
+    ncols = len(work[0]) if work else 0
+    rank, det = 0, RAW_ONE
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col] != RAW_ZERO), None)
+        if pivot_row is None:
+            det = RAW_ZERO
+            continue
+        if pivot_row != rank:
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            det = _q_neg(det)
+        det = _q_mul(det, work[rank][col])
+        inv = _q_inverse(work[rank][col])
+        for r in range(rank + 1, len(work)):
+            factor = _q_neg(_q_mul(work[r][col], inv))
+            work[r] = [_q_add(e, _q_mul(factor, p)) for e, p in zip(work[r], work[rank])]
+        rank += 1
+    return rank, det
+
+
+def raw_is_special_orthogonal(rows):
+    """G^T J G == J and det G == 1."""
+    return raw_form(rows) == raw_antidiagonal(len(rows)) and (
+        raw_rank_and_determinant(rows)[1] == RAW_ONE
+    )
+
+
+def raw_stacked_intersection(rows):
+    """For a 2n x 2n matrix: 2n minus the rank of its first n columns
+    stacked over the basis rows e_1..e_n, i.e. the dimension of the meet of
+    the span of those columns with the span of e_1..e_n."""
+    m = len(rows)
+    n = m // 2
+    stacked = [[rows[r][c] for r in range(m)] for c in range(n)]
+    stacked += [[RAW_ONE if k == r else RAW_ZERO for k in range(m)] for r in range(n)]
+    return 2 * n - raw_rank_and_determinant(stacked)[0]

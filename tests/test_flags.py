@@ -18,9 +18,50 @@ from diii_clans import (
 from diii_clans.flags import INV_SQRT2, ONE, ZERO, exact_determinant, exact_rank
 
 from conftest import diii_clans
+from oracles import raw_is_special_orthogonal, raw_stacked_intersection
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 elements = st.builds(QSqrt2, rationals, rationals)
+sparse_elements = st.sampled_from(
+    (ZERO, ZERO, ZERO, ONE, -ONE, INV_SQRT2, QSqrt2(Fraction(1, 2)), QSqrt2(1, 1))
+)
+
+
+def raw(rows):
+    """Entries as (a, b) Fraction pairs, for the oracles."""
+    return [[(e.a, e.b) for e in row] for row in rows]
+
+
+def from_columns(clan, cols):
+    m = len(cols)
+    return FlagMatrix(clan, tuple(tuple(col[r] for col in cols) for r in range(m)))
+
+
+@st.composite
+def perturbed_representatives(draw):
+    """A representative with n <= 4 after one to three column operations:
+    swap two columns, negate one, or add one column to another."""
+    clan = draw(diii_clans(max_n=4))
+    m = 2 * clan.n
+    matrix = representative_matrix(clan)
+    cols = [list(matrix.column(c)) for c in range(1, m + 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if op == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        elif op == "negate":
+            cols[i] = [-e for e in cols[i]]
+        else:
+            cols[j] = [e + f for e, f in zip(cols[j], cols[i])]
+    return from_columns(clan, cols)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 3))
+    cols = [draw(st.lists(sparse_elements, min_size=2 * n, max_size=2 * n)) for _ in range(2 * n)]
+    return from_columns(parse_diii("+" * n + "-" * n), cols)
 
 # pinned reference representative of +1212-: columns e1, (e3+e5)/sqrt2,
 # (e2-e4)/sqrt2, (e5-e3)/sqrt2, (e2+e4)/sqrt2, e6
@@ -115,6 +156,7 @@ class TestSpecialOrthogonality:
         assert verify_special_orthogonal(matrix)
 
     def test_column_swap_breaks_it(self):
+        # swapping columns c and m-1-c keeps G^T J G = J; the determinant is -1
         clan = parse_diii("+1212-")
         rows = [list(r) for r in REFERENCE_MATRIX]
         for r in rows:
@@ -122,13 +164,39 @@ class TestSpecialOrthogonality:
         swapped = FlagMatrix(clan, tuple(tuple(r) for r in rows))
         assert not verify_special_orthogonal(swapped)
 
+    def test_det_one_shear_fails_the_form(self):
+        rows = ((ONE, ONE), (ZERO, ONE))
+        assert exact_determinant(rows) == ONE
+        assert not verify_special_orthogonal(FlagMatrix(parse_diii("+-"), rows))
+
+    def test_column_added_to_another_fails_the_form(self):
+        rows = [list(r) for r in REFERENCE_MATRIX]
+        for r in rows:
+            r[1] = r[1] + r[0]
+        assert exact_determinant(rows) == ONE
+        added = FlagMatrix(parse_diii("+1212-"), tuple(tuple(r) for r in rows))
+        assert not verify_special_orthogonal(added)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_dense_oracle_on_representatives(self, n):
+        for clan in enumerate_diii(n):
+            matrix = representative_matrix(clan)
+            assert raw_is_special_orthogonal(raw(matrix.rows))
+            assert verify_special_orthogonal(matrix)
+
+    @settings(deadline=None)
+    @given(perturbed_representatives())
+    def test_matches_dense_oracle_on_perturbations(self, matrix):
+        expected = raw_is_special_orthogonal(raw(matrix.rows))
+        assert verify_special_orthogonal(matrix) == expected
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_representative_is_special_orthogonal(self, n):
         for clan in enumerate_diii(n):
             assert verify_special_orthogonal(representative_matrix(clan))
 
     @settings(max_examples=25, deadline=None)
-    @given(diii_clans(min_n=6, max_n=8))
+    @given(diii_clans(min_n=6, max_n=10))
     def test_special_orthogonal_property_beyond_exhaustive_sizes(self, clan):
         matrix = representative_matrix(clan)
         assert verify_special_orthogonal(matrix)
@@ -145,6 +213,17 @@ class TestIntersection:
         clan = parse_diii("++++----")
         matrix = representative_matrix(clan)
         assert intersection_dimension(matrix) == 4
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_stacked_rank_oracle_on_representatives(self, n):
+        for clan in enumerate_diii(n):
+            matrix = representative_matrix(clan)
+            assert intersection_dimension(matrix) == raw_stacked_intersection(raw(matrix.rows))
+
+    @settings(deadline=None)
+    @given(square_matrices())
+    def test_matches_stacked_rank_oracle_on_square_matrices(self, matrix):
+        assert intersection_dimension(matrix) == raw_stacked_intersection(raw(matrix.rows))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_parity_matches_half_length(self, n):

@@ -1,6 +1,17 @@
 from types import ModuleType
 
+import pytest
+
 import diii_clans
+from diii_clans import (
+    ClanError,
+    PartialFPFInvolution,
+    PathError,
+    Pyramid,
+    RookPlacement,
+    WeightedDelannoyPath,
+    validate_path,
+)
 
 
 def test_public_names_resolve_and_are_not_modules():
@@ -14,3 +25,19 @@ def test_star_import_exports_exactly_all():
     exec("from diii_clans import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(diii_clans.__all__)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Pyramid(2, 5), ClanError),
+        (lambda: RookPlacement(5), ClanError),
+        (lambda: PartialFPFInvolution(5), ClanError),
+        (lambda: Pyramid(1, frozenset({1})), ClanError),
+        (lambda: validate_path(WeightedDelannoyPath((1, 2))), PathError),
+    ],
+    ids=["pyramid-rooks-int", "placement-perm-int", "pfpf-values-int", "pyramid-rook-int", "path-steps-ints"],
+)
+def test_mistyped_container_fields_raise_clan_errors(build, error):
+    with pytest.raises(error):
+        build()
