@@ -117,8 +117,14 @@ def validate_path(path: WeightedDelannoyPath | Sequence[LabeledStep]) -> tuple[b
        mirror step carries the complementary label;
     4. the word has even length and its middle is either an E step or the
        labeled pair (D,3)(D,2).
+
+    Any other input goes through the ``WeightedDelannoyPath`` container
+    check first (a sequence as the tuple of its items), so it raises
+    ``PathError`` unless every item is a ``LabeledStep``.
     """
-    steps = tuple(path)
+    if not isinstance(path, WeightedDelannoyPath):
+        path = WeightedDelannoyPath(tuple(path) if isinstance(path, Sequence) else path)
+    steps = path.steps
     r = len(steps)
     north = sum(1 for s in steps if s.direction == NORTH)
     east = sum(1 for s in steps if s.direction == EAST)

@@ -3,7 +3,9 @@
 Entries are pairs of rationals, so membership in the special orthogonal
 group (form identity and unit determinant) is decided exactly, with no
 floating point anywhere. The form identity is checked by pairing columns
-through their nonzero entries, and the intersection parity by an n x n rank.
+through their nonzero entries. Once it holds, the sign of the determinant
+follows from the intersection parity, an n x n rank, with no 2n x 2n
+determinant.
 """
 
 from __future__ import annotations
@@ -207,6 +209,20 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
 
     Row a of G^T J G is the sum, over each nonzero G[r][a], of G[r][a]
     times row m-1-r of G; only products of nonzero entries are formed.
+
+    Once the form holds, det G = 1 is decided without eliminating G. Let
+    m = 2n and E = span(e_1..e_n), maximal isotropic for J.
+
+    - G^T J G = J makes G an invertible isometry, so G E is maximal isotropic.
+    - For an isometry, det G = (-1)^(n - dim(G E meet E)): the maximal
+      isotropic subspaces form two families, L and L' share one exactly
+      when dim(L meet L') has the parity of n, and det G = 1 exactly when
+      G keeps each (any characteristic other than 2; C. Chevalley, The
+      Algebraic Theory of Spinors, 1954).
+    - dim(G E meet E) = n - rank G[n:, :n], the columns of G being
+      independent; its parity is ``intersection_parity``.
+
+    An odd m is no flag matrix and is refused.
     """
     rows = matrix.rows
     m = len(rows)
@@ -220,13 +236,18 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
                         form_row[b] += g * h
         if any(e != (ONE if a + b == m - 1 else ZERO) for b, e in enumerate(form_row)):
             return False
-    return exact_determinant(rows) == ONE
+    return m % 2 == 0 and intersection_parity(matrix) == (m // 2) % 2
 
 
 def intersection_dimension(matrix: FlagMatrix) -> int:
-    """Dimension of the meet of the span of the first n columns with the
-    span of e_1..e_n: 2n - rank of those columns stacked over e_1..e_n,
-    which is n - rank of their last n rows."""
+    """Nullity of the lower-left block G[n:, :n], that is n - its rank.
+
+    A combination of the first n columns lies in span(e_1..e_n) exactly
+    when its last n coordinates vanish. So when those columns are
+    independent, as they are once G^T J G = J holds, this is the dimension
+    of the meet of their span with span(e_1..e_n). Otherwise it counts the
+    dependencies too: the zero 2 x 2 matrix gives 1, while the meet is {0}.
+    """
     n = matrix.size // 2
     return n - exact_rank([row[:n] for row in matrix.rows[n:]])
 

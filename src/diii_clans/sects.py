@@ -83,10 +83,11 @@ class Sect:
 def sects(n: int) -> list[Sect]:
     """Partition of all DIII (n,n)-clans by base clan, sorted by base.
     Members keep the spaced-text order of ``enumerate_diii``."""
-    groups: dict[DIIIClan, list[DIIIClan]] = {}
+    groups: dict[tuple[str, ...], list[DIIIClan]] = {}
     for clan in enumerate_diii(n):
-        groups.setdefault(clan.base_clan(), []).append(clan)
-    return [Sect(base, tuple(groups[base])) for base in sorted(groups, key=Clan.spaced)]
+        groups.setdefault(clan.signatures(), []).append(clan)
+    bases = sorted(map(DIIIClan, groups), key=Clan.spaced)
+    return [Sect(base, tuple(groups[base.symbols])) for base in bases]
 
 
 def big_sect_base(n: int) -> DIIIClan:
@@ -103,7 +104,7 @@ def big_sect(n: int) -> Sect:
     """The sect containing the unique maximal clan, members in the
     spaced-text order of ``enumerate_diii``."""
     base = big_sect_base(n)
-    return Sect(base, tuple(c for c in enumerate_diii(n) if c.base_clan() == base))
+    return Sect(base, tuple(c for c in enumerate_diii(n) if c.signatures() == base.symbols))
 
 
 def epsilon_count(n: int) -> int:

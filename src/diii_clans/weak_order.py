@@ -2,11 +2,12 @@
 polynomials for DIII clans.
 
 The monoid action of the simple reflections is realized by a
-candidate-and-filter rule: each reflection proposes a position swap and,
-where signs allow, a collapse of signs into fresh mate pairs; a candidate is
-accepted exactly when it is a valid DIII clan one longer than the input.
-At most one candidate ever survives the filter, and a reflection with no
-surviving candidate fixes the clan.
+candidate-and-filter rule: each reflection proposes one candidate, the
+collapse of signs into fresh mate pairs where the signs allow it and a
+position swap otherwise, and the candidate is accepted exactly when it is a
+valid DIII clan one longer than the input; a rejected candidate leaves the
+clan fixed. Where a collapse is possible, the swap would move only signs,
+which keeps every pair and so the length: it could never be accepted.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def clan_length(clan: Clan) -> LengthStats:
     )
 
 
-def _reflection_candidates(i: int, clan: DIIIClan) -> list[tuple]:
-    """Raw symbol tuples for the swap and collapse candidates of s_i."""
+def _reflection_candidate(i: int, clan: DIIIClan) -> tuple:
+    """Raw symbol tuple of the one candidate of s_i: the collapse when the
+    signs allow it, else the swap."""
     syms = clan.symbols
     n = clan.n
     m = 2 * n
@@ -64,24 +66,25 @@ def _reflection_candidates(i: int, clan: DIIIClan) -> list[tuple]:
         (a, b), (c, d) = (n - 2, n), (n - 1, n + 1)
         quad = syms[n - 2 : n + 2]
         collapsible = quad in ((PLUS, PLUS, MINUS, MINUS), (MINUS, MINUS, PLUS, PLUS))
-    swapped = list(syms)
-    swapped[a], swapped[b] = swapped[b], swapped[a]
-    swapped[c], swapped[d] = swapped[d], swapped[c]
-    out = [tuple(swapped)]
+    out = list(syms)
     if collapsible:
         # m+1 and m+2 are fresh labels, renumbered on construction
-        collapsed = list(syms)
-        collapsed[a] = collapsed[b] = m + 1
-        collapsed[c] = collapsed[d] = m + 2
-        out.append(tuple(collapsed))
-    return out
+        out[a] = out[b] = m + 1
+        out[c] = out[d] = m + 2
+    else:
+        out[a], out[b] = out[b], out[a]
+        out[c], out[d] = out[d], out[c]
+    return tuple(out)
 
 
 def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
     """The action of the i-th simple reflection on a DIII clan.
 
-    Returns the unique DIII clan of length one greater reachable by the
-    candidate moves, or the clan itself when there is none.
+    Returns the one candidate move when it is a valid DIII clan of length
+    one greater, or the clan itself otherwise. Only one candidate is built:
+    where the signs allow a collapse, the swap would trade two opposite
+    signs and their mirrors (i < n) or the four signs of ++--/--++ (i = n),
+    which leaves every pair, and so the length, unchanged.
     """
     clan = clan.to_diii()
     n = clan.n
@@ -89,20 +92,11 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
         raise ClanError(f"reflection index {i} out of range 1..{n}")
     if n == 1:
         return clan
-    target = clan.length + 1
-    accepted: list[DIIIClan] = []
-    for symbols in _reflection_candidates(i, clan):
-        try:
-            candidate = DIIIClan(symbols)
-        except ClanError:
-            continue
-        if candidate != clan and candidate.length == target:
-            accepted.append(candidate)
-    if len(accepted) > 1:
-        raise AssertionError(
-            f"ambiguous ascent for s_{i} on {clan}: {accepted}"
-        )
-    return accepted[0] if accepted else clan
+    try:
+        candidate = DIIIClan(_reflection_candidate(i, clan))
+    except ClanError:
+        return clan
+    return candidate if candidate.length == clan.length + 1 else clan
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,52 @@ def raw_pair_data(t):
     return pairs, mates, signatures
 
 
+def raw_length(t):
+    """Weak-order length (sum of spreads - sum of weaves - z) / 2 of a raw
+    clan tuple: a pair's spread is the distance between its mates, its
+    weave counts pairs opening before it and closing strictly inside it,
+    and z is half the number of pairs straddling the middle."""
+    n = len(t) // 2
+    pairs, _, _ = raw_pair_data(t)
+    spread = sum(j - i for i, j in pairs)
+    weave = sum(1 for i, j in pairs for u, v in pairs if u < i < v < j)
+    z = sum(1 for i, j in pairs if i <= n < j) // 2
+    return (spread - weave - z) // 2
+
+
+def raw_reflection(i, t):
+    """The i-th simple reflection on a raw canonical DIII tuple by the
+    two-candidate filter: the position swap and, where the signs allow, the
+    collapse into two fresh pairs; a candidate is kept when it is a DIII
+    clan other than t, one longer than t. At most one may survive."""
+    n = len(t) // 2
+    if n == 1:
+        return t
+    m = 2 * n
+    if i < n:
+        (a, b), (c, d) = (i - 1, i), (m - i - 1, m - i)
+        collapsible = {t[a], t[b]} == {"+", "-"}
+    else:
+        (a, b), (c, d) = (n - 2, n), (n - 1, n + 1)
+        collapsible = t[n - 2 : n + 2] in (("+", "+", "-", "-"), ("-", "-", "+", "+"))
+    swapped = list(t)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    swapped[c], swapped[d] = swapped[d], swapped[c]
+    candidates = [swapped]
+    if collapsible:
+        collapsed = list(t)
+        collapsed[a] = collapsed[b] = m + 1
+        collapsed[c] = collapsed[d] = m + 2
+        candidates.append(collapsed)
+    target = raw_length(t) + 1
+    accepted = []
+    for candidate in map(canonical_raw, candidates):
+        if candidate != t and raw_is_diii(candidate) and raw_length(candidate) == target:
+            accepted.append(candidate)
+    assert len(accepted) <= 1, (i, t, accepted)
+    return accepted[0] if accepted else t
+
+
 def all_canonical_clans(n):
     """Every balanced (n,n)-clan in canonical form, by restricted growth."""
     out = []
@@ -311,8 +357,9 @@ def raw_is_special_orthogonal(rows):
 
 def raw_stacked_intersection(rows):
     """For a 2n x 2n matrix: 2n minus the rank of its first n columns
-    stacked over the basis rows e_1..e_n, i.e. the dimension of the meet of
-    the span of those columns with the span of e_1..e_n."""
+    stacked over the basis rows e_1..e_n. When those columns are
+    independent, this is the dimension of the meet of their span with the
+    span of e_1..e_n."""
     m = len(rows)
     n = m // 2
     stacked = [[rows[r][c] for r in range(m)] for c in range(n)]

@@ -18,8 +18,15 @@ from diii_clans import (
 from diii_clans.flags import INV_SQRT2, ONE, ZERO, exact_determinant, exact_rank
 
 from conftest import diii_clans
-from oracles import raw_is_special_orthogonal, raw_stacked_intersection
+from oracles import (
+    raw_antidiagonal,
+    raw_form,
+    raw_is_special_orthogonal,
+    raw_rank_and_determinant,
+    raw_stacked_intersection,
+)
 
+RAW_MINUS_ONE = (Fraction(-1), Fraction(0))
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 elements = st.builds(QSqrt2, rationals, rationals)
 sparse_elements = st.sampled_from(
@@ -157,12 +164,23 @@ class TestSpecialOrthogonality:
 
     def test_column_swap_breaks_it(self):
         # swapping columns c and m-1-c keeps G^T J G = J; the determinant is -1
-        clan = parse_diii("+1212-")
-        rows = [list(r) for r in REFERENCE_MATRIX]
-        for r in rows:
-            r[0], r[5] = r[5], r[0]
-        swapped = FlagMatrix(clan, tuple(tuple(r) for r in rows))
-        assert not verify_special_orthogonal(swapped)
+        for n in range(1, 5):
+            m = 2 * n
+            for clan in enumerate_diii(n):
+                for c in range(n):
+                    rows = [list(r) for r in representative_matrix(clan).rows]
+                    for r in rows:
+                        r[c], r[m - 1 - c] = r[m - 1 - c], r[c]
+                    assert raw_form(raw(rows)) == raw_antidiagonal(m)
+                    assert raw_rank_and_determinant(raw(rows))[1] == RAW_MINUS_ONE
+                    swapped = FlagMatrix(clan, tuple(tuple(r) for r in rows))
+                    assert not verify_special_orthogonal(swapped)
+
+    def test_odd_size_is_refused(self):
+        # [[1]] and [[-1]] satisfy the form for J = [[1]], but a flag
+        # matrix is 2n x 2n
+        for entry in (ONE, -ONE):
+            assert not verify_special_orthogonal(FlagMatrix(parse_diii("+-"), ((entry,),)))
 
     def test_det_one_shear_fails_the_form(self):
         rows = ((ONE, ONE), (ZERO, ONE))

@@ -5,6 +5,7 @@ import pytest
 import diii_clans
 from diii_clans import (
     ClanError,
+    LabeledStep,
     PartialFPFInvolution,
     PathError,
     Pyramid,
@@ -35,8 +36,20 @@ def test_star_import_exports_exactly_all():
         (lambda: PartialFPFInvolution(5), ClanError),
         (lambda: Pyramid(1, frozenset({1})), ClanError),
         (lambda: validate_path(WeightedDelannoyPath((1, 2))), PathError),
+        (lambda: validate_path((1, 2)), PathError),
+        (lambda: validate_path([LabeledStep("E"), "N"]), PathError),
+        (lambda: validate_path(5), PathError),
     ],
-    ids=["pyramid-rooks-int", "placement-perm-int", "pfpf-values-int", "pyramid-rook-int", "path-steps-ints"],
+    ids=[
+        "pyramid-rooks-int",
+        "placement-perm-int",
+        "pfpf-values-int",
+        "pyramid-rook-int",
+        "path-steps-ints",
+        "validate-path-ints",
+        "validate-path-step-str",
+        "validate-path-not-a-sequence",
+    ],
 )
 def test_mistyped_container_fields_raise_clan_errors(build, error):
     with pytest.raises(error):

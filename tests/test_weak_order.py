@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from diii_clans import (
     ClanError,
@@ -17,7 +17,7 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
-from oracles import canonical_raw, rank_polys_convolution, raw_is_diii
+from oracles import canonical_raw, rank_polys_convolution, raw_is_diii, raw_reflection
 
 
 def braid_and_commuting_pairs(n):
@@ -86,11 +86,24 @@ class TestReflectionAction:
 
     def test_sign_swap_candidate_rejected_by_length_not_validity(self):
         # trading the opposite signs at positions (1,2) gives a valid DIII
-        # clan of the same length, so only the collapse survives the filter
+        # clan of the same length: a swap that moves only signs keeps every
+        # pair, so where a collapse is possible it is the one candidate
         clan = parse_diii("+-1122+-")
         swapped = parse_diii("-+1122-+")
         assert clan_length(swapped).length == clan_length(clan).length
         assert apply_reflection(1, clan).text() == "11223344"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_two_candidate_oracle(self, n):
+        for clan in enumerate_diii(n):
+            for i in range(1, n + 1):
+                assert apply_reflection(i, clan).symbols == raw_reflection(i, clan.symbols)
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_matches_two_candidate_oracle_on_large_clans(self, clan):
+        for i in range(1, clan.n + 1):
+            assert apply_reflection(i, clan).symbols == raw_reflection(i, clan.symbols)
 
     def test_n1_has_no_moves(self):
         clan = parse_diii("+-")
