@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Usage errors exit with status 2 (argparse); data errors print a message to
-stderr and exit with status 1.  Output is deterministic: every listing is
-sorted before emission.
+stderr and exit with status 1, and so does a reader that closes stdout
+early, with no message.  Output is deterministic: every listing is sorted
+before emission.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -271,9 +273,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ClanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at
+        # devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -2,16 +2,16 @@
 
 All counting is done with Python's arbitrary-precision integers, so the
 results are bit-exact at any size.  The generator builds each clan once,
-from the data that determines it: number positions in the first half, a
-pairing of those positions, a straddling/contained mode per pair, and a
-sign pattern of even parity.
+sect by sect: from the first-half signs of a matchless base, it matches
+some ``-`` positions with later first-half positions, so every clan of
+that sect comes from exactly one set of such choices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
 
@@ -112,17 +112,6 @@ def assemble_clan(
     return DIIIClan(syms)
 
 
-def _matchings(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of an even-sized tuple into (smaller, larger) pairs."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for k, partner in enumerate(rest):
-        for sub in _matchings(rest[:k] + rest[k + 1 :]):
-            yield ((first, partner),) + sub
-
-
 @dataclass(frozen=True)
 class ClanSet:
     """The full set of DIII (n,n)-clans, sorted by spaced text."""
@@ -145,25 +134,41 @@ class ClanSet:
         return clan in self._members
 
 
-def generate_diii(n: int) -> Iterator[DIIIClan]:
-    """Yield every DIII (n,n)-clan exactly once (unsorted)."""
+def generate_sect(signs: Sequence[str]) -> Iterator[DIIIClan]:
+    """Yield each clan of the sect whose base has first-half ``signs`` once,
+    unsorted: each position p keeps its sign, or a ``-`` at p takes a later
+    free position q, as the contained pair (p, q) when q holds ``+`` and the
+    straddling pair (p, q) when q holds ``-``.  Both keep the parity."""
+
+    def grow(free, contained, straddling, kept):
+        if not free:
+            yield assemble_clan(len(signs), contained, straddling, kept)
+            return
+        p, rest = free[0], free[1:]
+        yield from grow(rest, contained, straddling, {**kept, p: signs[p - 1]})
+        if signs[p - 1] == MINUS:
+            for k, q in enumerate(rest):
+                later = rest[:k] + rest[k + 1 :]
+                if signs[q - 1] == PLUS:
+                    yield from grow(later, contained + [(p, q)], straddling, kept)
+                else:
+                    yield from grow(later, contained, straddling + [(p, q)], kept)
+
+    return grow(tuple(range(1, len(signs) + 1)), [], [], {})
+
+
+def sect_signs(n: int) -> Iterator[tuple[str, ...]]:
+    """First-half signs of each matchless DIII (n,n)-clan, the base of one
+    sect: the 2^(n-1) sign patterns with an even number of ``-``."""
     if n < 1:
         raise ClanError(f"n must be positive, got {n}")
-    positions = range(1, n + 1)
-    for npairs2 in range(0, n + 1, 2):
-        for chosen in combinations(positions, npairs2):
-            sign_slots = [p for p in positions if p not in chosen]
-            for matching in _matchings(chosen):
-                r = len(matching)
-                for modes in product((0, 1), repeat=r):
-                    contained = [m for m, b in zip(matching, modes) if b]
-                    straddling = [m for m, b in zip(matching, modes) if not b]
-                    pair_parity = len(contained) % 2
-                    # with no sign slots the product yields one empty pattern
-                    for pattern in product((PLUS, MINUS), repeat=len(sign_slots)):
-                        if (pattern.count(MINUS) + pair_parity) % 2 == 0:
-                            signs = dict(zip(sign_slots, pattern))
-                            yield assemble_clan(n, contained, straddling, signs)
+    return (s for s in product((PLUS, MINUS), repeat=n) if s.count(MINUS) % 2 == 0)
+
+
+def generate_diii(n: int) -> Iterator[DIIIClan]:
+    """Yield every DIII (n,n)-clan exactly once (unsorted), sect by sect."""
+    for signs in sect_signs(n):
+        yield from generate_sect(signs)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +176,7 @@ def enumerate_diii(n: int) -> ClanSet:
     """All DIII (n,n)-clans, sorted by spaced text.
 
     Cached per n, the package's only cache across calls: the result is
-    immutable, and ``verify``, the poset and sect builders, and the
-    bijection checks all reuse it.
+    immutable, and ``verify``, the poset builder and the bijection checks
+    reuse it.  The sect builders generate from their bases instead.
     """
     return ClanSet(n, tuple(sorted(generate_diii(n), key=Clan.spaced)))

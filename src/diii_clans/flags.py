@@ -222,10 +222,13 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     - dim(G E meet E) = n - rank G[n:, :n], the columns of G being
       independent; its parity is ``intersection_parity``.
 
-    An odd m is no flag matrix and is refused.
+    A matrix that is not 2n x 2n for its clan is no flag matrix and is
+    refused.
     """
     rows = matrix.rows
-    m = len(rows)
+    m = 2 * matrix.clan.n
+    if len(rows) != m or any(len(row) != m for row in rows):
+        return False
     for a in range(m):
         form_row = [ZERO] * m
         for r in range(m):
@@ -236,7 +239,7 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
                         form_row[b] += g * h
         if any(e != (ONE if a + b == m - 1 else ZERO) for b, e in enumerate(form_row)):
             return False
-    return m % 2 == 0 and intersection_parity(matrix) == (m // 2) % 2
+    return intersection_parity(matrix) == (m // 2) % 2
 
 
 def intersection_dimension(matrix: FlagMatrix) -> int:

@@ -9,7 +9,7 @@ from math import factorial
 from typing import Iterator
 
 from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, ascii_int
-from .enumeration import assemble_clan, enumerate_diii
+from .enumeration import assemble_clan, generate_sect, sect_signs
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,14 @@ class Sect:
 
 
 def sects(n: int) -> list[Sect]:
-    """Partition of all DIII (n,n)-clans by base clan, sorted by base.
-    Members keep the spaced-text order of ``enumerate_diii``."""
-    groups: dict[tuple[str, ...], list[DIIIClan]] = {}
-    for clan in enumerate_diii(n):
-        groups.setdefault(clan.signatures(), []).append(clan)
-    bases = sorted(map(DIIIClan, groups), key=Clan.spaced)
-    return [Sect(base, tuple(groups[base.symbols])) for base in bases]
+    """Partition of all DIII (n,n)-clans by base clan, sorted by base: each
+    base is built from its first-half signs, and its members come from
+    ``generate_sect``, sorted by spaced text."""
+    bases = [assemble_clan(n, [], [], dict(enumerate(s, start=1))) for s in sect_signs(n)]
+    return [
+        Sect(base, tuple(sorted(generate_sect(base.symbols[:n]), key=Clan.spaced)))
+        for base in sorted(bases, key=Clan.spaced)
+    ]
 
 
 def big_sect_base(n: int) -> DIIIClan:
@@ -101,10 +102,10 @@ def big_sect_base(n: int) -> DIIIClan:
 
 
 def big_sect(n: int) -> Sect:
-    """The sect containing the unique maximal clan, members in the
-    spaced-text order of ``enumerate_diii``."""
+    """The sect containing the unique maximal clan, generated from its base
+    (e(n) clans, not D(n)) and sorted by spaced text."""
     base = big_sect_base(n)
-    return Sect(base, tuple(c for c in enumerate_diii(n) if c.signatures() == base.symbols))
+    return Sect(base, tuple(sorted(generate_sect(base.symbols[:n]), key=Clan.spaced)))
 
 
 def epsilon_count(n: int) -> int:

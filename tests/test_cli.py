@@ -1,12 +1,16 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diii_clans
 from diii_clans import count_recurrence
 from diii_clans.cli import main
 
@@ -274,3 +278,20 @@ class TestNoTraceback:
         if source == "pfpf":
             argv += ["--n", str(data.draw(st.integers(-1, 50)))]
         assert _exit_code(argv + ["--", payload]) in (0, 1)
+
+    def test_reader_closing_the_pipe_early(self):
+        # enumerate 8 prints about 270 KB, more than a 64 KiB pipe buffer,
+        # so the writer is still printing when the reader goes away
+        src = str(Path(diii_clans.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diii_clans.cli", "enumerate", "8"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.stdout.readline().strip() == b"++++++++--------"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert b"Traceback" not in err
+        assert proc.returncode == 1

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diii_clans import (
     LabeledStep,
@@ -15,6 +16,18 @@ from diii_clans import (
 
 from conftest import diii_clans
 from oracles import candidate_weighted_words
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=9), inner, max_size=3),
+    max_leaves=12,
+)
+# steps close to the format, so many lists decode and the rest fail late
+_near_step = st.fixed_dictionaries(
+    {"direction": st.sampled_from("NED")}, optional={"label": st.integers(-1, 6)}
+)
 
 
 def word_of(*tokens):
@@ -62,6 +75,16 @@ class TestSteps:
     def test_json_refuses_non_list(self, data):
         with pytest.raises(PathError, match="malformed path JSON"):
             WeightedDelannoyPath.from_json_list(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json | st.lists(_near_step, max_size=8) | st.lists(_near_step | _json, max_size=8))
+    def test_json_gives_a_path_or_path_error(self, data):
+        try:
+            path = WeightedDelannoyPath.from_json_list(data)
+        except PathError:
+            return
+        assert type(path) is WeightedDelannoyPath
+        assert WeightedDelannoyPath.from_json_list(path.to_json_list()) == path
 
 
 class TestValidation:

@@ -177,10 +177,17 @@ class TestSpecialOrthogonality:
                     assert not verify_special_orthogonal(swapped)
 
     def test_odd_size_is_refused(self):
-        # [[1]] and [[-1]] satisfy the form for J = [[1]], but a flag
-        # matrix is 2n x 2n
-        for entry in (ONE, -ONE):
-            assert not verify_special_orthogonal(FlagMatrix(parse_diii("+-"), ((entry,),)))
+        # [[1]] and [[-1]] satisfy the form for J = [[1]], the empty matrix
+        # and the 2 x 2 identity satisfy it for their sizes, but a flag
+        # matrix is 2n x 2n for its clan
+        identity = ((ONE, ZERO), (ZERO, ONE))
+        for clan, rows in (
+            ("+-", ((ONE,),)),
+            ("+-", ((-ONE,),)),
+            ("+-", ()),
+            ("+1212-", identity),
+        ):
+            assert not verify_special_orthogonal(FlagMatrix(parse_diii(clan), rows))
 
     def test_det_one_shear_fails_the_form(self):
         rows = ((ONE, ONE), (ZERO, ONE))

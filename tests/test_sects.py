@@ -21,9 +21,11 @@ from diii_clans import (
     subset_to_base_clan,
 )
 
-from oracles import raw_is_diii, raw_pair_data
+from oracles import naive_diii, raw_is_diii, raw_pair_data
 
-INVOLUTION_NUMBERS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76, 7: 232, 8: 764}
+INVOLUTION_NUMBERS = {
+    0: 1, 1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76, 7: 232, 8: 764, 9: 2620, 10: 9496
+}
 
 
 class TestSchubertSubsets:
@@ -91,6 +93,19 @@ class TestSects:
                 if c != top
             )
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_grouping_of_the_naive_oracle(self, n):
+        # every raw DIII tuple grouped by its raw signatures, sects and
+        # members in spaced-text order; nothing here comes from the package
+        def spaced(t):
+            return " ".join(map(str, t))
+
+        groups = {}
+        for t in naive_diii(n):
+            groups.setdefault(raw_pair_data(t)[2], []).append(spaced(t))
+        expected = [(base, sorted(groups[base])) for base in sorted(groups, key=spaced)]
+        assert [(s.base.symbols, [c.spaced() for c in s]) for s in sects(n)] == expected
+
 
 class TestBigSect:
     def test_bases(self):
@@ -111,7 +126,7 @@ class TestBigSect:
     def test_n2_members(self):
         assert {m.text() for m in big_sect(2)} == {"--++", "1212"}
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_size_is_involution_number(self, n):
         assert len(big_sect(n)) == INVOLUTION_NUMBERS[n]
         assert epsilon_count(n) == INVOLUTION_NUMBERS[n]
