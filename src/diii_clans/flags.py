@@ -1,22 +1,30 @@
 """Exact representative flag matrices over the field {a + b*sqrt(2)}.
 
-Entries are pairs of rationals, so membership in the special orthogonal
-group (form identity and unit determinant) is decided exactly, with no
-floating point anywhere. The form identity is checked by pairing columns
-through their nonzero entries. Once it holds, the sign of the determinant
-follows from the intersection parity, an n x n rank, with no 2n x 2n
-determinant.
+Entries are ``QSqrt2``, pairs of rationals, so membership in the special
+orthogonal group (form identity and unit determinant) is decided exactly,
+with no floating point anywhere. The kernels do not compute with those
+entries: they first scale the matrix by L, the lcm of every denominator,
+into sparse (L*a, L*b) int pairs, elements of Z[sqrt 2]. The form identity
+is then checked by pairing columns through their nonzero entries, and
+ranks and determinants come from fraction-free (Bareiss) elimination,
+which divides exactly in Z[sqrt 2]. Once the form holds, the sign of the
+determinant follows from the intersection parity, an n x n rank, with no
+2n x 2n determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
-from .clans import MINUS, PLUS, DIIIClan
+from .clans import MINUS, PLUS, ClanError, DIIIClan
 
 _Scalar = Union[int, Fraction, "QSqrt2"]
+#: The nonzero entries of one row of L times a matrix, as (column, a, b)
+#: for a + b*sqrt(2) in Z[sqrt 2].
+_ScaledRow = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -160,63 +168,121 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
         cols[jj - 1] = mix(sigma(ii), sigma(jj), minus=True)
     if any(c is None for c in cols):
         raise AssertionError("flag construction left empty columns")
-    rows = tuple(
-        tuple(cols[c][r] for c in range(m)) for r in range(m)
+    return FlagMatrix(clan, tuple(zip(*cols)))
+
+
+def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, tuple[_ScaledRow, ...]]:
+    """The matrix as L times itself, with L the lcm of every denominator.
+
+    Returns ``(L, scaled)``: ``scaled[r]`` lists ``(c, L*a, L*b)`` for each
+    nonzero entry a + b*sqrt(2) of row r, in column order, so every scaled
+    entry lies in Z[sqrt 2] and zeros are dropped. L and the scaled rows
+    together determine the matrix, and the pair is hashable.
+    """
+    # the shared ZERO is skipped by identity, any other zero by value
+    nonzero = [
+        [
+            (c, e.a.numerator, e.a.denominator, e.b.numerator, e.b.denominator)
+            for c, e in enumerate(row)
+            if e is not ZERO and e
+        ]
+        for row in rows
+    ]
+    scale = lcm(*{d for row in nonzero for _, _, ad, _, bd in row for d in (ad, bd)})
+    scaled = tuple(
+        tuple((c, an * (scale // ad), bn * (scale // bd)) for c, an, ad, bn, bd in row)
+        for row in nonzero
     )
-    return FlagMatrix(clan, rows)
+    return scale, scaled
 
 
-def _eliminate(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, QSqrt2]:
-    """Exact Gaussian elimination on a copy: the rank and, for a square
-    matrix, the determinant (``ZERO`` once a column has no pivot)."""
-    nrows = len(rows)
-    work = [list(row) for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank, det = 0, ONE
+def _eliminate(rows: Sequence[_ScaledRow], ncols: int) -> tuple[int, int, tuple[int, int]]:
+    """Fraction-free (Bareiss) elimination over Z[sqrt 2] on sparse integer
+    rows as ``_scaled`` gives them.
+
+    Returns the rank, the sign of the row swaps made, and the last pivot as
+    an (a, b) pair. Pivots are the first nonzero entry of each column, so a
+    column without one is skipped. With p the previous pivot (1 at first),
+    a pivot k at (rank, col) and f = row[col] below it, every later entry
+    becomes (k * row[c] - f * pivot_row[c]) / p. Each updated entry is a
+    minor of the input (Bareiss, Math. Comp. 22 (1968)), so the quotient
+    lies in Z[sqrt 2], and x / p = x * conj(p) / N(p) with the integer norm
+    N(p) = p_a^2 - 2 p_b^2 != 0 divides exactly. Scaling rows by nonzero
+    elements keeps the rank, and for a square matrix of full rank the last
+    pivot times the sign is its determinant.
+    """
+    work = [{c: (a, b) for c, a, b in row} for row in rows]
+    nrows = len(work)
+    rank, sign = 0, 1
+    pa, pb, norm = 1, 0, 1
     for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if work[r][col]), None)
+        pivot_row = next((r for r in range(rank, nrows) if col in work[r]), None)
         if pivot_row is None:
-            det = ZERO
             continue
         if pivot_row != rank:
             work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            det = -det
-        pivot = work[rank][col]
-        det = det * pivot
-        inv = pivot.inverse()
+            sign = -sign
+        pivot = work[rank]
+        ka, kb = pivot.pop(col)
         for r in range(rank + 1, nrows):
-            factor = work[r][col] * inv
-            if factor:
-                for c in range(col, ncols):
-                    work[r][c] = work[r][c] - factor * work[rank][c]
+            row = work[r]
+            fa, fb = row.pop(col, (0, 0))
+            updated = {}
+            for c in (row.keys() | pivot.keys()) if fa or fb else row:
+                xa, xb = row.get(c, (0, 0))
+                ya, yb = pivot.get(c, (0, 0))
+                # k * x - f * y, then exact division by the previous pivot
+                za = ka * xa + 2 * kb * xb - fa * ya - 2 * fb * yb
+                zb = ka * xb + kb * xa - fa * yb - fb * ya
+                if pa != 1 or pb:
+                    za, zb = (za * pa - 2 * zb * pb) // norm, (zb * pa - za * pb) // norm
+                if za or zb:
+                    updated[c] = (za, zb)
+            work[r] = updated
+        pa, pb, norm = ka, kb, ka * ka - 2 * kb * kb
         rank += 1
         if rank == nrows:
             break
-    return rank, det
+    return rank, sign, (pa, pb)
 
 
 def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
-    """Determinant of a square matrix, by exact elimination."""
-    return _eliminate(rows)[1]
+    """Determinant of a square matrix: that of L times it over L^m."""
+    m = len(rows)
+    if any(len(row) != m for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    scale, scaled = _scaled(rows)
+    rank, sign, (pa, pb) = _eliminate(scaled, m)
+    if rank < m:
+        return ZERO
+    return QSqrt2(Fraction(sign * pa, scale**m), Fraction(sign * pb, scale**m))
 
 
 def exact_rank(rows: Sequence[Sequence[QSqrt2]]) -> int:
-    return _eliminate(rows)[0]
+    return _eliminate(_scaled(rows)[1], len(rows[0]) if rows else 0)[0]
+
+
+def _is_flag_shape(matrix: FlagMatrix) -> bool:
+    m = 2 * matrix.clan.n
+    return len(matrix.rows) == m and all(len(row) == m for row in matrix.rows)
 
 
 def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     """Exact check of G^T J G = J (J the antidiagonal ones) and det G = 1.
 
-    Row a of G^T J G is the sum, over each nonzero G[r][a], of G[r][a]
-    times row m-1-r of G; only products of nonzero entries are formed.
+    The form is checked on the scaled integer form H = L G of ``_scaled``:
+    G^T J G = J exactly when H^T J H = L^2 J, an identity over Z[sqrt 2].
+    Row a of H^T J H is the sum, over each nonzero H[r][a], of H[r][a]
+    times row m-1-r of H; only products of nonzero entries are formed, as
+    int pairs.
 
     Once the form holds, det G = 1 is decided without eliminating G. Let
     m = 2n and E = span(e_1..e_n), maximal isotropic for J.
 
     - G^T J G = J makes G an invertible isometry, so G E is maximal isotropic.
     - For an isometry, det G = (-1)^(n - dim(G E meet E)): the maximal
-      isotropic subspaces form two families, L and L' share one exactly
-      when dim(L meet L') has the parity of n, and det G = 1 exactly when
+      isotropic subspaces form two families, U and U' share one exactly
+      when dim(U meet U') has the parity of n, and det G = 1 exactly when
       G keeps each (any characteristic other than 2; C. Chevalley, The
       Algebraic Theory of Spinors, 1954).
     - dim(G E meet E) = n - rank G[n:, :n], the columns of G being
@@ -225,19 +291,25 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     A matrix that is not 2n x 2n for its clan is no flag matrix and is
     refused.
     """
-    rows = matrix.rows
-    m = 2 * matrix.clan.n
-    if len(rows) != m or any(len(row) != m for row in rows):
+    if not _is_flag_shape(matrix):
         return False
-    for a in range(m):
-        form_row = [ZERO] * m
-        for r in range(m):
-            g = rows[r][a]
-            if g:
-                for b, h in enumerate(rows[m - 1 - r]):
-                    if h:
-                        form_row[b] += g * h
-        if any(e != (ONE if a + b == m - 1 else ZERO) for b, e in enumerate(form_row)):
+    m = 2 * matrix.clan.n
+    scale, rows = _scaled(matrix.rows)
+    cols: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]  # (row, a, b)
+    for r, row in enumerate(rows):
+        for c, ea, eb in row:
+            cols[c].append((r, ea, eb))
+    for a, col in enumerate(cols):
+        # row a of H^T J H: its rational parts and its sqrt(2) parts
+        rational, irrational = [0] * m, [0] * m
+        for r, ga, gb in col:
+            for b, ha, hb in rows[m - 1 - r]:
+                rational[b] += ga * ha + 2 * gb * hb
+                irrational[b] += ga * hb + gb * ha
+        if rational[m - 1 - a] != scale * scale:
+            return False
+        rational[m - 1 - a] = 0
+        if any(rational) or any(irrational):
             return False
     return intersection_parity(matrix) == (m // 2) % 2
 
@@ -250,8 +322,12 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
     independent, as they are once G^T J G = J holds, this is the dimension
     of the meet of their span with span(e_1..e_n). Otherwise it counts the
     dependencies too: the zero 2 x 2 matrix gives 1, while the meet is {0}.
+    A matrix that is not 2n x 2n for its clan raises ``ClanError``.
     """
-    n = matrix.size // 2
+    if not _is_flag_shape(matrix):
+        m = 2 * matrix.clan.n
+        raise ClanError(f"a flag matrix of {matrix.clan} must be {m} x {m}")
+    n = matrix.clan.n
     return n - exact_rank([row[:n] for row in matrix.rows[n:]])
 
 

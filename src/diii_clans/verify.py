@@ -21,7 +21,12 @@ from .enumeration import (
     count_recurrence,
     enumerate_diii,
 )
-from .flags import intersection_parity, representative_matrix, verify_special_orthogonal
+from .flags import (
+    _scaled,
+    intersection_parity,
+    representative_matrix,
+    verify_special_orthogonal,
+)
 from .pyramids import (
     PyramidParityError,
     clan_to_pyramid,
@@ -280,7 +285,7 @@ def check_delannoy(n_max: int) -> CheckResult:
 
 
 def check_flags(n_max: int) -> CheckResult:
-    cap = min(n_max, 5)
+    cap = min(n_max, 7)
     for n in range(1, cap + 1):
         seen = set()
         for clan in enumerate_diii(n):
@@ -289,7 +294,9 @@ def check_flags(n_max: int) -> CheckResult:
                 return CheckResult("flags", False, f"{clan} not special orthogonal")
             if intersection_parity(matrix) != n % 2:
                 return CheckResult("flags", False, f"{clan} has wrong parity")
-            seen.add(matrix.rows)
+            # L with the scaled integer entries is an exact, injective key
+            # that hashes ints, not Fractions
+            seen.add(_scaled(matrix.rows))
         if len(seen) != count_formula(n):
             return CheckResult("flags", False, f"n={n}: matrices not distinct")
     return CheckResult("flags", True, f"exact SO and parity for n<= {cap}")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diii_clans import (
+    ClanError,
     FlagMatrix,
     QSqrt2,
     count_formula,
@@ -16,6 +17,7 @@ from diii_clans import (
     verify_special_orthogonal,
 )
 from diii_clans.flags import INV_SQRT2, ONE, ZERO, exact_determinant, exact_rank
+from diii_clans.verify import check_flags
 
 from conftest import diii_clans
 from oracles import (
@@ -29,6 +31,8 @@ from oracles import (
 RAW_MINUS_ONE = (Fraction(-1), Fraction(0))
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 elements = st.builds(QSqrt2, rationals, rationals)
+small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+irrational_elements = st.builds(QSqrt2, small_fractions, small_fractions.filter(bool))
 sparse_elements = st.sampled_from(
     (ZERO, ZERO, ZERO, ONE, -ONE, INV_SQRT2, QSqrt2(Fraction(1, 2)), QSqrt2(1, 1))
 )
@@ -69,6 +73,25 @@ def square_matrices(draw):
     n = draw(st.integers(1, 3))
     cols = [draw(st.lists(sparse_elements, min_size=2 * n, max_size=2 * n)) for _ in range(2 * n)]
     return from_columns(parse_diii("+" * n + "-" * n), cols)
+
+
+@st.composite
+def dense_matrices(draw):
+    """1-6 rows of 1-6 entries a + b*sqrt(2), b != 0, square half the time.
+    In about half of those with two or more rows, one row, placed anywhere,
+    is a combination of the others."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 6))
+    row = st.lists(irrational_elements, min_size=ncols, max_size=ncols)
+    dependent = nrows > 1 and draw(st.booleans())
+    rows = draw(st.lists(row, min_size=nrows - dependent, max_size=nrows - dependent))
+    if dependent:
+        coefficient = irrational_elements | st.just(ZERO)
+        coeffs = draw(st.lists(coefficient, min_size=len(rows), max_size=len(rows)))
+        combination = [sum((k * r[c] for k, r in zip(coeffs, rows)), ZERO) for c in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combination)
+    return rows
+
 
 # pinned reference representative of +1212-: columns e1, (e3+e5)/sqrt2,
 # (e2-e4)/sqrt2, (e5-e3)/sqrt2, (e2+e4)/sqrt2, e6
@@ -189,6 +212,14 @@ class TestSpecialOrthogonality:
         ):
             assert not verify_special_orthogonal(FlagMatrix(parse_diii(clan), rows))
 
+    def test_form_is_compared_with_scale_squared(self):
+        # entries 2 and 1/2 scale by L = 2 to 4 and 1, whose product is L^2;
+        # 2 and 1/3 scale by L = 3 to 6 and 1, whose product is not
+        half = ((QSqrt2(2), ZERO), (ZERO, QSqrt2(Fraction(1, 2))))
+        third = ((QSqrt2(2), ZERO), (ZERO, QSqrt2(Fraction(1, 3))))
+        assert verify_special_orthogonal(FlagMatrix(parse_diii("+-"), half))
+        assert not verify_special_orthogonal(FlagMatrix(parse_diii("+-"), third))
+
     def test_det_one_shear_fails_the_form(self):
         rows = ((ONE, ONE), (ZERO, ONE))
         assert exact_determinant(rows) == ONE
@@ -250,6 +281,16 @@ class TestIntersection:
     def test_matches_stacked_rank_oracle_on_square_matrices(self, matrix):
         assert intersection_dimension(matrix) == raw_stacked_intersection(raw(matrix.rows))
 
+    def test_wrong_shape_raises(self):
+        identity = ((ONE, ZERO), (ZERO, ONE))
+        ragged = ((ONE,), (ZERO, ONE))
+        for clan, rows in (("+1212-", identity), ("+-", ((ONE,),)), ("+-", ragged)):
+            matrix = FlagMatrix(parse_diii(clan), rows)
+            with pytest.raises(ClanError):
+                intersection_dimension(matrix)
+            with pytest.raises(ClanError):
+                intersection_parity(matrix)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_parity_matches_half_length(self, n):
         for clan in enumerate_diii(n):
@@ -275,3 +316,30 @@ class TestExactLinearAlgebra:
     def test_rank_of_dependent_rows(self):
         rows = [[ONE, ONE], [ONE, ONE], [ZERO, INV_SQRT2]]
         assert exact_rank(rows) == 2
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        ((-ONE, ONE, ONE), (ONE, -ONE, -ONE), (QSqrt2(1, 1), -ONE, QSqrt2(-1, 1))),
+    )
+    def test_determinant_with_unit_pivots(self, diagonal):
+        # units of norm 1 and -1 are pivots the next step must still divide by
+        rows = [[e if r == c else ZERO for c, e in enumerate(diagonal)] for r in range(3)]
+        assert exact_determinant(rows) == diagonal[0] * diagonal[1] * diagonal[2]
+
+    def test_determinant_needs_a_square_matrix(self):
+        with pytest.raises(ValueError):
+            exact_determinant([[ONE, ZERO]])
+
+    @settings(deadline=None)
+    @given(dense_matrices())
+    def test_matches_dense_oracle(self, rows):
+        rank, det = raw_rank_and_determinant(raw(rows))
+        assert exact_rank(rows) == rank
+        if len(rows) == len(rows[0]):
+            assert exact_determinant(rows) == QSqrt2(*det)
+
+
+def test_check_flags_runs_to_seven():
+    result = check_flags(8)
+    assert result.passed
+    assert result.detail == "exact SO and parity for n<= 7"
