@@ -66,6 +66,7 @@ from .sects import (
     epsilon_count,
     epsilon_recurrence,
     pfpf_to_clan,
+    sect_sizes,
     sects,
     subset_to_base_clan,
 )
@@ -97,7 +98,8 @@ __all__ = [
     "signed_involution_pair",
     "PartialFPFInvolution", "SchubertSubset", "Sect", "base_clan_to_subset",
     "big_sect", "big_sect_base", "clan_to_pfpf", "epsilon_count",
-    "epsilon_recurrence", "pfpf_to_clan", "sects", "subset_to_base_clan",
+    "epsilon_recurrence", "pfpf_to_clan", "sect_sizes", "sects",
+    "subset_to_base_clan",
     "LengthStats", "RankPolynomial", "WeakOrderPoset", "apply_reflection",
     "clan_length", "maximal_clan", "rank_poly_recurrence", "rank_polynomial",
     "weak_order_poset",

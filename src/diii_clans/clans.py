@@ -67,6 +67,32 @@ def _flip_sign(s: Symbol) -> Symbol:
     return MINUS if s == PLUS else PLUS
 
 
+def _relabel(
+    symbols: Iterable[Symbol],
+) -> tuple[tuple[Symbol, ...], tuple[int, ...], int]:
+    """Canonical symbols, the 1-based mate table (0 at a sign) and the
+    number of labels, in one pass: labels are renumbered 1..k in order of
+    first occurrence. The mate table is meaningful only when every label
+    appears exactly twice."""
+    first: dict[Symbol, int] = {}  # raw label -> index of its first occurrence
+    syms: list[Symbol] = []
+    mates: list[int] = []
+    for p, s in enumerate(symbols):
+        if s == PLUS or s == MINUS:
+            syms.append(s)
+            mates.append(0)
+        elif s in first:
+            q = first[s]
+            syms.append(syms[q])
+            mates.append(q + 1)
+            mates[q] = p + 1
+        else:
+            first[s] = p
+            syms.append(len(first))
+            mates.append(0)
+    return tuple(syms), tuple(mates), len(first)
+
+
 class Clan:
     """A balanced (n,n)-clan in canonical form.
 
@@ -78,39 +104,25 @@ class Clan:
     __slots__ = ("_symbols", "_mates")
 
     def __init__(self, symbols: Iterable[Symbol]):
-        first: dict[Symbol, int] = {}  # raw label -> index of its first occurrence
-        syms: list[Symbol] = []
-        mates: list[int] = []  # 1-based mate position; 0 at a sign
-        counts: list[int] = []  # occurrences of each canonical label
-        for p, s in enumerate(symbols):
-            if s == PLUS or s == MINUS:
-                syms.append(s)
-                mates.append(0)
-            elif s in first:
-                q = first[s]
-                syms.append(syms[q])
-                counts[syms[q] - 1] += 1
-                mates.append(q + 1)
-                mates[q] = p + 1
-            else:
-                first[s] = p
-                counts.append(1)
-                syms.append(len(counts))
-                mates.append(0)
+        syms, mates, labels = _relabel(symbols)
         if not syms:
             raise ClanError("a clan must contain at least two symbols")
         if len(syms) % 2 != 0:
             raise ClanError(f"odd number of symbols ({len(syms)})")
-        for label, c in enumerate(counts, start=1):
-            if c != 2:
-                raise ClanError(f"label {label} appears {c} times, expected 2")
         plus, minus = syms.count(PLUS), syms.count(MINUS)
+        # with every label present, all appear twice exactly when the
+        # numbers fill 2 * labels positions and none lacks a mate
+        if len(syms) - plus - minus != 2 * labels or mates.count(0) != plus + minus:
+            for label in range(1, labels + 1):
+                c = syms.count(label)
+                if c != 2:
+                    raise ClanError(f"label {label} appears {c} times, expected 2")
         if plus != minus:
             raise ClanError(
                 f"unbalanced signs ({plus} plus vs {minus} minus): not an (n,n)-clan"
             )
-        self._symbols = tuple(syms)
-        self._mates = tuple(mates)
+        self._symbols = syms
+        self._mates = mates
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -258,6 +270,21 @@ class DIIIClan(Clan):
         if reason is not None:
             raise ClanError(f"not a DIII clan: {reason}")
         self._length: int | None = None
+
+    @classmethod
+    def _trusted(cls, symbols: Iterable[Symbol], length: int | None = None) -> "DIIIClan":
+        """A DIII clan from symbols that form one by construction, unchecked.
+
+        Labels are renumbered in order of first occurrence and the mate
+        table is filled in the same pass (``_relabel``); neither ``Clan``'s
+        checks nor ``diii_violation`` run. Its two callers guarantee the
+        conditions: ``assemble_clan``, and ``apply_reflection`` for an
+        accepted image, which also passes the image's known ``length``.
+        """
+        clan = cls.__new__(cls)
+        clan._symbols, clan._mates, _ = _relabel(symbols)
+        clan._length = length
+        return clan
 
     @property
     def length(self) -> int:

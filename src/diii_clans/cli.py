@@ -27,7 +27,14 @@ from .pyramids import (
     pyramid_to_partition_pair,
     pyramid_to_placement,
 )
-from .sects import PartialFPFInvolution, big_sect, clan_to_pfpf, pfpf_to_clan, sects
+from .sects import (
+    PartialFPFInvolution,
+    big_sect,
+    clan_to_pfpf,
+    pfpf_to_clan,
+    sect_sizes,
+    sects,
+)
 from .verify import run_suite
 from .weak_order import (
     apply_reflection,
@@ -176,12 +183,14 @@ def _cmd_rank_poly(args) -> int:
 
 
 def _cmd_sects(args) -> int:
-    for sect in sects(_positive(args.n)):
-        if args.sizes_only:
-            print(f"{sect.base.text()} {len(sect)}")
-        else:
-            members = " ".join(c.text() for c in sect.members)
-            print(f"{sect.base.text()}: {members}")
+    n = _positive(args.n)
+    if args.sizes_only:
+        for base, size in sect_sizes(n):
+            print(f"{base} {size}")
+        return 0
+    for sect in sects(n):
+        members = " ".join(c.text() for c in sect.members)
+        print(f"{sect.base.text()}: {members}")
     return 0
 
 

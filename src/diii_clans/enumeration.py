@@ -77,6 +77,15 @@ def assemble_clan(
     ``straddling_pairs`` (i, j) with i < j <= n put mates at (i, 2n+1-j)
     and (j, 2n+1-i).  ``signs`` assigns ``+``/``-`` to the remaining
     first-half positions, and the opposite sign lands at 2n+1-p.
+
+    Every position must be assigned exactly once; then the result is a
+    balanced clan, skew-symmetric, with no antipodal mates, by
+    construction: each pair and sign is placed with its mirror, each pair
+    is labelled by a position only it occupies, and a mate pair (i, j) or
+    (i, 2n+1-j) with i < j <= n never sums to 2n+1. The one DIII condition
+    the inputs can break is first-half parity, checked here: the minus
+    signs plus the contained pairs must be even. The clan is then built
+    without re-validation (``DIIIClan._trusted``).
     """
     m = 2 * n + 1
     syms: list[Symbol | None] = [None] * (2 * n)
@@ -109,7 +118,15 @@ def assemble_clan(
     if None in syms:
         missing = [p for p, s in enumerate(syms, start=1) if s is None]
         raise ClanError(f"positions {missing} left unassigned")
-    return DIIIClan(syms)
+    if not syms:
+        raise ClanError("a clan must contain at least two symbols")
+    minus = sum(1 for sign in signs.values() if sign == MINUS)
+    if (minus + len(contained_pairs)) % 2 != 0:
+        raise ClanError(
+            f"not a DIII clan: odd parity in the first half ({minus} minus signs, "
+            f"{len(contained_pairs)} contained pairs)"
+        )
+    return DIIIClan._trusted(syms)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,10 @@ class QSqrt2:
     b: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     @classmethod
     def of(cls, value: _Scalar) -> "QSqrt2":
@@ -98,23 +100,36 @@ class QSqrt2:
 ZERO = QSqrt2()
 ONE = QSqrt2(Fraction(1))
 INV_SQRT2 = QSqrt2(Fraction(0), Fraction(1, 2))  # 1/sqrt(2) = sqrt(2)/2
+_NEG_INV_SQRT2 = -INV_SQRT2
 
 _PRETTY = {
     ZERO: "0",
     ONE: "1",
     -ONE: "-1",
     INV_SQRT2: "1/√2",
-    -INV_SQRT2: "-1/√2",
+    _NEG_INV_SQRT2: "-1/√2",
 }
 
 
 @dataclass(frozen=True)
 class FlagMatrix:
     """A 2n x 2n matrix over Q(sqrt 2) representing an isotropic flag;
-    rows[r][c] is the entry in row r+1, column c+1."""
+    rows[r][c] is the entry in row r+1, column c+1. Rows of any other
+    shape, or not held in tuples, raise ``ClanError``."""
 
     clan: DIIIClan
     rows: tuple[tuple[QSqrt2, ...], ...]
+
+    def __post_init__(self):
+        m = 2 * self.clan.n
+        if not (
+            type(self.rows) is tuple
+            and len(self.rows) == m
+            and all(type(row) is tuple and len(row) == m for row in self.rows)
+        ):
+            raise ClanError(
+                f"a flag matrix of {self.clan} must be a tuple of {m} row tuples of length {m}"
+            )
 
     @property
     def size(self) -> int:
@@ -155,7 +170,7 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     def mix(r: int, s: int, minus: bool) -> list[QSqrt2]:
         col = [ZERO] * m
         col[r - 1] = INV_SQRT2
-        col[s - 1] = -INV_SQRT2 if minus else INV_SQRT2
+        col[s - 1] = _NEG_INV_SQRT2 if minus else INV_SQRT2
         return col
 
     for pos, symbol in enumerate(clan.symbols, start=1):
@@ -263,6 +278,8 @@ def exact_rank(rows: Sequence[Sequence[QSqrt2]]) -> int:
 
 
 def _is_flag_shape(matrix: FlagMatrix) -> bool:
+    """The constructor's shape rule, kept for a matrix whose rows were
+    replaced around it (the dataclass is frozen, not sealed)."""
     m = 2 * matrix.clan.n
     return len(matrix.rows) == m and all(len(row) == m for row in matrix.rows)
 
@@ -288,8 +305,8 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     - dim(G E meet E) = n - rank G[n:, :n], the columns of G being
       independent; its parity is ``intersection_parity``.
 
-    A matrix that is not 2n x 2n for its clan is no flag matrix and is
-    refused.
+    ``FlagMatrix`` refuses any shape but 2n x 2n for its clan; a matrix
+    whose rows were replaced around that check is refused here too.
     """
     if not _is_flag_shape(matrix):
         return False
@@ -322,7 +339,8 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
     independent, as they are once G^T J G = J holds, this is the dimension
     of the meet of their span with span(e_1..e_n). Otherwise it counts the
     dependencies too: the zero 2 x 2 matrix gives 1, while the meet is {0}.
-    A matrix that is not 2n x 2n for its clan raises ``ClanError``.
+    A matrix whose rows were replaced around ``FlagMatrix``'s shape check
+    by one that is not 2n x 2n raises ``ClanError``.
     """
     if not _is_flag_shape(matrix):
         m = 2 * matrix.clan.n

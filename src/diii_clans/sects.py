@@ -91,6 +91,32 @@ def sects(n: int) -> list[Sect]:
     ]
 
 
+def sect_sizes(n: int) -> list[tuple[str, int]]:
+    """The base text and size of each sect, in the order of ``sects(n)``,
+    with no clan built.
+
+    A sect's size counts the choices ``generate_sect`` makes: the partial
+    matchings of the first half in which each pair opens at a ``-``. Left
+    to right, a position keeps its sign, closes one of the k pairs still
+    open (k ways), or, at a ``-``, opens one more; ``ways[k]`` counts the
+    prefixes that leave k open, and the size is ``ways[0]`` at the end.
+    """
+    sizes = []
+    for signs in sect_signs(n):
+        ways = [1]
+        for sign in signs:
+            grown = ways + [0]  # keep the sign
+            for k in range(1, len(ways)):
+                grown[k - 1] += k * ways[k]  # close one of the k open pairs
+            if sign == MINUS:
+                for k, w in enumerate(ways):
+                    grown[k + 1] += w  # open one more
+            ways = grown
+        base = signs + tuple(PLUS if s == MINUS else MINUS for s in reversed(signs))
+        sizes.append(("".join(base), ways[0]))
+    return sorted(sizes)
+
+
 def big_sect_base(n: int) -> DIIIClan:
     """Base clan of the sect over the dense cell: all minus then all plus,
     with the two middle signs traded when n is odd.  Its first half is

@@ -8,6 +8,32 @@ position swap otherwise, and the candidate is accepted exactly when it is a
 valid DIII clan one longer than the input; a rejected candidate leaves the
 clan fixed. Where a collapse is possible, the swap would move only signs,
 which keeps every pair and so the length: it could never be accepted.
+
+The filter is decided on the input alone, so only an accepted image is
+built. The length is (spread - crossings - z) / 2: the sum of the distances
+between mates, less the number of crossing pairs (the sum of the weaves),
+less half the number of pairs straddling the middle. A candidate moves only
+the symbols at i, i+1 and their mirrors 2n-i, 2n+1-i (for i = n, the block
+n-1..n+2). A pair with no end there keeps its spread, its straddling and
+its crossing with every other pair: the moved positions are adjacent (or
+contiguous), so no other end lies between where an end was and where it
+goes. The change in length is therefore read off the at most four pairs
+with an end there. For i < n the two first-half positions and their
+mirrors change alike, so each local change counts twice in the numerator
+and once in the length, and z is kept:
+
+- a collapse of opposite signs makes two pairs of spread 1 that cross
+  nothing: +1;
+- a sign and a number trading places changes the number's spread by one,
+  +1 when it moves away from its mate;
+- ends of two different pairs trading places change their spreads by s_a
+  and s_b (+1 away from the mate, -1 towards it) and toggle whether the two
+  pairs cross (t = +1 when they come to cross): s_a + s_b - t;
+- signs alike, mates of each other, or two pairs mirroring each other: the
+  candidate is the input.
+
+The accepted image is built once, with its length preset to the input's
+plus one.
 """
 
 from __future__ import annotations
@@ -51,40 +77,111 @@ def clan_length(clan: Clan) -> LengthStats:
     )
 
 
-def _reflection_candidate(i: int, clan: DIIIClan) -> tuple:
-    """Raw symbol tuple of the one candidate of s_i: the collapse when the
-    signs allow it, else the swap."""
-    syms = clan.symbols
+def _ascent(i: int, clan: DIIIClan) -> list | None:
+    """Raw symbols of the image of s_i, i < n, when it is one longer, else
+    None, decided in O(1) from the input's symbols and mate table by the
+    rule in the module docstring. Positions a = i and b = i + 1 are
+    1-based, q_a and q_b their mates."""
+    syms, mates = clan._symbols, clan._mates
+    m = len(syms)
+    a, b = i, i + 1
+    qa, qb = mates[a - 1], mates[b - 1]  # 0 at a sign
+    if not qa and not qb:
+        if syms[a - 1] == syms[b - 1]:
+            return None  # the swap moves nothing
+        # the collapse into (a, b) and its mirror: spread +2, no crossing;
+        # it trades one minus for one contained pair, keeping the parity.
+        # m+1 and m+2 are fresh labels, renumbered on construction
+        out = list(syms)
+        out[a - 1] = out[b - 1] = m + 1
+        out[m - b] = out[m - a] = m + 2
+        return out
+    if not qa:
+        ascends = qb > b  # the number at b moves away from its mate
+    elif not qb:
+        ascends = qa < a
+    elif qa == b or qa == m - i:
+        # mates of each other, or pairs (a, m-i) and (b, m+1-i) that mirror
+        # each other (either fixes the other): the swap keeps every pair
+        return None
+    else:
+        # each end moving away from its mate adds one to its spread, and
+        # trading adjacent ends of two pairs toggles whether they cross
+        sa = 1 if qa < a else -1
+        sb = 1 if qb > b else -1
+        crossing = (qa < qb < a) if qa < a else (qb < a or qb > qa)
+        t = -1 if crossing else 1
+        ascends = sa + sb - t == 1
+    if not ascends:
+        return None
+    out = list(syms)
+    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
+    out[m - b], out[m - a] = out[m - a], out[m - b]
+    return out
+
+
+def _middle_ascent(clan: DIIIClan) -> list | None:
+    """Raw symbols of the image of s_n when it is a DIII clan one longer,
+    else None, by the same local accounting over positions n-1..n+2.
+
+    s_n trades positions n-1, n with n+1, n+2, so ends cross the middle and
+    z and the first-half parity may change. Over the pairs with an end in
+    the block, g = 2 spreads - 2 crossings - straddling pairs is four times
+    their share of the length, so the image ascends when g grows by 4.
+    """
+    syms, mates = clan._symbols, clan._mates
     n = clan.n
     m = 2 * n
-    # 0-based position pairs (a, b) and (c, d) that s_i swaps, or collapses
-    # into two fresh pairs when their signs allow
-    if i < n:
-        (a, b), (c, d) = (i - 1, i), (m - i - 1, m - i)
-        collapsible = {syms[a], syms[b]} == {PLUS, MINUS}
-    else:
-        (a, b), (c, d) = (n - 2, n), (n - 1, n + 1)
-        quad = syms[n - 2 : n + 2]
-        collapsible = quad in ((PLUS, PLUS, MINUS, MINUS), (MINUS, MINUS, PLUS, PLUS))
+    lo = n - 2  # 0-based index of position n-1
+    if not any(mates[lo : lo + 4]):
+        # signs x, y, -y, -x: the collapse into (n-1, n+1), (n, n+2) when
+        # x = y, with spread +4, one crossing and two straddling pairs;
+        # otherwise the swap moves nothing
+        if syms[lo] != syms[lo + 1]:
+            return None
+        out = list(syms)
+        out[lo] = out[lo + 2] = m + 1
+        out[lo + 1] = out[lo + 3] = m + 2
+        return out
+    moved = {n - 1: n + 1, n: n + 2, n + 1: n - 1, n + 2: n}
+    before = list({tuple(sorted((p, mates[p - 1]))) for p in moved if mates[p - 1]})
+    after = [tuple(sorted((moved.get(p, p), moved.get(q, q)))) for p, q in before]
+
+    def weight(pairs) -> int:
+        g = 0
+        for k, (p, q) in enumerate(pairs):
+            g += 2 * (q - p) - (p <= n < q)
+            g -= 2 * sum(p < u < q < v or u < p < v < q for u, v in pairs[:k])
+        return g
+
+    def parity(pairs, signs) -> int:
+        return (signs.count(MINUS) + sum(q <= n for _, q in pairs)) % 2
+
+    if weight(after) - weight(before) != 4:
+        return None
+    # the swap keeps the parity (each symbol it moves into the first half
+    # flips it once, or the pairs are unchanged); checked all the same, as
+    # the image is built unvalidated
+    if parity(after, syms[lo + 2 : lo + 4]) != parity(before, syms[lo : lo + 2]):
+        return None
     out = list(syms)
-    if collapsible:
-        # m+1 and m+2 are fresh labels, renumbered on construction
-        out[a] = out[b] = m + 1
-        out[c] = out[d] = m + 2
-    else:
-        out[a], out[b] = out[b], out[a]
-        out[c], out[d] = out[d], out[c]
-    return tuple(out)
+    out[lo : lo + 4] = syms[lo + 2 : lo + 4] + syms[lo : lo + 2]
+    return out
 
 
 def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
     """The action of the i-th simple reflection on a DIII clan.
 
     Returns the one candidate move when it is a valid DIII clan of length
-    one greater, or the clan itself otherwise. Only one candidate is built:
+    one greater, or the clan itself otherwise. Only one candidate exists:
     where the signs allow a collapse, the swap would trade two opposite
     signs and their mirrors (i < n) or the four signs of ++--/--++ (i = n),
     which leaves every pair, and so the length, unchanged.
+
+    The candidate is filtered on the input alone, from the change it makes
+    to length = (spread - crossings - z) / 2 (see the module docstring), so
+    a rejected candidate builds no clan and an accepted image is built once,
+    unvalidated, with its length preset to the input's plus one.
     """
     clan = clan.to_diii()
     n = clan.n
@@ -92,11 +189,10 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
         raise ClanError(f"reflection index {i} out of range 1..{n}")
     if n == 1:
         return clan
-    try:
-        candidate = DIIIClan(_reflection_candidate(i, clan))
-    except ClanError:
+    image = _ascent(i, clan) if i < n else _middle_ascent(clan)
+    if image is None:
         return clan
-    return candidate if candidate.length == clan.length + 1 else clan
+    return DIIIClan._trusted(image, clan.length + 1)
 
 
 @dataclass(frozen=True)

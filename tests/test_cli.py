@@ -112,6 +112,15 @@ class TestSects:
         code, out, _ = run(capsys, "sects", "2", "--sizes-only")
         assert out.splitlines() == ["++-- 1", "--++ 2"]
 
+    def test_sizes_only_past_the_enumerated_sizes(self, capsys):
+        # 8,192 sects of D(14) = 585,989,952 clans, none of them built
+        code, out, _ = run(capsys, "sects", "14", "--sizes-only")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2**13
+        assert sum(int(line.split()[1]) for line in lines) == count_recurrence(14)
+        bases = [line.split()[0] for line in lines]
+        assert bases == sorted(bases) and all(len(b) == 28 for b in bases)
+
     def test_big_sect(self, capsys):
         code, out, _ = run(capsys, "big-sect", "2")
         assert out.splitlines() == ["base: --++", "size: 2", "--++", "1212"]

@@ -3,13 +3,16 @@ import pytest
 from diii_clans import (
     Clan,
     ClanError,
+    DIIIClan,
+    assemble_clan,
     count_by_pairs,
     count_formula,
     count_recurrence,
     enumerate_diii,
+    generate_diii,
 )
 
-from oracles import naive_diii, raw_product_clans, all_canonical_clans
+from oracles import naive_diii, raw_is_diii, raw_product_clans, all_canonical_clans
 
 EXPECTED = {1: 1, 2: 3, 3: 10, 4: 38, 5: 156, 6: 692, 7: 3256}
 
@@ -113,3 +116,38 @@ class TestEnumeration:
         non_diii = Clan("1122")
         assert not non_diii.is_diii() and non_diii not in sets[2]
         assert "1212" not in sets[2] and "1 2 1 2" not in sets[2]
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_generated_clans_equal_checked_construction(self, n):
+        # generate_diii builds through assemble_clan's unchecked path; the
+        # public constructor re-validates each clan and recomputes it
+        for clan in generate_diii(n):
+            checked = DIIIClan(clan.symbols)
+            assert clan.symbols == checked.symbols
+            assert clan._mates == checked._mates
+            assert clan.length == checked.length
+            assert raw_is_diii(clan.symbols)
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            ((3, [(1, 3)], [], {2: "+"}), "0 minus signs, 1 contained pairs"),
+            ((2, [], [], {1: "+", 2: "-"}), "1 minus signs, 0 contained pairs"),
+            ((4, [(1, 2)], [], {3: "-", 4: "-"}), "2 minus signs, 1 contained pairs"),
+        ],
+    )
+    def test_odd_parity_raises_the_diii_error(self, args, reason):
+        message = f"not a DIII clan: odd parity in the first half ({reason})"
+        with pytest.raises(ClanError) as caught:
+            assemble_clan(*args)
+        assert str(caught.value) == message
+
+    def test_structural_errors_come_first(self):
+        with pytest.raises(ClanError, match="assigned twice"):
+            assemble_clan(2, [(1, 2)], [], {1: "-"})
+        with pytest.raises(ClanError, match="left unassigned"):
+            assemble_clan(2, [], [], {1: "-"})
+        with pytest.raises(ClanError, match="at least two symbols"):
+            assemble_clan(0, [], [], {})

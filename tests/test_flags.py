@@ -43,6 +43,14 @@ def raw(rows):
     return [[(e.a, e.b) for e in row] for row in rows]
 
 
+def around_constructor(clan, rows):
+    """A FlagMatrix holding ``rows`` of any shape, set past the
+    constructor's shape check."""
+    matrix = representative_matrix(clan)
+    object.__setattr__(matrix, "rows", rows)
+    return matrix
+
+
 def from_columns(clan, cols):
     m = len(cols)
     return FlagMatrix(clan, tuple(tuple(col[r] for col in cols) for r in range(m)))
@@ -145,8 +153,29 @@ class TestQSqrt2:
         if y:
             assert (x / y) * y == x
 
+    def test_coerces_to_fractions_and_keeps_given_ones(self):
+        half = Fraction(1, 2)
+        x = QSqrt2(half, 3)
+        assert x.a is half
+        assert type(x.b) is Fraction and x.b == 3
+        assert QSqrt2(0.5, True) == QSqrt2(half, Fraction(1))
+
 
 class TestRepresentativeMatrix:
+    def test_constructor_refuses_wrong_shape(self):
+        clan = parse_diii("+-")
+        for rows in (
+            ((ONE,), (ZERO, ONE)),
+            ((ONE, ZERO),),
+            ((ONE, ZERO), (ZERO, ONE), (ZERO, ZERO)),
+            [(ONE, ZERO), (ZERO, ONE)],
+            ((ONE, ZERO), [ZERO, ONE]),
+            5,
+        ):
+            with pytest.raises(ClanError):
+                FlagMatrix(clan, rows)
+        assert FlagMatrix(clan, ((ONE, ZERO), (ZERO, ONE))).size == 2
+
     def test_reference_6x6_entry_for_entry(self):
         matrix = representative_matrix(parse_diii("+1212-"))
         assert matrix.rows == REFERENCE_MATRIX
@@ -210,7 +239,9 @@ class TestSpecialOrthogonality:
             ("+-", ()),
             ("+1212-", identity),
         ):
-            assert not verify_special_orthogonal(FlagMatrix(parse_diii(clan), rows))
+            with pytest.raises(ClanError):
+                FlagMatrix(parse_diii(clan), rows)
+            assert not verify_special_orthogonal(around_constructor(parse_diii(clan), rows))
 
     def test_form_is_compared_with_scale_squared(self):
         # entries 2 and 1/2 scale by L = 2 to 4 and 1, whose product is L^2;
@@ -285,7 +316,9 @@ class TestIntersection:
         identity = ((ONE, ZERO), (ZERO, ONE))
         ragged = ((ONE,), (ZERO, ONE))
         for clan, rows in (("+1212-", identity), ("+-", ((ONE,),)), ("+-", ragged)):
-            matrix = FlagMatrix(parse_diii(clan), rows)
+            with pytest.raises(ClanError):
+                FlagMatrix(parse_diii(clan), rows)
+            matrix = around_constructor(parse_diii(clan), rows)
             with pytest.raises(ClanError):
                 intersection_dimension(matrix)
             with pytest.raises(ClanError):

@@ -16,7 +16,9 @@ from diii_clans import (
     epsilon_recurrence,
     maximal_clan,
     parse_diii,
+    count_recurrence,
     pfpf_to_clan,
+    sect_sizes,
     sects,
     subset_to_base_clan,
 )
@@ -105,6 +107,26 @@ class TestSects:
             groups.setdefault(raw_pair_data(t)[2], []).append(spaced(t))
         expected = [(base, sorted(groups[base])) for base in sorted(groups, key=spaced)]
         assert [(s.base.symbols, [c.spaced() for c in s]) for s in sects(n)] == expected
+
+
+class TestSectSizes:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_built_sects(self, n):
+        assert sect_sizes(n) == [(s.base.text(), len(s.members)) for s in sects(n)]
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_sizes_sum_to_the_count(self, n):
+        sizes = sect_sizes(n)
+        assert len(sizes) == 2 ** (n - 1)
+        assert sum(size for _, size in sizes) == count_recurrence(n)
+
+    def test_big_sect_size_is_the_involution_number(self):
+        for n in range(1, 11):
+            assert dict(sect_sizes(n))[big_sect_base(n).text()] == INVOLUTION_NUMBERS[n]
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ClanError):
+            sect_sizes(0)
 
 
 class TestBigSect:

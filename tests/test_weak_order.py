@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from diii_clans import (
     ClanError,
+    DIIIClan,
     apply_reflection,
     clan_length,
     count_recurrence,
@@ -17,7 +18,13 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
-from oracles import canonical_raw, rank_polys_convolution, raw_is_diii, raw_reflection
+from oracles import (
+    canonical_raw,
+    rank_polys_convolution,
+    raw_is_diii,
+    raw_length,
+    raw_reflection,
+)
 
 
 def braid_and_commuting_pairs(n):
@@ -93,7 +100,7 @@ class TestReflectionAction:
         assert clan_length(swapped).length == clan_length(clan).length
         assert apply_reflection(1, clan).text() == "11223344"
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_two_candidate_oracle(self, n):
         for clan in enumerate_diii(n):
             for i in range(1, n + 1):
@@ -104,6 +111,26 @@ class TestReflectionAction:
     def test_matches_two_candidate_oracle_on_large_clans(self, clan):
         for i in range(1, clan.n + 1):
             assert apply_reflection(i, clan).symbols == raw_reflection(i, clan.symbols)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_preset_length_of_images(self, n):
+        # an accepted image is built unvalidated, its length preset to the
+        # input's plus one rather than computed
+        for clan in enumerate_diii(n):
+            for i in range(1, n + 1):
+                image = apply_reflection(i, clan)
+                if image != clan:
+                    assert image._length == raw_length(image.symbols) == clan.length + 1
+                    assert raw_is_diii(image.symbols)
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_preset_length_of_images_on_large_clans(self, clan):
+        for i in range(1, clan.n + 1):
+            image = apply_reflection(i, clan)
+            if image != clan:
+                assert image._length == raw_length(image.symbols)
+                assert raw_is_diii(image.symbols)
 
     def test_n1_has_no_moves(self):
         clan = parse_diii("+-")
@@ -162,6 +189,21 @@ class TestPoset:
     def test_covers_in_key_order(self, n):
         keys = [(lower.spaced(), i) for lower, _, i in weak_order_poset(n).covers]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_builds_one_clan_per_cover(self, monkeypatch):
+        # every DIIIClan, checked or not, is made by DIIIClan.__new__
+        nodes = enumerate_diii(6)
+        built = []
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(cls)
+            return object.__new__(cls)
+
+        monkeypatch.setattr(DIIIClan, "__new__", counting_new)
+        poset = weak_order_poset(6)
+        monkeypatch.undo()
+        assert poset.nodes == nodes.clans
+        assert len(built) == len(poset.covers) > 0
 
     def test_covers_are_graded(self):
         poset = weak_order_poset(4)
