@@ -210,6 +210,12 @@ class Clan:
     def is_matchless(self) -> bool:
         return not any(self._mates)
 
+    def _key(self) -> tuple[Symbol, ...]:
+        """Per position, the sign or the 1-based mate position. Two clans
+        are equal exactly when their keys are: the canonical labels follow
+        from the mates."""
+        return tuple(q or s for s, q in zip(self._symbols, self._mates))
+
     def signatures(self) -> tuple[str, ...]:
         """Signature of each position in the default signed clan.
 

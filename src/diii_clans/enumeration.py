@@ -143,12 +143,13 @@ class ClanSet:
         return iter(self.clans)
 
     @cached_property
-    def _members(self) -> frozenset[DIIIClan]:
-        """Hash index of ``clans``, built on the first lookup."""
-        return frozenset(self.clans)
+    def _index(self) -> dict[tuple[Symbol, ...], int]:
+        """Position in ``clans`` by ``Clan._key``, built on the first
+        lookup; its keys come in the order of ``clans``."""
+        return {c._key(): k for k, c in enumerate(self.clans)}
 
     def __contains__(self, clan: object) -> bool:
-        return clan in self._members
+        return isinstance(clan, Clan) and clan._key() in self._index
 
 
 def generate_sect(signs: Sequence[str]) -> Iterator[DIIIClan]:

@@ -119,7 +119,8 @@ def check_weak_order(n_max: int) -> CheckResult:
         clans = enumerate_diii(n).clans
         poset = weak_order_poset(n)
         # every reflection image, read off the poset's covers (an image
-        # equal to its clan is not a cover)
+        # equal to its clan is not a cover); each upper is an enumerated
+        # node, so the grading check below reads its formula length
         images = {(i, lower): upper for lower, upper, i in poset.covers}
 
         def act(i: int, clan: DIIIClan) -> DIIIClan:

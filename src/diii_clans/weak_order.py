@@ -32,14 +32,19 @@ and once in the length, and z is kept:
 - signs alike, mates of each other, or two pairs mirroring each other: the
   candidate is the input.
 
-The accepted image is built once, with its length preset to the input's
-plus one.
+An accepted ascent is a move: where each moved symbol goes, or the fresh
+mate pairs of a collapse. ``apply_reflection`` builds the move's image
+once, with its length preset to the input's plus one. The weak order poset
+builds no image: it edits the input's key (per position, the sign or the
+mate position) at the moved positions and their mates' back-pointers, and
+finds the upper end of the cover by that key among the enumerated clans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Iterator, Mapping
 
 from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan
 from .enumeration import assemble_clan, enumerate_diii
@@ -77,11 +82,16 @@ def clan_length(clan: Clan) -> LengthStats:
     )
 
 
-def _ascent(i: int, clan: DIIIClan) -> list | None:
-    """Raw symbols of the image of s_i, i < n, when it is one longer, else
-    None, decided in O(1) from the input's symbols and mate table by the
-    rule in the module docstring. Positions a = i and b = i + 1 are
-    1-based, q_a and q_b their mates."""
+#: A reflection's accepted move, 1-based: where each moved symbol goes, and
+#: the fresh mate pairs a collapse writes over signs.
+Move = tuple[dict[int, int], tuple[tuple[int, int], ...]]
+
+
+def _ascent(i: int, clan: DIIIClan) -> Move | None:
+    """The move of s_i, i < n, when its image is one longer, else None,
+    decided in O(1) from the input's symbols and mate table by the rule in
+    the module docstring. Positions a = i and b = i + 1 are 1-based, q_a and
+    q_b their mates."""
     syms, mates = clan._symbols, clan._mates
     m = len(syms)
     a, b = i, i + 1
@@ -90,12 +100,8 @@ def _ascent(i: int, clan: DIIIClan) -> list | None:
         if syms[a - 1] == syms[b - 1]:
             return None  # the swap moves nothing
         # the collapse into (a, b) and its mirror: spread +2, no crossing;
-        # it trades one minus for one contained pair, keeping the parity.
-        # m+1 and m+2 are fresh labels, renumbered on construction
-        out = list(syms)
-        out[a - 1] = out[b - 1] = m + 1
-        out[m - b] = out[m - a] = m + 2
-        return out
+        # it trades one minus for one contained pair, keeping the parity
+        return {}, ((a, b), (m + 1 - b, m + 1 - a))
     if not qa:
         ascends = qb > b  # the number at b moves away from its mate
     elif not qb:
@@ -114,15 +120,12 @@ def _ascent(i: int, clan: DIIIClan) -> list | None:
         ascends = sa + sb - t == 1
     if not ascends:
         return None
-    out = list(syms)
-    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
-    out[m - b], out[m - a] = out[m - a], out[m - b]
-    return out
+    return {a: b, b: a, m + 1 - b: m + 1 - a, m + 1 - a: m + 1 - b}, ()
 
 
-def _middle_ascent(clan: DIIIClan) -> list | None:
-    """Raw symbols of the image of s_n when it is a DIII clan one longer,
-    else None, by the same local accounting over positions n-1..n+2.
+def _middle_ascent(clan: DIIIClan) -> Move | None:
+    """The move of s_n when its image is a DIII clan one longer, else None,
+    by the same local accounting over positions n-1..n+2.
 
     s_n trades positions n-1, n with n+1, n+2, so ends cross the middle and
     z and the first-half parity may change. Over the pairs with an end in
@@ -131,7 +134,6 @@ def _middle_ascent(clan: DIIIClan) -> list | None:
     """
     syms, mates = clan._symbols, clan._mates
     n = clan.n
-    m = 2 * n
     lo = n - 2  # 0-based index of position n-1
     if not any(mates[lo : lo + 4]):
         # signs x, y, -y, -x: the collapse into (n-1, n+1), (n, n+2) when
@@ -139,10 +141,7 @@ def _middle_ascent(clan: DIIIClan) -> list | None:
         # otherwise the swap moves nothing
         if syms[lo] != syms[lo + 1]:
             return None
-        out = list(syms)
-        out[lo] = out[lo + 2] = m + 1
-        out[lo + 1] = out[lo + 3] = m + 2
-        return out
+        return {}, ((n - 1, n + 1), (n, n + 2))
     moved = {n - 1: n + 1, n: n + 2, n + 1: n - 1, n + 2: n}
     before = list({tuple(sorted((p, mates[p - 1]))) for p in moved if mates[p - 1]})
     after = [tuple(sorted((moved.get(p, p), moved.get(q, q)))) for p, q in before]
@@ -161,12 +160,42 @@ def _middle_ascent(clan: DIIIClan) -> list | None:
         return None
     # the swap keeps the parity (each symbol it moves into the first half
     # flips it once, or the pairs are unchanged); checked all the same, as
-    # the image is built unvalidated
+    # the image is taken unvalidated
     if parity(after, syms[lo + 2 : lo + 4]) != parity(before, syms[lo : lo + 2]):
         return None
+    return moved, ()
+
+
+def _image_symbols(syms: tuple, move: Move) -> list:
+    """Raw symbols of a move's image. A collapse's pairs take labels past
+    the clan's length, fresh ones, renumbered on construction."""
+    moved, fresh = move
     out = list(syms)
-    out[lo : lo + 4] = syms[lo + 2 : lo + 4] + syms[lo : lo + 2]
+    for p, r in moved.items():
+        out[r - 1] = syms[p - 1]
+    for label, (p, q) in enumerate(fresh, start=len(syms) + 1):
+        out[p - 1] = out[q - 1] = label
     return out
+
+
+def _image_key(key: tuple, move: Move) -> tuple:
+    """``Clan._key`` of a move's image, from the input's key by local
+    edits: each moved position's entry goes where the position goes, with
+    its mate moved along, the back-pointer of a mate left in place follows
+    it, and a collapse writes its fresh pairs."""
+    moved, fresh = move
+    out = list(key)
+    for p, r in moved.items():
+        q = key[p - 1]
+        if type(q) is int:
+            if q in moved:
+                q = moved[q]
+            else:
+                out[q - 1] = r
+        out[r - 1] = q
+    for p, q in fresh:
+        out[p - 1], out[q - 1] = q, p
+    return tuple(out)
 
 
 def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
@@ -189,10 +218,10 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
         raise ClanError(f"reflection index {i} out of range 1..{n}")
     if n == 1:
         return clan
-    image = _ascent(i, clan) if i < n else _middle_ascent(clan)
-    if image is None:
+    move = _ascent(i, clan) if i < n else _middle_ascent(clan)
+    if move is None:
         return clan
-    return DIIIClan._trusted(image, clan.length + 1)
+    return DIIIClan._trusted(_image_symbols(clan._symbols, move), clan.length + 1)
 
 
 @dataclass(frozen=True)
@@ -268,14 +297,32 @@ def maximal_clan(n: int) -> DIIIClan:
 @dataclass(frozen=True)
 class WeakOrderPoset:
     """The weak order on DIII (n,n)-clans: nodes with their lengths and the
-    labeled cover relations (lower, upper, reflection index)."""
+    labeled cover relations, kept by node index in compressed sparse row
+    form. The covers of ``nodes[k]`` go up to ``nodes[u]`` for each u in
+    ``uppers[offsets[k]:offsets[k + 1]]``, by the reflection index at the
+    same place in ``labels``, increasing."""
 
     n: int
     nodes: tuple[DIIIClan, ...]
-    covers: tuple[tuple[DIIIClan, DIIIClan, int], ...]
+    offsets: tuple[int, ...]
+    uppers: tuple[int, ...]
+    labels: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def _edges(self) -> Iterator[tuple[int, int, int]]:
+        """(lower, upper, reflection index) by node index, in cover order."""
+        o = self.offsets
+        lowers = (k for k in range(len(self.nodes)) for _ in range(o[k], o[k + 1]))
+        return zip(lowers, self.uppers, self.labels)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[DIIIClan, DIIIClan, int], ...]:
+        """(lower, upper, reflection index), sorted by lower node and index;
+        both ends are node objects."""
+        nodes = self.nodes
+        return tuple((nodes[l], nodes[u], i) for l, u, i in self._edges())
 
     def lengths(self) -> dict[DIIIClan, int]:
         return {c: c.length for c in self.nodes}
@@ -288,35 +335,36 @@ class WeakOrderPoset:
         return sizes
 
     def minimal_elements(self) -> list[DIIIClan]:
-        uppers = {u for (_, u, _) in self.covers}
-        return [c for c in self.nodes if c not in uppers]
+        uppers = set(self.uppers)
+        return [c for k, c in enumerate(self.nodes) if k not in uppers]
 
     def maximal_elements(self) -> list[DIIIClan]:
-        lowers = {l for (l, _, _) in self.covers}
-        return [c for c in self.nodes if c not in lowers]
+        o = self.offsets
+        return [c for k, c in enumerate(self.nodes) if o[k] == o[k + 1]]
 
     def to_dot(self) -> str:
         """Graphviz digraph, ranked bottom-up by length, edges labeled by
         the reflection index."""
         lines = ["digraph weak_order {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        by_length: dict[int, list[DIIIClan]] = {}
-        for c in self.nodes:
-            by_length.setdefault(c.length, []).append(c)
+        texts = [c.text() for c in self.nodes]
+        by_length: dict[int, list[str]] = {}
+        for c, t in zip(self.nodes, texts):
+            by_length.setdefault(c.length, []).append(f'"{t}";')
         for ln in sorted(by_length):
-            row = " ".join(f'"{c.text()}";' for c in by_length[ln])
-            lines.append(f"  {{ rank=same; {row} }}")
-        for (l, u, i) in self.covers:
-            lines.append(f'  "{l.text()}" -> "{u.text()}" [label="{i}"];')
+            lines.append(f"  {{ rank=same; {' '.join(by_length[ln])} }}")
+        for l, u, i in self._edges():
+            lines.append(f'  "{texts[l]}" -> "{texts[u]}" [label="{i}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
+        spaced = [c.spaced() for c in self.nodes]
         return {
             "n": self.n,
-            "nodes": [c.spaced() for c in self.nodes],
+            "nodes": spaced,
             "covers": [
-                {"lower": l.spaced(), "upper": u.spaced(), "reflection": i}
-                for (l, u, i) in self.covers
+                {"lower": spaced[l], "upper": spaced[u], "reflection": i}
+                for l, u, i in self._edges()
             ],
         }
 
@@ -324,16 +372,29 @@ class WeakOrderPoset:
 def weak_order_poset(n: int) -> WeakOrderPoset:
     """Build the weak order from the reflection action on all clans.
 
-    Covers come out sorted by (lower, reflection index): the nodes are in
-    spaced-text order and each (lower, i) has at most one upper."""
-    nodes = enumerate_diii(n).clans
-    covers = []
-    for clan in nodes:
-        for i in range(1, n + 1):
-            image = apply_reflection(i, clan)
-            if image != clan:
-                covers.append((clan, image, i))
-    return WeakOrderPoset(n, nodes, tuple(covers))
+    Each accepted move (``_ascent``, ``_middle_ascent``) is turned into its
+    image's key (``_image_key``) and looked up in the enumeration's index,
+    so every upper is a node and no clan is built. A key outside the index
+    means the move gave no DIII clan of size n: that raises rather than
+    drop the cover. Covers come out sorted by (lower, reflection index):
+    the nodes are in spaced-text order and each (lower, i) has at most one
+    upper."""
+    clans = enumerate_diii(n)
+    index = clans._index
+    offsets, uppers, labels = [0], [], []
+    gens = range(1, n + 1) if n > 1 else ()
+    for clan, key in zip(clans.clans, index):
+        for i in gens:
+            move = _ascent(i, clan) if i < n else _middle_ascent(clan)
+            if move is None:
+                continue
+            upper = index.get(_image_key(key, move))
+            if upper is None:
+                raise ClanError(f"s_{i} on {clan} left the DIII ({n},{n})-clans")
+            uppers.append(upper)
+            labels.append(i)
+        offsets.append(len(uppers))
+    return WeakOrderPoset(n, clans.clans, tuple(offsets), tuple(uppers), tuple(labels))
 
 
 def rank_polynomial(poset: WeakOrderPoset) -> RankPolynomial:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -80,6 +81,43 @@ class TestLengthAndAct:
         assert code == 1 and "not a DIII clan" in err
 
 
+#: SHA-256 of stdout for ``poset n --format dot``, ``poset n --format json``
+#: and ``rank-poly n --method both``, n = 1..6, from the object-based poset
+#: builder that preceded the index-based one.
+POSET_DIGESTS = {
+    1: (
+        "ce37c2332fc3ab770b0e3443d368de329b852503eb0e92cb2273dd2dabcadd19",
+        "d77ee84330bf6677d90876ecdea430e98e04acff30f5acd4ac79e04d3944dee7",
+        "ab5c43840725971f0509b078877a55730e12612a423ca560ed20ec9dfdae9bff",
+    ),
+    2: (
+        "716142c099a11f92ae9810f29f291d701a807215663331ba47008a8aceb421c4",
+        "d8ad9cffa5760300a89fa0cdf5584389c10f3d85bc71a8a62a63d6eda59038f4",
+        "24085501967f8938e10c9348bd02686f6ed76338ededdbcfd0f9635499a37f6b",
+    ),
+    3: (
+        "267ecfc950aee5290e99170dd520044cafc6a76ff17d7c13dffdd89273fe3e78",
+        "7e0f50d1cfb9cf258cff0c9e89816d91986b2de4d43b107359779abcecb8d06f",
+        "643651e9952ba02aec28fe742e3d7dc60765fcb8ae5aa0166eda91ea71b92d55",
+    ),
+    4: (
+        "fa4f0bfc534fa5e41f0b1f9adf4dd28a6b510442eeee32ed2ac85786be696b5a",
+        "5edbaa699878f92f3460feaee3fa8bd39cfcf1412ec6884e35c454bcc2236add",
+        "65bcc1d7655d621a4d9d5bfd9bce4f6c9ef22f13c9ccc363c4ac0c7da82f5be7",
+    ),
+    5: (
+        "1319a182b181731bce79d58270b39d5bcd39f186cf1b1a6da852f6da8c3087d7",
+        "078c9561c3af1debd24ae12b5bf8af225c8e24e55ad82ad81df4dd1c5d4933f2",
+        "e5075878412b7a9468a3bc0d2e4c3ca695bec7764755320d155b209c7ce51d0f",
+    ),
+    6: (
+        "9efad8cd063de4fd1ad400925f195542aa54b64e192196eb7e12617d0c9124c0",
+        "70e9c7791cc3ecdf3971c2cfb6c42b771630bbe35019f092b3ab22c5e74c6018",
+        "61d92601fe30bcc28f1bb0fb57486ee96b82d34e63e21b3bee82730855d3c185",
+    ),
+}
+
+
 class TestPosetAndRankPoly:
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "poset", "2", "--format", "dot")
@@ -100,6 +138,18 @@ class TestPosetAndRankPoly:
 
     def test_rank_poly_default(self, capsys):
         assert run(capsys, "rank-poly", "2")[1].strip() == "t+2"
+
+    @pytest.mark.parametrize("n", sorted(POSET_DIGESTS))
+    def test_outputs_byte_identical(self, capsys, n):
+        argvs = (
+            ("poset", str(n), "--format", "dot"),
+            ("poset", str(n), "--format", "json"),
+            ("rank-poly", str(n), "--method", "both"),
+        )
+        for argv, digest in zip(argvs, POSET_DIGESTS[n], strict=True):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 class TestSects:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 
 from diii_clans import (
     ClanError,
+    ClanSet,
     DIIIClan,
     apply_reflection,
     clan_length,
@@ -16,6 +18,8 @@ from diii_clans import (
     rank_polynomial,
     weak_order_poset,
 )
+from diii_clans import verify, weak_order
+from diii_clans.weak_order import _ascent, _image_key, _middle_ascent
 
 from conftest import diii_clans
 from oracles import (
@@ -132,6 +136,28 @@ class TestReflectionAction:
                 assert image._length == raw_length(image.symbols)
                 assert raw_is_diii(image.symbols)
 
+    @staticmethod
+    def assert_image_keys(clan):
+        # the key the poset looks up, from the input's key and the move,
+        # is the key of the image apply_reflection builds
+        n = clan.n
+        for i in range(1, n + 1):
+            image = apply_reflection(i, clan)
+            move = None if n == 1 else _ascent(i, clan) if i < n else _middle_ascent(clan)
+            assert (move is None) == (image == clan)
+            if move is not None:
+                assert _image_key(clan._key(), move) == image._key()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_image_key_matches_built_image(self, n):
+        for clan in enumerate_diii(n):
+            self.assert_image_keys(clan)
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_image_key_matches_built_image_on_large_clans(self, clan):
+        self.assert_image_keys(clan)
+
     def test_n1_has_no_moves(self):
         clan = parse_diii("+-")
         assert apply_reflection(1, clan) == clan
@@ -190,8 +216,9 @@ class TestPoset:
         keys = [(lower.spaced(), i) for lower, _, i in weak_order_poset(n).covers]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
-    def test_builds_one_clan_per_cover(self, monkeypatch):
-        # every DIIIClan, checked or not, is made by DIIIClan.__new__
+    def test_builds_no_clan_after_enumeration(self, monkeypatch):
+        # every DIIIClan, checked or not, is made by DIIIClan.__new__; each
+        # upper is found among the enumerated nodes, none is built
         nodes = enumerate_diii(6)
         built = []
 
@@ -201,9 +228,22 @@ class TestPoset:
 
         monkeypatch.setattr(DIIIClan, "__new__", counting_new)
         poset = weak_order_poset(6)
+        covers = poset.covers
         monkeypatch.undo()
         assert poset.nodes == nodes.clans
-        assert len(built) == len(poset.covers) > 0
+        assert built == [] and len(covers) > 0
+        for (lower, upper, i), (l, u, j) in zip(covers, poset._edges(), strict=True):
+            assert lower is poset.nodes[l] and upper is poset.nodes[u] and i == j
+
+    def test_lookup_miss_raises(self, monkeypatch):
+        # with the maximal clan missing from the universe, the covers into
+        # it have no node to land on: that must raise, not drop them
+        full = enumerate_diii(4)
+        top = maximal_clan(4)
+        partial = ClanSet(4, tuple(c for c in full if c != top))
+        monkeypatch.setattr(weak_order, "enumerate_diii", lambda n: partial)
+        with pytest.raises(ClanError, match="left the DIII"):
+            weak_order_poset(4)
 
     def test_covers_are_graded(self):
         poset = weak_order_poset(4)
@@ -223,6 +263,37 @@ class TestPoset:
         assert data["n"] == 2
         assert len(data["nodes"]) == 3
         assert all({"lower", "upper", "reflection"} <= set(e) for e in data["covers"])
+
+
+class TestCheckWeakOrder:
+    def test_passes(self):
+        result = verify.check_weak_order(5)
+        assert result.passed, result.detail
+
+    def test_fails_on_a_cover_to_the_wrong_rank(self, monkeypatch):
+        # the grading check reads the upper node's own length, from the
+        # length formula; when each upper was a fresh image whose length was
+        # preset to its lower's plus one, it compared that value with itself
+        n = 3
+        poset = weak_order_poset(n)
+        lower, _, i = next(poset._edges())  # nodes[0] is checked first
+        lengths = [c.length for c in poset.nodes]
+        moved_by_i = {l for l, _, j in poset._edges() if j == i}
+        # a node of the wrong rank that s_i fixes, so idempotence still holds
+        wrong = next(
+            w
+            for w in range(len(poset))
+            if w not in moved_by_i and w != lower and lengths[w] != lengths[lower] + 1
+        )
+        uppers = list(poset.uppers)
+        uppers[0] = wrong
+        bad = replace(poset, uppers=tuple(uppers))
+        monkeypatch.setattr(
+            verify, "weak_order_poset", lambda k: bad if k == n else weak_order_poset(k)
+        )
+        result = verify.check_weak_order(n)
+        assert result.passed is False
+        assert result.detail == f"s_{i} on {poset.nodes[lower]} changed length oddly"
 
 
 class TestRankPolynomial:
