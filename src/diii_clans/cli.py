@@ -136,7 +136,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    clans = enumerate_diii(_positive(args.n))
+    n = _positive(args.n)
+    if args.format == "compact" and n >= 10:
+        # size n has clans with n labels, rounded down to even: 10 at n = 10
+        raise ClanError(
+            f"compact form lists n <= 9 only (size {n} has clans with more "
+            "than 9 labels); use --format spaced or --format json"
+        )
+    clans = enumerate_diii(n)
     if args.format == "json":
         print(json.dumps([c.spaced() for c in clans]))
     else:

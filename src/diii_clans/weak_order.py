@@ -12,15 +12,14 @@ which keeps every pair and so the length: it could never be accepted.
 The filter is decided on the input alone, so only an accepted image is
 built. The length is (spread - crossings - z) / 2: the sum of the distances
 between mates, less the number of crossing pairs (the sum of the weaves),
-less half the number of pairs straddling the middle. A candidate moves only
-the symbols at i, i+1 and their mirrors 2n-i, 2n+1-i (for i = n, the block
-n-1..n+2). A pair with no end there keeps its spread, its straddling and
-its crossing with every other pair: the moved positions are adjacent (or
-contiguous), so no other end lies between where an end was and where it
-goes. The change in length is therefore read off the at most four pairs
-with an end there. For i < n the two first-half positions and their
-mirrors change alike, so each local change counts twice in the numerator
-and once in the length, and z is kept:
+less half the number of pairs straddling the middle. For i < n a candidate
+moves only the symbols at i, i+1 and their mirrors 2n-i, 2n+1-i. A pair
+with no end there keeps its spread, its straddling and its crossing with
+every other pair: the moved positions are adjacent, so no other end lies
+between where an end was and where it goes. The change in length is
+therefore read off the at most four pairs with an end there. The two
+first-half positions and their mirrors change alike, so each local change
+counts twice in the numerator and once in the length, and z is kept:
 
 - a collapse of opposite signs makes two pairs of spread 1 that cross
   nothing: +1;
@@ -31,6 +30,17 @@ and once in the length, and z is kept:
   pairs cross (t = +1 when they come to cross): s_a + s_b - t;
 - signs alike, mates of each other, or two pairs mirroring each other: the
   candidate is the input.
+
+As the D_n diagram automorphism swaps s_{n-1} and s_n, s_n is
+tau s_{n-1} tau for the flip tau of positions n and n+1 (``Clan.flip``):
+both trade n-1, n with n+1, n+2 or collapse x, x, -x, -x into (n-1, n+1),
+(n, n+2). tau commutes with the mirror, so a flipped clan is skew-symmetric
+with no antipodal mates, which is all the rule above reads. tau flips the
+parity, which an s_{n-1} move keeps, and keeps the length formula: n and
+n+1 hold two signs, or ends of a pair and its mirror, whose spreads,
+crossing and straddling change by 2 - 1 - 1 = 0 (or -2 + 1 + 1). So s_n
+ascends a clan exactly when s_{n-1} ascends its flip; checked against the
+raw two-candidate rule on every clan with n <= 8.
 
 An accepted ascent is a move: where each moved symbol goes, or the fresh
 mate pairs of a collapse. ``apply_reflection`` builds the move's image
@@ -46,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan
+from .clans import PLUS, Clan, ClanError, DIIIClan
 from .enumeration import assemble_clan, enumerate_diii
 
 
@@ -87,12 +97,11 @@ def clan_length(clan: Clan) -> LengthStats:
 Move = tuple[dict[int, int], tuple[tuple[int, int], ...]]
 
 
-def _ascent(i: int, clan: DIIIClan) -> Move | None:
+def _ascent(i: int, syms, mates) -> Move | None:
     """The move of s_i, i < n, when its image is one longer, else None,
-    decided in O(1) from the input's symbols and mate table by the rule in
-    the module docstring. Positions a = i and b = i + 1 are 1-based, q_a and
-    q_b their mates."""
-    syms, mates = clan._symbols, clan._mates
+    decided in O(1) by the rule in the module docstring from the symbol and
+    mate tables at positions a = i and b = i + 1, with q_a and q_b their
+    mates."""
     m = len(syms)
     a, b = i, i + 1
     qa, qb = mates[a - 1], mates[b - 1]  # 0 at a sign
@@ -123,47 +132,26 @@ def _ascent(i: int, clan: DIIIClan) -> Move | None:
     return {a: b, b: a, m + 1 - b: m + 1 - a, m + 1 - a: m + 1 - b}, ()
 
 
-def _middle_ascent(clan: DIIIClan) -> Move | None:
-    """The move of s_n when its image is a DIII clan one longer, else None,
-    by the same local accounting over positions n-1..n+2.
-
-    s_n trades positions n-1, n with n+1, n+2, so ends cross the middle and
-    z and the first-half parity may change. Over the pairs with an end in
-    the block, g = 2 spreads - 2 crossings - straddling pairs is four times
-    their share of the length, so the image ascends when g grows by 4.
-    """
-    syms, mates = clan._symbols, clan._mates
+def _move(i: int, clan: DIIIClan) -> Move | None:
+    """The accepted move of s_i on a DIII clan, or None. s_n runs s_{n-1}'s
+    rule on the tables flipped by tau (entries at n and n+1 swapped, mate
+    values n and n+1 exchanged) and maps the move back through tau."""
     n = clan.n
-    lo = n - 2  # 0-based index of position n-1
-    if not any(mates[lo : lo + 4]):
-        # signs x, y, -y, -x: the collapse into (n-1, n+1), (n, n+2) when
-        # x = y, with spread +4, one crossing and two straddling pairs;
-        # otherwise the swap moves nothing
-        if syms[lo] != syms[lo + 1]:
-            return None
-        return {}, ((n - 1, n + 1), (n, n + 2))
-    moved = {n - 1: n + 1, n: n + 2, n + 1: n - 1, n + 2: n}
-    before = list({tuple(sorted((p, mates[p - 1]))) for p in moved if mates[p - 1]})
-    after = [tuple(sorted((moved.get(p, p), moved.get(q, q)))) for p, q in before]
-
-    def weight(pairs) -> int:
-        g = 0
-        for k, (p, q) in enumerate(pairs):
-            g += 2 * (q - p) - (p <= n < q)
-            g -= 2 * sum(p < u < q < v or u < p < v < q for u, v in pairs[:k])
-        return g
-
-    def parity(pairs, signs) -> int:
-        return (signs.count(MINUS) + sum(q <= n for _, q in pairs)) % 2
-
-    if weight(after) - weight(before) != 4:
+    if n == 1:
         return None
-    # the swap keeps the parity (each symbol it moves into the first half
-    # flips it once, or the pairs are unchanged); checked all the same, as
-    # the image is taken unvalidated
-    if parity(after, syms[lo + 2 : lo + 4]) != parity(before, syms[lo : lo + 2]):
+    syms, mates = clan._symbols, clan._mates
+    if i < n:
+        return _ascent(i, syms, mates)
+    tau = {n: n + 1, n + 1: n}
+    syms, mates = list(syms), [tau.get(q, q) for q in mates]
+    syms[n - 1], syms[n] = syms[n], syms[n - 1]
+    mates[n - 1], mates[n] = mates[n], mates[n - 1]
+    move = _ascent(n - 1, syms, mates)
+    if move is None:
         return None
-    return moved, ()
+    moved, fresh = move
+    moved = {tau.get(p, p): tau.get(r, r) for p, r in moved.items()}
+    return moved, tuple((tau.get(p, p), tau.get(q, q)) for p, q in fresh)
 
 
 def _image_symbols(syms: tuple, move: Move) -> list:
@@ -203,9 +191,9 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
 
     Returns the one candidate move when it is a valid DIII clan of length
     one greater, or the clan itself otherwise. Only one candidate exists:
-    where the signs allow a collapse, the swap would trade two opposite
-    signs and their mirrors (i < n) or the four signs of ++--/--++ (i = n),
-    which leaves every pair, and so the length, unchanged.
+    where the signs allow a collapse, the swap would move only signs, which
+    leaves every pair, and so the length, unchanged. s_n is s_{n-1}
+    conjugated by the middle flip (``_move``).
 
     The candidate is filtered on the input alone, from the change it makes
     to length = (spread - crossings - z) / 2 (see the module docstring), so
@@ -213,12 +201,9 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
     unvalidated, with its length preset to the input's plus one.
     """
     clan = clan.to_diii()
-    n = clan.n
-    if not 1 <= i <= n:
-        raise ClanError(f"reflection index {i} out of range 1..{n}")
-    if n == 1:
-        return clan
-    move = _ascent(i, clan) if i < n else _middle_ascent(clan)
+    if not 1 <= i <= clan.n:
+        raise ClanError(f"reflection index {i} out of range 1..{clan.n}")
+    move = _move(i, clan)
     if move is None:
         return clan
     return DIIIClan._trusted(_image_symbols(clan._symbols, move), clan.length + 1)
@@ -372,20 +357,18 @@ class WeakOrderPoset:
 def weak_order_poset(n: int) -> WeakOrderPoset:
     """Build the weak order from the reflection action on all clans.
 
-    Each accepted move (``_ascent``, ``_middle_ascent``) is turned into its
-    image's key (``_image_key``) and looked up in the enumeration's index,
-    so every upper is a node and no clan is built. A key outside the index
-    means the move gave no DIII clan of size n: that raises rather than
-    drop the cover. Covers come out sorted by (lower, reflection index):
-    the nodes are in spaced-text order and each (lower, i) has at most one
-    upper."""
+    Each accepted move (``_move``) is turned into its image's key
+    (``_image_key``) and looked up in the enumeration's index, so every
+    upper is a node and no clan is built. A key outside the index means the
+    move gave no DIII clan of size n: that raises rather than drop the
+    cover. Covers come out sorted by (lower, reflection index): the nodes
+    are in spaced-text order and each (lower, i) has at most one upper."""
     clans = enumerate_diii(n)
     index = clans._index
     offsets, uppers, labels = [0], [], []
-    gens = range(1, n + 1) if n > 1 else ()
     for clan, key in zip(clans.clans, index):
-        for i in gens:
-            move = _ascent(i, clan) if i < n else _middle_ascent(clan)
+        for i in range(1, n + 1):
+            move = _move(i, clan)
             if move is None:
                 continue
             upper = index.get(_image_key(key, move))

@@ -65,6 +65,22 @@ class TestEnumerate:
         _, second, _ = run(capsys, "--threads", "4", "enumerate", "4")
         assert first == second
 
+    def test_compact_refused_before_enumerating_past_9_labels(self, capsys, monkeypatch):
+        # a clan of size 10 can have 10 labels, which compact cannot show:
+        # refuse before the first line rather than fail part-way
+        def fail(n):
+            raise AssertionError(f"enumerate_diii({n}) called")
+
+        monkeypatch.setattr(diii_clans.cli, "enumerate_diii", fail)
+        code, out, err = run(capsys, "enumerate", "10")
+        assert code == 1 and out == ""
+        assert "--format spaced" in err and "--format json" in err
+
+    def test_compact_covers_n9(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "9")
+        assert code == 0
+        assert len(out.splitlines()) == count_recurrence(9)
+
 
 class TestLengthAndAct:
     def test_length(self, capsys):

@@ -1,3 +1,6 @@
+import importlib.util
+from functools import reduce
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -26,6 +29,21 @@ def test_star_import_exports_exactly_all():
     exec("from diii_clans import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(diii_clans.__all__)
+
+
+def test_benchmark_span_targets_resolve():
+    # the benchmark's tracer wraps these names; a vanished one would
+    # otherwise show only in a traced benchmark run
+    path = Path(__file__).parents[1] / "clanbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("clanbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, names in spans.TARGETS.items():
+        mod = importlib.import_module(f"diii_clans.{module}")
+        for name in names:
+            target = reduce(getattr, name.split("."), mod)
+            assert callable(target), f"{module}.{name}"
 
 
 @pytest.mark.parametrize(

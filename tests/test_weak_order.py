@@ -19,7 +19,7 @@ from diii_clans import (
     weak_order_poset,
 )
 from diii_clans import verify, weak_order
-from diii_clans.weak_order import _ascent, _image_key, _middle_ascent
+from diii_clans.weak_order import _image_key, _move
 
 from conftest import diii_clans
 from oracles import (
@@ -110,6 +110,12 @@ class TestReflectionAction:
             for i in range(1, n + 1):
                 assert apply_reflection(i, clan).symbols == raw_reflection(i, clan.symbols)
 
+    def test_middle_reflection_matches_two_candidate_oracle_at_n8(self):
+        # s_n runs s_{n-1}'s rule on the flipped clan: compare it with the
+        # raw rule on every clan one size past the exhaustive range above
+        for clan in enumerate_diii(8):
+            assert apply_reflection(8, clan).symbols == raw_reflection(8, clan.symbols)
+
     @settings(deadline=None)
     @given(diii_clans(max_n=24))
     def test_matches_two_candidate_oracle_on_large_clans(self, clan):
@@ -143,7 +149,7 @@ class TestReflectionAction:
         n = clan.n
         for i in range(1, n + 1):
             image = apply_reflection(i, clan)
-            move = None if n == 1 else _ascent(i, clan) if i < n else _middle_ascent(clan)
+            move = _move(i, clan)
             assert (move is None) == (image == clan)
             if move is not None:
                 assert _image_key(clan._key(), move) == image._key()
