@@ -10,7 +10,7 @@ that sect comes from exactly one set of such choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
@@ -189,12 +189,6 @@ def generate_diii(n: int) -> Iterator[DIIIClan]:
         yield from generate_sect(signs)
 
 
-@lru_cache(maxsize=None)
 def enumerate_diii(n: int) -> ClanSet:
-    """All DIII (n,n)-clans, sorted by spaced text.
-
-    Cached per n, the package's only cache across calls: the result is
-    immutable, and ``verify``, the poset builder and the bijection checks
-    reuse it.  The sect builders generate from their bases instead.
-    """
+    """All DIII (n,n)-clans, sorted by spaced text."""
     return ClanSet(n, tuple(sorted(generate_diii(n), key=Clan.spaced)))

@@ -80,15 +80,18 @@ class Sect:
         return best
 
 
+def _sect(base: DIIIClan) -> Sect:
+    """The sect of a matchless base, its members sorted by spaced text."""
+    members = generate_sect(base.symbols[: base.n])
+    return Sect(base, tuple(sorted(members, key=Clan.spaced)))
+
+
 def sects(n: int) -> list[Sect]:
     """Partition of all DIII (n,n)-clans by base clan, sorted by base: each
     base is built from its first-half signs, and its members come from
     ``generate_sect``, sorted by spaced text."""
     bases = [assemble_clan(n, [], [], dict(enumerate(s, start=1))) for s in sect_signs(n)]
-    return [
-        Sect(base, tuple(sorted(generate_sect(base.symbols[:n]), key=Clan.spaced)))
-        for base in sorted(bases, key=Clan.spaced)
-    ]
+    return [_sect(base) for base in sorted(bases, key=Clan.spaced)]
 
 
 def sect_sizes(n: int) -> list[tuple[str, int]]:
@@ -130,8 +133,7 @@ def big_sect_base(n: int) -> DIIIClan:
 def big_sect(n: int) -> Sect:
     """The sect containing the unique maximal clan, generated from its base
     (e(n) clans, not D(n)) and sorted by spaced text."""
-    base = big_sect_base(n)
-    return Sect(base, tuple(sorted(generate_sect(base.symbols[:n]), key=Clan.spaced)))
+    return _sect(big_sect_base(n))
 
 
 def epsilon_count(n: int) -> int:
@@ -221,7 +223,7 @@ def clan_to_pfpf(clan: DIIIClan) -> PartialFPFInvolution:
     straddling pair (i, j) and n for the contained pair (i, n) of odd n."""
     clan = clan.to_diii()
     n = clan.n
-    if clan.base_clan() != big_sect_base(n):
+    if clan.signatures() != big_sect_base(n).symbols:
         raise ClanError("clan does not belong to the big sect")
     values = [0] * n
     for (i, j, jj, _) in clan.classify_pairs().families:
@@ -244,6 +246,6 @@ def pfpf_to_clan(x: PartialFPFInvolution, n: int) -> DIIIClan:
     base = big_sect_base(n)
     signs = {p: base[p] for p in range(1, n + 1) if not x(p)}
     clan = assemble_clan(n, contained, straddling, signs)
-    if clan.base_clan() != base:
+    if clan.signatures() != base.symbols:
         raise AssertionError("decoded clan left the big sect")
     return clan

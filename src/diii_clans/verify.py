@@ -4,23 +4,21 @@ Each check cross-validates independent routes to the same data (formula vs
 recurrence vs exhaustive generation, poset vs recurrence polynomials, both
 directions of every bijection).  Brute-force searches are capped at the
 sizes where they stay fast; everything else runs up to the requested n.
+
+``run_suite`` builds the weak-order poset of each size once; every check
+takes that tuple, size n at place n-1, and reads its clans from the nodes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
 from .clans import MINUS, PLUS, DIIIClan
 from .delannoy import clan_to_path, path_to_clan, validate_path
-from .enumeration import (
-    KNOWN_COUNTS,
-    count_by_pairs,
-    count_formula,
-    count_recurrence,
-    enumerate_diii,
-)
+from .enumeration import KNOWN_COUNTS, count_by_pairs, count_formula, count_recurrence
 from .flags import (
     _scaled,
     intersection_parity,
@@ -40,11 +38,10 @@ from .pyramids import (
 )
 from .sects import big_sect, clan_to_pfpf, epsilon_count, epsilon_recurrence, pfpf_to_clan, sects
 from .weak_order import (
-    maximal_clan,
-    rank_poly_recurrence,
-    rank_polynomial,
-    weak_order_poset,
+    WeakOrderPoset, maximal_clan, rank_poly_recurrence, rank_polynomial, weak_order_poset
 )
+
+Posets = tuple[WeakOrderPoset, ...]
 
 
 @dataclass(frozen=True)
@@ -83,16 +80,21 @@ def count_doubly_symmetric_placements(m: int) -> int:
     return total
 
 
-def check_counting(n_max: int) -> CheckResult:
-    for n in range(1, n_max + 1):
+def check_counting(posets: Posets) -> CheckResult:
+    n_max = len(posets)
+    for n, poset in enumerate(posets, start=1):
         formula = count_formula(n)
         rec = count_recurrence(n)
-        by_pairs = sum(count_by_pairs(n, r) for r in range(n // 2 + 1))
-        enum = len(enumerate_diii(n))
-        if not formula == rec == by_pairs == enum:
-            return CheckResult(
-                "counting", False, f"n={n}: {formula}/{rec}/{by_pairs}/{enum} disagree"
-            )
+        enum = len(poset)
+        if not formula == rec == enum:
+            return CheckResult("counting", False, f"n={n}: {formula}/{rec}/{enum} disagree")
+        # enumerated clans by r, half their number of mate pairs
+        by_pairs = Counter(len(c.pairs()) // 2 for c in poset.nodes)
+        for r in range(n // 2 + 1):
+            if by_pairs[r] != count_by_pairs(n, r):
+                return CheckResult(
+                    "counting", False, f"n={n}: {by_pairs[r]} clans with {2 * r} pairs"
+                )
         if n <= len(KNOWN_COUNTS) and formula != KNOWN_COUNTS[n - 1]:
             return CheckResult(
                 "counting", False, f"n={n}: {formula} != expected {KNOWN_COUNTS[n - 1]}"
@@ -100,9 +102,10 @@ def check_counting(n_max: int) -> CheckResult:
     return CheckResult("counting", True, f"formula=recurrence=enumeration for n<= {n_max}")
 
 
-def check_rank_polynomials(n_max: int) -> CheckResult:
-    for n in range(1, n_max + 1):
-        from_poset = rank_polynomial(weak_order_poset(n))
+def check_rank_polynomials(posets: Posets) -> CheckResult:
+    n_max = len(posets)
+    for n, poset in enumerate(posets, start=1):
+        from_poset = rank_polynomial(poset)
         from_rec = rank_poly_recurrence(n)
         if from_poset.coeffs != from_rec.coeffs:
             return CheckResult(
@@ -113,18 +116,20 @@ def check_rank_polynomials(n_max: int) -> CheckResult:
     return CheckResult("rank-polynomials", True, f"poset=recurrence for n<= {n_max}")
 
 
-def check_weak_order(n_max: int) -> CheckResult:
-    cap = min(n_max, 6)
-    for n in range(1, cap + 1):
-        clans = enumerate_diii(n).clans
-        poset = weak_order_poset(n)
-        # every reflection image, read off the poset's covers (an image
-        # equal to its clan is not a cover); each upper is an enumerated
-        # node, so the grading check below reads its formula length
-        images = {(i, lower): upper for lower, upper, i in poset.covers}
+def check_weak_order(posets: Posets) -> CheckResult:
+    cap = min(len(posets), 6)
+    for n, poset in enumerate(posets[:cap], start=1):
+        clans = poset.nodes
+        lengths = [c.length for c in clans]
+        # images[k][i] is the node index of s_i on node k, read off the
+        # covers (an image equal to its clan is not a cover); the grading
+        # check below reads each node's formula length, not the covers
+        images = [[k] * (n + 1) for k in range(len(clans))]
+        for lower, upper, i in poset._edges():
+            images[lower][i] = upper
 
-        def act(i: int, clan: DIIIClan) -> DIIIClan:
-            return images.get((i, clan), clan)
+        def act(i: int, k: int) -> int:
+            return images[k][i]
 
         gens = range(1, n + 1)
         braid_pairs = [(i, i + 1) for i in range(1, n - 1)]
@@ -135,26 +140,26 @@ def check_weak_order(n_max: int) -> CheckResult:
             for i, j in combinations(gens, 2)
             if (i, j) not in braid_pairs
         ]
-        for clan in clans:
+        for k, clan in enumerate(clans):
             for i in gens:
-                image = act(i, clan)
+                image = act(i, k)
                 if act(i, image) != image:
                     return CheckResult(
                         "weak-order", False, f"s_{i} not idempotent at {clan}"
                     )
-                if image != clan and image.length != clan.length + 1:
+                if image != k and lengths[image] != lengths[k] + 1:
                     return CheckResult(
                         "weak-order", False, f"s_{i} on {clan} changed length oddly"
                     )
             for i, j in braid_pairs:
-                lhs = act(i, act(j, act(i, clan)))
-                rhs = act(j, act(i, act(j, clan)))
+                lhs = act(i, act(j, act(i, k)))
+                rhs = act(j, act(i, act(j, k)))
                 if lhs != rhs:
                     return CheckResult(
                         "weak-order", False, f"braid ({i},{j}) fails at {clan}"
                     )
             for i, j in commuting:
-                if act(i, act(j, clan)) != act(j, act(i, clan)):
+                if act(i, act(j, k)) != act(j, act(i, k)):
                     return CheckResult(
                         "weak-order", False, f"commutation ({i},{j}) fails at {clan}"
                     )
@@ -175,7 +180,8 @@ def check_weak_order(n_max: int) -> CheckResult:
     )
 
 
-def check_sects(n_max: int) -> CheckResult:
+def check_sects(posets: Posets) -> CheckResult:
+    n_max = len(posets)
     for n in range(1, n_max + 1):
         parts = sects(n)
         if len(parts) != 2 ** (n - 1):
@@ -184,7 +190,7 @@ def check_sects(n_max: int) -> CheckResult:
             return CheckResult("sects", False, f"n={n}: sect sizes do not sum")
         for s in parts:
             s.longest()  # raises if not unique
-            if any(c.base_clan() != s.base for c in s):
+            if any(c.signatures() != s.base.symbols for c in s):
                 return CheckResult("sects", False, f"n={n}: stray member in {s.base}")
         big = big_sect(n)
         if len(big) != epsilon_count(n) or epsilon_count(n) != epsilon_recurrence(n):
@@ -197,11 +203,11 @@ def check_sects(n_max: int) -> CheckResult:
     return CheckResult("sects", True, f"partition/big-sect/pfpf for n<= {n_max}")
 
 
-def check_rooks(n_max: int) -> CheckResult:
-    cap = min(n_max, 5)
-    for n in range(1, cap + 1):
+def check_rooks(posets: Posets) -> CheckResult:
+    cap = min(len(posets), 5)
+    for n, poset in enumerate(posets[:cap], start=1):
         classes = set()
-        for clan in enumerate_diii(n):
+        for clan in poset.nodes:
             pyramid = clan_to_pyramid(clan)
             if pyramid_to_clan(pyramid) != clan:
                 return CheckResult("rooks", False, f"pyramid round trip at {clan}")
@@ -233,12 +239,12 @@ def check_rooks(n_max: int) -> CheckResult:
     return CheckResult("rooks", True, f"bijections and brute counts for n<= {cap}")
 
 
-def check_partition_pairs(n_max: int) -> CheckResult:
-    cap = min(n_max, 6)
-    for n in range(2, cap + 1):
+def check_partition_pairs(posets: Posets) -> CheckResult:
+    cap = min(len(posets), 6)
+    for n, poset in enumerate(posets[1:cap], start=2):
         excluded = DIIIClan([PLUS] * n + [MINUS] * n)
         seen = set()
-        for clan in enumerate_diii(n):
+        for clan in poset.nodes:
             pyramid = clan_to_pyramid(clan)
             if clan == excluded:
                 try:
@@ -266,11 +272,11 @@ def check_partition_pairs(n_max: int) -> CheckResult:
     return CheckResult("partition-pairs", True, f"bijection and counts for n<= {cap}")
 
 
-def check_delannoy(n_max: int) -> CheckResult:
-    cap = min(n_max, 5)
-    for n in range(1, cap + 1):
+def check_delannoy(posets: Posets) -> CheckResult:
+    cap = min(len(posets), 5)
+    for n, poset in enumerate(posets[:cap], start=1):
         words = set()
-        for clan in enumerate_diii(n):
+        for clan in poset.nodes:
             path = clan_to_path(clan)
             ok, violated = validate_path(path)
             if not ok:
@@ -285,11 +291,11 @@ def check_delannoy(n_max: int) -> CheckResult:
     return CheckResult("delannoy", True, f"round trips for n<= {cap}")
 
 
-def check_flags(n_max: int) -> CheckResult:
-    cap = min(n_max, 7)
-    for n in range(1, cap + 1):
+def check_flags(posets: Posets) -> CheckResult:
+    cap = min(len(posets), 7)
+    for n, poset in enumerate(posets[:cap], start=1):
         seen = set()
-        for clan in enumerate_diii(n):
+        for clan in poset.nodes:
             matrix = representative_matrix(clan)
             if not verify_special_orthogonal(matrix):
                 return CheckResult("flags", False, f"{clan} not special orthogonal")
@@ -303,7 +309,7 @@ def check_flags(n_max: int) -> CheckResult:
     return CheckResult("flags", True, f"exact SO and parity for n<= {cap}")
 
 
-CHECKS: tuple[Callable[[int], CheckResult], ...] = (
+CHECKS: tuple[Callable[[Posets], CheckResult], ...] = (
     check_counting,
     check_rank_polynomials,
     check_weak_order,
@@ -316,4 +322,5 @@ CHECKS: tuple[Callable[[int], CheckResult], ...] = (
 
 
 def run_suite(n_max: int) -> list[CheckResult]:
-    return [check(n_max) for check in CHECKS]
+    posets = tuple(weak_order_poset(n) for n in range(1, n_max + 1))
+    return [check(posets) for check in CHECKS]

@@ -287,6 +287,20 @@ class TestVerify:
         assert len(lines) == 8 and all(l.startswith("PASS") for l in lines)
 
 
+def test_output_matches_recorded_digests(capsys):
+    # SHA-256 of the stdout of each command, recorded for the benchmark's
+    # cli-cold workload; read as data, without importing the benchmark
+    path = Path(__file__).parents[1] / "clanbench" / "digests.json"
+    digests = json.loads(path.read_text())
+    assert "verify 3" in digests
+    changed = []
+    for command, digest in digests.items():
+        code, out, _ = run(capsys, *command.split())
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(command)
+    assert changed == []
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -108,6 +108,10 @@ class TestEnumeration:
         with pytest.raises(ClanError):
             enumerate_diii(0)
 
+    def test_keeps_no_set_between_calls(self):
+        first, second = enumerate_diii(3), enumerate_diii(3)
+        assert first is not second and first.clans == second.clans
+
     def test_membership(self):
         sets = {n: enumerate_diii(n) for n in range(1, 5)}
         for n, clans in sets.items():

@@ -15,6 +15,7 @@ from diii_clans import (
     parse_diii,
     representative_matrix,
     verify_special_orthogonal,
+    weak_order_poset,
 )
 from diii_clans.flags import INV_SQRT2, ONE, ZERO, exact_determinant, exact_rank
 from diii_clans.verify import check_flags
@@ -373,6 +374,6 @@ class TestExactLinearAlgebra:
 
 
 def test_check_flags_runs_to_seven():
-    result = check_flags(8)
+    result = check_flags(tuple(weak_order_poset(n) for n in range(1, 9)))
     assert result.passed
     assert result.detail == "exact SO and parity for n<= 7"

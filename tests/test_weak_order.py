@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from diii_clans import (
     ClanError,
     ClanSet,
-    DIIIClan,
     apply_reflection,
     clan_length,
     count_recurrence,
@@ -18,7 +18,7 @@ from diii_clans import (
     rank_polynomial,
     weak_order_poset,
 )
-from diii_clans import verify, weak_order
+from diii_clans import clans, verify, weak_order
 from diii_clans.weak_order import _image_key, _move
 
 from conftest import diii_clans
@@ -223,16 +223,20 @@ class TestPoset:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_builds_no_clan_after_enumeration(self, monkeypatch):
-        # every DIIIClan, checked or not, is made by DIIIClan.__new__; each
-        # upper is found among the enumerated nodes, none is built
+        # every clan, checked or not, reads its symbols through
+        # clans._relabel; each upper is found among the enumerated nodes,
+        # none is built. (Patching DIIIClan.__new__ instead would leave the
+        # class unable to take constructor arguments after the undo.)
         nodes = enumerate_diii(6)
+        monkeypatch.setattr(weak_order, "enumerate_diii", lambda n: nodes)
         built = []
+        relabel = clans._relabel
 
-        def counting_new(cls, *args, **kwargs):
-            built.append(cls)
-            return object.__new__(cls)
+        def counting_relabel(symbols):
+            built.append(symbols)
+            return relabel(symbols)
 
-        monkeypatch.setattr(DIIIClan, "__new__", counting_new)
+        monkeypatch.setattr(clans, "_relabel", counting_relabel)
         poset = weak_order_poset(6)
         covers = poset.covers
         monkeypatch.undo()
@@ -273,10 +277,10 @@ class TestPoset:
 
 class TestCheckWeakOrder:
     def test_passes(self):
-        result = verify.check_weak_order(5)
+        result = verify.check_weak_order(tuple(weak_order_poset(n) for n in range(1, 6)))
         assert result.passed, result.detail
 
-    def test_fails_on_a_cover_to_the_wrong_rank(self, monkeypatch):
+    def test_fails_on_a_cover_to_the_wrong_rank(self):
         # the grading check reads the upper node's own length, from the
         # length formula; when each upper was a fresh image whose length was
         # preset to its lower's plus one, it compared that value with itself
@@ -294,12 +298,34 @@ class TestCheckWeakOrder:
         uppers = list(poset.uppers)
         uppers[0] = wrong
         bad = replace(poset, uppers=tuple(uppers))
-        monkeypatch.setattr(
-            verify, "weak_order_poset", lambda k: bad if k == n else weak_order_poset(k)
-        )
-        result = verify.check_weak_order(n)
+        smaller = tuple(weak_order_poset(k) for k in range(1, n))
+        result = verify.check_weak_order(smaller + (bad,))
         assert result.passed is False
         assert result.detail == f"s_{i} on {poset.nodes[lower]} changed length oddly"
+
+
+class TestRunSuite:
+    def test_builds_each_poset_once_and_enumerates_only_through_it(self, monkeypatch):
+        built, enumerated = [], []
+
+        def counting_poset(n):
+            built.append(n)
+            return weak_order_poset(n)
+
+        def counting_enumerate(n):
+            enumerated.append(n)
+            return enumerate_diii(n)
+
+        # every module of the package that binds the name, the poset
+        # builder's included
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "diii_clans" and hasattr(module, "enumerate_diii"):
+                monkeypatch.setattr(module, "enumerate_diii", counting_enumerate)
+        monkeypatch.setattr(verify, "weak_order_poset", counting_poset)
+        results = verify.run_suite(5)
+        assert all(r.passed for r in results)
+        assert built == [1, 2, 3, 4, 5]
+        assert enumerated == [1, 2, 3, 4, 5]
 
 
 class TestRankPolynomial:
