@@ -13,13 +13,17 @@ Positions are 1-indexed in every public interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 PLUS = "+"
 MINUS = "-"
 
 #: A clan symbol: one of the two sign literals, or a positive integer label.
 Symbol = Union[str, int]
+
+#: A clan's key (``Clan._key``): per position, the sign or the 1-based mate
+#: position.
+Key = tuple[Symbol, ...]
 
 
 class ClanError(ValueError):
@@ -91,6 +95,33 @@ def _relabel(
             syms.append(len(first))
             mates.append(0)
     return tuple(syms), tuple(mates), len(first)
+
+
+def _key_symbols(key: Key, names: Sequence[Symbol]) -> list[Symbol]:
+    """The symbols of the clan with key ``key``, each pair written as
+    ``names[k]`` for its canonical label k: pairs are labelled 1, 2, ... in
+    order of their first position."""
+    syms = list(key)
+    label = 0
+    for p, q in enumerate(key, start=1):
+        if type(q) is int and q > p:
+            label += 1
+            syms[p - 1] = syms[q - 1] = names[label]
+    return syms
+
+
+def spaced_texts(n: int, keys: Iterable[Key]) -> list[str]:
+    """``Clan.spaced()`` of the clan of each key of size n, built from the
+    keys with each label's text made once."""
+    names = [str(label) for label in range(n + 1)]
+    return [" ".join(_key_symbols(key, names)) for key in keys]
+
+
+def text_from_spaced(spaced: str) -> str:
+    """``Clan.text()`` from the spaced text: the compact form unless some
+    label takes two or more digits."""
+    compact = spaced.replace(" ", "")
+    return compact if len(compact) == spaced.count(" ") + 1 else spaced
 
 
 class Clan:
@@ -210,7 +241,7 @@ class Clan:
     def is_matchless(self) -> bool:
         return not any(self._mates)
 
-    def _key(self) -> tuple[Symbol, ...]:
+    def _key(self) -> Key:
         """Per position, the sign or the 1-based mate position. Two clans
         are equal exactly when their keys are: the canonical labels follow
         from the mates."""
@@ -283,13 +314,24 @@ class DIIIClan(Clan):
 
         Labels are renumbered in order of first occurrence and the mate
         table is filled in the same pass (``_relabel``); neither ``Clan``'s
-        checks nor ``diii_violation`` run. Its two callers guarantee the
-        conditions: ``assemble_clan``, and ``apply_reflection`` for an
-        accepted image, which also passes the image's known ``length``.
+        checks nor ``diii_violation`` run. Its one caller,
+        ``apply_reflection``, builds an accepted image and passes its known
+        ``length``.
         """
         clan = cls.__new__(cls)
         clan._symbols, clan._mates, _ = _relabel(symbols)
         clan._length = length
+        return clan
+
+    @classmethod
+    def _from_key(cls, key: Key) -> "DIIIClan":
+        """The DIII clan whose ``_key()`` is ``key``, unchecked: the one path
+        from a key to a clan. Its keys are DIII by construction, written by
+        ``enumeration.assemble_key`` or the sect generator."""
+        clan = cls.__new__(cls)
+        clan._symbols = tuple(_key_symbols(key, range(len(key))))
+        clan._mates = tuple(0 if type(q) is str else q for q in key)
+        clan._length = None
         return clan
 
     @property

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Sequence
 
-from .clans import ClanError, parse_diii
+from .clans import ClanError, parse_diii, text_from_spaced
 from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan
 from .enumeration import count_recurrence, enumerate_diii
 from .flags import representative_matrix
@@ -143,12 +143,13 @@ def _cmd_enumerate(args) -> int:
             f"compact form lists n <= 9 only (size {n} has clans with more "
             "than 9 labels); use --format spaced or --format json"
         )
-    clans = enumerate_diii(n)
+    texts = enumerate_diii(n).texts  # spaced; with n <= 9, one character a label
     if args.format == "json":
-        print(json.dumps([c.spaced() for c in clans]))
+        print(json.dumps(texts))
+    elif args.format == "spaced":
+        print("\n".join(texts))
     else:
-        for c in clans:
-            print(c.compact() if args.format == "compact" else c.spaced())
+        print("\n".join(t.replace(" ", "") for t in texts))
     return 0
 
 
@@ -196,17 +197,17 @@ def _cmd_sects(args) -> int:
             print(f"{base} {size}")
         return 0
     for sect in sects(n):
-        members = " ".join(c.text() for c in sect.members)
-        print(f"{sect.base.text()}: {members}")
+        members = " ".join(map(text_from_spaced, sect.clans.texts))
+        print(f"{''.join(sect.base_key)}: {members}")  # a base key is all signs
     return 0
 
 
 def _cmd_big_sect(args) -> int:
     sect = big_sect(_positive(args.n))
-    print(f"base: {sect.base.text()}")
+    print(f"base: {''.join(sect.base_key)}")
     print(f"size: {len(sect)}")
-    for member in sect.members:
-        print(member.text())
+    for text in sect.clans.texts:
+        print(text_from_spaced(text))
     return 0
 
 

@@ -1,10 +1,14 @@
 """Exhaustive generation and exact counting of DIII (n,n)-clans.
 
 All counting is done with Python's arbitrary-precision integers, so the
-results are bit-exact at any size.  The generator builds each clan once,
-sect by sect: from the first-half signs of a matchless base, it matches
-some ``-`` positions with later first-half positions, so every clan of
-that sect comes from exactly one set of such choices.
+results are bit-exact at any size.  The generator writes each clan once,
+sect by sect, as its key (``Clan._key``: per position, the sign or the
+1-based mate position): from the first-half signs of a matchless base, it
+matches some ``-`` positions with later first-half positions, so every
+clan of that sect comes from exactly one set of such choices.  A
+``ClanSet`` keeps the keys beside their spaced texts, each rendered once
+and used both as the sort key and as the output; a ``DIIIClan`` is built
+from a key only when one is asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import product
 from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
 
-from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, Symbol
+from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, Key, Symbol, spaced_texts
 
 #: Number of DIII (n,n)-clans for n = 1, 2, 3, ...
 KNOWN_COUNTS = (1, 3, 10, 38, 156, 692, 3256)
@@ -60,17 +64,30 @@ def count_recurrence(n: int) -> int:
     return cur
 
 
-def assemble_clan(
+def _put_sign(key: list, p: int, sign: str) -> None:
+    """``sign`` at position p of the first half, the opposite sign at its
+    mirror 2n+1-p (the index -p from the end)."""
+    key[p - 1], key[-p] = sign, MINUS if sign == PLUS else PLUS
+
+
+def _put_pair(key: list, p: int, q: int) -> None:
+    """Mates at p <= n and q, and the mirror pair at 2n+1-q and 2n+1-p."""
+    m = len(key) + 1
+    key[p - 1], key[q - 1], key[-q], key[-p] = q, p, m - p, m - q
+
+
+def assemble_key(
     n: int,
     contained_pairs: Sequence[tuple[int, int]],
     straddling_pairs: Sequence[tuple[int, int]],
     signs: Mapping[int, str],
-) -> DIIIClan:
-    """Build a DIII clan from first-half data; the second half follows by
-    skew-symmetry.
+) -> Key:
+    """The key (``Clan._key``) of a DIII clan from first-half data; the
+    second half follows by skew-symmetry.
 
-    This is the package's one place for skew-symmetric completion: the
-    generator and every decoder from first-half data build through it.
+    This is the package's one checked place for skew-symmetric completion:
+    ``assemble_clan`` and every decoder from first-half data build through
+    it, and the sect generator writes its keys with the same two writers.
 
     ``contained_pairs`` are mate pairs (i, j) with i < j <= n; each also
     yields the mirror pair (2n+1-j, 2n+1-i) in the second half.
@@ -78,47 +95,42 @@ def assemble_clan(
     and (j, 2n+1-i).  ``signs`` assigns ``+``/``-`` to the remaining
     first-half positions, and the opposite sign lands at 2n+1-p.
 
-    Every position must be assigned exactly once; then the result is a
+    Every position must be assigned exactly once; then the key is that of a
     balanced clan, skew-symmetric, with no antipodal mates, by
-    construction: each pair and sign is placed with its mirror, each pair
-    is labelled by a position only it occupies, and a mate pair (i, j) or
-    (i, 2n+1-j) with i < j <= n never sums to 2n+1. The one DIII condition
-    the inputs can break is first-half parity, checked here: the minus
-    signs plus the contained pairs must be even. The clan is then built
-    without re-validation (``DIIIClan._trusted``).
+    construction: each pair and sign is placed with its mirror, and a mate
+    pair (i, j) or (i, 2n+1-j) with i < j <= n never sums to 2n+1. The one
+    DIII condition the inputs can break is first-half parity, checked here:
+    the minus signs plus the contained pairs must be even.
     """
     m = 2 * n + 1
-    syms: list[Symbol | None] = [None] * (2 * n)
+    key: list[Symbol | None] = [None] * (2 * n)
 
-    def place(label: int, p: int, q: int) -> None:
-        for pos in (p, q):
-            if syms[pos - 1] is not None:
+    def claim(*positions: int) -> None:
+        for pos in positions:
+            if key[pos - 1] is not None:
                 raise ClanError(f"position {pos} assigned twice")
-        syms[p - 1] = syms[q - 1] = label
 
-    # a pair is labelled by its first position; Clan renumbers the labels
     for i, j in contained_pairs:
         if not 1 <= i < j <= n:
             raise ClanError(f"contained pair {(i, j)} out of range")
-        place(i, i, j)
-        place(m - j, m - j, m - i)
+        claim(i, j, m - j, m - i)
+        _put_pair(key, i, j)
     for i, j in straddling_pairs:
         if not 1 <= i < j <= n:
             raise ClanError(f"straddling pair {(i, j)} out of range")
-        place(i, i, m - j)
-        place(j, j, m - i)
+        claim(i, m - j, j, m - i)
+        _put_pair(key, i, m - j)
     for pos, sign in signs.items():
         if not 1 <= pos <= n:
             raise ClanError(f"sign position {pos} out of range")
         if sign not in (PLUS, MINUS):
             raise ClanError(f"bad sign {sign!r}")
-        if syms[pos - 1] is not None:
-            raise ClanError(f"position {pos} assigned twice")
-        syms[pos - 1], syms[m - 1 - pos] = sign, MINUS if sign == PLUS else PLUS
-    if None in syms:
-        missing = [p for p, s in enumerate(syms, start=1) if s is None]
+        claim(pos)
+        _put_sign(key, pos, sign)
+    if None in key:
+        missing = [p for p, s in enumerate(key, start=1) if s is None]
         raise ClanError(f"positions {missing} left unassigned")
-    if not syms:
+    if not key:
         raise ClanError("a clan must contain at least two symbols")
     minus = sum(1 for sign in signs.values() if sign == MINUS)
     if (minus + len(contained_pairs)) % 2 != 0:
@@ -126,53 +138,96 @@ def assemble_clan(
             f"not a DIII clan: odd parity in the first half ({minus} minus signs, "
             f"{len(contained_pairs)} contained pairs)"
         )
-    return DIIIClan._trusted(syms)
+    return tuple(key)
+
+
+def assemble_clan(
+    n: int,
+    contained_pairs: Sequence[tuple[int, int]],
+    straddling_pairs: Sequence[tuple[int, int]],
+    signs: Mapping[int, str],
+) -> DIIIClan:
+    """The DIII clan of ``assemble_key``'s key, built without re-validation
+    (``DIIIClan._from_key``)."""
+    return DIIIClan._from_key(assemble_key(n, contained_pairs, straddling_pairs, signs))
+
+
+def base_key(signs: Sequence[str]) -> Key:
+    """Key of the matchless clan with first-half ``signs``."""
+    return assemble_key(len(signs), [], [], dict(enumerate(signs, start=1)))
 
 
 @dataclass(frozen=True)
 class ClanSet:
-    """The full set of DIII (n,n)-clans, sorted by spaced text."""
+    """A set of DIII (n,n)-clans, sorted by spaced text, kept as their keys
+    (``Clan._key``) beside each key's spaced text, rendered once. The clans
+    themselves are built on first access to ``clans``."""
 
     n: int
-    clans: tuple[DIIIClan, ...]
+    keys: tuple[Key, ...]
+    texts: tuple[str, ...]
+
+    @classmethod
+    def from_keys(cls, n: int, keys: Sequence[Key]) -> "ClanSet":
+        """The set of clans with the given keys, each key's text rendered
+        once and used as its sort key."""
+        texts = spaced_texts(n, keys)
+        order = sorted(range(len(keys)), key=texts.__getitem__)
+        return cls(n, tuple(keys[k] for k in order), tuple(texts[k] for k in order))
+
+    @cached_property
+    def clans(self) -> tuple[DIIIClan, ...]:
+        """The clans, in the order of ``keys``, built on first access."""
+        return tuple(map(DIIIClan._from_key, self.keys))
 
     def __len__(self) -> int:
-        return len(self.clans)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[DIIIClan]:
         return iter(self.clans)
 
     @cached_property
-    def _index(self) -> dict[tuple[Symbol, ...], int]:
-        """Position in ``clans`` by ``Clan._key``, built on the first
-        lookup; its keys come in the order of ``clans``."""
-        return {c._key(): k for k, c in enumerate(self.clans)}
+    def _index(self) -> dict[Key, int]:
+        """Position in ``keys`` by key, built on the first lookup."""
+        return {k: i for i, k in enumerate(self.keys)}
 
     def __contains__(self, clan: object) -> bool:
         return isinstance(clan, Clan) and clan._key() in self._index
 
 
-def generate_sect(signs: Sequence[str]) -> Iterator[DIIIClan]:
-    """Yield each clan of the sect whose base has first-half ``signs`` once,
-    unsorted: each position p keeps its sign, or a ``-`` at p takes a later
-    free position q, as the contained pair (p, q) when q holds ``+`` and the
-    straddling pair (p, q) when q holds ``-``.  Both keep the parity."""
+def sect_keys(signs: Sequence[str]) -> list[Key]:
+    """The key of each clan of the sect whose base has first-half ``signs``,
+    once each, unsorted: each position p keeps its sign, or a ``-`` at p
+    takes a later free position q, as the contained pair (p, q) when q holds
+    ``+`` and the straddling pair (p, q), mates at p and 2n+1-q, when q
+    holds ``-``.  Both keep the parity, so every key is DIII.
 
-    def grow(free, contained, straddling, kept):
+    One list is written in place down the choices; every choice writes its
+    positions and their mirrors, so at a leaf each entry is this path's."""
+    m = 2 * len(signs) + 1
+    key: list = [None] * (m - 1)
+    keys: list[Key] = []
+
+    def grow(free: tuple[int, ...]) -> None:
         if not free:
-            yield assemble_clan(len(signs), contained, straddling, kept)
+            keys.append(tuple(key))
             return
         p, rest = free[0], free[1:]
-        yield from grow(rest, contained, straddling, {**kept, p: signs[p - 1]})
+        _put_sign(key, p, signs[p - 1])
+        grow(rest)
         if signs[p - 1] == MINUS:
             for k, q in enumerate(rest):
-                later = rest[:k] + rest[k + 1 :]
-                if signs[q - 1] == PLUS:
-                    yield from grow(later, contained + [(p, q)], straddling, kept)
-                else:
-                    yield from grow(later, contained, straddling + [(p, q)], kept)
+                _put_pair(key, p, q if signs[q - 1] == PLUS else m - q)
+                grow(rest[:k] + rest[k + 1 :])
 
-    return grow(tuple(range(1, len(signs) + 1)), [], [], {})
+    grow(tuple(range(1, len(signs) + 1)))
+    return keys
+
+
+def generate_sect(signs: Sequence[str]) -> Iterator[DIIIClan]:
+    """Each clan of the sect whose base has first-half ``signs``, once,
+    unsorted (``sect_keys``), built as it is reached."""
+    return map(DIIIClan._from_key, sect_keys(signs))
 
 
 def sect_signs(n: int) -> Iterator[tuple[str, ...]]:
@@ -190,5 +245,6 @@ def generate_diii(n: int) -> Iterator[DIIIClan]:
 
 
 def enumerate_diii(n: int) -> ClanSet:
-    """All DIII (n,n)-clans, sorted by spaced text."""
-    return ClanSet(n, tuple(sorted(generate_diii(n), key=Clan.spaced)))
+    """All DIII (n,n)-clans, sorted by spaced text, as keys written sect by
+    sect (``sect_keys``); no clan is built until ``clans`` is read."""
+    return ClanSet.from_keys(n, [k for signs in sect_signs(n) for k in sect_keys(signs)])

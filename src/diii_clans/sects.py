@@ -1,15 +1,20 @@
 """Sect decomposition: clans grouped by base clan, the subset encoding of
 matchless clans, and the big-sect bijection with partial fixed-point-free
-involutions."""
+involutions.
+
+Each sect is generated from its base's first-half signs as keys
+(``enumeration.sect_keys``) and kept as a ``ClanSet``; its base and its
+members are built as clans only when read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Iterator
 
-from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, ascii_int
-from .enumeration import assemble_clan, generate_sect, sect_signs
+from .clans import MINUS, PLUS, ClanError, DIIIClan, Key, ascii_int
+from .enumeration import ClanSet, assemble_clan, base_key, sect_keys, sect_signs
 
 
 @dataclass(frozen=True)
@@ -61,13 +66,23 @@ def base_clan_to_subset(base: DIIIClan) -> SchubertSubset:
 
 @dataclass(frozen=True)
 class Sect:
-    """All clans sharing one matchless base clan."""
+    """All clans sharing one matchless base clan: the base's key and the
+    members as a ``ClanSet``; neither is built as a clan until read."""
 
-    base: DIIIClan
-    members: tuple[DIIIClan, ...]
+    base_key: Key
+    clans: ClanSet
+
+    @cached_property
+    def base(self) -> DIIIClan:
+        return DIIIClan._from_key(self.base_key)
+
+    @property
+    def members(self) -> tuple[DIIIClan, ...]:
+        """The member clans, sorted by spaced text, built on first access."""
+        return self.clans.clans
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.clans)
 
     def __iter__(self) -> Iterator[DIIIClan]:
         return iter(self.members)
@@ -80,25 +95,24 @@ class Sect:
         return best
 
 
-def _sect(base: DIIIClan) -> Sect:
-    """The sect of a matchless base, its members sorted by spaced text."""
-    members = generate_sect(base.symbols[: base.n])
-    return Sect(base, tuple(sorted(members, key=Clan.spaced)))
+def _sect(signs: tuple[str, ...]) -> Sect:
+    """The sect of the matchless base with first-half ``signs``, its members
+    written as keys (``sect_keys``) and sorted by spaced text."""
+    return Sect(base_key(signs), ClanSet.from_keys(len(signs), sect_keys(signs)))
 
 
 def sects(n: int) -> list[Sect]:
-    """Partition of all DIII (n,n)-clans by base clan, sorted by base: each
-    base is built from its first-half signs, and its members come from
-    ``generate_sect``, sorted by spaced text."""
-    bases = [assemble_clan(n, [], [], dict(enumerate(s, start=1))) for s in sect_signs(n)]
-    return [_sect(base) for base in sorted(bases, key=Clan.spaced)]
+    """Partition of all DIII (n,n)-clans by base clan, sorted by base (its
+    first-half signs sort as its text does); no clan is built until a
+    sect's ``base`` or ``members`` is read."""
+    return [_sect(signs) for signs in sorted(sect_signs(n))]
 
 
 def sect_sizes(n: int) -> list[tuple[str, int]]:
     """The base text and size of each sect, in the order of ``sects(n)``,
     with no clan built.
 
-    A sect's size counts the choices ``generate_sect`` makes: the partial
+    A sect's size counts the choices ``sect_keys`` makes: the partial
     matchings of the first half in which each pair opens at a ``-``. Left
     to right, a position keeps its sign, closes one of the k pairs still
     open (k ways), or, at a ``-``, opens one more; ``ways[k]`` counts the
@@ -115,25 +129,28 @@ def sect_sizes(n: int) -> list[tuple[str, int]]:
                 for k, w in enumerate(ways):
                     grown[k + 1] += w  # open one more
             ways = grown
-        base = signs + tuple(PLUS if s == MINUS else MINUS for s in reversed(signs))
-        sizes.append(("".join(base), ways[0]))
+        sizes.append(("".join(base_key(signs)), ways[0]))
     return sorted(sizes)
+
+
+def _big_sect_signs(n: int) -> tuple[str, ...]:
+    """First-half signs of the big sect's base: minus everywhere except a
+    plus at position n when n is odd."""
+    if n < 1:
+        raise ClanError(f"n must be positive, got {n}")
+    return tuple(PLUS if p == n and n % 2 == 1 else MINUS for p in range(1, n + 1))
 
 
 def big_sect_base(n: int) -> DIIIClan:
     """Base clan of the sect over the dense cell: all minus then all plus,
-    with the two middle signs traded when n is odd.  Its first half is
-    minus everywhere except a plus at position n when n is odd."""
-    if n < 1:
-        raise ClanError(f"n must be positive, got {n}")
-    signs = {p: PLUS if p == n and n % 2 == 1 else MINUS for p in range(1, n + 1)}
-    return assemble_clan(n, [], [], signs)
+    with the two middle signs traded when n is odd."""
+    return DIIIClan._from_key(base_key(_big_sect_signs(n)))
 
 
 def big_sect(n: int) -> Sect:
     """The sect containing the unique maximal clan, generated from its base
     (e(n) clans, not D(n)) and sorted by spaced text."""
-    return _sect(big_sect_base(n))
+    return _sect(_big_sect_signs(n))
 
 
 def epsilon_count(n: int) -> int:

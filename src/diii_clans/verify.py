@@ -36,7 +36,9 @@ from .pyramids import (
     partition_pair_to_pyramid,
     rotate_placement,
 )
-from .sects import big_sect, clan_to_pfpf, epsilon_count, epsilon_recurrence, pfpf_to_clan, sects
+from .sects import (
+    big_sect, clan_to_pfpf, epsilon_count, epsilon_recurrence, pfpf_to_clan, sect_sizes
+)
 from .weak_order import (
     WeakOrderPoset, maximal_clan, rank_poly_recurrence, rank_polynomial, weak_order_poset
 )
@@ -182,16 +184,26 @@ def check_weak_order(posets: Posets) -> CheckResult:
 
 def check_sects(posets: Posets) -> CheckResult:
     n_max = len(posets)
-    for n in range(1, n_max + 1):
-        parts = sects(n)
+    for n, poset in enumerate(posets, start=1):
+        # the poset's nodes by signature, one part per base, against
+        # sect_sizes: the bases of the even sign patterns (sect_signs) and
+        # the sizes counted with no clan built
+        parts: dict[tuple[str, ...], list[DIIIClan]] = {}
+        for clan in poset.nodes:
+            parts.setdefault(clan.signatures(), []).append(clan)
         if len(parts) != 2 ** (n - 1):
             return CheckResult("sects", False, f"n={n}: {len(parts)} sects")
-        if sum(len(s) for s in parts) != count_formula(n):
+        sizes = sorted(("".join(base), len(part)) for base, part in parts.items())
+        if sizes != sect_sizes(n):
+            return CheckResult("sects", False, f"n={n}: sect bases or sizes differ")
+        if sum(size for _, size in sizes) != count_formula(n):
             return CheckResult("sects", False, f"n={n}: sect sizes do not sum")
-        for s in parts:
-            s.longest()  # raises if not unique
-            if any(c.signatures() != s.base.symbols for c in s):
-                return CheckResult("sects", False, f"n={n}: stray member in {s.base}")
+        for base, part in parts.items():
+            top = max(c.length for c in part)
+            if sum(1 for c in part if c.length == top) != 1:
+                return CheckResult(
+                    "sects", False, f"n={n}: no unique longest clan over {''.join(base)}"
+                )
         big = big_sect(n)
         if len(big) != epsilon_count(n) or epsilon_count(n) != epsilon_recurrence(n):
             return CheckResult("sects", False, f"n={n}: big sect size mismatch")

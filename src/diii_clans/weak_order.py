@@ -45,9 +45,12 @@ raw two-candidate rule on every clan with n <= 8.
 An accepted ascent is a move: where each moved symbol goes, or the fresh
 mate pairs of a collapse. ``apply_reflection`` builds the move's image
 once, with its length preset to the input's plus one. The weak order poset
-builds no image: it edits the input's key (per position, the sign or the
-mate position) at the moved positions and their mates' back-pointers, and
-finds the upper end of the cover by that key among the enumerated clans.
+builds no clan at all: it reads each move off an enumerated key (per
+position, the sign or the mate position) and a mate table built once per
+node, edits the key at the moved positions and their mates'
+back-pointers, and finds the upper end of the cover by that key among the
+enumerated keys. It grades its nodes from the covers, in one pass up from
+the minimal elements, and renders each node's stored text.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .clans import PLUS, Clan, ClanError, DIIIClan
-from .enumeration import assemble_clan, enumerate_diii
+from .clans import PLUS, Clan, ClanError, DIIIClan, text_from_spaced
+from .enumeration import ClanSet, assemble_clan, enumerate_diii
 
 
 @dataclass(frozen=True)
@@ -132,24 +135,32 @@ def _ascent(i: int, syms, mates) -> Move | None:
     return {a: b, b: a, m + 1 - b: m + 1 - a, m + 1 - a: m + 1 - b}, ()
 
 
-def _move(i: int, clan: DIIIClan) -> Move | None:
-    """The accepted move of s_i on a DIII clan, or None. s_n runs s_{n-1}'s
-    rule on the tables flipped by tau (entries at n and n+1 swapped, mate
-    values n and n+1 exchanged) and maps the move back through tau."""
-    n = clan.n
+def _move(i: int, syms, mates) -> Move | None:
+    """The accepted move of s_i on the DIII clan with these symbol and mate
+    tables (or its key as ``syms``: ``_ascent`` reads symbols only at
+    signs), or None. s_n runs s_{n-1}'s rule on the tables flipped by tau
+    (entries at n and n+1 swapped, mate values n and n+1 exchanged) and
+    maps the move back through tau."""
+    n = len(syms) // 2
     if n == 1:
         return None
-    syms, mates = clan._symbols, clan._mates
     if i < n:
         return _ascent(i, syms, mates)
-    tau = {n: n + 1, n + 1: n}
-    syms, mates = list(syms), [tau.get(q, q) for q in mates]
+    # the mate values n and n+1 sit at the mates of positions n and n+1,
+    # which are neither n nor n+1 (no antipodal mates)
+    syms, mates = list(syms), list(mates)
+    qa, qb = mates[n - 1], mates[n]
+    if qa:
+        mates[qa - 1] = n + 1
+    if qb:
+        mates[qb - 1] = n
     syms[n - 1], syms[n] = syms[n], syms[n - 1]
-    mates[n - 1], mates[n] = mates[n], mates[n - 1]
+    mates[n - 1], mates[n] = qb, qa
     move = _ascent(n - 1, syms, mates)
     if move is None:
         return None
     moved, fresh = move
+    tau = {n: n + 1, n + 1: n}
     moved = {tau.get(p, p): tau.get(r, r) for p, r in moved.items()}
     return moved, tuple((tau.get(p, p), tau.get(q, q)) for p, q in fresh)
 
@@ -203,7 +214,7 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
     clan = clan.to_diii()
     if not 1 <= i <= clan.n:
         raise ClanError(f"reflection index {i} out of range 1..{clan.n}")
-    move = _move(i, clan)
+    move = _move(i, clan._symbols, clan._mates)
     if move is None:
         return clan
     return DIIIClan._trusted(_image_symbols(clan._symbols, move), clan.length + 1)
@@ -281,25 +292,34 @@ def maximal_clan(n: int) -> DIIIClan:
 
 @dataclass(frozen=True)
 class WeakOrderPoset:
-    """The weak order on DIII (n,n)-clans: nodes with their lengths and the
-    labeled cover relations, kept by node index in compressed sparse row
-    form. The covers of ``nodes[k]`` go up to ``nodes[u]`` for each u in
+    """The weak order on DIII (n,n)-clans: the clans as a ``ClanSet`` and
+    the labeled cover relations, kept by node index in compressed sparse
+    row form. The covers of node k go up to node u for each u in
     ``uppers[offsets[k]:offsets[k + 1]]``, by the reflection index at the
-    same place in ``labels``, increasing."""
+    same place in ``labels``, increasing. No node is built as a clan until
+    ``nodes`` (or anything read off it) is asked for."""
 
-    n: int
-    nodes: tuple[DIIIClan, ...]
+    universe: ClanSet
     offsets: tuple[int, ...]
     uppers: tuple[int, ...]
     labels: tuple[int, ...]
 
+    @property
+    def n(self) -> int:
+        return self.universe.n
+
+    @property
+    def nodes(self) -> tuple[DIIIClan, ...]:
+        """The clans, in spaced-text order, built on first access."""
+        return self.universe.clans
+
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.universe)
 
     def _edges(self) -> Iterator[tuple[int, int, int]]:
         """(lower, upper, reflection index) by node index, in cover order."""
         o = self.offsets
-        lowers = (k for k in range(len(self.nodes)) for _ in range(o[k], o[k + 1]))
+        lowers = (k for k in range(len(self)) for _ in range(o[k], o[k + 1]))
         return zip(lowers, self.uppers, self.labels)
 
     @cached_property
@@ -310,13 +330,41 @@ class WeakOrderPoset:
         return tuple((nodes[l], nodes[u], i) for l, u, i in self._edges())
 
     def lengths(self) -> dict[DIIIClan, int]:
+        """Each node's length, from the length formula."""
         return {c: c.length for c in self.nodes}
 
+    @cached_property
+    def _grades(self) -> tuple[int, ...]:
+        """Each node's rank, read off the covers in one pass up from the
+        minimal elements (rank 0): a node first reached from a lower of
+        rank r gets r + 1, and every other cover into it must agree. Ranks
+        are the lengths when the covers are right: the minimal clans are
+        the matchless ones, of length 0, and each cover adds one."""
+        o, uppers = self.offsets, self.uppers
+        grades = [-1] * len(self)
+        reached = set(uppers)
+        order = [k for k in range(len(self)) if k not in reached]
+        for k in order:
+            grades[k] = 0
+        for k in order:  # grows as nodes are reached
+            rank = grades[k] + 1
+            for u in uppers[o[k] : o[k + 1]]:
+                if grades[u] < 0:
+                    grades[u] = rank
+                    order.append(u)
+                elif grades[u] != rank:
+                    raise ClanError(
+                        f"covers disagree on the rank of node {u}: {grades[u]} and {rank}"
+                    )
+        if len(order) != len(self):
+            raise ClanError("some nodes lie above no minimal element")
+        return tuple(grades)
+
     def rank_sizes(self) -> list[int]:
-        """Node counts by length, from length 0 upward."""
-        sizes = [0] * (max(c.length for c in self.nodes) + 1)
-        for c in self.nodes:
-            sizes[c.length] += 1
+        """Node counts by rank, from rank 0 upward, graded from the covers."""
+        sizes = [0] * (max(self._grades) + 1)
+        for g in self._grades:
+            sizes[g] += 1
         return sizes
 
     def minimal_elements(self) -> list[DIIIClan]:
@@ -328,25 +376,25 @@ class WeakOrderPoset:
         return [c for k, c in enumerate(self.nodes) if o[k] == o[k + 1]]
 
     def to_dot(self) -> str:
-        """Graphviz digraph, ranked bottom-up by length, edges labeled by
-        the reflection index."""
+        """Graphviz digraph, ranked bottom-up by rank (graded from the
+        covers), edges labeled by the reflection index."""
         lines = ["digraph weak_order {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        texts = [c.text() for c in self.nodes]
-        by_length: dict[int, list[str]] = {}
-        for c, t in zip(self.nodes, texts):
-            by_length.setdefault(c.length, []).append(f'"{t}";')
-        for ln in sorted(by_length):
-            lines.append(f"  {{ rank=same; {' '.join(by_length[ln])} }}")
+        texts = [text_from_spaced(t) for t in self.universe.texts]
+        by_rank: dict[int, list[str]] = {}
+        for g, t in zip(self._grades, texts):
+            by_rank.setdefault(g, []).append(f'"{t}";')
+        for g in sorted(by_rank):
+            lines.append(f"  {{ rank=same; {' '.join(by_rank[g])} }}")
         for l, u, i in self._edges():
             lines.append(f'  "{texts[l]}" -> "{texts[u]}" [label="{i}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        spaced = [c.spaced() for c in self.nodes]
+        spaced = self.universe.texts
         return {
             "n": self.n,
-            "nodes": spaced,
+            "nodes": list(spaced),
             "covers": [
                 {"lower": spaced[l], "upper": spaced[u], "reflection": i}
                 for l, u, i in self._edges()
@@ -355,31 +403,35 @@ class WeakOrderPoset:
 
 
 def weak_order_poset(n: int) -> WeakOrderPoset:
-    """Build the weak order from the reflection action on all clans.
+    """Build the weak order from the reflection action on all clans' keys.
 
-    Each accepted move (``_move``) is turned into its image's key
-    (``_image_key``) and looked up in the enumeration's index, so every
-    upper is a node and no clan is built. A key outside the index means the
-    move gave no DIII clan of size n: that raises rather than drop the
-    cover. Covers come out sorted by (lower, reflection index): the nodes
-    are in spaced-text order and each (lower, i) has at most one upper."""
+    For each node's key the mate table is built once; each accepted move
+    (``_move``, reading the key as the symbol table) is turned into its
+    image's key (``_image_key``) and looked up in the enumeration's index,
+    so every upper is a node and no clan is built. A key outside the index
+    means the move gave no DIII clan of size n: that raises rather than
+    drop the cover. Covers come out sorted by (lower, reflection index):
+    the nodes are in spaced-text order and each (lower, i) has at most one
+    upper."""
     clans = enumerate_diii(n)
     index = clans._index
     offsets, uppers, labels = [0], [], []
-    for clan, key in zip(clans.clans, index):
+    for k, key in enumerate(clans.keys):
+        mates = [q if type(q) is int else 0 for q in key]
         for i in range(1, n + 1):
-            move = _move(i, clan)
+            move = _move(i, key, mates)
             if move is None:
                 continue
             upper = index.get(_image_key(key, move))
             if upper is None:
-                raise ClanError(f"s_{i} on {clan} left the DIII ({n},{n})-clans")
+                text = text_from_spaced(clans.texts[k])
+                raise ClanError(f"s_{i} on {text} left the DIII ({n},{n})-clans")
             uppers.append(upper)
             labels.append(i)
         offsets.append(len(uppers))
-    return WeakOrderPoset(n, clans.clans, tuple(offsets), tuple(uppers), tuple(labels))
+    return WeakOrderPoset(clans, tuple(offsets), tuple(uppers), tuple(labels))
 
 
 def rank_polynomial(poset: WeakOrderPoset) -> RankPolynomial:
-    """Rank polynomial read off a built poset."""
+    """Rank polynomial read off a built poset, graded from its covers."""
     return RankPolynomial(tuple(poset.rank_sizes()))

@@ -5,7 +5,29 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from diii_clans import DIIIClan, assemble_clan
+from diii_clans import Clan, DIIIClan, assemble_clan
+
+
+def count_clan_builds(monkeypatch) -> list:
+    """Record every clan built from here on, until ``monkeypatch.undo()``:
+    each call to ``Clan.__init__`` (every checked clan) or to either of
+    ``DIIIClan``'s trusted constructors, ``_trusted`` and ``_from_key``."""
+    built: list = []
+    init = Clan.__init__
+
+    def counting_init(self, symbols):
+        built.append(("__init__", symbols))
+        init(self, symbols)
+
+    monkeypatch.setattr(Clan, "__init__", counting_init)
+    for name in ("_trusted", "_from_key"):
+
+        def counting(cls, *args, name=name, build=getattr(DIIIClan, name)):
+            built.append((name, args))
+            return build(*args)
+
+        monkeypatch.setattr(DIIIClan, name, classmethod(counting))
+    return built
 
 
 @st.composite

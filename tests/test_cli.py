@@ -15,6 +15,8 @@ import diii_clans
 from diii_clans import count_recurrence
 from diii_clans.cli import main
 
+from conftest import count_clan_builds
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -190,6 +192,30 @@ class TestSects:
     def test_big_sect(self, capsys):
         code, out, _ = run(capsys, "big-sect", "2")
         assert out.splitlines() == ["base: --++", "size: 2", "--++", "1212"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "6"],
+        ["enumerate", "6", "--format", "spaced"],
+        ["enumerate", "6", "--format", "json"],
+        ["poset", "6", "--format", "dot"],
+        ["poset", "6", "--format", "json"],
+        ["rank-poly", "6", "--method", "poset"],
+        ["rank-poly", "6", "--method", "both"],
+        ["sects", "6"],
+        ["big-sect", "6"],
+    ],
+)
+def test_listing_commands_build_no_clan(capsys, monkeypatch, argv):
+    # every line is rendered from the keys and their texts; a clan built
+    # anywhere on the way would show in the count
+    built = count_clan_builds(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0 and out
+    assert built == []
 
 
 class TestConvert:

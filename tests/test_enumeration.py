@@ -10,7 +10,9 @@ from diii_clans import (
     count_recurrence,
     enumerate_diii,
     generate_diii,
+    maximal_clan,
 )
+from diii_clans.clans import spaced_texts, text_from_spaced
 
 from oracles import naive_diii, raw_is_diii, raw_product_clans, all_canonical_clans
 
@@ -120,6 +122,32 @@ class TestEnumeration:
         non_diii = Clan("1122")
         assert not non_diii.is_diii() and non_diii not in sets[2]
         assert "1212" not in sets[2] and "1 2 1 2" not in sets[2]
+
+
+class TestKeys:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_texts_from_keys_match_the_checked_clans(self, n):
+        # each key, rebuilt as a checked clan (validated, relabelled by
+        # Clan's own scan), has that key and the texts the set rendered
+        clans = enumerate_diii(n)
+        checked = [DIIIClan(c.symbols) for c in clans]
+        assert [c._key() for c in checked] == list(clans.keys)
+        assert [c.spaced() for c in checked] == list(clans.texts)
+        assert [c.text() for c in checked] == [text_from_spaced(t) for t in clans.texts]
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_texts_past_nine_labels(self, n):
+        # the maximal clan has n labels, rounded down to even: 10 here,
+        # so its text is the spaced form
+        clan = maximal_clan(n)
+        assert spaced_texts(n, [clan._key()]) == [clan.spaced()]
+        assert text_from_spaced(clan.spaced()) == clan.text() == clan.spaced()
+        assert DIIIClan._from_key(clan._key()) == DIIIClan(clan.symbols) == clan
+
+    def test_clans_are_built_on_first_access_only(self):
+        clans = enumerate_diii(4)
+        assert "clans" not in vars(clans)
+        assert clans.clans is clans.clans and len(clans.clans) == len(clans)
 
 
 class TestAssembly:

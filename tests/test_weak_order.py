@@ -18,10 +18,10 @@ from diii_clans import (
     rank_polynomial,
     weak_order_poset,
 )
-from diii_clans import clans, verify, weak_order
+from diii_clans import verify, weak_order
 from diii_clans.weak_order import _image_key, _move
 
-from conftest import diii_clans
+from conftest import count_clan_builds, diii_clans
 from oracles import (
     canonical_raw,
     rank_polys_convolution,
@@ -144,15 +144,16 @@ class TestReflectionAction:
 
     @staticmethod
     def assert_image_keys(clan):
-        # the key the poset looks up, from the input's key and the move,
-        # is the key of the image apply_reflection builds
-        n = clan.n
+        # the key the poset looks up, from the move it reads off the
+        # input's key and mate table, is the key of the image
+        # apply_reflection builds from the symbols
+        n, key = clan.n, clan._key()
         for i in range(1, n + 1):
             image = apply_reflection(i, clan)
-            move = _move(i, clan)
+            move = _move(i, key, clan._mates)
             assert (move is None) == (image == clan)
             if move is not None:
-                assert _image_key(clan._key(), move) == image._key()
+                assert _image_key(key, move) == image._key()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_image_key_matches_built_image(self, n):
@@ -223,20 +224,15 @@ class TestPoset:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_builds_no_clan_after_enumeration(self, monkeypatch):
-        # every clan, checked or not, reads its symbols through
-        # clans._relabel; each upper is found among the enumerated nodes,
-        # none is built. (Patching DIIIClan.__new__ instead would leave the
-        # class unable to take constructor arguments after the undo.)
+        # every clan is built through Clan.__init__ (checked) or one of
+        # DIIIClan's two trusted constructors; each upper is found among the
+        # enumerated nodes, none is built. (Patching DIIIClan.__new__ instead
+        # would leave the class unable to take constructor arguments after
+        # the undo.)
         nodes = enumerate_diii(6)
+        nodes.clans  # the nodes the covers are read against, built here
         monkeypatch.setattr(weak_order, "enumerate_diii", lambda n: nodes)
-        built = []
-        relabel = clans._relabel
-
-        def counting_relabel(symbols):
-            built.append(symbols)
-            return relabel(symbols)
-
-        monkeypatch.setattr(clans, "_relabel", counting_relabel)
+        built = count_clan_builds(monkeypatch)
         poset = weak_order_poset(6)
         covers = poset.covers
         monkeypatch.undo()
@@ -250,10 +246,35 @@ class TestPoset:
         # it have no node to land on: that must raise, not drop them
         full = enumerate_diii(4)
         top = maximal_clan(4)
-        partial = ClanSet(4, tuple(c for c in full if c != top))
+        partial = ClanSet.from_keys(4, [k for k in full.keys if k != top._key()])
         monkeypatch.setattr(weak_order, "enumerate_diii", lambda n: partial)
         with pytest.raises(ClanError, match="left the DIII"):
             weak_order_poset(4)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grades_from_covers_are_the_lengths(self, n):
+        poset = weak_order_poset(n)
+        assert list(poset._grades) == [c.length for c in poset.nodes]
+
+    def test_rank_sizes_refuse_a_cover_to_the_wrong_rank(self):
+        # node 0 is matchless (length 0); move its first cover to a node of
+        # length 2 or more, which other covers grade by its length
+        poset = weak_order_poset(4)
+        lengths = [c.length for c in poset.nodes]
+        wrong = next(w for w, length in enumerate(lengths) if length >= 2)
+        assert poset.offsets[1] > 0 and lengths[0] == 0
+        bad = replace(poset, uppers=(wrong,) + poset.uppers[1:])
+        with pytest.raises(ClanError, match="covers disagree"):
+            bad.rank_sizes()
+
+    def test_rank_sizes_refuse_nodes_above_no_minimal_element(self):
+        # n = 2: both matchless nodes go up to 1 2 1 2; turned into a
+        # two-cycle, they are reached from no minimal element
+        poset = weak_order_poset(2)
+        assert poset.uppers == (2, 2)
+        bad = replace(poset, uppers=(1, 0))
+        with pytest.raises(ClanError, match="above no minimal element"):
+            bad.rank_sizes()
 
     def test_covers_are_graded(self):
         poset = weak_order_poset(4)
