@@ -71,30 +71,28 @@ def _flip_sign(s: Symbol) -> Symbol:
     return MINUS if s == PLUS else PLUS
 
 
-def _relabel(
-    symbols: Iterable[Symbol],
-) -> tuple[tuple[Symbol, ...], tuple[int, ...], int]:
-    """Canonical symbols, the 1-based mate table (0 at a sign) and the
-    number of labels, in one pass: labels are renumbered 1..k in order of
-    first occurrence. The mate table is meaningful only when every label
-    appears exactly twice."""
+def _relabel(symbols: Iterable[Symbol]) -> tuple[tuple[Symbol, ...], Key, int]:
+    """Canonical symbols, the key (``Clan._key``) and the number of labels,
+    in one pass: labels are renumbered 1..k in order of first occurrence. A
+    label seen only once leaves a 0 in the key, which is meaningful only
+    when every label appears exactly twice."""
     first: dict[Symbol, int] = {}  # raw label -> index of its first occurrence
     syms: list[Symbol] = []
-    mates: list[int] = []
+    key: list[Symbol] = []
     for p, s in enumerate(symbols):
         if s == PLUS or s == MINUS:
             syms.append(s)
-            mates.append(0)
+            key.append(s)
         elif s in first:
             q = first[s]
             syms.append(syms[q])
-            mates.append(q + 1)
-            mates[q] = p + 1
+            key.append(q + 1)
+            key[q] = p + 1
         else:
             first[s] = p
             syms.append(len(first))
-            mates.append(0)
-    return tuple(syms), tuple(mates), len(first)
+            key.append(0)
+    return tuple(syms), tuple(key), len(first)
 
 
 def _key_symbols(key: Key, names: Sequence[Symbol]) -> list[Symbol]:
@@ -128,14 +126,15 @@ class Clan:
     """A balanced (n,n)-clan in canonical form.
 
     Accepts any iterable of symbols; labels may be arbitrary hashable
-    values and are canonicalized on construction.  The same scan records
-    each position's mate, and every pair query reads that table.
+    values and are canonicalized on construction.  The same scan writes
+    the clan's key (``_key``: per position, the sign or the 1-based mate
+    position), which the clan carries and every pair query reads.
     """
 
-    __slots__ = ("_symbols", "_mates")
+    __slots__ = ("_symbols", "_table")
 
     def __init__(self, symbols: Iterable[Symbol]):
-        syms, mates, labels = _relabel(symbols)
+        syms, key, labels = _relabel(symbols)
         if not syms:
             raise ClanError("a clan must contain at least two symbols")
         if len(syms) % 2 != 0:
@@ -143,7 +142,7 @@ class Clan:
         plus, minus = syms.count(PLUS), syms.count(MINUS)
         # with every label present, all appear twice exactly when the
         # numbers fill 2 * labels positions and none lacks a mate
-        if len(syms) - plus - minus != 2 * labels or mates.count(0) != plus + minus:
+        if len(syms) - plus - minus != 2 * labels or 0 in key:
             for label in range(1, labels + 1):
                 c = syms.count(label)
                 if c != 2:
@@ -153,7 +152,7 @@ class Clan:
                 f"unbalanced signs ({plus} plus vs {minus} minus): not an (n,n)-clan"
             )
         self._symbols = syms
-        self._mates = mates
+        self._table = key
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -204,10 +203,7 @@ class Clan:
 
     def text(self) -> str:
         """Compact form when possible, spaced form otherwise."""
-        try:
-            return self.compact()
-        except ClanError:
-            return self.spaced()
+        return text_from_spaced(self.spaced())
 
     # -- elementary transforms --------------------------------------------
 
@@ -232,20 +228,20 @@ class Clan:
 
     def mate_positions(self) -> dict[int, int]:
         """Map each number-holding position to the position of its mate."""
-        return {p: q for p, q in enumerate(self._mates, start=1) if q}
+        return {p: q for p, q in enumerate(self._table, start=1) if type(q) is int}
 
     def pairs(self) -> list[tuple[int, int]]:
         """Mate-position pairs (i, j) with i < j, in label order."""
-        return [(p, q) for p, q in enumerate(self._mates, start=1) if p < q]
+        return [(p, q) for p, q in enumerate(self._table, start=1) if type(q) is int and p < q]
 
     def is_matchless(self) -> bool:
-        return not any(self._mates)
+        return all(type(q) is str for q in self._table)
 
     def _key(self) -> Key:
-        """Per position, the sign or the 1-based mate position. Two clans
-        are equal exactly when their keys are: the canonical labels follow
-        from the mates."""
-        return tuple(q or s for s, q in zip(self._symbols, self._mates))
+        """Per position, the sign or the 1-based mate position, as the clan
+        carries it. Two clans are equal exactly when their keys are: the
+        canonical labels follow from the mates."""
+        return self._table
 
     def signatures(self) -> tuple[str, ...]:
         """Signature of each position in the default signed clan.
@@ -254,8 +250,8 @@ class Clan:
         ``-`` and the second ``+``.
         """
         return tuple(
-            s if not q else MINUS if p < q else PLUS
-            for p, (s, q) in enumerate(zip(self._symbols, self._mates), start=1)
+            q if type(q) is str else MINUS if p < q else PLUS
+            for p, q in enumerate(self._table, start=1)
         )
 
     # -- DIII validity ------------------------------------------------------
@@ -269,19 +265,19 @@ class Clan:
         """
         n = self.n
         m = 2 * n
-        syms, mates = self._symbols, self._mates
+        key = self._table
         # skew-symmetry, position by position: a sign flips at 2n+1-p, and
         # mate(2n+1-p) = 2n+1-mate(p)
         for p in range(n):
-            q, r = mates[p], m - 1 - p
-            mirrored = mates[r] == m + 1 - q if q else syms[r] == _flip_sign(syms[p])
-            if not mirrored:
+            q = key[p]
+            if key[m - 1 - p] != (_flip_sign(q) if type(q) is str else m + 1 - q):
                 return "not skew-symmetric (clan differs from the reverse of its negative)"
         for p in range(n, 0, -1):
-            if mates[p - 1] == m + 1 - p:
+            if key[p - 1] == m + 1 - p:
                 return f"antipodal mates at positions ({p}, {m + 1 - p})"
-        minus_count = syms[:n].count(MINUS)
-        inner_pairs = sum(1 for p, q in enumerate(mates[:n], start=1) if p < q <= n)
+        half = key[:n]
+        minus_count = half.count(MINUS)
+        inner_pairs = sum(1 for p, q in enumerate(half, start=1) if type(q) is int and p < q <= n)
         if (minus_count + inner_pairs) % 2 != 0:
             return (
                 f"odd parity in the first half ({minus_count} minus signs, "
@@ -309,29 +305,16 @@ class DIIIClan(Clan):
         self._length: int | None = None
 
     @classmethod
-    def _trusted(cls, symbols: Iterable[Symbol], length: int | None = None) -> "DIIIClan":
-        """A DIII clan from symbols that form one by construction, unchecked.
-
-        Labels are renumbered in order of first occurrence and the mate
-        table is filled in the same pass (``_relabel``); neither ``Clan``'s
-        checks nor ``diii_violation`` run. Its one caller,
-        ``apply_reflection``, builds an accepted image and passes its known
-        ``length``.
-        """
-        clan = cls.__new__(cls)
-        clan._symbols, clan._mates, _ = _relabel(symbols)
-        clan._length = length
-        return clan
-
-    @classmethod
-    def _from_key(cls, key: Key) -> "DIIIClan":
-        """The DIII clan whose ``_key()`` is ``key``, unchecked: the one path
-        from a key to a clan. Its keys are DIII by construction, written by
-        ``enumeration.assemble_key`` or the sect generator."""
+    def _from_key(cls, key: Key, length: int | None = None) -> "DIIIClan":
+        """The DIII clan whose ``_key()`` is the tuple ``key``, unchecked:
+        the package's one unchecked constructor. Its keys are DIII by
+        construction, written by ``enumeration.assemble_key``, the sect
+        generator or ``apply_reflection``, which also passes the image's
+        known ``length``."""
         clan = cls.__new__(cls)
         clan._symbols = tuple(_key_symbols(key, range(len(key))))
-        clan._mates = tuple(0 if type(q) is str else q for q in key)
-        clan._length = None
+        clan._table = key
+        clan._length = length
         return clan
 
     @property
@@ -399,7 +382,9 @@ class DIIIClan(Clan):
 
     def underlying_involution(self) -> "Involution":
         """The involution exchanging the two positions of each mate pair."""
-        return Involution(tuple(q or p for p, q in enumerate(self._mates, start=1)))
+        return Involution(
+            tuple(p if type(q) is str else q for p, q in enumerate(self._table, start=1))
+        )
 
 
 @dataclass(frozen=True)
@@ -412,8 +397,11 @@ class Involution:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.mapping) is not tuple:
+            raise ClanError(f"involution mapping must be a tuple, got {self.mapping!r}")
         m = len(self.mapping)
-        if sorted(self.mapping) != list(range(1, m + 1)):
+        ints = all(type(v) is int for v in self.mapping)  # True == 1 passes the sort test
+        if not ints or sorted(self.mapping) != list(range(1, m + 1)):
             raise ClanError(f"{self.mapping} is not a permutation of 1..{m}")
         for k in range(1, m + 1):
             if self.mapping[self.mapping[k - 1] - 1] != k:

@@ -224,12 +224,6 @@ def sect_keys(signs: Sequence[str]) -> list[Key]:
     return keys
 
 
-def generate_sect(signs: Sequence[str]) -> Iterator[DIIIClan]:
-    """Each clan of the sect whose base has first-half ``signs``, once,
-    unsorted (``sect_keys``), built as it is reached."""
-    return map(DIIIClan._from_key, sect_keys(signs))
-
-
 def sect_signs(n: int) -> Iterator[tuple[str, ...]]:
     """First-half signs of each matchless DIII (n,n)-clan, the base of one
     sect: the 2^(n-1) sign patterns with an even number of ``-``."""
@@ -239,9 +233,10 @@ def sect_signs(n: int) -> Iterator[tuple[str, ...]]:
 
 
 def generate_diii(n: int) -> Iterator[DIIIClan]:
-    """Yield every DIII (n,n)-clan exactly once (unsorted), sect by sect."""
+    """Yield every DIII (n,n)-clan exactly once (unsorted), sect by sect,
+    each built from its key (``sect_keys``) as it is reached."""
     for signs in sect_signs(n):
-        yield from generate_sect(signs)
+        yield from map(DIIIClan._from_key, sect_keys(signs))
 
 
 def enumerate_diii(n: int) -> ClanSet:

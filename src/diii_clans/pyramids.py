@@ -294,6 +294,14 @@ class PartitionPair:
     blocks: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        if type(self.blocks) is not frozenset or not all(
+            type(part) is frozenset and all(type(i) is int for i in part)
+            for part in (self.left, self.right, *self.blocks)
+        ):
+            raise ClanError(
+                "partition pair sides and blocks must be frozensets of ints, "
+                f"got {self.left!r}, {self.right!r}, {self.blocks!r}"
+            )
         n = len(self.left) + len(self.right)
         if not self.left or not self.right:
             raise ClanError("both partition blocks must be nonempty")

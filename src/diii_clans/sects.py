@@ -27,6 +27,12 @@ class SchubertSubset:
 
     def __post_init__(self):
         n = self.n
+        if type(n) is not int:
+            raise ClanError(f"subset size must be an int, got {n!r}")
+        if type(self.members) is not frozenset or not all(
+            type(i) is int for i in self.members
+        ):
+            raise ClanError(f"subset members must be a frozenset of ints, got {self.members!r}")
         if len(self.members) != n:
             raise ClanError(f"subset must have exactly {n} elements")
         for i in self.members:

@@ -42,15 +42,17 @@ crossing and straddling change by 2 - 1 - 1 = 0 (or -2 + 1 + 1). So s_n
 ascends a clan exactly when s_{n-1} ascends its flip; checked against the
 raw two-candidate rule on every clan with n <= 8.
 
-An accepted ascent is a move: where each moved symbol goes, or the fresh
-mate pairs of a collapse. ``apply_reflection`` builds the move's image
-once, with its length preset to the input's plus one. The weak order poset
-builds no clan at all: it reads each move off an enumerated key (per
-position, the sign or the mate position) and a mate table built once per
-node, edits the key at the moved positions and their mates'
-back-pointers, and finds the upper end of the cover by that key among the
-enumerated keys. It grades its nodes from the covers, in one pass up from
-the minimal elements, and renders each node's stored text.
+Every step reads one table, the key a clan carries (``Clan._key``: per
+position, the sign or the 1-based mate position). An accepted ascent is a
+move: where each moved symbol goes, or the fresh mate pairs of a collapse.
+Its image's key is the input's, edited at the moved positions and their
+mates' back-pointers (``_image_key``). ``apply_reflection`` builds a clan
+from that key once (``DIIIClan._from_key``), with its length preset to
+the input's plus one. The weak order poset builds no clan at all: it reads
+each move off an enumerated key and finds the upper end of the cover by
+the image's key among the enumerated keys. It grades its nodes from the
+covers, in one pass up from the minimal elements, and renders each node's
+stored text.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .clans import PLUS, Clan, ClanError, DIIIClan, text_from_spaced
+from .clans import PLUS, Clan, ClanError, DIIIClan, Key, text_from_spaced
 from .enumeration import ClanSet, assemble_clan, enumerate_diii
 
 
@@ -100,23 +102,24 @@ def clan_length(clan: Clan) -> LengthStats:
 Move = tuple[dict[int, int], tuple[tuple[int, int], ...]]
 
 
-def _ascent(i: int, syms, mates) -> Move | None:
+def _ascent(i: int, key: Key) -> Move | None:
     """The move of s_i, i < n, when its image is one longer, else None,
-    decided in O(1) by the rule in the module docstring from the symbol and
-    mate tables at positions a = i and b = i + 1, with q_a and q_b their
-    mates."""
-    m = len(syms)
+    decided in O(1) by the rule in the module docstring from the key's
+    entries at positions a = i and b = i + 1: a sign, or the mates q_a
+    and q_b."""
+    m = len(key)
     a, b = i, i + 1
-    qa, qb = mates[a - 1], mates[b - 1]  # 0 at a sign
-    if not qa and not qb:
-        if syms[a - 1] == syms[b - 1]:
+    qa, qb = key[a - 1], key[b - 1]
+    sign_a, sign_b = type(qa) is str, type(qb) is str
+    if sign_a and sign_b:
+        if qa == qb:
             return None  # the swap moves nothing
         # the collapse into (a, b) and its mirror: spread +2, no crossing;
         # it trades one minus for one contained pair, keeping the parity
         return {}, ((a, b), (m + 1 - b, m + 1 - a))
-    if not qa:
+    if sign_a:
         ascends = qb > b  # the number at b moves away from its mate
-    elif not qb:
+    elif sign_b:
         ascends = qa < a
     elif qa == b or qa == m - i:
         # mates of each other, or pairs (a, m-i) and (b, m+1-i) that mirror
@@ -135,28 +138,26 @@ def _ascent(i: int, syms, mates) -> Move | None:
     return {a: b, b: a, m + 1 - b: m + 1 - a, m + 1 - a: m + 1 - b}, ()
 
 
-def _move(i: int, syms, mates) -> Move | None:
-    """The accepted move of s_i on the DIII clan with these symbol and mate
-    tables (or its key as ``syms``: ``_ascent`` reads symbols only at
-    signs), or None. s_n runs s_{n-1}'s rule on the tables flipped by tau
-    (entries at n and n+1 swapped, mate values n and n+1 exchanged) and
+def _move(i: int, key: Key) -> Move | None:
+    """The accepted move of s_i on the DIII clan with this key, or None.
+    s_n runs s_{n-1}'s rule on the key flipped by tau (entries at n and
+    n+1 swapped, and the back-pointers of their mates following them) and
     maps the move back through tau."""
-    n = len(syms) // 2
+    n = len(key) // 2
     if n == 1:
         return None
     if i < n:
-        return _ascent(i, syms, mates)
-    # the mate values n and n+1 sit at the mates of positions n and n+1,
-    # which are neither n nor n+1 (no antipodal mates)
-    syms, mates = list(syms), list(mates)
-    qa, qb = mates[n - 1], mates[n]
-    if qa:
-        mates[qa - 1] = n + 1
-    if qb:
-        mates[qb - 1] = n
-    syms[n - 1], syms[n] = syms[n], syms[n - 1]
-    mates[n - 1], mates[n] = qb, qa
-    move = _ascent(n - 1, syms, mates)
+        return _ascent(i, key)
+    # the mates of positions n and n+1 are neither n nor n+1 (no
+    # antipodal mates)
+    flipped = list(key)
+    qa, qb = key[n - 1], key[n]
+    if type(qa) is int:
+        flipped[qa - 1] = n + 1
+    if type(qb) is int:
+        flipped[qb - 1] = n
+    flipped[n - 1], flipped[n] = qb, qa
+    move = _ascent(n - 1, flipped)
     if move is None:
         return None
     moved, fresh = move
@@ -165,23 +166,11 @@ def _move(i: int, syms, mates) -> Move | None:
     return moved, tuple((tau.get(p, p), tau.get(q, q)) for p, q in fresh)
 
 
-def _image_symbols(syms: tuple, move: Move) -> list:
-    """Raw symbols of a move's image. A collapse's pairs take labels past
-    the clan's length, fresh ones, renumbered on construction."""
-    moved, fresh = move
-    out = list(syms)
-    for p, r in moved.items():
-        out[r - 1] = syms[p - 1]
-    for label, (p, q) in enumerate(fresh, start=len(syms) + 1):
-        out[p - 1] = out[q - 1] = label
-    return out
-
-
-def _image_key(key: tuple, move: Move) -> tuple:
-    """``Clan._key`` of a move's image, from the input's key by local
-    edits: each moved position's entry goes where the position goes, with
-    its mate moved along, the back-pointer of a mate left in place follows
-    it, and a collapse writes its fresh pairs."""
+def _image_key(key: Key, move: Move) -> Key:
+    """The key of a move's image, from the input's key by local edits:
+    each moved position's entry goes where the position goes, with its
+    mate moved along, the back-pointer of a mate left in place follows it,
+    and a collapse writes its fresh pairs."""
     moved, fresh = move
     out = list(key)
     for p, r in moved.items():
@@ -206,18 +195,21 @@ def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
     leaves every pair, and so the length, unchanged. s_n is s_{n-1}
     conjugated by the middle flip (``_move``).
 
-    The candidate is filtered on the input alone, from the change it makes
-    to length = (spread - crossings - z) / 2 (see the module docstring), so
-    a rejected candidate builds no clan and an accepted image is built once,
-    unvalidated, with its length preset to the input's plus one.
+    The candidate is filtered on the clan's key alone, from the change it
+    makes to length = (spread - crossings - z) / 2 (see the module
+    docstring), so a rejected candidate builds no clan. An accepted
+    image's key is edited from the input's (``_image_key``, as in the
+    poset) and built once, unvalidated, by ``DIIIClan._from_key`` with its
+    length preset to the input's plus one.
     """
     clan = clan.to_diii()
     if not 1 <= i <= clan.n:
         raise ClanError(f"reflection index {i} out of range 1..{clan.n}")
-    move = _move(i, clan._symbols, clan._mates)
+    key = clan._key()
+    move = _move(i, key)
     if move is None:
         return clan
-    return DIIIClan._trusted(_image_symbols(clan._symbols, move), clan.length + 1)
+    return DIIIClan._from_key(_image_key(key, move), clan.length + 1)
 
 
 @dataclass(frozen=True)
@@ -405,10 +397,9 @@ class WeakOrderPoset:
 def weak_order_poset(n: int) -> WeakOrderPoset:
     """Build the weak order from the reflection action on all clans' keys.
 
-    For each node's key the mate table is built once; each accepted move
-    (``_move``, reading the key as the symbol table) is turned into its
-    image's key (``_image_key``) and looked up in the enumeration's index,
-    so every upper is a node and no clan is built. A key outside the index
+    Each accepted move read off a node's key (``_move``) is turned into
+    its image's key (``_image_key``) and looked up in the enumeration's
+    index, so every upper is a node and no clan is built. A key outside the index
     means the move gave no DIII clan of size n: that raises rather than
     drop the cover. Covers come out sorted by (lower, reflection index):
     the nodes are in spaced-text order and each (lower, i) has at most one
@@ -417,9 +408,8 @@ def weak_order_poset(n: int) -> WeakOrderPoset:
     index = clans._index
     offsets, uppers, labels = [0], [], []
     for k, key in enumerate(clans.keys):
-        mates = [q if type(q) is int else 0 for q in key]
         for i in range(1, n + 1):
-            move = _move(i, key, mates)
+            move = _move(i, key)
             if move is None:
                 continue
             upper = index.get(_image_key(key, move))

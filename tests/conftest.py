@@ -9,24 +9,22 @@ from diii_clans import Clan, DIIIClan, assemble_clan
 
 
 def count_clan_builds(monkeypatch) -> list:
-    """Record every clan built from here on, until ``monkeypatch.undo()``:
-    each call to ``Clan.__init__`` (every checked clan) or to either of
-    ``DIIIClan``'s trusted constructors, ``_trusted`` and ``_from_key``."""
+    """Record every clan built from here on, until ``monkeypatch.undo()``,
+    on either of the two build paths: each call to ``Clan.__init__`` (every
+    checked clan) or to ``DIIIClan._from_key`` (every unchecked one)."""
     built: list = []
-    init = Clan.__init__
+    init, from_key = Clan.__init__, DIIIClan._from_key
 
     def counting_init(self, symbols):
         built.append(("__init__", symbols))
         init(self, symbols)
 
+    def counting_from_key(cls, *args):
+        built.append(("_from_key", args))
+        return from_key(*args)
+
     monkeypatch.setattr(Clan, "__init__", counting_init)
-    for name in ("_trusted", "_from_key"):
-
-        def counting(cls, *args, name=name, build=getattr(DIIIClan, name)):
-            built.append((name, args))
-            return build(*args)
-
-        monkeypatch.setattr(DIIIClan, name, classmethod(counting))
+    monkeypatch.setattr(DIIIClan, "_from_key", classmethod(counting_from_key))
     return built
 
 

@@ -158,7 +158,7 @@ class TestAssembly:
         for clan in generate_diii(n):
             checked = DIIIClan(clan.symbols)
             assert clan.symbols == checked.symbols
-            assert clan._mates == checked._mates
+            assert clan._key() == checked._key()
             assert clan.length == checked.length
             assert raw_is_diii(clan.symbols)
 

@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import sys
 from functools import reduce
 from pathlib import Path
 from types import ModuleType
@@ -8,14 +10,47 @@ import pytest
 import diii_clans
 from diii_clans import (
     ClanError,
+    Involution,
     LabeledStep,
     PartialFPFInvolution,
+    PartitionPair,
     PathError,
     Pyramid,
     RookPlacement,
+    SchubertSubset,
     WeightedDelannoyPath,
     validate_path,
 )
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level names of the modules a source file imports absolutely,
+    read with ``ast`` and never executed."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_package_imports_only_the_standard_library():
+    paths = sorted((ROOT / "src" / "diii_clans").glob("*.py"))
+    assert paths
+    for path in paths:
+        outside = absolute_imports(path) - sys.stdlib_module_names
+        assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+@pytest.mark.parametrize("path", ["tests/oracles.py", "clanbench/model.py"])
+def test_independent_routes_import_nothing_from_the_package(path):
+    # the oracles and the benchmark's model check the package; importing
+    # it would let a route under test vouch for itself
+    assert "diii_clans" not in absolute_imports(ROOT / path)
 
 
 def test_public_names_resolve_and_are_not_modules():
@@ -34,7 +69,7 @@ def test_star_import_exports_exactly_all():
 def test_benchmark_span_targets_resolve():
     # the benchmark's tracer wraps these names; a vanished one would
     # otherwise show only in a traced benchmark run
-    path = Path(__file__).parents[1] / "clanbench" / "spans.py"
+    path = ROOT / "clanbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("clanbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -57,6 +92,14 @@ def test_benchmark_span_targets_resolve():
         (lambda: validate_path((1, 2)), PathError),
         (lambda: validate_path([LabeledStep("E"), "N"]), PathError),
         (lambda: validate_path(5), PathError),
+        (lambda: Involution((True, 2)), ClanError),
+        (lambda: Involution([2, 1]), ClanError),
+        (lambda: Involution((1.0,)), ClanError),
+        (lambda: Involution(5), ClanError),
+        (lambda: SchubertSubset(2, frozenset({True, 2})), ClanError),
+        (lambda: SchubertSubset(2, {1, 2}), ClanError),
+        (lambda: SchubertSubset(2.0, frozenset({1, 3})), ClanError),
+        (lambda: PartitionPair({1}, {2}, {frozenset({1, 2})}), ClanError),
     ],
     ids=[
         "pyramid-rooks-int",
@@ -67,6 +110,14 @@ def test_benchmark_span_targets_resolve():
         "validate-path-ints",
         "validate-path-step-str",
         "validate-path-not-a-sequence",
+        "involution-bool",
+        "involution-list",
+        "involution-float",
+        "involution-int",
+        "subset-member-bool",
+        "subset-members-set",
+        "subset-size-float",
+        "partition-pair-sets",
     ],
 )
 def test_mistyped_container_fields_raise_clan_errors(build, error):

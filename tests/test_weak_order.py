@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from diii_clans import (
     ClanError,
     ClanSet,
+    DIIIClan,
     apply_reflection,
     clan_length,
     count_recurrence,
@@ -144,16 +145,15 @@ class TestReflectionAction:
 
     @staticmethod
     def assert_image_keys(clan):
-        # the key the poset looks up, from the move it reads off the
-        # input's key and mate table, is the key of the image
-        # apply_reflection builds from the symbols
-        n, key = clan.n, clan._key()
-        for i in range(1, n + 1):
-            image = apply_reflection(i, clan)
-            move = _move(i, key, clan._mates)
-            assert (move is None) == (image == clan)
+        # the move read off the key, and the key edited from it, agree with
+        # the raw two-candidate rule's image built as a checked clan
+        key = clan._key()
+        for i in range(1, clan.n + 1):
+            raw = raw_reflection(i, clan.symbols)
+            move = _move(i, key)
+            assert (move is None) == (raw == clan.symbols)
             if move is not None:
-                assert _image_key(key, move) == image._key()
+                assert _image_key(key, move) == DIIIClan(raw)._key()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_image_key_matches_built_image(self, n):
@@ -164,6 +164,24 @@ class TestReflectionAction:
     @given(diii_clans(max_n=24))
     def test_image_key_matches_built_image_on_large_clans(self, clan):
         self.assert_image_keys(clan)
+
+    @staticmethod
+    def assert_images_carry_checked_keys(clan):
+        # an image built unchecked from its key carries the key its own
+        # symbols give when the checked constructor scans them
+        for i in range(1, clan.n + 1):
+            image = apply_reflection(i, clan)
+            assert image._key() == DIIIClan(image.symbols)._key()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_images_carry_checked_keys(self, n):
+        for clan in enumerate_diii(n):
+            self.assert_images_carry_checked_keys(clan)
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_images_carry_checked_keys_on_large_clans(self, clan):
+        self.assert_images_carry_checked_keys(clan)
 
     def test_n1_has_no_moves(self):
         clan = parse_diii("+-")
@@ -224,11 +242,11 @@ class TestPoset:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_builds_no_clan_after_enumeration(self, monkeypatch):
-        # every clan is built through Clan.__init__ (checked) or one of
-        # DIIIClan's two trusted constructors; each upper is found among the
-        # enumerated nodes, none is built. (Patching DIIIClan.__new__ instead
-        # would leave the class unable to take constructor arguments after
-        # the undo.)
+        # every clan is built on one of the two build paths, Clan.__init__
+        # (checked) or DIIIClan._from_key (unchecked); each upper is found
+        # among the enumerated nodes, none is built. (Patching
+        # DIIIClan.__new__ instead would leave the class unable to take
+        # constructor arguments after the undo.)
         nodes = enumerate_diii(6)
         nodes.clans  # the nodes the covers are read against, built here
         monkeypatch.setattr(weak_order, "enumerate_diii", lambda n: nodes)
