@@ -3,15 +3,16 @@
 A clan is a string of ``+``/``-`` signs and paired natural numbers in which
 every number appears exactly twice; the two occurrences of a number are
 called *mates*.  Only balanced clans (as many ``+`` as ``-``, length ``2n``)
-are supported here.  Clans are kept in canonical form: pair labels are
-renumbered 1..k in order of first occurrence, so two clans are equal exactly
-when their sign positions and mate-position sets coincide.
+are supported here.  A clan is stored as its key alone (per position, the
+sign or the 1-based mate position); its symbols are rendered from the key,
+pair labels numbered 1..k in order of first occurrence.
 
 Positions are 1-indexed in every public interface.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -71,28 +72,23 @@ def _flip_sign(s: Symbol) -> Symbol:
     return MINUS if s == PLUS else PLUS
 
 
-def _relabel(symbols: Iterable[Symbol]) -> tuple[tuple[Symbol, ...], Key, int]:
-    """Canonical symbols, the key (``Clan._key``) and the number of labels,
-    in one pass: labels are renumbered 1..k in order of first occurrence. A
-    label seen only once leaves a 0 in the key, which is meaningful only
-    when every label appears exactly twice."""
+def _relabel(symbols: Iterable[Symbol]) -> tuple[Key, int]:
+    """The key (``Clan._key``) of a symbol sequence and its number of
+    distinct labels, in one pass. A label seen only once leaves a 0 in the
+    key, which is meaningful only when every label appears exactly twice."""
     first: dict[Symbol, int] = {}  # raw label -> index of its first occurrence
-    syms: list[Symbol] = []
     key: list[Symbol] = []
     for p, s in enumerate(symbols):
         if s == PLUS or s == MINUS:
-            syms.append(s)
             key.append(s)
         elif s in first:
             q = first[s]
-            syms.append(syms[q])
             key.append(q + 1)
             key[q] = p + 1
         else:
             first[s] = p
-            syms.append(len(first))
             key.append(0)
-    return tuple(syms), tuple(key), len(first)
+    return tuple(key), len(first)
 
 
 def _key_symbols(key: Key, names: Sequence[Symbol]) -> list[Symbol]:
@@ -123,65 +119,66 @@ def text_from_spaced(spaced: str) -> str:
 
 
 class Clan:
-    """A balanced (n,n)-clan in canonical form.
+    """A balanced (n,n)-clan, stored as its key alone.
 
     Accepts any iterable of symbols; labels may be arbitrary hashable
-    values and are canonicalized on construction.  The same scan writes
-    the clan's key (``_key``: per position, the sign or the 1-based mate
-    position), which the clan carries and every pair query reads.
+    values.  Construction keeps only the key (``_key``: per position, the
+    sign or the 1-based mate position), which every query reads; the
+    canonical ``symbols`` are rendered from it on each request.
     """
 
-    __slots__ = ("_symbols", "_table")
+    __slots__ = ("_table",)
 
     def __init__(self, symbols: Iterable[Symbol]):
-        syms, key, labels = _relabel(symbols)
-        if not syms:
+        raw = tuple(symbols)
+        key, labels = _relabel(raw)
+        if not raw:
             raise ClanError("a clan must contain at least two symbols")
-        if len(syms) % 2 != 0:
-            raise ClanError(f"odd number of symbols ({len(syms)})")
-        plus, minus = syms.count(PLUS), syms.count(MINUS)
+        if len(raw) % 2 != 0:
+            raise ClanError(f"odd number of symbols ({len(raw)})")
+        plus, minus = key.count(PLUS), key.count(MINUS)
         # with every label present, all appear twice exactly when the
         # numbers fill 2 * labels positions and none lacks a mate
-        if len(syms) - plus - minus != 2 * labels or 0 in key:
-            for label in range(1, labels + 1):
-                c = syms.count(label)
+        if len(key) - plus - minus != 2 * labels or 0 in key:
+            counts = Counter(s for s in raw if s != PLUS and s != MINUS)
+            for label, c in enumerate(counts.values(), start=1):  # first-occurrence order
                 if c != 2:
                     raise ClanError(f"label {label} appears {c} times, expected 2")
         if plus != minus:
             raise ClanError(
                 f"unbalanced signs ({plus} plus vs {minus} minus): not an (n,n)-clan"
             )
-        self._symbols = syms
         self._table = key
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
-        return self._symbols
+        """The canonical symbols, rendered from the key on each call."""
+        return tuple(_key_symbols(self._table, range(len(self._table))))
 
     @property
     def n(self) -> int:
         """Half-length: the clan has 2n symbols."""
-        return len(self._symbols) // 2
+        return len(self._table) // 2
 
     def __len__(self) -> int:
-        return len(self._symbols)
+        return len(self._table)
 
     def __iter__(self) -> Iterator[Symbol]:
-        return iter(self._symbols)
+        return iter(self.symbols)
 
     def __getitem__(self, pos: int) -> Symbol:
-        """Symbol at 1-based position ``pos``."""
-        if not 1 <= pos <= len(self._symbols):
+        """Symbol at 1-based position ``pos``; renders the whole clan."""
+        if not 1 <= pos <= len(self._table):
             raise IndexError(pos)
-        return self._symbols[pos - 1]
+        return self.symbols[pos - 1]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Clan):
-            return self._symbols == other._symbols
+            return self._table == other._table
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._symbols)
+        return hash(self._table)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.text()!r})"
@@ -193,13 +190,13 @@ class Clan:
 
     def compact(self) -> str:
         """One character per symbol; only valid while labels stay below 10."""
-        if any(s not in (PLUS, MINUS) and s > 9 for s in self._symbols):
+        if sum(type(q) is int for q in self._table) > 18:  # more than 9 labels
             raise ClanError("compact form requires all labels <= 9")
-        return "".join(str(s) for s in self._symbols)
+        return self.spaced().replace(" ", "")
 
     def spaced(self) -> str:
         """Whitespace-separated token form; valid for arbitrary labels."""
-        return " ".join(str(s) for s in self._symbols)
+        return spaced_texts(self.n, [self._table])[0]
 
     def text(self) -> str:
         """Compact form when possible, spaced form otherwise."""
@@ -209,18 +206,18 @@ class Clan:
 
     def reverse(self) -> "Clan":
         """The symbol sequence read backwards, re-canonicalized."""
-        return Clan(reversed(self._symbols))
+        return Clan(reversed(self.symbols))
 
     def negative(self) -> "Clan":
         """Swap every ``+`` with ``-``, leaving numbers untouched."""
         return Clan(
-            _flip_sign(s) if s in (PLUS, MINUS) else s for s in self._symbols
+            _flip_sign(s) if s in (PLUS, MINUS) else s for s in self.symbols
         )
 
     def flip(self) -> "Clan":
         """Exchange the two middle symbols (positions n and n+1)."""
         n = self.n
-        syms = list(self._symbols)
+        syms = list(self.symbols)
         syms[n - 1], syms[n] = syms[n], syms[n - 1]
         return Clan(syms)
 
@@ -289,7 +286,7 @@ class Clan:
         return self.diii_violation() is None
 
     def to_diii(self) -> "DIIIClan":
-        return self if isinstance(self, DIIIClan) else DIIIClan(self._symbols)
+        return self if isinstance(self, DIIIClan) else DIIIClan(self.symbols)
 
 
 class DIIIClan(Clan):
@@ -306,13 +303,11 @@ class DIIIClan(Clan):
 
     @classmethod
     def _from_key(cls, key: Key, length: int | None = None) -> "DIIIClan":
-        """The DIII clan whose ``_key()`` is the tuple ``key``, unchecked:
-        the package's one unchecked constructor. Its keys are DIII by
-        construction, written by ``enumeration.assemble_key``, the sect
-        generator or ``apply_reflection``, which also passes the image's
-        known ``length``."""
+        """The DIII clan whose ``_key()`` is ``key``, storing only the key
+        and ``length``: the package's one unchecked constructor. Its keys are
+        DIII by construction, written by ``enumeration.assemble_key``, the
+        sect generator or ``apply_reflection``, which knows the length."""
         clan = cls.__new__(cls)
-        clan._symbols = tuple(_key_symbols(key, range(len(key))))
         clan._table = key
         clan._length = length
         return clan
@@ -325,7 +320,7 @@ class DIIIClan(Clan):
         distance between its mates, its weave counts the pairs opening
         before it and closing strictly inside it, and z is half the number
         of straddling pairs.  Computed once and kept on the clan; the memo
-        is a pure function of the symbols.
+        is a pure function of the key.
         """
         if self._length is None:
             n = self.n
@@ -446,12 +441,10 @@ class PairClassification:
         return len(self.pi0) // 2
 
 
-def parse_clan(text: str) -> Clan:
-    """Parse compact (one char per symbol) or spaced (token per symbol) form.
-
-    The unicode minus sign is accepted as an alias for ``-``; a label is
-    ASCII digits only.
-    """
+def _parse_symbols(text: str) -> list[Symbol]:
+    """The raw symbols of compact (one char per symbol) or spaced (token per
+    symbol) clan text; the unicode minus sign is accepted as an alias for
+    ``-``, and a label is ASCII digits only."""
     cleaned = text.replace("−", "-").strip()
     if not cleaned:
         raise ClanError("empty clan text")
@@ -467,8 +460,13 @@ def parse_clan(text: str) -> Clan:
             symbols.append(label)
         else:
             raise ClanError(f"unknown token {tok!r}")
-    return Clan(symbols)
+    return symbols
+
+
+def parse_clan(text: str) -> Clan:
+    """Parse compact or spaced clan text (see ``_parse_symbols``)."""
+    return Clan(_parse_symbols(text))
 
 
 def parse_diii(text: str) -> DIIIClan:
-    return DIIIClan(parse_clan(text).symbols)
+    return DIIIClan(_parse_symbols(text))

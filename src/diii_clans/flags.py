@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan
+from .clans import ClanError, DIIIClan
 
 _Scalar = Union[int, Fraction, "QSqrt2"]
 #: The nonzero entries of one row of L times a matrix, as (column, a, b)
@@ -173,8 +173,8 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
         col[s - 1] = _NEG_INV_SQRT2 if minus else INV_SQRT2
         return col
 
-    for pos, symbol in enumerate(clan.symbols, start=1):
-        if symbol in (PLUS, MINUS):
+    for pos, q in enumerate(clan._key(), start=1):
+        if type(q) is str:
             cols[pos - 1] = basis(sigma(pos))
     for (i, j, jj, ii) in clan.classify_pairs().families:
         cols[i - 1] = mix(sigma(i), sigma(j), minus=False)

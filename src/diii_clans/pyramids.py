@@ -101,22 +101,20 @@ def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
     n = clan.n
     switch = LEFT
     rooks: list[PyramidCell] = []
-    mates = clan.mate_positions()
+    key = clan._key()
     for i in range(n, 0, -1):
-        s = clan[i]
-        if s == PLUS:
+        j = key[i - 1]  # the sign at i, or the mate position
+        if j == PLUS:
             rooks.append(PyramidCell(switch, i, i))
-        elif s == MINUS:
+        elif j == MINUS:
             switch = RIGHT if switch == LEFT else LEFT
             rooks.append(PyramidCell(switch, i, i))
-        else:
-            j = mates[i]
-            if j > n and 2 * n + 1 - j > i:
-                rooks.append(PyramidCell(switch, i, 2 * n + 1 - j))
-            elif i < j <= n:
-                switch = RIGHT if switch == LEFT else LEFT
-                rooks.append(PyramidCell(switch, i, j))
-            # otherwise the pair is recorded at another row
+        elif j > n and 2 * n + 1 - j > i:
+            rooks.append(PyramidCell(switch, i, 2 * n + 1 - j))
+        elif i < j <= n:
+            switch = RIGHT if switch == LEFT else LEFT
+            rooks.append(PyramidCell(switch, i, j))
+        # otherwise the pair is recorded at another row
     return Pyramid(n, frozenset(rooks))
 
 

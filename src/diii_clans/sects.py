@@ -65,7 +65,7 @@ def base_clan_to_subset(base: DIIIClan) -> SchubertSubset:
     if not base.is_matchless():
         raise ClanError("expected a matchless clan")
     members = frozenset(
-        i for i, s in enumerate(base.symbols, start=1) if s == PLUS
+        i for i, s in enumerate(base._key(), start=1) if s == PLUS
     )
     return SchubertSubset(base.n, members)
 
@@ -246,7 +246,7 @@ def clan_to_pfpf(clan: DIIIClan) -> PartialFPFInvolution:
     straddling pair (i, j) and n for the contained pair (i, n) of odd n."""
     clan = clan.to_diii()
     n = clan.n
-    if clan.signatures() != big_sect_base(n).symbols:
+    if clan.signatures() != big_sect_base(n)._key():
         raise ClanError("clan does not belong to the big sect")
     values = [0] * n
     for (i, j, jj, _) in clan.classify_pairs().families:
@@ -266,9 +266,9 @@ def pfpf_to_clan(x: PartialFPFInvolution, n: int) -> DIIIClan:
     straddling: list[tuple[int, int]] = []
     for (i, j) in x.blocks():
         (contained if j == n and n % 2 == 1 else straddling).append((i, j))
-    base = big_sect_base(n)
-    signs = {p: base[p] for p in range(1, n + 1) if not x(p)}
+    base_signs = big_sect_base(n)._key()
+    signs = {p: base_signs[p - 1] for p in range(1, n + 1) if not x(p)}
     clan = assemble_clan(n, contained, straddling, signs)
-    if clan.signatures() != base.symbols:
+    if clan.signatures() != base_signs:
         raise AssertionError("decoded clan left the big sect")
     return clan

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .clans import MINUS, PLUS, DIIIClan
+from .clans import MINUS, PLUS, ClanError, DIIIClan
 from .delannoy import clan_to_path, path_to_clan, validate_path
 from .enumeration import KNOWN_COUNTS, count_by_pairs, count_formula, count_recurrence
 from .flags import (
@@ -261,7 +261,7 @@ def check_partition_pairs(posets: Posets) -> CheckResult:
             if clan == excluded:
                 try:
                     pyramid_to_partition_pair(pyramid)
-                except Exception:
+                except ClanError:
                     continue
                 return CheckResult(
                     "partition-pairs", False, "excluded clan produced a pair"

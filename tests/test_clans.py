@@ -73,6 +73,11 @@ class TestParsing:
         with pytest.raises(ClanError, match="compact"):
             clan.compact()
         assert parse_clan(clan.spaced()) == clan
+        # nine labels still fit: 18 mate ends is the most compact() takes
+        nine = Clan([1, "+"] + list(range(2, 10)) + ["-", 1] + list(range(2, 10)))
+        assert nine.compact() == "1+23456789-123456789"
+        assert parse_clan(nine.compact()) == nine
+        assert parse_clan(nine.compact()).symbols == nine.symbols
 
     @given(diii_clans())
     def test_round_trip_both_formats(self, clan):
@@ -123,10 +128,21 @@ class TestMateTable:
                 assert clan.signatures() == signatures
                 assert clan.is_matchless() == (not pairs)
 
+    def test_symbols_render_the_canonical_input(self):
+        # equality reads the key, so compare the rendered labels directly
+        for n in range(1, 5):
+            for raw in all_canonical_clans(n):
+                assert Clan(raw).symbols == tuple(raw)
+
     def test_arbitrary_labels_share_the_table(self):
         clan = Clan(["b", "+", "a", "b", "-", "a"])
         assert clan.symbols == (1, "+", 2, 1, "-", 2)
         assert clan.pairs() == [(1, 4), (3, 6)]
+        # labels render as 1..k in order of first occurrence, not of value
+        clan = Clan(["z", "+", "y", "x", "-", "z", "x", "y"])
+        assert clan.symbols == (1, "+", 2, 3, "-", 1, 3, 2)
+        assert clan.spaced() == "1 + 2 3 - 1 3 2"
+        assert list(clan) == [clan[p] for p in range(1, len(clan) + 1)] == list(clan.symbols)
 
 
 class TestTransforms:

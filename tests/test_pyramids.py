@@ -23,7 +23,9 @@ from diii_clans import (
     pyramid_to_placement,
     rotate_placement,
     signed_involution_pair,
+    weak_order_poset,
 )
+from diii_clans import verify
 
 from conftest import diii_clans
 from oracles import doubly_symmetric_count, minimally_intersecting_pairs, raw_is_diii
@@ -228,6 +230,22 @@ class TestPartitionPairs:
         pyramid = clan_to_pyramid(parse_diii("++--"))
         with pytest.raises(ClanError, match="no partition pair"):
             pyramid_to_partition_pair(pyramid)
+
+    def test_check_lets_unexpected_errors_through(self, monkeypatch):
+        # only the ClanError refusal of the excluded clan counts as expected;
+        # any other exception there is a fault and must surface
+        real = verify.pyramid_to_partition_pair
+
+        def faulty(pyramid):
+            try:
+                return real(pyramid)
+            except ClanError:
+                raise TypeError("fault in the partition-pair map") from None
+
+        monkeypatch.setattr(verify, "pyramid_to_partition_pair", faulty)
+        posets = tuple(weak_order_poset(n) for n in range(1, 5))
+        with pytest.raises(TypeError, match="fault"):
+            verify.check_partition_pairs(posets)
 
     def test_pair_type_validates_its_invariants(self):
         with pytest.raises(ClanError, match="straddle"):
