@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
+from itertools import islice
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 PLUS = "+"
 MINUS = "-"
@@ -109,6 +110,20 @@ def spaced_texts(n: int, keys: Iterable[Key]) -> list[str]:
     keys with each label's text made once."""
     names = [str(label) for label in range(n + 1)]
     return [" ".join(_key_symbols(key, names)) for key in keys]
+
+
+#: Strings joined into one write by ``write_joined``.
+_WRITE_BATCH = 1024
+
+
+def write_joined(out: TextIO, parts: Iterable[str], sep: str = "") -> None:
+    """Write ``sep.join(parts)`` to ``out``, ``_WRITE_BATCH`` parts per
+    write, so no more than one batch of text is held at a time."""
+    parts = iter(parts)
+    lead = ""
+    while batch := list(islice(parts, _WRITE_BATCH)):
+        out.write(lead + sep.join(batch))
+        lead = sep
 
 
 def text_from_spaced(spaced: str) -> str:

@@ -3,7 +3,10 @@
 Usage errors exit with status 2 (argparse); data errors print a message to
 stderr and exit with status 1, and so does a reader that closes stdout
 early, with no message.  Output is deterministic: every listing is sorted
-before emission.
+before emission, and long listings (``enumerate``, ``poset``) are written in
+batches rather than as one string.  A clan text may start with ``-``
+(``length --++``): a token made of signs and digits is read as data, never
+as an option.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
-from .clans import ClanError, parse_diii, text_from_spaced
+from .clans import ClanError, parse_diii, text_from_spaced, write_joined
 from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan
 from .enumeration import count_recurrence, enumerate_diii
 from .flags import representative_matrix
@@ -45,8 +49,29 @@ from .weak_order import (
 )
 
 
+#: A clan text (or payload) that argparse would read as an option: a
+#: ``-`` followed by nothing but signs and digits, ``--`` itself excepted.
+_DASHED_TEXT = re.compile(r"-[-+0-9]+")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a dashed clan text such as ``-+`` as a
+    positional value, as it reads a negative number, while every real
+    option still parses on either side of it. Its subparsers are of this
+    class too."""
+
+    def _parse_optional(self, arg_string):
+        if (
+            arg_string != "--"
+            and arg_string not in self._option_string_actions
+            and _DASHED_TEXT.fullmatch(arg_string)
+        ):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diii-clans",
         description="DIII (n,n)-clan combinatorics: counting, weak order, "
         "sects, bijections, and exact flag matrices.",
@@ -144,12 +169,17 @@ def _cmd_enumerate(args) -> int:
             "than 9 labels); use --format spaced or --format json"
         )
     texts = enumerate_diii(n).texts  # spaced; with n <= 9, one character a label
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps(texts))
-    elif args.format == "spaced":
-        print("\n".join(texts))
+        # the bytes of json.dumps: a spaced text is signs, digits and spaces
+        out.write("[")
+        write_joined(out, (f'"{t}"' for t in texts), ", ")
+        out.write("]\n")
     else:
-        print("\n".join(t.replace(" ", "") for t in texts))
+        if args.format == "compact":
+            texts = (t.replace(" ", "") for t in texts)
+        write_joined(out, texts, "\n")
+        out.write("\n")
     return 0
 
 
@@ -165,10 +195,9 @@ def _cmd_act(args) -> int:
 
 def _cmd_poset(args) -> int:
     poset = weak_order_poset(_positive(args.n))
-    if args.format == "dot":
-        print(poset.to_dot())
-    else:
-        print(json.dumps(poset.to_json_dict()))
+    write = poset.write_dot if args.format == "dot" else poset.write_json
+    write(sys.stdout)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -57,11 +57,13 @@ stored text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import io
+from array import array
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TextIO
 
-from .clans import PLUS, Clan, ClanError, DIIIClan, Key, text_from_spaced
+from .clans import PLUS, Clan, ClanError, DIIIClan, Key, text_from_spaced, write_joined
 from .enumeration import ClanSet, assemble_clan, enumerate_diii
 
 
@@ -286,15 +288,17 @@ def maximal_clan(n: int) -> DIIIClan:
 class WeakOrderPoset:
     """The weak order on DIII (n,n)-clans: the clans as a ``ClanSet`` and
     the labeled cover relations, kept by node index in compressed sparse
-    row form. The covers of node k go up to node u for each u in
-    ``uppers[offsets[k]:offsets[k + 1]]``, by the reflection index at the
-    same place in ``labels``, increasing. No node is built as a clan until
-    ``nodes`` (or anything read off it) is asked for."""
+    row form, as ``array('i')``s. The covers of node k go up to node u for
+    each u in ``uppers[offsets[k]:offsets[k + 1]]``, by the reflection index
+    at the same place in ``labels``, increasing. The covers are a function
+    of the universe, so equality and hashing read the universe alone. No
+    node is built as a clan until ``nodes`` (or anything read off it) is
+    asked for."""
 
     universe: ClanSet
-    offsets: tuple[int, ...]
-    uppers: tuple[int, ...]
-    labels: tuple[int, ...]
+    offsets: array = field(compare=False)
+    uppers: array = field(compare=False)
+    labels: array = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -331,11 +335,15 @@ class WeakOrderPoset:
         minimal elements (rank 0): a node first reached from a lower of
         rank r gets r + 1, and every other cover into it must agree. Ranks
         are the lengths when the covers are right: the minimal clans are
-        the matchless ones, of length 0, and each cover adds one."""
+        the matchless ones, of length 0, and each cover adds one. The
+        reached nodes are marked in a bytearray, and the pass order is an
+        ``array('i')``, so no int object is kept per node."""
         o, uppers = self.offsets, self.uppers
         grades = [-1] * len(self)
-        reached = set(uppers)
-        order = [k for k in range(len(self)) if k not in reached]
+        reached = bytearray(len(self))
+        for u in uppers:
+            reached[u] = 1
+        order = array("i", (k for k in range(len(self)) if not reached[k]))
         for k in order:
             grades[k] = 0
         for k in order:  # grows as nodes are reached
@@ -367,20 +375,50 @@ class WeakOrderPoset:
         o = self.offsets
         return [c for k, c in enumerate(self.nodes) if o[k] == o[k + 1]]
 
+    def write_dot(self, out: TextIO) -> None:
+        """Write the Graphviz digraph to ``out``, with no final newline:
+        ranked bottom-up by rank (graded from the covers, before anything
+        is written), edges labeled by the reflection index. Each node's
+        quoted text is made once; nodes and edges go out in batches
+        (``write_joined``)."""
+        by_rank = [array("i") for _ in range(max(self._grades) + 1)]
+        for k, g in enumerate(self._grades):
+            by_rank[g].append(k)
+        quoted = [f'"{text_from_spaced(t)}"' for t in self.universe.texts]
+        out.write("digraph weak_order {\n  rankdir=BT;\n  node [shape=plaintext];")
+        for rank in by_rank:
+            out.write("\n  { rank=same; ")
+            write_joined(out, (quoted[k] + ";" for k in rank), " ")
+            out.write(" }")
+        write_joined(
+            out, (f'\n  {quoted[l]} -> {quoted[u]} [label="{i}"];' for l, u, i in self._edges())
+        )
+        out.write("\n}")
+
     def to_dot(self) -> str:
-        """Graphviz digraph, ranked bottom-up by rank (graded from the
-        covers), edges labeled by the reflection index."""
-        lines = ["digraph weak_order {", "  rankdir=BT;", "  node [shape=plaintext];"]
-        texts = [text_from_spaced(t) for t in self.universe.texts]
-        by_rank: dict[int, list[str]] = {}
-        for g, t in zip(self._grades, texts):
-            by_rank.setdefault(g, []).append(f'"{t}";')
-        for g in sorted(by_rank):
-            lines.append(f"  {{ rank=same; {' '.join(by_rank[g])} }}")
-        for l, u, i in self._edges():
-            lines.append(f'  "{texts[l]}" -> "{texts[u]}" [label="{i}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        """The text ``write_dot`` writes."""
+        out = io.StringIO()
+        self.write_dot(out)
+        return out.getvalue()
+
+    def write_json(self, out: TextIO) -> None:
+        """Write ``json.dumps(self.to_json_dict())`` to ``out``, in batches
+        (``write_joined``). A spaced text holds only signs, digits and
+        spaces, which JSON writes as they are, so each is written between
+        quotes without a copy."""
+        texts = self.universe.texts
+        out.write(f'{{"n": {self.n}, "nodes": [')
+        write_joined(out, (f'"{t}"' for t in texts), ", ")
+        out.write('], "covers": [')
+        write_joined(
+            out,
+            (
+                f'{{"lower": "{texts[l]}", "upper": "{texts[u]}", "reflection": {i}}}'
+                for l, u, i in self._edges()
+            ),
+            ", ",
+        )
+        out.write("]}")
 
     def to_json_dict(self) -> dict:
         spaced = self.universe.texts
@@ -406,7 +444,7 @@ def weak_order_poset(n: int) -> WeakOrderPoset:
     upper."""
     clans = enumerate_diii(n)
     index = clans._index
-    offsets, uppers, labels = [0], [], []
+    offsets, uppers, labels = array("i", [0]), array("i"), array("i")
     for k, key in enumerate(clans.keys):
         for i in range(1, n + 1):
             move = _move(i, key)
@@ -419,7 +457,7 @@ def weak_order_poset(n: int) -> WeakOrderPoset:
             uppers.append(upper)
             labels.append(i)
         offsets.append(len(uppers))
-    return WeakOrderPoset(clans, tuple(offsets), tuple(uppers), tuple(labels))
+    return WeakOrderPoset(clans, offsets, uppers, labels)
 
 
 def rank_polynomial(poset: WeakOrderPoset) -> RankPolynomial:

@@ -1,3 +1,4 @@
+import io
 import sys
 from pathlib import Path
 
@@ -26,6 +27,18 @@ def count_clan_builds(monkeypatch) -> list:
     monkeypatch.setattr(Clan, "__init__", counting_init)
     monkeypatch.setattr(DIIIClan, "_from_key", classmethod(counting_from_key))
     return built
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(len(text))
+        return super().write(text)
 
 
 @st.composite

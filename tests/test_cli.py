@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diii_clans
-from diii_clans import count_recurrence
+from diii_clans import count_recurrence, enumerate_diii
 from diii_clans.cli import main
 
-from conftest import count_clan_builds
+from conftest import RecordingStream, count_clan_builds
 
 
 def run(capsys, *argv):
@@ -83,6 +83,25 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == count_recurrence(9)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_streamed_bytes_match_the_whole_listing(self, capsys, n):
+        texts = enumerate_diii(n).texts
+        expected = {
+            "json": json.dumps(texts),
+            "spaced": "\n".join(texts),
+            "compact": "\n".join(t.replace(" ", "") for t in texts),
+        }
+        for fmt, listing in expected.items():
+            assert run(capsys, "enumerate", str(n), "--format", fmt) == (0, listing + "\n", "")
+
+    @pytest.mark.parametrize("fmt", ["compact", "spaced", "json"])
+    def test_written_in_bounded_batches(self, monkeypatch, fmt):
+        # the n = 9 listing is 1.6 MB or more in every format
+        out = RecordingStream()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", "9", "--format", fmt]) == 0
+        assert sum(out.writes) > 1 << 20 >= max(out.writes)
+
 
 class TestLengthAndAct:
     def test_length(self, capsys):
@@ -97,6 +116,50 @@ class TestLengthAndAct:
     def test_bad_clan_is_data_error(self, capsys):
         code, _, err = run(capsys, "length", "1122")
         assert code == 1 and "not a DIII clan" in err
+
+
+class TestDashedClanTexts:
+    # a clan text or payload that starts with "-" is data, not an option
+    def test_length(self, capsys):
+        assert run(capsys, "length", "--++") == (0, "0\n", "")
+        assert run(capsys, "length", "-1-1+2+2")[0] == 1
+
+    def test_act(self, capsys):
+        assert run(capsys, "act", "2", "--++") == (0, "1212\n", "")
+
+    def test_convert_to(self, capsys):
+        expected = run(capsys, "convert", "--to", "rooks", "--", "--++")
+        assert expected[0] == 0
+        assert run(capsys, "convert", "--to", "rooks", "--++") == expected
+
+    def test_convert_from(self, capsys):
+        # the delannoy source reads a step word, which "-+" is not
+        code, _, err = run(capsys, "convert", "--from", "delannoy", "-+")
+        assert code == 1 and "error:" in err
+
+    def test_flag_with_options_on_either_side(self, capsys):
+        expected = run(capsys, "flag", "--format", "json", "--", "--++")
+        assert expected[0] == 0
+        assert run(capsys, "flag", "--++", "--format", "json") == expected
+        assert run(capsys, "flag", "--format", "json", "--++") == expected
+        assert run(capsys, "--threads", "2", "flag", "--++", "--format", "json") == expected
+
+    def test_double_dash_still_ends_the_options(self, capsys):
+        assert run(capsys, "length", "--", "--++") == (0, "0\n", "")
+        code, _, err = run(capsys, "length", "--", "-+")
+        assert code == 1 and "odd parity" in err
+
+    def test_odd_text_is_a_data_error(self, capsys):
+        code, _, err = run(capsys, "length", "-+")
+        assert code == 1 and "odd parity" in err
+
+    def test_real_options_are_not_texts(self, capsys):
+        # "--" alone with no clan after it, and an unknown option, are
+        # still usage errors
+        for argv in (["length", "--"], ["length", "--x"], ["flag", "--++", "--format"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 #: SHA-256 of stdout for ``poset n --format dot``, ``poset n --format json``
@@ -394,18 +457,36 @@ class TestNoTraceback:
             argv += ["--n", str(data.draw(st.integers(-1, 50)))]
         assert _exit_code(argv + ["--", payload]) in (0, 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.text("+-0123456789", min_size=1, max_size=16).filter(lambda t: t != "--"))
+    def test_length_of_any_sign_and_digit_text(self, text):
+        # with no "--" before it, a text made of signs and digits is still
+        # read as the clan
+        assert _exit_code(["length", text]) in (0, 1)
+
     def test_reader_closing_the_pipe_early(self):
         # enumerate 8 prints about 270 KB, more than a 64 KiB pipe buffer,
         # so the writer is still printing when the reader goes away
+        self._close_after(["enumerate", "8"], b"++++++++--------\n")
+
+    def test_reader_closing_the_pipe_early_on_poset_json(self):
+        # poset 7 --format json is one line of about 1.1 MB, written in
+        # batches
+        self._close_after(["poset", "7", "--format", "json"], b'{"n": 7, "nodes": ["')
+
+    @staticmethod
+    def _close_after(argv, head):
+        """Run the CLI in a subprocess, read the first bytes of its stdout,
+        close the pipe, and check the exit: code 1 and no traceback."""
         src = str(Path(diii_clans.__file__).parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "diii_clans.cli", "enumerate", "8"],
+            [sys.executable, "-m", "diii_clans.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=path),
         )
-        assert proc.stdout.readline().strip() == b"++++++++--------"
+        assert proc.stdout.read(len(head)) == head
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert b"Traceback" not in err

@@ -1,4 +1,7 @@
+import io
+import json
 import sys
+from array import array
 from dataclasses import replace
 from itertools import combinations
 
@@ -20,9 +23,10 @@ from diii_clans import (
     weak_order_poset,
 )
 from diii_clans import verify, weak_order
+from diii_clans.clans import text_from_spaced
 from diii_clans.weak_order import _image_key, _move
 
-from conftest import count_clan_builds, diii_clans
+from conftest import RecordingStream, count_clan_builds, diii_clans
 from oracles import (
     canonical_raw,
     rank_polys_convolution,
@@ -281,7 +285,7 @@ class TestPoset:
         lengths = [c.length for c in poset.nodes]
         wrong = next(w for w, length in enumerate(lengths) if length >= 2)
         assert poset.offsets[1] > 0 and lengths[0] == 0
-        bad = replace(poset, uppers=(wrong,) + poset.uppers[1:])
+        bad = replace(poset, uppers=array("i", [wrong]) + poset.uppers[1:])
         with pytest.raises(ClanError, match="covers disagree"):
             bad.rank_sizes()
 
@@ -289,8 +293,8 @@ class TestPoset:
         # n = 2: both matchless nodes go up to 1 2 1 2; turned into a
         # two-cycle, they are reached from no minimal element
         poset = weak_order_poset(2)
-        assert poset.uppers == (2, 2)
-        bad = replace(poset, uppers=(1, 0))
+        assert list(poset.uppers) == [2, 2]
+        bad = replace(poset, uppers=array("i", [1, 0]))
         with pytest.raises(ClanError, match="above no minimal element"):
             bad.rank_sizes()
 
@@ -312,6 +316,60 @@ class TestPoset:
         assert data["n"] == 2
         assert len(data["nodes"]) == 3
         assert all({"lower", "upper", "reflection"} <= set(e) for e in data["covers"])
+
+
+def reference_dot(poset):
+    """The DOT text as one join of one line per rank and per cover."""
+    texts = [text_from_spaced(t) for t in poset.universe.texts]
+    by_rank = {}
+    for g, t in zip(poset._grades, texts):
+        by_rank.setdefault(g, []).append(f'"{t}";')
+    lines = ["digraph weak_order {", "  rankdir=BT;", "  node [shape=plaintext];"]
+    lines += [f"  {{ rank=same; {' '.join(by_rank[g])} }}" for g in sorted(by_rank)]
+    lines += [f'  "{texts[l]}" -> "{texts[u]}" [label="{i}"];' for l, u, i in poset._edges()]
+    return "\n".join(lines + ["}"])
+
+
+class TestWriters:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_write_json_is_json_dumps(self, n):
+        poset = weak_order_poset(n)
+        out = io.StringIO()
+        poset.write_json(out)
+        assert out.getvalue() == json.dumps(poset.to_json_dict())
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_write_dot_is_to_dot(self, n):
+        poset = weak_order_poset(n)
+        out = io.StringIO()
+        poset.write_dot(out)
+        assert out.getvalue() == poset.to_dot() == reference_dot(poset)
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_written_in_bounded_batches(self, fmt):
+        # n = 7 is over 1 MiB of JSON; no write may hold all of it
+        out = RecordingStream()
+        getattr(weak_order_poset(7), f"write_{fmt}")(out)
+        assert len(out.writes) > 1
+        assert max(out.writes) <= 1 << 20
+        assert sum(out.writes) == len(out.getvalue())
+
+    def test_dot_grades_before_writing(self):
+        # a wrong cover must raise before the first byte
+        poset = weak_order_poset(2)
+        bad = replace(poset, uppers=array("i", [1, 0]))
+        out = RecordingStream()
+        with pytest.raises(ClanError, match="above no minimal element"):
+            bad.write_dot(out)
+        assert out.writes == []
+
+    def test_cover_table_is_compact_and_outside_equality(self):
+        poset = weak_order_poset(4)
+        for table in (poset.offsets, poset.uppers, poset.labels):
+            assert isinstance(table, array) and table.typecode == "i"
+        # the covers are a function of the universe
+        again = weak_order_poset(4)
+        assert again == poset and hash(again) == hash(poset)
 
 
 class TestCheckWeakOrder:
@@ -336,7 +394,7 @@ class TestCheckWeakOrder:
         )
         uppers = list(poset.uppers)
         uppers[0] = wrong
-        bad = replace(poset, uppers=tuple(uppers))
+        bad = replace(poset, uppers=array("i", uppers))
         smaller = tuple(weak_order_poset(k) for k in range(1, n))
         result = verify.check_weak_order(smaller + (bad,))
         assert result.passed is False
