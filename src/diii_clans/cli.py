@@ -1,12 +1,23 @@
 """Command-line interface.
 
-Usage errors exit with status 2 (argparse); data errors print a message to
-stderr and exit with status 1, and so does a reader that closes stdout
-early, with no message.  Output is deterministic: every listing is sorted
-before emission, and long listings (``enumerate``, ``poset``) are written in
-batches rather than as one string.  A clan text may start with ``-``
-(``length --++``): a token made of signs and digits is read as data, never
-as an option.
+The grammar is declared once, in ``_COMMANDS`` (with the top-level
+``--threads`` in ``_GLOBAL``): each command's help text and its arguments,
+as the keyword arguments of ``add_argument``.  ``main`` reads ``argv``
+against that table in one pass (``_read_argv``) and gets the namespace
+argparse would return.  Only for what the pass does not accept, help
+(``-h``), an abbreviated option and every usage error, does ``main`` build
+the argparse parser from the same table and let it parse, so help text
+and usage errors come from argparse, with exit status 2.  Building that
+parser costs more than most commands' work, and the common path never
+does.
+
+Data errors print a message to stderr and exit with status 1, and so does
+a reader that closes stdout early, with no message.  Output is
+deterministic: every listing is sorted before emission, and long listings
+(``enumerate``, ``poset``) are written in batches rather than as one
+string.  A clan text may start with ``-`` (``length --++``): a token made
+of signs and digits is read as data, never as an option.  Size and index
+arguments are ASCII digits with an optional leading ``-`` (``_int``).
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .clans import ClanError, parse_diii, text_from_spaced, write_joined
 from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan
@@ -53,6 +64,194 @@ from .weak_order import (
 #: ``-`` followed by nothing but signs and digits, ``--`` itself excepted.
 _DASHED_TEXT = re.compile(r"-[-+0-9]+")
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """A size or index argument: ASCII digits with an optional leading
+    ``-``.  ``int`` alone would also read ``+5``, `` 5``, ``1_0`` and other
+    scripts' digits (``٥``)."""
+    if _INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the int/str digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+class _Arg(NamedTuple):
+    """One ``add_argument`` call: a positional's name or an option's flag,
+    and its keyword arguments; ``exclusive`` puts it in its command's one
+    required mutually exclusive group."""
+
+    name: str
+    kwargs: dict
+    exclusive: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest", self.name.lstrip("-").replace("-", "_"))
+
+    @property
+    def default(self):
+        if self.kwargs.get("action") == "store_true":
+            return False
+        return self.kwargs.get("default")
+
+
+def _arg(name: str, exclusive: bool = False, **kwargs) -> _Arg:
+    return _Arg(name, kwargs, exclusive)
+
+
+_GLOBAL = (
+    _arg(
+        "--threads",
+        type=_int,
+        default=1,
+        metavar="K",
+        help="cap on worker parallelism (the current implementation is "
+        "serial; results are identical for any K >= 1)",
+    ),
+)
+
+#: Each command's help text and arguments, in ``add_argument`` order.
+_COMMANDS: dict[str, tuple[str, tuple[_Arg, ...]]] = {
+    "count": ("number of DIII (n,n)-clans", (_arg("n", type=_int),)),
+    "enumerate": (
+        "list all DIII (n,n)-clans",
+        (
+            _arg("n", type=_int),
+            _arg("--format", choices=("compact", "spaced", "json"), default="compact"),
+        ),
+    ),
+    "length": ("length of a clan in the weak order", (_arg("clan"),)),
+    "act": ("apply the i-th simple reflection", (_arg("i", type=_int), _arg("clan"))),
+    "poset": (
+        "weak order poset",
+        (_arg("n", type=_int), _arg("--format", choices=("dot", "json"), default="dot")),
+    ),
+    "rank-poly": (
+        "rank polynomial of the weak order",
+        (
+            _arg("n", type=_int),
+            _arg("--method", choices=("poset", "recurrence", "both"), default="recurrence"),
+        ),
+    ),
+    "sects": (
+        "partition of the clans by base clan",
+        (_arg("n", type=_int), _arg("--sizes-only", action="store_true")),
+    ),
+    "big-sect": ("the sect over the dense cell", (_arg("n", type=_int),)),
+    "convert": (
+        "bijections to and from other objects",
+        (
+            _arg(
+                "--to",
+                exclusive=True,
+                choices=("pyramid", "rooks", "partitions", "delannoy", "pfpf"),
+            ),
+            _arg(
+                "--from",
+                exclusive=True,
+                dest="source",
+                choices=("pyramid", "rooks", "delannoy", "pfpf"),
+            ),
+            _arg("--n", dest="half_length", type=_int, help="half-length for --from pfpf"),
+            _arg("payload", help="clan text, JSON, step word, or i:j map"),
+        ),
+    ),
+    "flag": (
+        "exact representative flag matrix",
+        (_arg("clan"), _arg("--format", choices=("pretty", "json"), default="pretty")),
+    ),
+    "verify": ("run the consistency suite through size n", (_arg("n", type=_int),)),
+}
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads ``token`` as a value, not as an option."""
+    return not token.startswith("-") or (token != "--" and bool(_DASHED_TEXT.fullmatch(token)))
+
+
+def _store(arg: _Arg, text: str, values: dict) -> bool:
+    """Convert and check ``text`` as argparse would, into ``values``."""
+    convert = arg.kwargs.get("type")
+    try:
+        value = text if convert is None else convert(text)
+    except argparse.ArgumentTypeError:
+        return False
+    choices = arg.kwargs.get("choices")
+    if choices is not None and value not in choices:
+        return False
+    values[arg.dest] = value
+    return True
+
+
+def _read_option(
+    args: tuple[_Arg, ...], token: str, tokens: Iterator[str], values: dict
+) -> _Arg | None:
+    """Read ``token`` as one of ``args``' options, exactly as spelled, with
+    its value after ``=`` or in the next token, into ``values``."""
+    flag, eq, text = token.partition("=")
+    arg = next((a for a in args if a.name == flag), None)
+    if arg is None:
+        return None
+    if arg.kwargs.get("action") == "store_true":
+        if eq:
+            return None
+        values[arg.dest] = True
+        return arg
+    if not eq:
+        text = next(tokens, None)
+        if text is None or not _is_value(text):
+            return None
+    return arg if _store(arg, text, values) else None
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read off
+    the table in one pass; None for help, an abbreviated or unknown option,
+    a usage error, or any argv the pass does not read, which argparse then
+    parses itself.
+
+    Before the command come only ``_GLOBAL``'s options.  After it, a token
+    is one of the command's options, a value (``_is_value``: a dashed clan
+    text included), or the ``--`` that makes every later token a value."""
+    values = {a.dest: a.default for a in _GLOBAL}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _COMMANDS:
+            command = token
+            break
+        if _read_option(_GLOBAL, token, tokens, values) is None:
+            return None
+    else:
+        return None
+    args = _COMMANDS[command][1]
+    values["command"] = command
+    values.update((a.dest, a.default) for a in args)
+    positionals = [a for a in args if not a.name.startswith("-")]
+    texts: list[str] = []
+    chosen = set()
+    for token in tokens:
+        if token == "--" and len(texts) < len(positionals):
+            texts.extend(tokens)  # the rest, to the end
+        elif _is_value(token):
+            texts.append(token)
+        else:
+            arg = _read_option(args, token, tokens, values)
+            if arg is None:
+                return None
+            if arg.exclusive:
+                chosen.add(arg.name)
+    if any(a.exclusive for a in args) and len(chosen) != 1:
+        return None
+    if len(texts) != len(positionals):
+        return None
+    if not all(_store(a, t, values) for a, t in zip(positionals, texts)):
+        return None
+    return argparse.Namespace(**values)
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a dashed clan text such as ``-+`` as a
@@ -69,68 +268,38 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def _get_values(self, action, arg_strings):
+        # a lone "--" here is data: a value after the separator, or an
+        # option's "=--".  argparse would strip it as a separator and store
+        # an empty list
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+def _add_arguments(parser: argparse.ArgumentParser, args: tuple[_Arg, ...]) -> None:
+    group = None
+    for arg in args:
+        target = parser
+        if arg.exclusive:
+            group = group or parser.add_mutually_exclusive_group(required=True)
+            target = group
+        target.add_argument(arg.name, **arg.kwargs)
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the table, for help and usage errors."""
     parser = _Parser(
         prog="diii-clans",
         description="DIII (n,n)-clan combinatorics: counting, weak order, "
         "sects, bijections, and exact flag matrices.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="cap on worker parallelism (the current implementation is "
-        "serial; results are identical for any K >= 1)",
-    )
+    _add_arguments(parser, _GLOBAL)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="number of DIII (n,n)-clans")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("enumerate", help="list all DIII (n,n)-clans")
-    p.add_argument("n", type=int)
-    p.add_argument("--format", choices=("compact", "spaced", "json"), default="compact")
-
-    p = sub.add_parser("length", help="length of a clan in the weak order")
-    p.add_argument("clan")
-
-    p = sub.add_parser("act", help="apply the i-th simple reflection")
-    p.add_argument("i", type=int)
-    p.add_argument("clan")
-
-    p = sub.add_parser("poset", help="weak order poset")
-    p.add_argument("n", type=int)
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-
-    p = sub.add_parser("rank-poly", help="rank polynomial of the weak order")
-    p.add_argument("n", type=int)
-    p.add_argument("--method", choices=("poset", "recurrence", "both"), default="recurrence")
-
-    p = sub.add_parser("sects", help="partition of the clans by base clan")
-    p.add_argument("n", type=int)
-    p.add_argument("--sizes-only", action="store_true")
-
-    p = sub.add_parser("big-sect", help="the sect over the dense cell")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("convert", help="bijections to and from other objects")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--to", choices=("pyramid", "rooks", "partitions", "delannoy", "pfpf")
-    )
-    group.add_argument("--from", dest="source", choices=("pyramid", "rooks", "delannoy", "pfpf"))
-    p.add_argument("--n", dest="half_length", type=int, help="half-length for --from pfpf")
-    p.add_argument("payload", help="clan text, JSON, step word, or i:j map")
-
-    p = sub.add_parser("flag", help="exact representative flag matrix")
-    p.add_argument("clan")
-    p.add_argument("--format", choices=("pretty", "json"), default="pretty")
-
-    p = sub.add_parser("verify", help="run the consistency suite through size n")
-    p.add_argument("n", type=int)
-
+    for name, (help_text, args) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), args)
     return parser
 
 
@@ -314,10 +483,12 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     if args.threads < 1:
-        parser.error("--threads must be at least 1")
+        _build_parser().error("--threads must be at least 1")
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()

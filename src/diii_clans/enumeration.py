@@ -13,6 +13,7 @@ from a key only when one is asked for.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -186,13 +187,13 @@ class ClanSet:
     def __iter__(self) -> Iterator[DIIIClan]:
         return iter(self.clans)
 
-    @cached_property
-    def _index(self) -> dict[Key, int]:
-        """Position in ``keys`` by key, built on the first lookup."""
-        return {k: i for i, k in enumerate(self.keys)}
-
     def __contains__(self, clan: object) -> bool:
-        return isinstance(clan, Clan) and clan._key() in self._index
+        """Whether ``clan`` is in the set: its spaced text is bisected into
+        ``texts`` and the key found there compared with its own."""
+        if not isinstance(clan, Clan):
+            return False
+        k = bisect_left(self.texts, clan.spaced())
+        return k < len(self.keys) and self.keys[k] == clan._key()
 
 
 def sect_keys(signs: Sequence[str]) -> list[Key]:

@@ -436,14 +436,14 @@ def weak_order_poset(n: int) -> WeakOrderPoset:
     """Build the weak order from the reflection action on all clans' keys.
 
     Each accepted move read off a node's key (``_move``) is turned into
-    its image's key (``_image_key``) and looked up in the enumeration's
-    index, so every upper is a node and no clan is built. A key outside the index
-    means the move gave no DIII clan of size n: that raises rather than
-    drop the cover. Covers come out sorted by (lower, reflection index):
-    the nodes are in spaced-text order and each (lower, i) has at most one
-    upper."""
+    its image's key (``_image_key``) and looked up in a dict from key to
+    node, local to the build, so every upper is a node and no clan is
+    built. A key outside the dict means the move gave no DIII clan of
+    size n: that raises rather than drop the cover. Covers come out sorted
+    by (lower, reflection index): the nodes are in spaced-text order and
+    each (lower, i) has at most one upper."""
     clans = enumerate_diii(n)
-    index = clans._index
+    index = {key: k for k, key in enumerate(clans.keys)}
     offsets, uppers, labels = array("i", [0]), array("i"), array("i")
     for k, key in enumerate(clans.keys):
         for i in range(1, n + 1):

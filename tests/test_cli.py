@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import diii_clans
 from diii_clans import count_recurrence, enumerate_diii
-from diii_clans.cli import main
+from diii_clans.cli import _COMMANDS, _GLOBAL, _build_parser, _read_argv, main
 
 from conftest import RecordingStream, count_clan_builds
 
@@ -376,14 +377,15 @@ class TestVerify:
         assert len(lines) == 8 and all(l.startswith("PASS") for l in lines)
 
 
+#: SHA-256 of the stdout of each command, recorded for the benchmark's
+#: cli-cold workload; read as data, without importing the benchmark
+DIGESTS = json.loads((Path(__file__).parents[1] / "clanbench" / "digests.json").read_text())
+
+
 def test_output_matches_recorded_digests(capsys):
-    # SHA-256 of the stdout of each command, recorded for the benchmark's
-    # cli-cold workload; read as data, without importing the benchmark
-    path = Path(__file__).parents[1] / "clanbench" / "digests.json"
-    digests = json.loads(path.read_text())
-    assert "verify 3" in digests
+    assert "verify 3" in DIGESTS
     changed = []
-    for command, digest in digests.items():
+    for command, digest in DIGESTS.items():
         code, out, _ = run(capsys, *command.split())
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(command)
@@ -405,6 +407,271 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "0", "count", "3"])
         assert exc.value.code == 2
+
+
+class TestSizeArguments:
+    # a size or index is ASCII digits with an optional leading "-"; int()
+    # alone read all of these
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "٥"),
+            ("count", " 5"),
+            ("count", "5 "),
+            ("count", "5_0"),
+            ("count", "+5"),
+            ("count", ""),
+            ("rank-poly", "٣"),
+            ("enumerate", "²"),
+            ("act", "١", "+-1122+-"),
+            ("--threads", "٢", "count", "3"),
+            ("--threads=+2", "count", "3"),
+            ("convert", "--from", "pfpf", "--n", "1_2", "1:2"),
+            ("convert", "--from", "pfpf", "--n=٢", "1:2"),
+            ("count", "1" * 5000),  # past the int/str digit limit
+        ],
+    )
+    def test_coerced_tokens_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "invalid int value" in captured.err
+
+    def test_leading_zeros_and_minus_zero_read_as_ints(self, capsys):
+        assert run(capsys, "count", "006") == (0, "692\n", "")
+        assert run(capsys, "count", "-0") == (0, "1\n", "")
+
+
+class TestSeparatorAsData:
+    # argparse strips a second "--" as though it were a separator, and
+    # stored an empty list as the value
+    def test_double_dash_after_the_separator_is_the_clan(self, capsys):
+        code, out, err = run(capsys, "act", "2", "--", "--")
+        assert code == 1 and out == "" and "unbalanced signs" in err
+        assert vars(_build_parser().parse_args(["length", "--", "--"]))["clan"] == "--"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--threads=--", "count", "3"),
+            ("convert", "--from", "pfpf", "--n=--", "1:2"),
+            ("flag", "+-", "--format=--"),
+        ],
+    )
+    def test_double_dash_option_value_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and "argument" in capsys.readouterr().err
+
+
+def _parsed_by_argparse(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it
+    exits (help or a usage error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(list(argv)))
+        except SystemExit:
+            return None
+
+
+_INT_TOKENS = ("0", "1", "3", "-3", "+5", "٥", "1_0", " 5", "", "-0", "007")
+_TEXT_TOKENS = ("--++", "-+", "+-", "-1-1+2+2", "1212", "1:2", "x", "-", "---", "--", "")
+
+
+def _grammar_tokens() -> list[str]:
+    """Every option, command and choice of the table, the int, dashed and
+    separator tokens argparse reads specially, and abbreviations."""
+    args = [*_GLOBAL] + [a for _, cmd_args in _COMMANDS.values() for a in cmd_args]
+    options = sorted({a.name for a in args if a.name.startswith("-")})
+    choices = sorted({c for a in args for c in a.kwargs.get("choices", ())})
+    return [
+        *_COMMANDS,
+        "frobnicate",
+        *options,
+        *(f"{o}={v}" for o in options for v in ("json", "2", "", "--", "rooks")),
+        *choices,
+        *_INT_TOKENS,
+        *_TEXT_TOKENS,
+        *("-h", "--help", "--form", "--form=json", "--thr", "--t", "--meth"),
+        *("--size", "--fr", "--he", "-x", "--x", "--=5", "-1 2"),
+    ]
+
+
+_TOKENS = st.sampled_from(_grammar_tokens())
+
+
+@st.composite
+def _command_argvs(draw):
+    """A command's arguments in any order, each option given zero to two
+    times, spaced or with ``=``, and a few grammar tokens put in anywhere,
+    after ``--threads`` options."""
+
+    def value(arg):
+        good = arg.kwargs.get("choices") or (("2", "5") if "type" in arg.kwargs else ("+-",))
+        pool = _INT_TOKENS if "type" in arg.kwargs else _TEXT_TOKENS
+        return draw(st.sampled_from(good) | st.sampled_from(pool))
+
+    def option(arg):
+        return draw(st.sampled_from([[arg.name, value(arg)], [f"{arg.name}={value(arg)}"]]))
+
+    argv = []
+    for _ in range(draw(st.integers(0, 2))):
+        argv += option(_GLOBAL[0])
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    parts = []
+    for arg in _COMMANDS[name][1]:
+        if not arg.name.startswith("-"):
+            parts.append([value(arg)])
+        elif arg.kwargs.get("action") == "store_true":
+            parts += [[arg.name]] * draw(st.integers(0, 2))
+        else:
+            parts += [option(arg) for _ in range(draw(st.integers(0, 2)))]
+    parts = draw(st.permutations(parts))
+    if parts and draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), ["--"])
+    if draw(st.integers(0, 3)) == 0:
+        parts.insert(draw(st.integers(0, len(parts))), [draw(_TOKENS)])
+    return argv + [name] + [token for part in parts for token in part]
+
+
+class TestCommandTable:
+    @settings(max_examples=500, deadline=None)
+    @given(_command_argvs())
+    def test_table_pass_defers_or_matches_argparse(self, argv):
+        table = _read_argv(argv)
+        if table is not None:
+            assert vars(table) == _parsed_by_argparse(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TOKENS, max_size=8))
+    def test_table_pass_on_any_token_list(self, argv):
+        table = _read_argv(argv)
+        if table is not None:
+            assert vars(table) == _parsed_by_argparse(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sects", "5", "--sizes-only"],
+            ["convert", "--from", "pfpf", "--n", "2", "1:2"],
+            ["convert", "--n=2", "--from=pfpf", "--", "1:2"],
+            ["--threads", "2", "--threads=4", "enumerate", "--format", "json", "3"],
+            ["act", "--", "2", "--++"],
+            ["rank-poly", "4", "--method", "poset", "--method", "both"],
+            ["count", "-3"],
+        ],
+    )
+    def test_table_pass_reads_the_grammar(self, argv):
+        # hand-picked argvs of every form the pass reads
+        table = _read_argv(argv)
+        assert table is not None and vars(table) == _parsed_by_argparse(argv)
+
+    def test_digest_and_dashed_text_argvs_take_the_table_path(self):
+        dashed = [
+            ["length", "--++"],
+            ["length", "-1-1+2+2"],
+            ["length", "-+"],
+            ["length", "--", "--++"],
+            ["length", "--", "-+"],
+            ["act", "2", "--++"],
+            ["convert", "--to", "rooks", "--", "--++"],
+            ["convert", "--to", "rooks", "--++"],
+            ["convert", "--from", "delannoy", "-+"],
+            ["flag", "--format", "json", "--", "--++"],
+            ["flag", "--++", "--format", "json"],
+            ["flag", "--format", "json", "--++"],
+            ["--threads", "2", "flag", "--++", "--format", "json"],
+        ]
+        argvs = [command.split() for command in DIGESTS] + dashed
+        assert len(argvs) == 78 + len(dashed)
+        for argv in argvs:
+            table = _read_argv(argv)
+            assert table is not None, argv
+            assert vars(table) == _parsed_by_argparse(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["count", "-h"], ["enumerate", "5", "--form", "json"], ["frobnicate"],
+         ["length", "--"], ["length", "--x"], ["flag", "--++", "--format"], ["count", "٥"],
+         ["convert", "--to", "rooks", "--from", "pfpf", "x"], ["convert", "x"]],
+    )
+    def test_help_and_usage_errors_defer_to_argparse(self, argv):
+        assert _read_argv(argv) is None
+
+    def test_digest_commands_build_no_argument_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(command.split()) for command in DIGESTS]
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert codes == [0] * 78 and built == []
+        # the counter itself counts: help builds the whole tree
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        capsys.readouterr()
+        assert len(built) == 1 + len(_COMMANDS)
+
+
+#: SHA-256 of ``-h`` stdout (exit 0) for the top level and each command,
+#: with COLUMNS=80, recorded from the argparse-only parser that preceded
+#: the command table.
+HELP_DIGESTS = {
+    "": "94e2ddb24dd15029028b39cee99cc6cb3cba140ac54a7274e28e67e0ba113f5f",
+    "count": "09ca47e0e4c226893239377d8b9932e5a3a3b6909595809acbd319000b186a31",
+    "enumerate": "26c0734bdadc4f30deb32ed9470058011db0848a29be0c9208c66c3276ef2f0e",
+    "length": "caf3eebd4eb628db1631a0976fd99c0d6d40b37b841e1249971a212bc28b18db",
+    "act": "85ce2d1d41acd06524ad3f9a34c55d871e5982bca27261c50fbe143c0a3c9452",
+    "poset": "b56389d6b8325daacfa52ce749a632a2971a2d5e9bef8e496c1d55745ddc754f",
+    "rank-poly": "e2d66f1a95cdd1bff558bd6dacebd8152157af6f740a28bc2a056d76621bde57",
+    "sects": "a888420329ab891369b506fdd3d37dc4edb92e84bd42dc1b928161ac280d6663",
+    "big-sect": "b7c1580f9a74c5938a6a1dc02945f93bf1704fa5dd1a6ae0b8b9b7e93850181b",
+    "convert": "3aeacd6239209f4229f56f6514ad3fb52f80342b5f1dd48af8b3fcb813b6fa81",
+    "flag": "77d8373c4ec9cf6f11adf57af54f07362cf8bb06bb313b3c7ca23ea9a1c132a0",
+    "verify": "c1a33a7aff6d0a49bd4c2dde02054fa05b745caf1901c9a6537e217714a73c45",
+}
+
+#: SHA-256 of stderr (exit 2, empty stdout) for usage errors, with
+#: COLUMNS=80, recorded as above.
+USAGE_ERROR_DIGESTS = {
+    "frobnicate": "702e3e9b626c4809cef3a5e5188b9e386067f2e528ac3af4b57e54f4cf4f0732",
+    "count": "fb620f06878bbaf5f8c765a2e56aa85e525959e985fa3eb735ebdcb3501c543a",
+    "--threads 0 count 3": "441c45f72dd3d1cbf3f8cc387e27a18eb0e643298de008df74b189a669bf0c0a",
+    "length --x": "4cebbea6722894f0e0c1e9fe25e262e3cb70e603e4d53c5c81755b08f8b456ac",
+    "enumerate 5 --format xml": "ff5d5387a1cc969cbb826f992a7baf7dc7916acc985861c88a82356d7d275437",
+    "convert --to rooks --from pfpf x": (
+        "98fd17957db8cdd2ea247e5576e22ea1b7bb79111f28be6b99ef4b5187ae0831"
+    ),
+    "count x": "cc59f5b6f3d7754108185d6a05a51e41e0cb788aa9ab5215f8a0122f0fa1bc4d",
+}
+
+
+class TestHelpAndUsageOutput:
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+    def test_help_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "-h"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+    @pytest.mark.parametrize("command", sorted(USAGE_ERROR_DIGESTS))
+    def test_usage_errors_are_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        digest = hashlib.sha256(captured.err.encode()).hexdigest()
+        assert digest == USAGE_ERROR_DIGESTS[command]
 
 
 # JSON values with every int at most 50: unbounded sizes are a separate

@@ -11,6 +11,7 @@ from diii_clans import (
     enumerate_diii,
     generate_diii,
     maximal_clan,
+    sects,
 )
 from diii_clans.clans import spaced_texts, text_from_spaced
 
@@ -115,13 +116,18 @@ class TestEnumeration:
         assert first is not second and first.clans == second.clans
 
     def test_membership(self):
-        sets = {n: enumerate_diii(n) for n in range(1, 5)}
+        # every member is found; a clan of another size, a member of
+        # another sect and a non-clan are not
+        sets = {n: enumerate_diii(n) for n in range(1, 6)}
         for n, clans in sets.items():
             assert all(clan in clans for clan in clans)
-            assert all(clan not in sets[n % 4 + 1] for clan in clans)
+            assert all(clan not in sets[n % 5 + 1] for clan in clans)
+            for sect in sects(n):
+                assert sum(clan in sect.clans for clan in clans) == len(sect)
         non_diii = Clan("1122")
         assert not non_diii.is_diii() and non_diii not in sets[2]
         assert "1212" not in sets[2] and "1 2 1 2" not in sets[2]
+        assert None not in sets[2] and sets[2].keys[0] not in sets[2]
 
 
 class TestKeys:
