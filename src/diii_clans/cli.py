@@ -27,7 +27,7 @@ import json
 import os
 import re
 import sys
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .clans import ClanError, parse_diii, text_from_spaced, write_joined
 from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan
@@ -64,14 +64,13 @@ from .weak_order import (
 #: ``-`` followed by nothing but signs and digits, ``--`` itself excepted.
 _DASHED_TEXT = re.compile(r"-[-+0-9]+")
 
-_INT = re.compile(r"-?[0-9]+")
-
 
 def _int(text: str) -> int:
     """A size or index argument: ASCII digits with an optional leading
     ``-``.  ``int`` alone would also read ``+5``, `` 5``, ``1_0`` and other
     scripts' digits (``٥``)."""
-    if _INT.fullmatch(text):
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
         try:
             return int(text)
         except ValueError:  # past the int/str digit limit
@@ -79,14 +78,15 @@ def _int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-class _Arg(NamedTuple):
+class _Arg:
     """One ``add_argument`` call: a positional's name or an option's flag,
     and its keyword arguments; ``exclusive`` puts it in its command's one
     required mutually exclusive group."""
 
-    name: str
-    kwargs: dict
-    exclusive: bool = False
+    __slots__ = ("name", "kwargs", "exclusive")
+
+    def __init__(self, name: str, exclusive: bool = False, **kwargs):
+        self.name, self.kwargs, self.exclusive = name, kwargs, exclusive
 
     @property
     def dest(self) -> str:
@@ -99,12 +99,8 @@ class _Arg(NamedTuple):
         return self.kwargs.get("default")
 
 
-def _arg(name: str, exclusive: bool = False, **kwargs) -> _Arg:
-    return _Arg(name, kwargs, exclusive)
-
-
 _GLOBAL = (
-    _arg(
+    _Arg(
         "--threads",
         type=_int,
         default=1,
@@ -116,55 +112,55 @@ _GLOBAL = (
 
 #: Each command's help text and arguments, in ``add_argument`` order.
 _COMMANDS: dict[str, tuple[str, tuple[_Arg, ...]]] = {
-    "count": ("number of DIII (n,n)-clans", (_arg("n", type=_int),)),
+    "count": ("number of DIII (n,n)-clans", (_Arg("n", type=_int),)),
     "enumerate": (
         "list all DIII (n,n)-clans",
         (
-            _arg("n", type=_int),
-            _arg("--format", choices=("compact", "spaced", "json"), default="compact"),
+            _Arg("n", type=_int),
+            _Arg("--format", choices=("compact", "spaced", "json"), default="compact"),
         ),
     ),
-    "length": ("length of a clan in the weak order", (_arg("clan"),)),
-    "act": ("apply the i-th simple reflection", (_arg("i", type=_int), _arg("clan"))),
+    "length": ("length of a clan in the weak order", (_Arg("clan"),)),
+    "act": ("apply the i-th simple reflection", (_Arg("i", type=_int), _Arg("clan"))),
     "poset": (
         "weak order poset",
-        (_arg("n", type=_int), _arg("--format", choices=("dot", "json"), default="dot")),
+        (_Arg("n", type=_int), _Arg("--format", choices=("dot", "json"), default="dot")),
     ),
     "rank-poly": (
         "rank polynomial of the weak order",
         (
-            _arg("n", type=_int),
-            _arg("--method", choices=("poset", "recurrence", "both"), default="recurrence"),
+            _Arg("n", type=_int),
+            _Arg("--method", choices=("poset", "recurrence", "both"), default="recurrence"),
         ),
     ),
     "sects": (
         "partition of the clans by base clan",
-        (_arg("n", type=_int), _arg("--sizes-only", action="store_true")),
+        (_Arg("n", type=_int), _Arg("--sizes-only", action="store_true")),
     ),
-    "big-sect": ("the sect over the dense cell", (_arg("n", type=_int),)),
+    "big-sect": ("the sect over the dense cell", (_Arg("n", type=_int),)),
     "convert": (
         "bijections to and from other objects",
         (
-            _arg(
+            _Arg(
                 "--to",
                 exclusive=True,
                 choices=("pyramid", "rooks", "partitions", "delannoy", "pfpf"),
             ),
-            _arg(
+            _Arg(
                 "--from",
                 exclusive=True,
                 dest="source",
                 choices=("pyramid", "rooks", "delannoy", "pfpf"),
             ),
-            _arg("--n", dest="half_length", type=_int, help="half-length for --from pfpf"),
-            _arg("payload", help="clan text, JSON, step word, or i:j map"),
+            _Arg("--n", dest="half_length", type=_int, help="half-length for --from pfpf"),
+            _Arg("payload", help="clan text, JSON, step word, or i:j map"),
         ),
     ),
     "flag": (
         "exact representative flag matrix",
-        (_arg("clan"), _arg("--format", choices=("pretty", "json"), default="pretty")),
+        (_Arg("clan"), _Arg("--format", choices=("pretty", "json"), default="pretty")),
     ),
-    "verify": ("run the consistency suite through size n", (_arg("n", type=_int),)),
+    "verify": ("run the consistency suite through size n", (_Arg("n", type=_int),)),
 }
 
 
