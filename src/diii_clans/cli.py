@@ -165,7 +165,9 @@ _COMMANDS: dict[str, tuple[str, tuple[_Arg, ...]]] = {
 
 
 def _is_value(token: str) -> bool:
-    """Whether argparse reads ``token`` as a value, not as an option."""
+    """Whether the table pass reads ``token`` as a value.  argparse reads
+    each such token as a value too; the few other tokens it reads as values
+    (``-``, ``-1.5``, a dashed token with a space) make the pass defer."""
     return not token.startswith("-") or (token != "--" and bool(_DASHED_TEXT.fullmatch(token)))
 
 
@@ -252,8 +254,8 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a dashed clan text such as ``-+`` as a
     positional value, as it reads a negative number, while every real
-    option still parses on either side of it. Its subparsers are of this
-    class too."""
+    option still parses on either side of it, and reads a lone ``--``
+    value as data. Its subparsers are of this class too."""
 
     def _parse_optional(self, arg_string):
         if (
