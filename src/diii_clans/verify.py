@@ -7,6 +7,11 @@ sizes where they stay fast; everything else runs up to the requested n.
 
 ``run_suite`` builds the weak-order poset of each size once; every check
 takes that tuple, size n at place n-1, and reads its clans from the nodes.
+
+Importing this module loads only what the package loads (``clans``,
+``enumeration``, ``sects``): each check imports the weak order, pyramid,
+Delannoy or flag functions it uses when it runs, so importing the CLI,
+which imports this module, compiles none of them.
 """
 
 from __future__ import annotations
@@ -14,36 +19,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan
-from .delannoy import clan_to_path, path_to_clan, validate_path
 from .enumeration import KNOWN_COUNTS, count_by_pairs, count_formula, count_recurrence
-from .flags import (
-    _scaled,
-    intersection_parity,
-    representative_matrix,
-    verify_special_orthogonal,
-)
-from .pyramids import (
-    PyramidParityError,
-    clan_to_pyramid,
-    extend_odd,
-    placement_to_clan,
-    pyramid_to_clan,
-    pyramid_to_partition_pair,
-    pyramid_to_placement,
-    partition_pair_to_pyramid,
-    rotate_placement,
-)
 from .sects import (
     big_sect, clan_to_pfpf, epsilon_count, epsilon_recurrence, pfpf_to_clan, sect_sizes
 )
-from .weak_order import (
-    WeakOrderPoset, maximal_clan, rank_poly_recurrence, rank_polynomial, weak_order_poset
-)
 
-Posets = tuple[WeakOrderPoset, ...]
+if TYPE_CHECKING:
+    from .weak_order import WeakOrderPoset
+
+Posets = tuple["WeakOrderPoset", ...]
 
 
 @dataclass(frozen=True)
@@ -105,6 +92,8 @@ def check_counting(posets: Posets) -> CheckResult:
 
 
 def check_rank_polynomials(posets: Posets) -> CheckResult:
+    from .weak_order import rank_poly_recurrence, rank_polynomial
+
     n_max = len(posets)
     for n, poset in enumerate(posets, start=1):
         from_poset = rank_polynomial(poset)
@@ -119,6 +108,8 @@ def check_rank_polynomials(posets: Posets) -> CheckResult:
 
 
 def check_weak_order(posets: Posets) -> CheckResult:
+    from .weak_order import maximal_clan
+
     cap = min(len(posets), 6)
     for n, poset in enumerate(posets[:cap], start=1):
         clans = poset.nodes
@@ -183,6 +174,8 @@ def check_weak_order(posets: Posets) -> CheckResult:
 
 
 def check_sects(posets: Posets) -> CheckResult:
+    from .weak_order import maximal_clan
+
     n_max = len(posets)
     for n, poset in enumerate(posets, start=1):
         # the poset's nodes by signature, one part per base, against
@@ -216,6 +209,16 @@ def check_sects(posets: Posets) -> CheckResult:
 
 
 def check_rooks(posets: Posets) -> CheckResult:
+    from .pyramids import (
+        PyramidParityError,
+        clan_to_pyramid,
+        extend_odd,
+        placement_to_clan,
+        pyramid_to_clan,
+        pyramid_to_placement,
+        rotate_placement,
+    )
+
     cap = min(len(posets), 5)
     for n, poset in enumerate(posets[:cap], start=1):
         classes = set()
@@ -252,6 +255,8 @@ def check_rooks(posets: Posets) -> CheckResult:
 
 
 def check_partition_pairs(posets: Posets) -> CheckResult:
+    from .pyramids import clan_to_pyramid, partition_pair_to_pyramid, pyramid_to_partition_pair
+
     cap = min(len(posets), 6)
     for n, poset in enumerate(posets[1:cap], start=2):
         excluded = DIIIClan([PLUS] * n + [MINUS] * n)
@@ -285,6 +290,8 @@ def check_partition_pairs(posets: Posets) -> CheckResult:
 
 
 def check_delannoy(posets: Posets) -> CheckResult:
+    from .delannoy import clan_to_path, path_to_clan, validate_path
+
     cap = min(len(posets), 5)
     for n, poset in enumerate(posets[:cap], start=1):
         words = set()
@@ -304,6 +311,13 @@ def check_delannoy(posets: Posets) -> CheckResult:
 
 
 def check_flags(posets: Posets) -> CheckResult:
+    from .flags import (
+        _scaled,
+        intersection_parity,
+        representative_matrix,
+        verify_special_orthogonal,
+    )
+
     cap = min(len(posets), 7)
     for n, poset in enumerate(posets[:cap], start=1):
         seen = set()
@@ -334,5 +348,7 @@ CHECKS: tuple[Callable[[Posets], CheckResult], ...] = (
 
 
 def run_suite(n_max: int) -> list[CheckResult]:
+    from .weak_order import weak_order_poset
+
     posets = tuple(weak_order_poset(n) for n in range(1, n_max + 1))
     return [check(posets) for check in CHECKS]

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diii_clans
-from diii_clans import count_recurrence, enumerate_diii
-from diii_clans.cli import _COMMANDS, _GLOBAL, _build_parser, _read_argv, main
+from diii_clans import PartialFPFInvolution, count_recurrence, enumerate_diii, pfpf_to_clan
+from diii_clans.cli import _COMMANDS, _GLOBAL, _PFPF_MAX_N, _build_parser, _read_argv, main
 
 from conftest import RecordingStream, count_clan_builds
 
@@ -74,7 +74,7 @@ class TestEnumerate:
         def fail(n):
             raise AssertionError(f"enumerate_diii({n}) called")
 
-        monkeypatch.setattr(diii_clans.cli, "enumerate_diii", fail)
+        monkeypatch.setattr(diii_clans.enumeration, "enumerate_diii", fail)
         code, out, err = run(capsys, "enumerate", "10")
         assert code == 1 and out == ""
         assert "--format spaced" in err and "--format json" in err
@@ -355,6 +355,23 @@ class TestConvert:
     def test_pfpf_requires_n(self, capsys):
         code, _, err = run(capsys, "convert", "--from", "pfpf", "1:2")
         assert code == 1 and "--n" in err
+
+    @pytest.mark.parametrize("n", [_PFPF_MAX_N + 1, 99999999999])
+    def test_pfpf_n_above_the_cap_is_refused_before_decoding(self, capsys, monkeypatch, n):
+        def fail(cls, text, n):
+            raise AssertionError(f"from_text(n={n}) called")
+
+        monkeypatch.setattr(PartialFPFInvolution, "from_text", classmethod(fail))
+        code, out, err = run(capsys, "convert", "--from", "pfpf", "--n", str(n), "1:2")
+        assert code == 1 and out == ""
+        assert err == f"error: --n is at most {_PFPF_MAX_N} for --from pfpf, got {n}\n"
+
+    def test_pfpf_n_at_the_cap_decodes(self, capsys):
+        n = _PFPF_MAX_N
+        code, out, _ = run(capsys, "convert", "--from", "pfpf", "--n", str(n), "1:2")
+        x = PartialFPFInvolution.from_text("1:2", n)
+        assert code == 0 and out == pfpf_to_clan(x, n).text() + "\n"
+        assert len(out) == 2 * n + 1
 
 
 class TestFlag:

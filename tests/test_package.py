@@ -1,5 +1,7 @@
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from functools import reduce
 from pathlib import Path
@@ -64,6 +66,78 @@ def test_star_import_exports_exactly_all():
     exec("from diii_clans import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(diii_clans.__all__)
+
+
+def run_fresh(code: str, *paths: Path) -> str:
+    """Stdout of ``code`` in a fresh interpreter that writes no bytecode,
+    with the package source and ``paths`` on its path."""
+    path = [str(ROOT / "src"), *map(str, paths), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_start_up_loads_only_the_core_modules():
+    # what every CLI run pays before its command starts: the flag,
+    # bijection and weak-order modules load when a command first uses them
+    out = run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import diii_clans, diii_clans.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    loaded = set(out.split())
+    package = {name for name in loaded if name.startswith("diii_clans.")}
+    assert package == {
+        "diii_clans.clans",
+        "diii_clans.enumeration",
+        "diii_clans.sects",
+        "diii_clans.verify",
+        "diii_clans.cli",
+    }
+    assert "fractions" not in loaded and "json" not in loaded
+
+
+def test_public_names_are_their_home_modules_objects():
+    for name in diii_clans.__all__:
+        home = importlib.import_module(f"diii_clans.{diii_clans._HOME[name]}")
+        value = getattr(diii_clans, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert set(diii_clans.__all__) <= set(dir(diii_clans))
+    for module in ("delannoy", "flags", "pyramids", "weak_order"):
+        assert getattr(diii_clans, module) is sys.modules[f"diii_clans.{module}"]
+    with pytest.raises(AttributeError):
+        diii_clans.no_such_name
+
+
+def test_sects_stays_the_function_after_importing_its_module():
+    out = run_fresh(
+        "import types, diii_clans.sects, diii_clans\n"
+        "print(isinstance(diii_clans.sects, types.FunctionType))\n"
+    )
+    assert out == "True\n"
+
+
+def test_benchmark_tracer_installs_over_the_imported_package():
+    # the tracer looks up sys.modules["diii_clans.<m>"] for every module of
+    # spans.TARGETS, after the benchmark's workloads have imported the package
+    out = run_fresh(
+        "import workloads\n"
+        "from spans import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+        "print('ok')\n",
+        ROOT / "clanbench",
+    )
+    assert out == "ok\n"
 
 
 def test_benchmark_span_targets_resolve():

@@ -25,7 +25,7 @@ from diii_clans import (
     signed_involution_pair,
     weak_order_poset,
 )
-from diii_clans import verify
+from diii_clans import pyramids, verify
 
 from conftest import diii_clans
 from oracles import doubly_symmetric_count, minimally_intersecting_pairs, raw_is_diii
@@ -234,7 +234,7 @@ class TestPartitionPairs:
     def test_check_lets_unexpected_errors_through(self, monkeypatch):
         # only the ClanError refusal of the excluded clan counts as expected;
         # any other exception there is a fault and must surface
-        real = verify.pyramid_to_partition_pair
+        real = pyramids.pyramid_to_partition_pair
 
         def faulty(pyramid):
             try:
@@ -242,7 +242,7 @@ class TestPartitionPairs:
             except ClanError:
                 raise TypeError("fault in the partition-pair map") from None
 
-        monkeypatch.setattr(verify, "pyramid_to_partition_pair", faulty)
+        monkeypatch.setattr(pyramids, "pyramid_to_partition_pair", faulty)
         posets = tuple(weak_order_poset(n) for n in range(1, 5))
         with pytest.raises(TypeError, match="fault"):
             verify.check_partition_pairs(posets)

@@ -418,7 +418,7 @@ class TestRunSuite:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "diii_clans" and hasattr(module, "enumerate_diii"):
                 monkeypatch.setattr(module, "enumerate_diii", counting_enumerate)
-        monkeypatch.setattr(verify, "weak_order_poset", counting_poset)
+        monkeypatch.setattr(weak_order, "weak_order_poset", counting_poset)
         results = verify.run_suite(5)
         assert all(r.passed for r in results)
         assert built == [1, 2, 3, 4, 5]
