@@ -14,6 +14,8 @@ that attribute to the module.
 
 from importlib import import_module
 
+from . import clans, enumeration, sects
+
 #: Each public name, by its home module; the order of ``__all__``.
 _EXPORTS = {
     "clans": (
@@ -51,20 +53,16 @@ _EXPORTS = {
         "weak_order_poset",
     ),
 }
-#: The modules imported with the package; the others load on first use.
-_EAGER = ("clans", "enumeration", "sects")
-
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
-for _module in _EAGER:
-    # importing a submodule binds it here first and its names come after:
-    # the function ``sects`` replaces the module ``sects``
-    _mod = import_module(f".{_module}", __name__)
-    for _name in _EXPORTS[_module]:
-        globals()[_name] = getattr(_mod, _name)
-del _module, _mod, _name
+# the names of the modules imported above; the function ``sects`` replaces
+# the module ``sects``, which the import bound here
+for _module in (clans, enumeration, sects):
+    for _name in _EXPORTS[_module.__name__.rpartition(".")[2]]:
+        globals()[_name] = getattr(_module, _name)
+del _module, _name
 
 
 def __getattr__(name: str):
