@@ -12,6 +12,7 @@ Positions are 1-indexed in every public interface.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -329,30 +330,36 @@ class DIIIClan(Clan):
 
     @property
     def length(self) -> int:
-        """Length in the weak order (not ``len``, which counts symbols).
-
-        Half of (sum of spreads - sum of weaves - z): a pair's spread is the
-        distance between its mates, its weave counts the pairs opening
-        before it and closing strictly inside it, and z is half the number
-        of straddling pairs.  Computed once and kept on the clan; the memo
-        is a pure function of the key.
-        """
+        """Length in the weak order (not ``len``, which counts symbols),
+        from ``_length_terms``: computed once and kept on the clan; the
+        memo is a pure function of the key."""
         if self._length is None:
-            n = self.n
-            pairs = self.pairs()  # in order of opening position
-            spread = sum(j - i for i, j in pairs)
-            weave = sum(
-                i < t < j for k, (i, j) in enumerate(pairs) for _, t in pairs[:k]
-            )
-            z = sum(i <= n < j for i, j in pairs) // 2
-            total = spread - weave - z
-            if total % 2 != 0:
-                raise ClanError("length formula did not produce an integer")
-            length = total // 2
-            if not 0 <= length <= n * (n - 1) // 2:
-                raise ClanError(f"length {length} outside [0, n(n-1)/2]")
-            self._length = length
+            self._length = self._length_terms()[3]
         return self._length
+
+    def _length_terms(self) -> tuple[list[int], list[int], int, int]:
+        """Each pair's spread and weave (in label order), z, and the length,
+        half of (sum of spreads - sum of weaves - z): a pair's spread is the
+        distance between its mates, its weave counts the pairs opening before
+        it and closing strictly inside it (pairs come in order of opening, so
+        only the earlier ones' closing ends are read), and z is half the
+        number of straddling pairs."""
+        n = self.n
+        pairs = self.pairs()
+        spreads = [j - i for i, j in pairs]
+        weaves: list[int] = []
+        closes: list[int] = []  # sorted closing positions of the pairs so far
+        for i, j in pairs:
+            weaves.append(bisect_left(closes, j) - bisect_right(closes, i))
+            insort(closes, j)
+        z = sum(i <= n < j for i, j in pairs) // 2
+        total = sum(spreads) - sum(weaves) - z
+        if total % 2 != 0:
+            raise ClanError("length formula did not produce an integer")
+        length = total // 2
+        if not 0 <= length <= n * (n - 1) // 2:
+            raise ClanError(f"length {length} outside [0, n(n-1)/2]")
+        return spreads, weaves, z, length
 
     # -- derived combinatorial data ------------------------------------------
 

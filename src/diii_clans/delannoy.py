@@ -170,32 +170,37 @@ def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
     A trailing minus emits E...N and strips the outer symbols; a trailing
     plus emits N...E, strips, and trades the middle pair.  A trailing mate
     emits a labeled diagonal pair and strips its whole family, trading the
-    middle pair when the mate straddled into the second half.
+    middle pair when the mate straddled into the second half.  One symbol
+    list shrinks in place (the last symbol popped, the other consumed
+    positions deleted from the highest down), and every N or E step is the
+    same step object.  The result is checked with ``validate_path``.
     """
     syms: list[Symbol] = list(clan.to_diii().symbols)
+    north, east = LabeledStep(NORTH), LabeledStep(EAST)
     head: list[LabeledStep] = []
     tail: list[LabeledStep] = []
     while syms:
         m = len(syms) // 2
-        last = syms[-1]
+        last = syms.pop()
         if last == MINUS:
-            head.append(LabeledStep(EAST))
-            tail.append(LabeledStep(NORTH))
-            syms = syms[1:-1]
+            head.append(east)
+            tail.append(north)
+            del syms[0]
         elif last == PLUS:
-            head.append(LabeledStep(NORTH))
-            tail.append(LabeledStep(EAST))
-            syms = syms[1:-1]
+            head.append(north)
+            tail.append(east)
+            del syms[0]
             _swap_middle(syms)
         else:
             j = syms.index(last) + 1  # position of the matching mate
             tail.append(LabeledStep(DIAGONAL, j))
             head.append(LabeledStep(DIAGONAL, 2 * m + 1 - j))
-            drop = {0, j - 1, 2 * m - j, 2 * m - 1}
-            syms = [s for k, s in enumerate(syms) if k not in drop]
+            # 0-based: the mate j - 1, its mirror 2m - j, and the last's mirror 0
+            del syms[max(j - 1, 2 * m - j)], syms[min(j - 1, 2 * m - j)], syms[0]
             if j > m:
                 _swap_middle(syms)
-    path = WeightedDelannoyPath(tuple(head + tail[::-1]))
+    head.extend(reversed(tail))
+    path = WeightedDelannoyPath(tuple(head))
     ok, violated = validate_path(path)
     if not ok:
         raise AssertionError(f"generated path violates condition {violated}")
@@ -203,7 +208,13 @@ def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
 
 
 def path_to_clan(path: WeightedDelannoyPath) -> DIIIClan:
-    """Invert the reduction, rebuilding the clan from the inside out."""
+    """Invert the reduction, rebuilding the clan from the inside out.
+
+    The path is checked with ``validate_path`` first.  One symbol list
+    grows in place: each loop inserts the new outer symbols, in ascending
+    order of their final positions, and the word becomes a clan through
+    the checked ``DIIIClan`` constructor.
+    """
     ok, violated = validate_path(path)
     if not ok:
         raise PathError(f"invalid weighted Delannoy path: condition {violated} violated")
@@ -214,23 +225,22 @@ def path_to_clan(path: WeightedDelannoyPath) -> DIIIClan:
     for k in range(r // 2, 0, -1):
         outer = steps[r - k]
         if outer.direction == NORTH:
-            syms = [PLUS] + syms + [MINUS]
+            syms.insert(0, PLUS)
+            syms.append(MINUS)
         elif outer.direction == EAST:
             _swap_middle(syms)
-            syms = [MINUS] + syms + [PLUS]
+            syms.insert(0, MINUS)
+            syms.append(PLUS)
         else:
             m = len(syms) // 2 + 2
             j = outer.label
             if j > m:
                 _swap_middle(syms)
-            grown: list[Symbol | None] = [None] * (2 * m)
-            label += 1
-            grown[0] = grown[2 * m - j] = label
-            label += 1
-            grown[j - 1] = grown[2 * m - 1] = label
-            fill = iter(syms)
-            for pos in range(2 * m):
-                if grown[pos] is None:
-                    grown[pos] = next(fill)
-            syms = list(grown)
+            opener, closer = label + 1, label + 2
+            label = closer
+            # opener at 0 and 2m - j, closer at j - 1 and 2m - 1 (0-based)
+            syms.insert(0, opener)
+            for pos, sym in sorted(((j - 1, closer), (2 * m - j, opener))):
+                syms.insert(pos, sym)
+            syms.append(closer)
     return DIIIClan(syms)

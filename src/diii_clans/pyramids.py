@@ -118,22 +118,15 @@ def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
     return Pyramid(n, frozenset(rooks))
 
 
-def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
-    """Replay the construction scan top-down, tracking the switch.
-
-    A rook on the scanning side means no switch flip happened (a plus sign,
-    or a straddling pair); a rook on the other side means a flip (a minus
-    sign, or a contained pair).  A rook at (i, i) is a sign at i, and one
-    at (i, col) is the first-half pair (i, col).  Raises PyramidParityError
-    when the decoded clan fails the parity rule, in which case the mirror
-    pyramid decodes.
-    """
-    switch = LEFT
+def _decode(n: int, cells: list[PyramidCell], switch: str) -> DIIIClan:
+    """The scan of ``pyramid_to_clan`` over ``cells`` (sorted by row,
+    apex first) with the switch starting on side ``switch``: starting
+    RIGHT decodes the mirror pyramid."""
     flips = 0
     contained: list[tuple[int, int]] = []
     straddling: list[tuple[int, int]] = []
     signs: dict[int, str] = {}
-    for cell in sorted(pyramid.rooks, key=lambda c: -c.row):
+    for cell in cells:
         flipped = cell.side != switch
         if flipped:
             switch = cell.side
@@ -148,7 +141,20 @@ def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
         raise PyramidParityError(
             "decoded clan violates the parity rule; reflect the pyramid"
         )
-    return assemble_clan(pyramid.n, contained, straddling, signs)
+    return assemble_clan(n, contained, straddling, signs)
+
+
+def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
+    """Replay the construction scan top-down, tracking the switch.
+
+    A rook on the scanning side means no switch flip happened (a plus sign,
+    or a straddling pair); a rook on the other side means a flip (a minus
+    sign, or a contained pair).  A rook at (i, i) is a sign at i, and one
+    at (i, col) is the first-half pair (i, col).  Raises PyramidParityError
+    when the decoded clan fails the parity rule, in which case the mirror
+    pyramid decodes.
+    """
+    return _decode(pyramid.n, sorted(pyramid.rooks, key=lambda c: -c.row), LEFT)
 
 
 @dataclass(frozen=True)
@@ -196,23 +202,18 @@ class RookPlacement:
 
 def pyramid_to_placement(pyramid: Pyramid) -> RookPlacement:
     """Unfold across both diagonals into the full board."""
-    n = pyramid.n
-    m = 2 * n
-    column_to_row: dict[int, int] = {}
-
-    def put(row: int, col: int) -> None:
-        if column_to_row.setdefault(col, row) != row:
-            raise AssertionError("pyramid unfolding produced conflicting rooks")
-
+    m = 2 * pyramid.n
+    perm = [0] * m  # perm[col - 1] is the row of the rook in column col
     for cell in pyramid.rooks:
         r = cell.row
         c = cell.col if cell.side == LEFT else m + 1 - cell.col
-        orbit = {(r, c), (c, r), (m + 1 - c, m + 1 - r), (m + 1 - r, m + 1 - c)}
-        for (row, col) in orbit:
-            put(row, col)
-    if len(column_to_row) != m:
+        for row, col in ((r, c), (c, r), (m + 1 - c, m + 1 - r), (m + 1 - r, m + 1 - c)):
+            if perm[col - 1] not in (0, row):
+                raise AssertionError("pyramid unfolding produced conflicting rooks")
+            perm[col - 1] = row
+    if 0 in perm:
         raise AssertionError("pyramid unfolding did not fill the board")
-    return RookPlacement(tuple(column_to_row[c] for c in range(1, m + 1)))
+    return RookPlacement(tuple(perm))
 
 
 def extract_pyramid(placement: RookPlacement) -> Pyramid:
@@ -233,19 +234,19 @@ def extract_pyramid(placement: RookPlacement) -> Pyramid:
 
 
 def placement_to_clan(placement: RookPlacement) -> DIIIClan:
-    """Of the two pyramids of a placement, decode the one giving a DIII clan."""
+    """Of the two pyramids of a placement, decode the one giving a DIII clan.
+
+    The mirror pyramid's scan sees the same rows with every side swapped,
+    which is the original scan with the switch starting RIGHT: only the
+    first rook's flip changes, so the mirror's flip count is the
+    original's plus or minus one, and exactly one of the two is even.
+    That one start is decoded.
+    """
     pyramid = extract_pyramid(placement)
-    decoded: list[DIIIClan] = []
-    for candidate in (pyramid, pyramid.mirror()):
-        try:
-            decoded.append(pyramid_to_clan(candidate))
-        except PyramidParityError:
-            continue
-    if len(decoded) != 1:
-        raise AssertionError(
-            f"expected exactly one decodable pyramid, got {len(decoded)}"
-        )
-    return decoded[0]
+    cells = sorted(pyramid.rooks, key=lambda c: -c.row)
+    sides = [cell.side for cell in cells]
+    flips = sum(map(str.__ne__, [LEFT, *sides], sides))
+    return _decode(pyramid.n, cells, LEFT if flips % 2 == 0 else RIGHT)
 
 
 def rotate_placement(placement: RookPlacement) -> RookPlacement:

@@ -82,20 +82,25 @@ def clan_length(clan: Clan) -> LengthStats:
     """Length statistics of a DIII clan, keyed by pair label.
 
     The spread of a pair is the distance between its mates; its weave counts
-    pairs opening strictly before it and closing strictly inside it.
+    pairs opening strictly before it and closing strictly inside it.  One
+    pass (``DIIIClan._length_terms``) gives the statistics and the length;
+    it fills the clan's length memo, and a length already there (one
+    preset by ``apply_reflection``) must agree with it.
     """
     try:
         clan = clan.to_diii()
     except ClanError:
         raise ClanError("clan_length requires a DIII clan") from None
-    pairs = clan.pairs()
-    spreads: dict[int, int] = {}
-    weaves: dict[int, int] = {}
-    for label, (i, j) in enumerate(pairs, start=1):
-        spreads[label] = j - i
-        weaves[label] = sum(1 for (u, t) in pairs if u < i < t < j)
+    spreads, weaves, z, length = clan._length_terms()
+    if clan._length is None:
+        clan._length = length
+    elif clan._length != length:
+        raise ClanError(f"clan carries length {clan._length}, the formula gives {length}")
     return LengthStats(
-        spreads=spreads, weaves=weaves, z=clan.classify_pairs().z, length=clan.length
+        spreads=dict(enumerate(spreads, start=1)),
+        weaves=dict(enumerate(weaves, start=1)),
+        z=z,
+        length=length,
     )
 
 

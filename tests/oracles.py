@@ -262,6 +262,37 @@ def candidate_weighted_words(n):
             yield tuple(word)
 
 
+def raw_delannoy_word(t):
+    """The weighted Delannoy word of a raw clan tuple by the outer
+    reduction, re-slicing the symbols at every step: a trailing sign s
+    emits (N, E) for + and (E, N) for - at the two open ends and strips the
+    outer symbols; a trailing number with its mate at 1-based position j of
+    the 2m symbols left emits (D:2m+1-j, D:j) and strips positions 1, j,
+    2m+1-j and 2m. A trailing +, or a mate past the middle, then trades
+    the two middle symbols."""
+    syms = list(t)
+    head, tail = [], []
+    while syms:
+        m = len(syms) // 2
+        last = syms[-1]
+        if last in ("+", "-"):
+            head.append("N" if last == "+" else "E")
+            tail.append("E" if last == "+" else "N")
+            syms = syms[1:-1]
+            trade = last == "+"
+        else:
+            j = syms.index(last) + 1
+            head.append(f"D:{2 * m + 1 - j}")
+            tail.append(f"D:{j}")
+            gone = (1, j, 2 * m + 1 - j, 2 * m)
+            syms = [s for pos, s in enumerate(syms, start=1) if pos not in gone]
+            trade = j > m
+        if trade and syms:
+            k = len(syms) // 2
+            syms[k - 1], syms[k] = syms[k], syms[k - 1]
+    return " ".join(head + tail[::-1])
+
+
 def rank_polys_convolution(n_max):
     """Coefficient tuples of A_1 .. A_{n_max} from A_n = 2 A_{n-1} + m_n A_{n-2}
     by full polynomial products, where m_n has coefficient 1 on t^1..t^{2n-3}

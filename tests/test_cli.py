@@ -340,6 +340,15 @@ class TestConvert:
         assert code == 1 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "source, payload",
+        [("rooks", '{"size":0,"perm":[]}'), ("pyramid", '{"n":0,"rooks":[]}')],
+    )
+    def test_empty_board_is_data_error(self, capsys, source, payload):
+        code, out, err = run(capsys, "convert", "--from", source, payload)
+        assert (code, out) == (1, "")
+        assert err == "error: a clan must contain at least two symbols\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("length", "²²"),  # isdigit() passes, int() fails

@@ -15,7 +15,7 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
-from oracles import candidate_weighted_words
+from oracles import candidate_weighted_words, raw_delannoy_word
 
 
 _json = st.recursive(
@@ -151,6 +151,19 @@ class TestBijection:
         images = {clan_to_path(c).to_word() for c in enumerate_diii(n)}
         assert accepted == images
         assert len(accepted) == count_formula(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_slicing_reduction(self, n):
+        # the in-place reduction against a copy-per-step one on raw tuples
+        for clan in enumerate_diii(n):
+            assert clan_to_path(clan).to_word() == raw_delannoy_word(clan.symbols)
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_matches_slicing_reduction_on_large_clans(self, clan):
+        path = clan_to_path(clan)
+        assert path.to_word() == raw_delannoy_word(clan.symbols)
+        assert path_to_clan(path) == clan
 
     @given(diii_clans(max_n=8))
     def test_round_trip_property(self, clan):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from diii_clans import (
     Clan,
@@ -131,6 +131,50 @@ class TestClanPyramidBijection:
         )
         assert REFERENCE_PYRAMID.mirror() == mirrored
         assert mirrored.mirror() == REFERENCE_PYRAMID
+
+
+def decode_either(pyramid):
+    """The clan ``pyramid_to_clan`` decodes from a pyramid or its mirror,
+    checking that exactly one of the two decodes."""
+    decoded = []
+    for candidate in (pyramid, pyramid.mirror()):
+        try:
+            decoded.append(pyramid_to_clan(candidate))
+        except PyramidParityError:
+            pass
+    assert len(decoded) == 1
+    return decoded[0]
+
+
+class TestSingleDecode:
+    """``placement_to_clan`` decodes one pyramid, picking the start side
+    from the flip count; both decodes through the public route agree."""
+
+    @staticmethod
+    def assert_single_decode(clan):
+        placement = pyramid_to_placement(clan_to_pyramid(clan))
+        for board in (placement, rotate_placement(placement)):
+            assert placement_to_clan(board) == decode_either(extract_pyramid(board)) == clan
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_both_decodes(self, n):
+        for clan in enumerate_diii(n):
+            self.assert_single_decode(clan)
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_matches_both_decodes_on_large_clans(self, clan):
+        self.assert_single_decode(clan)
+
+    def test_empty_board_is_a_clan_error(self):
+        with pytest.raises(ClanError, match="at least two symbols"):
+            placement_to_clan(RookPlacement(()))
+
+    def test_odd_board_is_a_clan_error(self):
+        with pytest.raises(ClanError, match="even board size"):
+            extract_pyramid(RookPlacement((3, 2, 1)))
+        with pytest.raises(ClanError, match="even board size"):
+            placement_to_clan(RookPlacement((3, 2, 1)))
 
 
 class TestPlacements:

@@ -71,6 +71,25 @@ class TestLength:
                 total = sum(stats.spreads.values()) - sum(stats.weaves.values()) - stats.z
                 assert clan.length == stats.length == total // 2
 
+    def test_fills_the_memo(self):
+        clan = DIIIClan._from_key(parse_diii("++1212--")._key())
+        assert clan._length is None
+        assert clan_length(clan).length == clan._length == 1
+
+    def test_preset_length_is_checked(self):
+        key = parse_diii("++1212--")._key()
+        assert clan_length(DIIIClan._from_key(key, 1)).length == 1
+        for wrong in (0, 2, 7):
+            with pytest.raises(ClanError, match="carries length"):
+                clan_length(DIIIClan._from_key(key, wrong))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_preset_lengths_of_images_pass_the_check(self, n):
+        for clan in enumerate_diii(n):
+            for i in range(1, n + 1):
+                image = apply_reflection(i, clan)
+                assert clan_length(image).length == image.length
+
     def test_apex_reaches_dimension_bound(self):
         assert clan_length(parse_diii("12343412")).length == 6
 
