@@ -10,11 +10,15 @@ ranks and determinants come from fraction-free (Bareiss) elimination,
 which divides exactly in Z[sqrt 2]. Once the form holds, the sign of the
 determinant follows from the intersection parity, an n x n rank, with no
 2n x 2n determinant.
+
+A ``FlagMatrix`` is scaled and ranked once for the form check, the parity
+and ``verify.check_flags``, while it holds the row tuples and clan it was
+read from; other rows set around the constructor are read on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
@@ -115,10 +119,13 @@ _PRETTY = {
 class FlagMatrix:
     """A 2n x 2n matrix over Q(sqrt 2) representing an isotropic flag;
     rows[r][c] is the entry in row r+1, column c+1. Rows of any other
-    shape, or not held in tuples, raise ``ClanError``."""
+    shape, or not held in tuples, raise ``ClanError``, and so does any entry
+    but a ``QSqrt2`` in the checks. ``_form`` keeps what they read (see
+    ``_integer_form``) outside equality, hashing and the repr."""
 
     clan: DIIIClan
     rows: tuple[tuple[QSqrt2, ...], ...]
+    _form: _Form | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = 2 * self.clan.n
@@ -160,30 +167,22 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     clan = clan.to_diii()
     m = 2 * clan.n
     sigma = clan.default_permutation()
-    cols: list[list[QSqrt2] | None] = [None] * m
-
-    def basis(r: int) -> list[QSqrt2]:
-        col = [ZERO] * m
-        col[r - 1] = ONE
-        return col
-
-    def mix(r: int, s: int, minus: bool) -> list[QSqrt2]:
-        col = [ZERO] * m
-        col[r - 1] = INV_SQRT2
-        col[s - 1] = _NEG_INV_SQRT2 if minus else INV_SQRT2
-        return col
-
+    rows = [[ZERO] * m for _ in range(m)]
+    filled = set()
     for pos, q in enumerate(clan._key(), start=1):
         if type(q) is str:
-            cols[pos - 1] = basis(sigma(pos))
+            rows[sigma(pos) - 1][pos - 1] = ONE
+            filled.add(pos)
     for (i, j, jj, ii) in clan.classify_pairs().families:
-        cols[i - 1] = mix(sigma(i), sigma(j), minus=False)
-        cols[j - 1] = mix(sigma(i), sigma(j), minus=True)
-        cols[ii - 1] = mix(sigma(ii), sigma(jj), minus=False)
-        cols[jj - 1] = mix(sigma(ii), sigma(jj), minus=True)
-    if any(c is None for c in cols):
+        # columns p and q: (e_r + e_s)/sqrt2 and (e_r - e_s)/sqrt2
+        for p, q in ((i, j), (ii, jj)):
+            r, s = rows[sigma(p) - 1], rows[sigma(q) - 1]
+            r[p - 1] = r[q - 1] = s[p - 1] = INV_SQRT2
+            s[q - 1] = _NEG_INV_SQRT2
+            filled.update((p, q))
+    if len(filled) != m:
         raise AssertionError("flag construction left empty columns")
-    return FlagMatrix(clan, tuple(zip(*cols)))
+    return FlagMatrix(clan, tuple(map(tuple, rows)))
 
 
 def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, tuple[_ScaledRow, ...]]:
@@ -192,22 +191,32 @@ def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, tuple[_ScaledRow, ..
     Returns ``(L, scaled)``: ``scaled[r]`` lists ``(c, L*a, L*b)`` for each
     nonzero entry a + b*sqrt(2) of row r, in column order, so every scaled
     entry lies in Z[sqrt 2] and zeros are dropped. L and the scaled rows
-    together determine the matrix, and the pair is hashable.
+    together determine the matrix, and the pair is hashable. An entry that
+    is not a ``QSqrt2`` raises ``ClanError``.
     """
-    # the shared ZERO is skipped by identity, any other zero by value
-    nonzero = [
-        [
-            (c, e.a.numerator, e.a.denominator, e.b.numerator, e.b.denominator)
-            for c, e in enumerate(row)
-            if e is not ZERO and e
-        ]
-        for row in rows
-    ]
-    scale = lcm(*{d for row in nonzero for _, _, ad, _, bd in row for d in (ad, bd)})
-    scaled = tuple(
-        tuple((c, an * (scale // ad), bn * (scale // bd)) for c, an, ad, bn, bd in row)
-        for row in nonzero
-    )
+    # each distinct entry is read once, keyed by id; ``held`` keeps it alive
+    # so no id is reused in the call, even by rows made on demand. The
+    # shared ZERO is skipped by identity, any other zero by value.
+    seen: dict[int, tuple[int, int, int, int] | None] = {}
+    held, nonzero = [], []
+    for row in rows:
+        kept = []
+        for c, e in enumerate(row):
+            if e is ZERO:
+                continue
+            key = id(e)
+            if key not in seen:
+                if not isinstance(e, QSqrt2):
+                    raise ClanError(f"a flag matrix entry must be QSqrt2, not {type(e).__name__}")
+                held.append(e)
+                a, b = e.a, e.b
+                seen[key] = (a.numerator, a.denominator, b.numerator, b.denominator) if e else None
+            if seen[key]:
+                kept.append((c, key))
+        nonzero.append(kept)
+    scale = lcm(*{d for p in seen.values() if p for d in (p[1], p[3])})
+    ints = {key: (p[0] * (scale // p[1]), p[2] * (scale // p[3])) for key, p in seen.items() if p}
+    scaled = tuple(tuple((c, *ints[key]) for c, key in row) for row in nonzero)
     return scale, scaled
 
 
@@ -284,6 +293,28 @@ def _is_flag_shape(matrix: FlagMatrix) -> bool:
     return len(matrix.rows) == m and all(len(row) == m for row in matrix.rows)
 
 
+@dataclass(eq=False, slots=True)
+class _Form:
+    """The ``_scaled`` pair of a matrix's rows and, once ranked, its intersection dimension."""
+
+    rows: object
+    clan: DIIIClan
+    scaled: tuple[int, tuple[_ScaledRow, ...]]
+    dimension: int | None = None
+
+
+def _integer_form(matrix: FlagMatrix) -> _Form:
+    """The matrix's form, kept while ``rows`` and ``clan`` are the objects
+    it was read from. Rows in lists can change in place, so only a tuple of
+    row tuples is kept."""
+    rows, clan, form = matrix.rows, matrix.clan, matrix._form
+    if form is None or form.rows is not rows or form.clan is not clan:
+        form = _Form(rows, clan, _scaled(rows))
+        if type(rows) is tuple and all(type(row) is tuple for row in rows):
+            object.__setattr__(matrix, "_form", form)
+    return form
+
+
 def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     """Exact check of G^T J G = J (J the antidiagonal ones) and det G = 1.
 
@@ -311,7 +342,7 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     if not _is_flag_shape(matrix):
         return False
     m = 2 * matrix.clan.n
-    scale, rows = _scaled(matrix.rows)
+    scale, rows = _integer_form(matrix).scaled
     cols: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]  # (row, a, b)
     for r, row in enumerate(rows):
         for c, ea, eb in row:
@@ -340,13 +371,18 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
     of the meet of their span with span(e_1..e_n). Otherwise it counts the
     dependencies too: the zero 2 x 2 matrix gives 1, while the meet is {0}.
     A matrix whose rows were replaced around ``FlagMatrix``'s shape check
-    by one that is not 2n x 2n raises ``ClanError``.
+    by one that is not 2n x 2n raises ``ClanError``. The block is ranked as
+    L times itself, on the integer form, which keeps the result.
     """
     if not _is_flag_shape(matrix):
         m = 2 * matrix.clan.n
         raise ClanError(f"a flag matrix of {matrix.clan} must be {m} x {m}")
-    n = matrix.clan.n
-    return n - exact_rank([row[:n] for row in matrix.rows[n:]])
+    form = _integer_form(matrix)
+    if form.dimension is None:
+        n = matrix.clan.n
+        block = [[entry for entry in row if entry[0] < n] for row in form.scaled[1][n:]]
+        form.dimension = n - _eliminate(block, n)[0]
+    return form.dimension
 
 
 def intersection_parity(matrix: FlagMatrix) -> int:

@@ -312,7 +312,7 @@ def check_delannoy(posets: Posets) -> CheckResult:
 
 def check_flags(posets: Posets) -> CheckResult:
     from .flags import (
-        _scaled,
+        _integer_form,
         intersection_parity,
         representative_matrix,
         verify_special_orthogonal,
@@ -329,7 +329,7 @@ def check_flags(posets: Posets) -> CheckResult:
                 return CheckResult("flags", False, f"{clan} has wrong parity")
             # L with the scaled integer entries is an exact, injective key
             # that hashes ints, not Fractions
-            seen.add(_scaled(matrix.rows))
+            seen.add(_integer_form(matrix).scaled)
         if len(seen) != count_formula(n):
             return CheckResult("flags", False, f"n={n}: matrices not distinct")
     return CheckResult("flags", True, f"exact SO and parity for n<= {cap}")

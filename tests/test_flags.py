@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,15 @@ from diii_clans import (
     verify_special_orthogonal,
     weak_order_poset,
 )
-from diii_clans.flags import INV_SQRT2, ONE, ZERO, exact_determinant, exact_rank
+from diii_clans.flags import (
+    INV_SQRT2,
+    ONE,
+    ZERO,
+    _integer_form,
+    _scaled,
+    exact_determinant,
+    exact_rank,
+)
 from diii_clans.verify import check_flags
 
 from conftest import diii_clans
@@ -36,6 +45,13 @@ small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
 irrational_elements = st.builds(QSqrt2, small_fractions, small_fractions.filter(bool))
 sparse_elements = st.sampled_from(
     (ZERO, ZERO, ZERO, ONE, -ONE, INV_SQRT2, QSqrt2(Fraction(1, 2)), QSqrt2(1, 1))
+)
+# shared objects, new objects equal to them (zeros other than ZERO among
+# them) and one zero object shared apart from ZERO
+shared_and_copied_elements = st.one_of(
+    sparse_elements,
+    sparse_elements.map(lambda e: QSqrt2(e.a, e.b)),
+    st.just(QSqrt2(0)),
 )
 
 
@@ -100,6 +116,67 @@ def dense_matrices(draw):
         combination = [sum((k * r[c] for k, r in zip(coeffs, rows)), ZERO) for c in range(ncols)]
         rows.insert(draw(st.integers(0, len(rows))), combination)
     return rows
+
+
+@st.composite
+def shared_and_copied_rows(draw):
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(shared_and_copied_elements, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+def per_entry_scaled(rows):
+    """``_scaled`` read entry by entry: every zero is dropped by value and
+    every other entry's fractions are read where it stands."""
+    nonzero = [
+        [(c, e.a.numerator, e.a.denominator, e.b.numerator, e.b.denominator)
+         for c, e in enumerate(row) if e]
+        for row in rows
+    ]
+    scale = lcm(*{d for row in nonzero for _, _, ad, _, bd in row for d in (ad, bd)})
+    scaled = tuple(
+        tuple((c, an * (scale // ad), bn * (scale // bd)) for c, an, ad, bn, bd in row)
+        for row in nonzero
+    )
+    return scale, scaled
+
+
+def column_built_rows(clan):
+    """The representative's rows built column by column and transposed:
+    basis vectors at sign positions and mixed columns on each family."""
+    m = 2 * clan.n
+    sigma = clan.default_permutation()
+    cols = [None] * m
+
+    def column(entries):
+        col = [ZERO] * m
+        for r, e in entries:
+            col[r - 1] = e
+        return col
+
+    for pos, symbol in enumerate(clan.spaced().split(), start=1):
+        if symbol in "+-":
+            cols[pos - 1] = column([(sigma(pos), ONE)])
+    for (i, j, jj, ii) in clan.classify_pairs().families:
+        for p, q in ((i, j), (ii, jj)):
+            cols[p - 1] = column([(sigma(p), INV_SQRT2), (sigma(q), INV_SQRT2)])
+            cols[q - 1] = column([(sigma(p), INV_SQRT2), (sigma(q), -INV_SQRT2)])
+    assert None not in cols
+    return tuple(zip(*cols))
+
+
+def swap_columns(rows, c):
+    """``rows`` with columns c and m-1-c swapped: the form still holds
+    and the determinant changes sign."""
+    m = len(rows)
+    swap = {c: m - 1 - c, m - 1 - c: c}
+    return tuple(tuple(row[swap.get(j, j)] for j in range(m)) for row in rows)
+
+
+def block_dimension(rows):
+    """n minus the rank of the lower-left n x n block, from the rows."""
+    n = len(rows) // 2
+    return n - exact_rank([row[:n] for row in rows[n:]])
 
 
 # pinned reference representative of +1212-: columns e1, (e3+e5)/sqrt2,
@@ -208,6 +285,11 @@ class TestRepresentativeMatrix:
     def test_distinct_clans_distinct_matrices(self, n):
         seen = {representative_matrix(c).rows for c in enumerate_diii(n)}
         assert len(seen) == count_formula(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_column_built_construction(self, n):
+        for clan in enumerate_diii(n):
+            assert representative_matrix(clan).rows == column_built_rows(clan)
 
 
 class TestSpecialOrthogonality:
@@ -325,6 +407,20 @@ class TestIntersection:
             with pytest.raises(ClanError):
                 intersection_parity(matrix)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_block_rank_on_representatives(self, n):
+        for clan in enumerate_diii(n):
+            matrix = representative_matrix(clan)
+            assert intersection_dimension(matrix) == block_dimension(matrix.rows)
+
+    @settings(deadline=None)
+    @given(perturbed_representatives())
+    def test_matches_block_rank_on_perturbations(self, matrix):
+        expected = block_dimension(matrix.rows)
+        assert intersection_dimension(matrix) == expected
+        verify_special_orthogonal(matrix)
+        assert intersection_dimension(matrix) == expected
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_parity_matches_half_length(self, n):
         for clan in enumerate_diii(n):
@@ -371,6 +467,130 @@ class TestExactLinearAlgebra:
         assert exact_rank(rows) == rank
         if len(rows) == len(rows[0]):
             assert exact_determinant(rows) == QSqrt2(*det)
+
+
+class TestScaled:
+    @settings(deadline=None)
+    @given(dense_matrices())
+    def test_matches_per_entry_reading_on_dense_matrices(self, rows):
+        assert _scaled(rows) == per_entry_scaled(rows)
+
+    @settings(deadline=None)
+    @given(square_matrices())
+    def test_matches_per_entry_reading_on_square_matrices(self, matrix):
+        assert _scaled(matrix.rows) == per_entry_scaled(matrix.rows)
+
+    @settings(deadline=None)
+    @given(shared_and_copied_rows())
+    def test_matches_per_entry_reading_on_shared_and_copied_entries(self, rows):
+        assert _scaled(rows) == per_entry_scaled(rows)
+
+    def test_entries_made_on_demand(self):
+        # rows that build a new entry on every read: no id may be reused
+        # for an entry of another value within one call
+        class Row:
+            def __init__(self, values):
+                self.values = values
+
+            def __iter__(self):
+                return (QSqrt2(Fraction(1, v)) if v else QSqrt2() for v in self.values)
+
+        values = [[1, 0, 2], [3, 0, 0], [0, 5, 7]]
+        rows = [Row(r) for r in values]
+        expected = [[QSqrt2(Fraction(1, v)) if v else ZERO for v in r] for r in values]
+        assert _scaled(rows) == per_entry_scaled(expected)
+
+
+class TestEntryTypes:
+    @pytest.mark.parametrize("kind", (int, float, Fraction))
+    def test_entries_of_another_type_are_clan_errors(self, kind):
+        clan = parse_diii("+-")
+        swap = FlagMatrix(clan, ((kind(0), kind(1)), (kind(1), kind(0))))
+        one_entry = FlagMatrix(clan, ((ONE, ZERO), (ZERO, kind(1))))
+        zero_entry = FlagMatrix(clan, ((ONE, ZERO), (kind(0), ONE)))
+        for matrix in (swap, one_entry, zero_entry):
+            for check in (verify_special_orthogonal, intersection_dimension, intersection_parity):
+                with pytest.raises(ClanError, match=f"QSqrt2, not {kind.__name__}$"):
+                    check(matrix)
+
+
+class TestIntegerForm:
+    """The integer form a check reads off a matrix is reused only while
+    the matrix holds the row tuples and the clan it was read from."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_column_swap_after_verifying(self, n):
+        for clan in enumerate_diii(n):
+            matrix = representative_matrix(clan)
+            original = matrix.rows
+            assert verify_special_orthogonal(matrix)
+            assert intersection_parity(matrix) == n % 2
+            for c in range(n):
+                rows = swap_columns(original, c)
+                object.__setattr__(matrix, "rows", rows)
+                assert not verify_special_orthogonal(matrix)
+                assert intersection_dimension(matrix) == block_dimension(rows)
+                assert intersection_parity(matrix) != n % 2
+            object.__setattr__(matrix, "rows", original)
+            assert verify_special_orthogonal(matrix)
+
+    def test_wrong_shape_after_verifying(self):
+        matrix = representative_matrix(parse_diii("+1212-"))
+        assert verify_special_orthogonal(matrix)
+        assert intersection_dimension(matrix) == 1
+        for rows in (((ONE, ZERO), (ZERO, ONE)), REFERENCE_MATRIX[:4], ((ONE,),) * 6):
+            object.__setattr__(matrix, "rows", rows)
+            assert not verify_special_orthogonal(matrix)
+            with pytest.raises(ClanError):
+                intersection_dimension(matrix)
+
+    def test_rows_in_lists_are_read_on_every_call(self):
+        clan = parse_diii("+-")
+        for rows in ([[ONE, ZERO], [ZERO, ONE]], ([ONE, ZERO], [ZERO, ONE])):
+            matrix = around_constructor(clan, rows)
+            assert verify_special_orthogonal(matrix)
+            assert intersection_dimension(matrix) == 1
+            for row in rows:
+                row[0], row[1] = row[1], row[0]
+            assert not verify_special_orthogonal(matrix)
+            assert intersection_dimension(matrix) == 0
+            assert matrix._form is None
+
+    def test_rows_in_lists_of_a_representative_are_read_on_every_call(self):
+        clan = parse_diii("+1212-")
+        rows = [list(row) for row in representative_matrix(clan).rows]
+        matrix = around_constructor(clan, rows)
+        assert verify_special_orthogonal(matrix)
+        for row in rows:
+            row[0], row[5] = row[5], row[0]
+        assert not verify_special_orthogonal(matrix)
+        assert intersection_dimension(matrix) == block_dimension(rows)
+
+    def test_form_is_kept_for_its_own_rows_and_clan(self):
+        clan = parse_diii("+1212-")
+        matrix = representative_matrix(clan)
+        form = _integer_form(matrix)
+        assert _integer_form(matrix) is form
+        assert matrix._form is form
+        # equal rows and an equal clan, but other objects
+        object.__setattr__(matrix, "rows", tuple(list(matrix.rows)))
+        again = _integer_form(matrix)
+        assert again is not form and again.scaled == form.scaled
+        object.__setattr__(matrix, "clan", parse_diii("+1212-"))
+        assert _integer_form(matrix) is not again
+        assert matrix._form.clan is matrix.clan
+
+    def test_form_takes_no_part_in_equality_hash_or_repr(self):
+        clan = parse_diii("+1212-")
+        fresh, used = representative_matrix(clan), representative_matrix(clan)
+        assert verify_special_orthogonal(used)
+        assert intersection_parity(used) == 1
+        assert used._form is not None and fresh._form is None
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert "_form" not in repr(used)
+        assert used.to_json_dict() == fresh.to_json_dict()
 
 
 def test_check_flags_runs_to_seven():

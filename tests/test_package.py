@@ -202,3 +202,32 @@ def test_benchmark_span_targets_resolve():
 def test_mistyped_container_fields_raise_clan_errors(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_failing_property_test_reports_its_example_under_the_warning_filter(tmp_path):
+    # the suite's own settings turn warnings into errors; a failing @given
+    # test must still end in an ordinary failure with its falsifying
+    # example, and the tests after it must still run
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example" in out
+    assert "1 failed, 1 passed" in out
