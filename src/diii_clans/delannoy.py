@@ -13,7 +13,7 @@ earlier diagonal steps: a first-half label lies in [2, 2*m_i - 1], i.e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, Symbol, ascii_int, json_fields
@@ -62,9 +62,11 @@ class LabeledStep:
 
 @dataclass(frozen=True)
 class WeightedDelannoyPath:
-    """A word of labeled steps; validity is checked by ``validate_path``."""
+    """A word of labeled steps; validity is checked by ``validate_path``.
+    ``_valid`` (outside equality, hash and repr) is its memo."""
 
     steps: tuple[LabeledStep, ...]
+    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.steps) is not tuple or not all(
@@ -121,10 +123,24 @@ def validate_path(path: WeightedDelannoyPath | Sequence[LabeledStep]) -> tuple[b
     Any other input goes through the ``WeightedDelannoyPath`` container
     check first (a sequence as the tuple of its items), so it raises
     ``PathError`` unless every item is a ``LabeledStep``.
+
+    A path that passes keeps its steps tuple in ``_valid``; later calls
+    return at once while ``steps`` is that very tuple. Steps replaced
+    around the constructor are scanned again; a failure is not remembered.
     """
     if not isinstance(path, WeightedDelannoyPath):
         path = WeightedDelannoyPath(tuple(path) if isinstance(path, Sequence) else path)
     steps = path.steps
+    if path._valid is steps:
+        return True, None
+    ok, violated = _scan(steps)
+    if ok and type(steps) is tuple:
+        object.__setattr__(path, "_valid", steps)
+    return ok, violated
+
+
+def _scan(steps: Sequence[LabeledStep]) -> tuple[bool, int | None]:
+    """The four conditions of ``validate_path``, checked on ``steps``."""
     r = len(steps)
     north = sum(1 for s in steps if s.direction == NORTH)
     east = sum(1 for s in steps if s.direction == EAST)
@@ -173,7 +189,8 @@ def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
     middle pair when the mate straddled into the second half.  One symbol
     list shrinks in place (the last symbol popped, the other consumed
     positions deleted from the highest down), and every N or E step is the
-    same step object.  The result is checked with ``validate_path``.
+    same step object.  The result is checked with ``validate_path``, which
+    remembers it for later calls.
     """
     syms: list[Symbol] = list(clan.to_diii().symbols)
     north, east = LabeledStep(NORTH), LabeledStep(EAST)

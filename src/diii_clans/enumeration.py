@@ -88,7 +88,7 @@ def assemble_key(
 
     This is the package's one checked place for skew-symmetric completion:
     ``assemble_clan`` and every decoder from first-half data build through
-    it, and the sect generator writes its keys with the same two writers.
+    it, and it writes the rules of the sect generator's two writers inline.
 
     ``contained_pairs`` are mate pairs (i, j) with i < j <= n; each also
     yields the mirror pair (2n+1-j, 2n+1-i) in the second half.
@@ -102,38 +102,40 @@ def assemble_key(
     pair (i, j) or (i, 2n+1-j) with i < j <= n never sums to 2n+1. The one
     DIII condition the inputs can break is first-half parity, checked here:
     the minus signs plus the contained pairs must be even.
+
+    "position p assigned twice" names the first taken of i, j, 2n+1-j,
+    2n+1-i (contained) or i, 2n+1-j, j, 2n+1-i (straddling). Every write
+    fills the mirror too, so only the first-half entries are read.
     """
     m = 2 * n + 1
     key: list[Symbol | None] = [None] * (2 * n)
-
-    def claim(*positions: int) -> None:
-        for pos in positions:
-            if key[pos - 1] is not None:
-                raise ClanError(f"position {pos} assigned twice")
-
     for i, j in contained_pairs:
         if not 1 <= i < j <= n:
             raise ClanError(f"contained pair {(i, j)} out of range")
-        claim(i, j, m - j, m - i)
-        _put_pair(key, i, j)
+        if key[i - 1] is not None or key[j - 1] is not None:
+            raise ClanError(f"position {i if key[i - 1] is not None else j} assigned twice")
+        key[i - 1], key[j - 1], key[-j], key[-i] = j, i, m - i, m - j
     for i, j in straddling_pairs:
         if not 1 <= i < j <= n:
             raise ClanError(f"straddling pair {(i, j)} out of range")
-        claim(i, m - j, j, m - i)
-        _put_pair(key, i, m - j)
+        if key[i - 1] is not None or key[j - 1] is not None:
+            raise ClanError(f"position {i if key[i - 1] is not None else m - j} assigned twice")
+        key[i - 1], key[-j], key[j - 1], key[-i] = m - j, i, m - i, j
+    minus = 0
     for pos, sign in signs.items():
         if not 1 <= pos <= n:
             raise ClanError(f"sign position {pos} out of range")
         if sign not in (PLUS, MINUS):
             raise ClanError(f"bad sign {sign!r}")
-        claim(pos)
-        _put_sign(key, pos, sign)
+        if key[pos - 1] is not None:
+            raise ClanError(f"position {pos} assigned twice")
+        minus += sign == MINUS
+        key[pos - 1], key[-pos] = sign, MINUS if sign == PLUS else PLUS
     if None in key:
         missing = [p for p, s in enumerate(key, start=1) if s is None]
         raise ClanError(f"positions {missing} left unassigned")
     if not key:
         raise ClanError("a clan must contain at least two symbols")
-    minus = sum(1 for sign in signs.values() if sign == MINUS)
     if (minus + len(contained_pairs)) % 2 != 0:
         raise ClanError(
             f"not a DIII clan: odd parity in the first half ({minus} minus signs, "

@@ -74,9 +74,6 @@ class QSqrt2:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QSqrt2":
-        return QSqrt2(self.a, -self.b)
-
     def inverse(self) -> "QSqrt2":
         norm = self.a * self.a - 2 * self.b * self.b
         if norm == 0:
@@ -282,10 +279,6 @@ def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
     return QSqrt2(Fraction(sign * pa, scale**m), Fraction(sign * pb, scale**m))
 
 
-def exact_rank(rows: Sequence[Sequence[QSqrt2]]) -> int:
-    return _eliminate(_scaled(rows)[1], len(rows[0]) if rows else 0)[0]
-
-
 def _is_flag_shape(matrix: FlagMatrix) -> bool:
     """The constructor's shape rule, kept for a matrix whose rows were
     replaced around it (the dataclass is frozen, not sealed)."""
@@ -303,15 +296,19 @@ class _Form:
     dimension: int | None = None
 
 
-def _integer_form(matrix: FlagMatrix) -> _Form:
-    """The matrix's form, kept while ``rows`` and ``clan`` are the objects
-    it was read from. Rows in lists can change in place, so only a tuple of
-    row tuples is kept."""
+def _integer_form(matrix: FlagMatrix) -> _Form | None:
+    """The matrix's form, or None if its rows are not 2n x 2n for its clan.
+    A form is kept while ``rows`` and ``clan`` are the objects it was read
+    from, and then returned with no shape test: it was read from a tuple
+    of row tuples (rows in lists can change in place and are not kept)."""
     rows, clan, form = matrix.rows, matrix.clan, matrix._form
-    if form is None or form.rows is not rows or form.clan is not clan:
-        form = _Form(rows, clan, _scaled(rows))
-        if type(rows) is tuple and all(type(row) is tuple for row in rows):
-            object.__setattr__(matrix, "_form", form)
+    if form is not None and form.rows is rows and form.clan is clan:
+        return form
+    if not _is_flag_shape(matrix):
+        return None
+    form = _Form(rows, clan, _scaled(rows))
+    if type(rows) is tuple and all(type(row) is tuple for row in rows):
+        object.__setattr__(matrix, "_form", form)
     return form
 
 
@@ -339,10 +336,11 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     ``FlagMatrix`` refuses any shape but 2n x 2n for its clan; a matrix
     whose rows were replaced around that check is refused here too.
     """
-    if not _is_flag_shape(matrix):
+    form = _integer_form(matrix)
+    if form is None:
         return False
     m = 2 * matrix.clan.n
-    scale, rows = _integer_form(matrix).scaled
+    scale, rows = form.scaled
     cols: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]  # (row, a, b)
     for r, row in enumerate(rows):
         for c, ea, eb in row:
@@ -374,10 +372,10 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
     by one that is not 2n x 2n raises ``ClanError``. The block is ranked as
     L times itself, on the integer form, which keeps the result.
     """
-    if not _is_flag_shape(matrix):
+    form = _integer_form(matrix)
+    if form is None:
         m = 2 * matrix.clan.n
         raise ClanError(f"a flag matrix of {matrix.clan} must be {m} x {m}")
-    form = _integer_form(matrix)
     if form.dimension is None:
         n = matrix.clan.n
         block = [[entry for entry in row if entry[0] < n] for row in form.scaled[1][n:]]

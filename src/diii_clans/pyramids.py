@@ -10,7 +10,8 @@ non-attacking rooks invariant under both reflections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, Involution, json_fields
 from .enumeration import assemble_clan
@@ -62,14 +63,15 @@ class Pyramid:
             raise ClanError(f"pyramid rooks must be a frozenset of cells, got {self.rooks!r}")
         seen: dict[int, PyramidCell] = {}
         for cell in self.rooks:
-            if cell.col > self.n:
+            row, col = cell.row, cell.col
+            if col > self.n:
                 raise ClanError(f"cell {cell} outside pyramid of size {self.n}")
-            for k in {cell.row, cell.col}:
-                if k in seen:
-                    raise ClanError(f"index {k} covered by both {seen[k]} and {cell}")
-                seen[k] = cell
-        missing = [k for k in range(1, self.n + 1) if k not in seen]
-        if missing:
+            if row in seen or col in seen:
+                k = next(k for k in {row, col} if k in seen)
+                raise ClanError(f"index {k} covered by both {seen[k]} and {cell}")
+            seen[row] = seen[col] = cell
+        if len(seen) != self.n:  # each index seen is in 1..n
+            missing = [k for k in range(1, self.n + 1) if k not in seen]
             raise ClanError(f"indices {missing} not covered by any rook")
 
     def __iter__(self) -> Iterator[PyramidCell]:
@@ -118,23 +120,24 @@ def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
     return Pyramid(n, frozenset(rooks))
 
 
-def _decode(n: int, cells: list[PyramidCell], switch: str) -> DIIIClan:
-    """The scan of ``pyramid_to_clan`` over ``cells`` (sorted by row,
-    apex first) with the switch starting on side ``switch``: starting
-    RIGHT decodes the mirror pyramid."""
+def _decode(n: int, cells: Sequence[tuple[str, int, int]], switch: str) -> DIIIClan:
+    """The scan of ``pyramid_to_clan`` over plain ``(side, row, col)``
+    rooks in distinct rows, apex first, with the switch starting on side
+    ``switch`` (RIGHT decodes the mirror pyramid). ``assemble_clan``
+    refuses an index covered twice ("assigned twice") or not at all."""
     flips = 0
     contained: list[tuple[int, int]] = []
     straddling: list[tuple[int, int]] = []
     signs: dict[int, str] = {}
-    for cell in cells:
-        flipped = cell.side != switch
+    for side, row, col in cells:
+        flipped = side != switch
         if flipped:
-            switch = cell.side
+            switch = side
             flips += 1
-        if cell.col == cell.row:
-            signs[cell.row] = MINUS if flipped else PLUS
+        if col == row:
+            signs[row] = MINUS if flipped else PLUS
         else:
-            (contained if flipped else straddling).append((cell.row, cell.col))
+            (contained if flipped else straddling).append((row, col))
     # each flip puts a minus sign or a contained pair in the first half, so
     # the parity rule holds exactly when the flip count is even
     if flips % 2 != 0:
@@ -154,7 +157,9 @@ def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
     when the decoded clan fails the parity rule, in which case the mirror
     pyramid decodes.
     """
-    return _decode(pyramid.n, sorted(pyramid.rooks, key=lambda c: -c.row), LEFT)
+    cells = [(c.side, c.row, c.col) for c in pyramid.rooks]
+    cells.sort(key=itemgetter(1), reverse=True)
+    return _decode(pyramid.n, cells, LEFT)
 
 
 @dataclass(frozen=True)
@@ -169,25 +174,25 @@ class RookPlacement:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.perm) is not tuple:
-            raise ClanError(f"placement perm must be a tuple, got {self.perm!r}")
-        m = len(self.perm)
-        ints = all(type(v) is int for v in self.perm)  # True == 1 passes the sort test
-        if not ints or sorted(self.perm) != list(range(1, m + 1)):
-            raise ClanError(f"{self.perm} is not a permutation of 1..{m}")
-        for i in range(1, m + 1):
-            if self.perm[self.perm[i - 1] - 1] != i:
+        perm = self.perm
+        if type(perm) is not tuple:
+            raise ClanError(f"placement perm must be a tuple, got {perm!r}")
+        m = len(perm)
+        ints = {*map(type, perm)} <= {int}  # True == 1 passes the sort test
+        rows = list(range(1, m + 1))
+        if not ints or sorted(perm) != rows:
+            raise ClanError(f"{perm} is not a permutation of 1..{m}")
+        if [perm[v - 1] for v in perm] == rows and [perm[m - v] for v in perm] == rows[::-1]:
+            return
+        for i in rows:  # the first failing index picks the message
+            if perm[perm[i - 1] - 1] != i:
                 raise ClanError("placement is not symmetric across the main diagonal")
-            if self.perm[m - self.perm[i - 1]] != m + 1 - i:
+            if perm[m - perm[i - 1]] != m + 1 - i:
                 raise ClanError("placement is not symmetric across the antidiagonal")
 
     @property
     def size(self) -> int:
         return len(self.perm)
-
-    def cells(self) -> list[tuple[int, int]]:
-        """(row, column) pairs, one per rook."""
-        return [(r, c) for c, r in enumerate(self.perm, start=1)]
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "perm": list(self.perm)}
@@ -216,37 +221,46 @@ def pyramid_to_placement(pyramid: Pyramid) -> RookPlacement:
     return RookPlacement(tuple(perm))
 
 
-def extract_pyramid(placement: RookPlacement) -> Pyramid:
-    """The bottom-triangle pyramid of a placement (rows r with r <= c and
-    r <= m+1-c)."""
-    m = placement.size
+def _triangle(perm: Sequence[int]) -> list[tuple[str, int, int]]:
+    """The board's rooks in its bottom triangle (r <= c, r <= m+1-c) as
+    ``(side, row, col)`` cells, apex row first, bucketed by row: column
+    c <= n is (L, r, c), column c > n is (R, r, m+1-c). A row that is not
+    an int >= 1, or holds two rooks, raises ``ClanError`` (a ``perm``
+    replaced around the ``RookPlacement`` check can have either)."""
+    m = len(perm)
     if m % 2 != 0:
         raise ClanError("pyramid extraction requires an even board size")
     n = m // 2
-    rooks = []
-    for (r, c) in placement.cells():
+    by_row: list[tuple[str, int, int] | None] = [None] * (n + 1)
+    for c, r in enumerate(perm, start=1):
         if r <= c and r <= m + 1 - c:
-            if c <= n:
-                rooks.append(PyramidCell(LEFT, r, c))
-            else:
-                rooks.append(PyramidCell(RIGHT, r, m + 1 - c))
-    return Pyramid(n, frozenset(rooks))
+            if type(r) is not int or r < 1:
+                raise ClanError(f"rook in column {c} has no board row: {r!r}")
+            if by_row[r] is not None:
+                raise ClanError(f"board row {r} holds two rooks")
+            by_row[r] = (LEFT, r, c) if c <= n else (RIGHT, r, m + 1 - c)
+    return [cell for cell in reversed(by_row) if cell is not None]
+
+
+def extract_pyramid(placement: RookPlacement) -> Pyramid:
+    """The bottom-triangle pyramid of a placement (rows r with r <= c and
+    r <= m+1-c), from the rooks ``_triangle`` finds."""
+    cells = _triangle(placement.perm)
+    return Pyramid(placement.size // 2, frozenset(PyramidCell(*cell) for cell in cells))
 
 
 def placement_to_clan(placement: RookPlacement) -> DIIIClan:
     """Of the two pyramids of a placement, decode the one giving a DIII clan.
 
-    The mirror pyramid's scan sees the same rows with every side swapped,
-    which is the original scan with the switch starting RIGHT: only the
-    first rook's flip changes, so the mirror's flip count is the
-    original's plus or minus one, and exactly one of the two is even.
-    That one start is decoded.
+    The rooks are read off the board as tuples (``_triangle``); no
+    ``PyramidCell`` or ``Pyramid`` is built, and ``_triangle`` and the
+    decode enforce the pyramid's coverage rule. The mirror's scan is the
+    scan with the switch starting RIGHT. Each flip trades sides, so a scan
+    has an even flip count exactly when it ends on its starting side: the
+    start to decode is the side of the last rook, in row 1.
     """
-    pyramid = extract_pyramid(placement)
-    cells = sorted(pyramid.rooks, key=lambda c: -c.row)
-    sides = [cell.side for cell in cells]
-    flips = sum(map(str.__ne__, [LEFT, *sides], sides))
-    return _decode(pyramid.n, cells, LEFT if flips % 2 == 0 else RIGHT)
+    cells = _triangle(placement.perm)
+    return _decode(len(placement.perm) // 2, cells, cells[-1][0] if cells else LEFT)
 
 
 def rotate_placement(placement: RookPlacement) -> RookPlacement:

@@ -48,9 +48,6 @@ class SchubertSubset:
                 f"odd number of first-half positions missing ({dropped})"
             )
 
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
 
 def subset_to_base_clan(subset: SchubertSubset) -> DIIIClan:
     """Plus at member positions, minus elsewhere."""

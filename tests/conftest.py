@@ -1,5 +1,6 @@
 import io
 import sys
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -27,6 +28,31 @@ def count_clan_builds(monkeypatch) -> list:
     monkeypatch.setattr(Clan, "__init__", counting_init)
     monkeypatch.setattr(DIIIClan, "_from_key", classmethod(counting_from_key))
     return built
+
+
+def count_checks(monkeypatch) -> Counter:
+    """Count, until ``monkeypatch.undo()``, every checked ``PyramidCell``
+    and ``Pyramid`` built (one ``__post_init__`` each) and every scan of a
+    path's steps by ``validate_path`` (``delannoy._scan``), under the keys
+    ``"PyramidCell"``, ``"Pyramid"`` and ``"scan"``."""
+    from diii_clans import delannoy, pyramids
+
+    counts: Counter = Counter()
+    for cls in (pyramids.PyramidCell, pyramids.Pyramid):
+
+        def counting_check(self, check=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_check)
+    scan = delannoy._scan
+
+    def counting_scan(steps):
+        counts["scan"] += 1
+        return scan(steps)
+
+    monkeypatch.setattr(delannoy, "_scan", counting_scan)
+    return counts
 
 
 class RecordingStream(io.StringIO):

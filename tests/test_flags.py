@@ -18,14 +18,15 @@ from diii_clans import (
     verify_special_orthogonal,
     weak_order_poset,
 )
+from diii_clans import flags
 from diii_clans.flags import (
     INV_SQRT2,
     ONE,
     ZERO,
+    _eliminate,
     _integer_form,
     _scaled,
     exact_determinant,
-    exact_rank,
 )
 from diii_clans.verify import check_flags
 
@@ -171,6 +172,12 @@ def swap_columns(rows, c):
     m = len(rows)
     swap = {c: m - 1 - c, m - 1 - c: c}
     return tuple(tuple(row[swap.get(j, j)] for j in range(m)) for row in rows)
+
+
+def exact_rank(rows):
+    """The rank of a matrix over Q(sqrt 2): the reference rank, by the
+    package's own scaling and fraction-free elimination."""
+    return _eliminate(_scaled(rows)[1], len(rows[0]) if rows else 0)[0]
 
 
 def block_dimension(rows):
@@ -579,6 +586,29 @@ class TestIntegerForm:
         object.__setattr__(matrix, "clan", parse_diii("+1212-"))
         assert _integer_form(matrix) is not again
         assert matrix._form.clan is matrix.clan
+
+    def test_shape_is_read_once_per_form(self, monkeypatch):
+        # a kept form was read from rows of the right shape, and its very
+        # tuples and clan cannot change shape, so a memo hit skips the test
+        shapes = []
+        is_flag_shape = flags._is_flag_shape
+
+        def counting(matrix):
+            shapes.append(matrix.rows)
+            return is_flag_shape(matrix)
+
+        monkeypatch.setattr(flags, "_is_flag_shape", counting)
+        matrix = representative_matrix(parse_diii("+1212-"))
+        assert verify_special_orthogonal(matrix)
+        assert intersection_parity(matrix) == 1
+        assert verify_special_orthogonal(matrix)
+        assert shapes == [matrix.rows]
+        # rows replaced around the constructor miss the memo and are tested
+        object.__setattr__(matrix, "rows", REFERENCE_MATRIX[:4])
+        assert not verify_special_orthogonal(matrix)
+        with pytest.raises(ClanError):
+            intersection_dimension(matrix)
+        assert shapes == [shapes[0]] + [REFERENCE_MATRIX[:4]] * 2
 
     def test_form_takes_no_part_in_equality_hash_or_repr(self):
         clan = parse_diii("+1212-")
