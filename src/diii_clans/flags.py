@@ -298,9 +298,9 @@ class _Form:
 
 def _integer_form(matrix: FlagMatrix) -> _Form | None:
     """The matrix's form, or None if its rows are not 2n x 2n for its clan.
-    A form is kept while ``rows`` and ``clan`` are the objects it was read
-    from, and then returned with no shape test: it was read from a tuple
-    of row tuples (rows in lists can change in place and are not kept)."""
+    A form is kept only for a tuple of row tuples that passed the shape
+    test, and returned with no test while ``rows`` and ``clan`` are those
+    very objects, which cannot change shape (rows in lists can)."""
     rows, clan, form = matrix.rows, matrix.clan, matrix._form
     if form is not None and form.rows is rows and form.clan is clan:
         return form

@@ -181,12 +181,16 @@ def involutions(m):
         yield tuple(mapping[i] for i in range(1, m + 1))
 
 
-def doubly_symmetric_count(m):
-    total = 0
+def doubly_symmetric(m):
+    """One-line tuples of every placement of m rooks symmetric across
+    both main diagonals."""
     for perm in involutions(m):
         if all(perm[m - perm[i - 1]] == m + 1 - i for i in range(1, m + 1)):
-            total += 1
-    return total
+            yield perm
+
+
+def doubly_symmetric_count(m):
+    return sum(1 for _ in doubly_symmetric(m))
 
 
 def set_partitions(items):

@@ -27,8 +27,13 @@ from diii_clans import (
 )
 from diii_clans import pyramids, verify
 
-from conftest import diii_clans
-from oracles import doubly_symmetric_count, minimally_intersecting_pairs, raw_is_diii
+from conftest import count_checks, diii_clans
+from oracles import (
+    doubly_symmetric,
+    doubly_symmetric_count,
+    minimally_intersecting_pairs,
+    raw_is_diii,
+)
 
 REFERENCE_PYRAMID = Pyramid(
     4,
@@ -165,6 +170,47 @@ class TestSingleDecode:
     @given(diii_clans(max_n=24))
     def test_matches_both_decodes_on_large_clans(self, clan):
         self.assert_single_decode(clan)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_matches_both_decodes_on_every_placement(self, m):
+        # every placement, from the independent involution list
+        for perm in doubly_symmetric(m):
+            board = RookPlacement(perm)
+            assert placement_to_clan(board) == decode_either(extract_pyramid(board))
+
+    def test_builds_no_pyramid(self, monkeypatch):
+        boards = [pyramid_to_placement(clan_to_pyramid(c)) for c in enumerate_diii(4)]
+        counts = count_checks(monkeypatch)
+        for board in boards:
+            placement_to_clan(board)
+            placement_to_clan(rotate_placement(board))
+        assert counts["PyramidCell"] == counts["Pyramid"] == 0
+        extract_pyramid(boards[0])
+        assert counts["PyramidCell"] == 4 and counts["Pyramid"] == 1
+
+    @pytest.mark.parametrize(
+        "perm, message",
+        [
+            # two diagonal rooks in row 1, at (1, 1) and (1, 4): the one
+            # overlap the decode itself would not see
+            ((1, 2, 3, 1), "board row 1 holds two rooks"),
+            # rooks (R, 1, 2) and (L, 2, 2) both touch index 2
+            ((3, 2, 1, 4), "position 2 assigned twice"),
+            # no rook in the triangle
+            ((3, 3, 3, 3), "positions [1, 2, 3, 4] left unassigned"),
+            ((0, 2, 3, 4), "rook in column 1 has no board row: 0"),
+            ((True, 2, 3, 4), "rook in column 1 has no board row: True"),
+            ((1.0, 2, 3, 4), "rook in column 1 has no board row: 1.0"),
+        ],
+    )
+    def test_perm_replaced_around_its_check(self, perm, message):
+        board = RookPlacement((1, 2, 3, 4))
+        object.__setattr__(board, "perm", perm)
+        with pytest.raises(ClanError) as raised:
+            placement_to_clan(board)
+        assert str(raised.value) == message
+        with pytest.raises(ClanError):
+            extract_pyramid(board)
 
     def test_empty_board_is_a_clan_error(self):
         with pytest.raises(ClanError, match="at least two symbols"):

@@ -1,12 +1,11 @@
-"""Each object on the bijection chain is checked once, by the cheapest
-code, and every check still rejects what it rejected before.
+"""Each check on the bijection chain runs once, by the cheapest code, and
+still rejects what it rejected before.
 
-``placement_to_clan`` decodes straight from the board, ``validate_path``
-remembers a path that passed, ``assemble_key`` tests occupancy inline, and
-``RookPlacement`` and ``Pyramid`` test their rules in one pass. Each new
-route is compared here with the route it replaced: the reference checks
-below are the per-index and per-claim versions those constructors and
-``assemble_key`` ran before.
+``validate_path`` remembers a path that passed, ``assemble_key`` tests
+occupancy inline, and ``RookPlacement`` and ``Pyramid`` test their rules
+in one pass. Each is compared here with a reference: the per-index and
+per-claim versions those checks ran before. The placement decode, which
+builds no pyramid, is tested with the other decodes in test_pyramids.py.
 """
 
 from itertools import product
@@ -21,25 +20,18 @@ from diii_clans import (
     PathError,
     Pyramid,
     PyramidCell,
-    PyramidParityError,
     RookPlacement,
     WeightedDelannoyPath,
     clan_to_path,
-    clan_to_pyramid,
     enumerate_diii,
-    extract_pyramid,
     parse_diii,
     path_to_clan,
-    placement_to_clan,
-    pyramid_to_clan,
-    pyramid_to_placement,
-    rotate_placement,
     validate_path,
 )
 from diii_clans.enumeration import _put_pair, _put_sign, assemble_key
 
-from conftest import count_checks, diii_clans
-from oracles import involutions
+from conftest import count_checks
+from oracles import doubly_symmetric
 
 
 def outcome(f, *args):
@@ -54,11 +46,6 @@ def verdict(f, *args):
     """``outcome`` with the result of a success dropped."""
     kind, result = outcome(f, *args)
     return kind, None if kind == "ok" else result
-
-
-def doubly_symmetric(m):
-    """Every placement of size m, from the independent involution list."""
-    return [p for p in involutions(m) if all(p[m - v] == m + 1 - i for i, v in enumerate(p, 1))]
 
 
 def reference_placement_check(perm):
@@ -137,23 +124,6 @@ def reference_assemble_key(n, contained_pairs, straddling_pairs, signs):
     return tuple(key)
 
 
-def old_route(placement):
-    """The clan of a placement through a checked ``Pyramid``: the extracted
-    pyramid or its mirror, whichever has an even flip count."""
-    pyramid = extract_pyramid(placement)
-    try:
-        return pyramid_to_clan(pyramid)
-    except PyramidParityError:
-        return pyramid_to_clan(pyramid.mirror())
-
-
-def around_check(perm):
-    """A valid placement whose ``perm`` was then replaced by ``perm``."""
-    placement = RookPlacement((1, 2, 3, 4))
-    object.__setattr__(placement, "perm", perm)
-    return placement
-
-
 def word(text):
     return WeightedDelannoyPath.from_word(text)
 
@@ -185,9 +155,6 @@ class TestMessagesKept:
     def test_placement(self, perm, message):
         assert outcome(RookPlacement, perm) == (ClanError, message)
         assert outcome(reference_placement_check, perm) == (ClanError, message)
-
-    def test_empty_placement_is_valid(self):
-        assert RookPlacement(()).perm == ()
 
     @pytest.mark.parametrize(
         "n, rooks, message",
@@ -274,7 +241,7 @@ class TestMessagesKept:
 
 
 _permutations = st.integers(0, 8).flatmap(lambda m: st.permutations(range(1, m + 1)))
-_placements = st.integers(1, 4).flatmap(lambda n: st.sampled_from(doubly_symmetric(2 * n)))
+_placements = st.integers(1, 4).flatmap(lambda n: st.sampled_from(list(doubly_symmetric(2 * n))))
 _near_perms = st.lists(st.integers(-1, 7) | st.booleans(), max_size=7)
 _cells = st.builds(
     lambda side, row, extra: PyramidCell(side, row, row + extra),
@@ -324,78 +291,6 @@ class TestSameVerdictAsTheReference:
     def test_assemble_key(self, n, contained, straddling, signs):
         args = (n, contained, straddling, signs)
         assert outcome(assemble_key, *args) == outcome(reference_assemble_key, *args)
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_assemble_key_on_every_clan(self, n):
-        for clan in enumerate_diii(n):
-            pyramid = clan_to_pyramid(clan)
-            cells = sorted(pyramid.rooks, key=lambda c: -c.row)
-            for start in (L, R):
-                switch, data = start, ([], [], {})
-                for cell in cells:
-                    flipped = cell.side != switch
-                    switch = cell.side
-                    if cell.row == cell.col:
-                        data[2][cell.row] = "-" if flipped else "+"
-                    else:
-                        data[0 if flipped else 1].append((cell.row, cell.col))
-                args = (n, *data)
-                assert outcome(assemble_key, *args) == outcome(reference_assemble_key, *args)
-
-
-class TestPlacementDecode:
-    """``placement_to_clan`` reads the board's triangle as plain tuples and
-    agrees with the decode through a checked ``Pyramid``."""
-
-    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
-    def test_every_placement_matches_the_old_route(self, m):
-        for perm in doubly_symmetric(m):
-            placement = RookPlacement(perm)
-            assert placement_to_clan(placement) == old_route(placement)
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_every_clan_and_its_quarter_turn(self, n):
-        for clan in enumerate_diii(n):
-            placement = pyramid_to_placement(clan_to_pyramid(clan))
-            for board in (placement, rotate_placement(placement)):
-                assert placement_to_clan(board) == old_route(board) == clan
-
-    @settings(deadline=None)
-    @given(diii_clans(max_n=24))
-    def test_large_clans(self, clan):
-        placement = pyramid_to_placement(clan_to_pyramid(clan))
-        for board in (placement, rotate_placement(placement)):
-            assert placement_to_clan(board) == old_route(board) == clan
-
-    @pytest.mark.parametrize(
-        "perm, message",
-        [
-            # two diagonal rooks in row 1, at (1, 1) and (1, 4): the one
-            # overlap the decode itself would not see
-            ((1, 2, 3, 1), "board row 1 holds two rooks"),
-            # rooks (R, 1, 2) and (L, 2, 2) both touch index 2
-            ((3, 2, 1, 4), "position 2 assigned twice"),
-            # no rook in the triangle
-            ((3, 3, 3, 3), "positions [1, 2, 3, 4] left unassigned"),
-            ((0, 2, 3, 4), "rook in column 1 has no board row: 0"),
-            ((True, 2, 3, 4), "rook in column 1 has no board row: True"),
-            ((1.0, 2, 3, 4), "rook in column 1 has no board row: 1.0"),
-        ],
-    )
-    def test_perm_replaced_around_its_check(self, perm, message):
-        placement = around_check(perm)
-        assert outcome(placement_to_clan, placement) == (ClanError, message)
-        assert outcome(old_route, placement)[0] is ClanError
-
-    def test_builds_no_pyramid(self, monkeypatch):
-        placements = [pyramid_to_placement(clan_to_pyramid(c)) for c in enumerate_diii(4)]
-        counts = count_checks(monkeypatch)
-        for placement in placements:
-            placement_to_clan(placement)
-            placement_to_clan(rotate_placement(placement))
-        assert counts["PyramidCell"] == counts["Pyramid"] == 0
-        extract_pyramid(placements[0])
-        assert counts["PyramidCell"] == 4 and counts["Pyramid"] == 1
 
 
 class TestPathMemo:
