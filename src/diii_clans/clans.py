@@ -256,6 +256,28 @@ class Clan:
         canonical labels follow from the mates."""
         return self._table
 
+    def _default_mapping(self) -> list[int]:
+        """``default_permutation`` in one-line notation, as a plain list:
+        i <= n and 2n+1-i are swapped when the signature at i is ``-``."""
+        key = self._table
+        m = len(key) + 1
+        mapping = list(range(1, m))
+        for i, q in enumerate(key[: m // 2], start=1):
+            if q == MINUS or type(q) is int and i < q:
+                mapping[i - 1], mapping[-i] = m - i, i
+        return mapping
+
+    def _families(self) -> list[tuple[int, int, int, int]]:
+        """Each mate pair (i, j) with i < j and i < 2n+1-j, grouped with its
+        mirror pair as (i, j, 2n+1-j, 2n+1-i), in order of i."""
+        key = self._table
+        m = len(key) + 1
+        return [
+            (i, j, m - j, m - i)
+            for i, j in enumerate(key[: m // 2], start=1)
+            if type(j) is int and i < j and i < m - j
+        ]
+
     def signatures(self) -> tuple[str, ...]:
         """Signature of each position in the default signed clan.
 
@@ -368,17 +390,10 @@ class DIIIClan(Clan):
         n = self.n
         pi0: set[tuple[int, int]] = set()
         pi1: set[tuple[int, int]] = set()
-        families: list[tuple[int, int, int, int]] = []
         for i, j in self.pairs():
-            if i <= n < j:
-                pi0.add((i, j))
-            else:
-                pi1.add((i, j))
-            if i < 2 * n + 1 - j:
-                families.append((i, j, 2 * n + 1 - j, 2 * n + 1 - i))
-        families.sort()
+            (pi0 if i <= n < j else pi1).add((i, j))
         return PairClassification(
-            pi0=frozenset(pi0), pi1=frozenset(pi1), families=tuple(families)
+            pi0=frozenset(pi0), pi1=frozenset(pi1), families=tuple(self._families())
         )
 
     def base_clan(self) -> "DIIIClan":
@@ -388,14 +403,7 @@ class DIIIClan(Clan):
     def default_permutation(self) -> "Involution":
         """The involution fixing position i and its opposite when the
         signature at i is ``+``, and swapping them when it is ``-``."""
-        n = self.n
-        sig = self.signatures()
-        mapping = list(range(1, 2 * n + 1))
-        for i in range(1, n + 1):
-            if sig[i - 1] == MINUS:
-                mapping[i - 1] = 2 * n + 1 - i
-                mapping[2 * n - i] = i
-        return Involution(tuple(mapping))
+        return Involution(tuple(self._default_mapping()))
 
     def underlying_involution(self) -> "Involution":
         """The involution exchanging the two positions of each mate pair."""

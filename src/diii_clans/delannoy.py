@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, Symbol, ascii_int, json_fields
+from .enumeration import assemble_clan
 
 NORTH = "N"
 EAST = "E"
@@ -225,39 +226,43 @@ def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
 
 
 def path_to_clan(path: WeightedDelannoyPath) -> DIIIClan:
-    """Invert the reduction, rebuilding the clan from the inside out.
+    """Invert the reduction, reading the path from the outside in.
 
-    The path is checked with ``validate_path`` first.  One symbol list
-    grows in place: each loop inserts the new outer symbols, in ascending
-    order of their final positions, and the word becomes a clan through
-    the checked ``DIIIClan`` constructor.
+    The path is checked with ``validate_path`` first. ``open_`` lists the
+    positions still to decode, in the order of the symbols ``clan_to_path``
+    holds at that stage: each loop reads one outer step, gives the consumed
+    positions their signs or mates, then deletes them and trades the middle
+    pair as the reduction does. ``assemble_clan`` builds the clan from the
+    first-half data, checking coverage and parity.
     """
     ok, violated = validate_path(path)
     if not ok:
         raise PathError(f"invalid weighted Delannoy path: condition {violated} violated")
     steps = path.steps
-    r = len(steps)
-    syms: list[Symbol] = []
-    label = 0
-    for k in range(r // 2, 0, -1):
+    r, n = len(steps), path.n
+    mirror = 2 * n + 1
+    open_ = list(range(1, mirror))
+    contained: list[tuple[int, int]] = []
+    straddling: list[tuple[int, int]] = []
+    signs: dict[int, str] = {}
+    for k in range(1, r // 2 + 1):
         outer = steps[r - k]
-        if outer.direction == NORTH:
-            syms.insert(0, PLUS)
-            syms.append(MINUS)
-        elif outer.direction == EAST:
-            _swap_middle(syms)
-            syms.insert(0, MINUS)
-            syms.append(PLUS)
-        else:
-            m = len(syms) // 2 + 2
-            j = outer.label
+        last = open_.pop()
+        if outer.direction == DIAGONAL:
+            m, j = (len(open_) + 1) // 2, outer.label
+            a, b = sorted((open_[j - 1], last))  # mates; their mirrors are the other pair
+            if b <= n or a > n:  # contained, in the first half or mirrored from it
+                contained.append((a, b) if b <= n else (mirror - b, mirror - a))
+            else:
+                straddling.append((min(a, mirror - b), max(a, mirror - b)))
+            # 0-based: the mate j - 1, its mirror 2m - j, and the last's mirror 0
+            del open_[max(j - 1, 2 * m - j)], open_[min(j - 1, 2 * m - j)], open_[0]
             if j > m:
-                _swap_middle(syms)
-            opener, closer = label + 1, label + 2
-            label = closer
-            # opener at 0 and 2m - j, closer at j - 1 and 2m - 1 (0-based)
-            syms.insert(0, opener)
-            for pos, sym in sorted(((j - 1, closer), (2 * m - j, opener))):
-                syms.insert(pos, sym)
-            syms.append(closer)
-    return DIIIClan(syms)
+                _swap_middle(open_)
+        else:
+            first = open_.pop(0)
+            p = min(first, last)  # an outer N strips a trailing minus, an outer E a plus
+            signs[p] = PLUS if p == (first if outer.direction == NORTH else last) else MINUS
+            if outer.direction == EAST:
+                _swap_middle(open_)
+    return assemble_clan(n, contained, straddling, signs)

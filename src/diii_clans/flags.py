@@ -1,8 +1,11 @@
 """Exact representative flag matrices over the field {a + b*sqrt(2)}.
 
-Entries are ``QSqrt2``, pairs of rationals, so membership in the special
-orthogonal group (form identity and unit determinant) is decided exactly,
-with no floating point anywhere. The kernels do not compute with those
+``representative_matrix`` writes a clan's matrix straight from its key,
+with the default permutation as a plain list and the families of four
+mate positions in position order. Entries are ``QSqrt2``, pairs of
+rationals, so membership in the special orthogonal group (form identity
+and unit determinant) is decided exactly, with no floating point
+anywhere. The kernels do not compute with those
 entries: they first scale the matrix by L, the lcm of every denominator,
 into sparse (L*a, L*b) int pairs, elements of Z[sqrt 2]. The form identity
 is then checked by pairing columns through their nonzero entries, and
@@ -159,25 +162,28 @@ class FlagMatrix:
 
 def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     """Columns are basis vectors at sign positions (routed through the
-    default permutation) and mixed +-1/sqrt(2) combinations on each family
-    of four mate positions."""
+    default permutation sigma) and mixed +-1/sqrt(2) combinations on each
+    family of four mate positions, both read off the clan's key
+    (``Clan._default_mapping``, ``Clan._families``): no ``Involution`` or
+    ``PairClassification`` is built."""
     clan = clan.to_diii()
-    m = 2 * clan.n
-    sigma = clan.default_permutation()
+    key = clan._key()
+    m = len(key)
+    sigma = clan._default_mapping()
     rows = [[ZERO] * m for _ in range(m)]
-    filled = set()
-    for pos, q in enumerate(clan._key(), start=1):
+    filled = 0
+    for pos, q in enumerate(key):
         if type(q) is str:
-            rows[sigma(pos) - 1][pos - 1] = ONE
-            filled.add(pos)
-    for (i, j, jj, ii) in clan.classify_pairs().families:
+            rows[sigma[pos] - 1][pos] = ONE
+            filled += 1
+    for (i, j, jj, ii) in clan._families():
         # columns p and q: (e_r + e_s)/sqrt2 and (e_r - e_s)/sqrt2
         for p, q in ((i, j), (ii, jj)):
-            r, s = rows[sigma(p) - 1], rows[sigma(q) - 1]
+            r, s = rows[sigma[p - 1] - 1], rows[sigma[q - 1] - 1]
             r[p - 1] = r[q - 1] = s[p - 1] = INV_SQRT2
             s[q - 1] = _NEG_INV_SQRT2
-            filled.update((p, q))
-    if len(filled) != m:
+        filled += 4
+    if filled != m:
         raise AssertionError("flag construction left empty columns")
     return FlagMatrix(clan, tuple(map(tuple, rows)))
 

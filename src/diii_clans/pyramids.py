@@ -307,33 +307,35 @@ class PartitionPair:
     blocks: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        if type(self.blocks) is not frozenset or not all(
-            type(part) is frozenset and all(type(i) is int for i in part)
-            for part in (self.left, self.right, *self.blocks)
+        left, right, blocks = self.left, self.right, self.blocks
+        if type(blocks) is not frozenset or not all(
+            type(part) is frozenset and {*map(type, part)} <= {int}
+            for part in (left, right, *blocks)
         ):
             raise ClanError(
                 "partition pair sides and blocks must be frozensets of ints, "
-                f"got {self.left!r}, {self.right!r}, {self.blocks!r}"
+                f"got {left!r}, {right!r}, {blocks!r}"
             )
-        n = len(self.left) + len(self.right)
-        if not self.left or not self.right:
+        n = len(left) + len(right)
+        if not left or not right:
             raise ClanError("both partition blocks must be nonempty")
-        if self.left & self.right:
+        if not left.isdisjoint(right):
             raise ClanError("partition blocks overlap")
-        if self.left | self.right != set(range(1, n + 1)):
+        # n distinct ints cover 1..n exactly when all lie in it
+        if min(min(left), min(right)) < 1 or max(max(left), max(right)) > n:
             raise ClanError(f"partition blocks must cover 1..{n}")
         covered: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:  # set tests that allocate no set
             if not 1 <= len(block) <= 2:
                 raise ClanError(f"block {set(block)} has more than two elements")
-            if covered & block:
+            if not covered.isdisjoint(block):
                 raise ClanError("second partition has overlapping blocks")
-            covered |= block
-            if len(block & self.left) > 1 or len(block & self.right) > 1:
+            covered.update(block)
+            if len(block) == 2 and (block <= left or block <= right):
                 raise ClanError(
                     f"block {set(block)} does not straddle the two-block partition"
                 )
-        if covered != set(range(1, n + 1)):
+        if len(covered) != n or min(covered) < 1 or max(covered) > n:
             raise ClanError(f"second partition must cover 1..{n}")
 
     @property
@@ -380,15 +382,12 @@ def pyramid_to_partition_pair(pyramid: Pyramid) -> PartitionPair:
 
 
 def partition_pair_to_pyramid(pair: PartitionPair) -> Pyramid:
-    """Rebuild the pyramid: singletons give diagonal rooks on their side;
-    a block {i, j} gives a rook in row i, column j on the side of j."""
+    """Rebuild the pyramid: a block {i, j}, i <= j, gives a rook in row i,
+    column j on the side of j, so a singleton gives a diagonal rook."""
     rooks = []
     for block in pair.blocks:
-        members = sorted(block)
-        if len(members) == 1:
-            i = members[0]
-            rooks.append(PyramidCell(LEFT if i in pair.left else RIGHT, i, i))
-        else:
-            i, j = members
-            rooks.append(PyramidCell(LEFT if j in pair.left else RIGHT, i, j))
+        i, j = block if len(block) == 2 else (*block, *block)
+        if i > j:
+            i, j = j, i
+        rooks.append(PyramidCell(LEFT if j in pair.left else RIGHT, i, j))
     return Pyramid(pair.n, frozenset(rooks))

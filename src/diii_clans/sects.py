@@ -246,7 +246,7 @@ def clan_to_pfpf(clan: DIIIClan) -> PartialFPFInvolution:
     if clan.signatures() != big_sect_base(n)._key():
         raise ClanError("clan does not belong to the big sect")
     values = [0] * n
-    for (i, j, jj, _) in clan.classify_pairs().families:
+    for (i, j, jj, _) in clan._families():
         partner = min(j, jj)
         values[i - 1], values[partner - 1] = partner, i
     return PartialFPFInvolution(tuple(values))

@@ -266,6 +266,21 @@ def candidate_weighted_words(n):
             yield tuple(word)
 
 
+def raw_flag_data(t):
+    """The default permutation (one-line, 1-based) and the families of a
+    raw clan tuple, from its pairs and signatures: sigma swaps i <= n with
+    2n+1-i exactly when position i is signed ``-``, and each pair (i, j)
+    with i < 2n+1-j heads the family (i, j, 2n+1-j, 2n+1-i), sorted."""
+    pairs, _, signatures = raw_pair_data(t)
+    m = len(t)
+    sigma = list(range(1, m + 1))
+    for i in range(1, m // 2 + 1):
+        if signatures[i - 1] == "-":
+            sigma[i - 1], sigma[m - i] = m + 1 - i, i
+    families = sorted((i, j, m + 1 - j, m + 1 - i) for i, j in pairs if i < m + 1 - j)
+    return sigma, families
+
+
 def raw_delannoy_word(t):
     """The weighted Delannoy word of a raw clan tuple by the outer
     reduction, re-slicing the symbols at every step: a trailing sign s
@@ -313,6 +328,45 @@ def rank_polys_convolution(n_max):
             prod[e] += 2 * c
         polys.append(prod)
     return [tuple(p) for p in polys[:n_max]]
+
+
+def rank_poly_by_choices(n_max):
+    """Coefficient tuples of A_1 .. A_{n_max}, the clans of each size counted
+    by length, from the sect generator's choices read as a dynamic program.
+
+    The first of l free first-half positions keeps ``+`` or keeps ``-``
+    (adding 0), or pairs with the k-th (0-based) of the other lr = l - 1:
+    as a contained pair, using one ``-`` of the base and adding k + 1, or as
+    a straddling pair, using two and adding 2 lr - 1 - k. ``P[l][e]`` sums
+    t^(length added) over the choices for l positions that use a number of
+    minus signs of parity e; A_n = P[n][0], an even base. The two parity
+    states are kept apart and asserted equal for every l >= 1, the step that
+    gives the recurrence A_n = 2 A_{n-1} + m_n A_{n-2}.
+    """
+
+    def add(target, poly, shift):
+        target.extend([0] * (len(poly) + shift - len(target)))
+        for d, c in enumerate(poly):
+            target[d + shift] += c
+
+    P = [([1], [0])]
+    for l in range(1, n_max + 1):
+        states = []
+        for e in (0, 1):
+            total = []
+            add(total, P[l - 1][e], 0)  # keep +
+            add(total, P[l - 1][1 - e], 0)  # keep -
+            if l >= 2:
+                lr = l - 1
+                for k in range(lr):
+                    add(total, P[l - 2][1 - e], k + 1)  # contained
+                    add(total, P[l - 2][e], 2 * lr - 1 - k)  # straddling
+            while len(total) > 1 and total[-1] == 0:
+                total.pop()
+            states.append(total)
+        assert states[0] == states[1], l
+        P.append(tuple(states))
+    return [tuple(P[l][0]) for l in range(1, n_max + 1)]
 
 
 # Q(sqrt 2) as raw (a, b) Fraction pairs meaning a + b*sqrt(2).

@@ -5,12 +5,13 @@ from diii_clans import (
     Clan,
     ClanError,
     DIIIClan,
+    enumerate_diii,
     parse_clan,
     parse_diii,
 )
 
 from conftest import diii_clans
-from oracles import all_canonical_clans, naive_diii, raw_is_diii, raw_pair_data
+from oracles import all_canonical_clans, naive_diii, raw_flag_data, raw_is_diii, raw_pair_data
 
 
 class TestParsing:
@@ -242,6 +243,22 @@ class TestInvolutions:
 
     def test_matchless_underlying_identity(self):
         assert parse_diii("+--+-++-").underlying_involution().is_identity()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_key_readers_match_raw_oracle(self, n):
+        # the default permutation and the families, read off the key, equal
+        # those read off the raw symbols' pairs and signatures
+        for clan in enumerate_diii(n):
+            sigma, families = raw_flag_data(clan.symbols)
+            assert clan._default_mapping() == sigma
+            assert clan._families() == families
+            assert clan.default_permutation().mapping == tuple(sigma)
+            assert clan.classify_pairs().families == tuple(families)
+
+    @given(diii_clans(max_n=16))
+    def test_key_readers_match_raw_oracle_beyond_exhaustive_sizes(self, clan):
+        sigma, families = raw_flag_data(clan.symbols)
+        assert (clan._default_mapping(), clan._families()) == (sigma, families)
 
     @given(diii_clans())
     def test_involutions_square_to_identity(self, clan):

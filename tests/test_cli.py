@@ -383,6 +383,10 @@ class TestConvert:
         assert len(out) == 2 * n + 1
 
 
+#: SHA-256 of the `flag` output of every clan with n <= 4, both formats
+FLAG_DIGEST = "0d251ec992a782094dc673da230d7e42f31b7f214f4dd9770637c7e36c093ab5"
+
+
 class TestFlag:
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "flag", "+-")
@@ -393,6 +397,18 @@ class TestFlag:
         data = json.loads(out)
         assert data["n"] == 3
         assert data["entries"][1][2] == {"a": "0", "b": "1/2"}
+
+    def test_every_small_clan_byte_identical(self, capsys):
+        # one SHA-256 over `flag <clan>` and `flag <clan> --format json`, in
+        # that order, for every clan with n <= 4 in listing order
+        digest = hashlib.sha256()
+        for n in range(1, 5):
+            for clan in enumerate_diii(n):
+                for extra in ((), ("--format", "json")):
+                    code, out, _ = run(capsys, "flag", clan.text(), *extra)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == FLAG_DIGEST
 
 
 class TestVerify:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from diii_clans import (
     ClanError,
     FlagMatrix,
+    Involution,
+    PairClassification,
     QSqrt2,
     count_formula,
     enumerate_diii,
@@ -34,6 +36,7 @@ from conftest import diii_clans
 from oracles import (
     raw_antidiagonal,
     raw_form,
+    raw_flag_data,
     raw_is_special_orthogonal,
     raw_rank_and_determinant,
     raw_stacked_intersection,
@@ -144,24 +147,28 @@ def per_entry_scaled(rows):
 
 def column_built_rows(clan):
     """The representative's rows built column by column and transposed:
-    basis vectors at sign positions and mixed columns on each family."""
+    basis vectors at sign positions and mixed columns on each family, with
+    sigma and the families read off the raw symbols (``raw_flag_data``).
+    Positions and rows here are 0-based."""
     m = 2 * clan.n
-    sigma = clan.default_permutation()
+    symbols = tuple(clan.spaced().split())
+    mapping, families = raw_flag_data(symbols)
+    sigma = [v - 1 for v in mapping]
     cols = [None] * m
 
     def column(entries):
         col = [ZERO] * m
         for r, e in entries:
-            col[r - 1] = e
+            col[r] = e
         return col
 
-    for pos, symbol in enumerate(clan.spaced().split(), start=1):
+    for pos, symbol in enumerate(symbols):
         if symbol in "+-":
-            cols[pos - 1] = column([(sigma(pos), ONE)])
-    for (i, j, jj, ii) in clan.classify_pairs().families:
-        for p, q in ((i, j), (ii, jj)):
-            cols[p - 1] = column([(sigma(p), INV_SQRT2), (sigma(q), INV_SQRT2)])
-            cols[q - 1] = column([(sigma(p), INV_SQRT2), (sigma(q), -INV_SQRT2)])
+            cols[pos] = column([(sigma[pos], ONE)])
+    for (i, j, jj, ii) in families:
+        for p, q in ((i - 1, j - 1), (ii - 1, jj - 1)):
+            cols[p] = column([(sigma[p], INV_SQRT2), (sigma[q], INV_SQRT2)])
+            cols[q] = column([(sigma[p], INV_SQRT2), (sigma[q], -INV_SQRT2)])
     assert None not in cols
     return tuple(zip(*cols))
 
@@ -293,10 +300,27 @@ class TestRepresentativeMatrix:
         seen = {representative_matrix(c).rows for c in enumerate_diii(n)}
         assert len(seen) == count_formula(n)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_column_built_construction(self, n):
         for clan in enumerate_diii(n):
             assert representative_matrix(clan).rows == column_built_rows(clan)
+
+    def test_builds_no_involution_or_classification(self, monkeypatch):
+        built = []
+        for cls in (Involution, PairClassification):
+
+            def counting_init(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+                built.append(name)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        clan = parse_diii("+1212-")
+        clan.default_permutation(), clan.classify_pairs()
+        assert built == ["Involution", "PairClassification"]
+        built.clear()
+        for clan in enumerate_diii(4):
+            representative_matrix(clan)
+        assert built == []
 
 
 class TestSpecialOrthogonality:

@@ -2,10 +2,13 @@
 still rejects what it rejected before.
 
 ``validate_path`` remembers a path that passed, ``assemble_key`` tests
-occupancy inline, and ``RookPlacement`` and ``Pyramid`` test their rules
-in one pass. Each is compared here with a reference: the per-index and
-per-claim versions those checks ran before. The placement decode, which
-builds no pyramid, is tested with the other decodes in test_pyramids.py.
+occupancy inline, and ``RookPlacement``, ``Pyramid`` and ``PartitionPair``
+test their rules in one pass. Each is compared here with a reference: the
+per-index, per-claim and per-block-set versions those checks ran before.
+``path_to_clan`` decodes a checked path through ``assemble_clan`` and is
+compared with the insertion decode it replaced. The placement decode,
+which builds no pyramid, is tested with the other decodes in
+test_pyramids.py.
 """
 
 from itertools import product
@@ -16,22 +19,27 @@ from hypothesis import strategies as st
 
 from diii_clans import (
     ClanError,
+    DIIIClan,
     LabeledStep,
+    PartitionPair,
     PathError,
     Pyramid,
     PyramidCell,
     RookPlacement,
     WeightedDelannoyPath,
     clan_to_path,
+    clan_to_pyramid,
     enumerate_diii,
     parse_diii,
     path_to_clan,
+    pyramid_to_partition_pair,
     validate_path,
 )
+from diii_clans.delannoy import _swap_middle
 from diii_clans.enumeration import _put_pair, _put_sign, assemble_key
 
-from conftest import count_checks
-from oracles import doubly_symmetric
+from conftest import count_checks, count_clan_builds, diii_clans
+from oracles import candidate_weighted_words, doubly_symmetric
 
 
 def outcome(f, *args):
@@ -124,6 +132,70 @@ def reference_assemble_key(n, contained_pairs, straddling_pairs, signs):
     return tuple(key)
 
 
+def reference_partition_pair_check(left, right, blocks):
+    """The partition-pair rules with set operations per block."""
+    if type(blocks) is not frozenset or not all(
+        type(part) is frozenset and all(type(i) is int for i in part)
+        for part in (left, right, *blocks)
+    ):
+        raise ClanError(
+            "partition pair sides and blocks must be frozensets of ints, "
+            f"got {left!r}, {right!r}, {blocks!r}"
+        )
+    n = len(left) + len(right)
+    if not left or not right:
+        raise ClanError("both partition blocks must be nonempty")
+    if left & right:
+        raise ClanError("partition blocks overlap")
+    if left | right != set(range(1, n + 1)):
+        raise ClanError(f"partition blocks must cover 1..{n}")
+    covered = set()
+    for block in blocks:
+        if not 1 <= len(block) <= 2:
+            raise ClanError(f"block {set(block)} has more than two elements")
+        if covered & block:
+            raise ClanError("second partition has overlapping blocks")
+        covered |= block
+        if len(block & left) > 1 or len(block & right) > 1:
+            raise ClanError(f"block {set(block)} does not straddle the two-block partition")
+    if covered != set(range(1, n + 1)):
+        raise ClanError(f"second partition must cover 1..{n}")
+
+
+def reference_path_to_clan(path):
+    """The insertion decode: one symbol list grows from the inside out, each
+    loop inserting the new outer symbols in ascending order of their final
+    positions, and the word becomes a clan through the checked constructor."""
+    ok, violated = validate_path(path)
+    if not ok:
+        raise PathError(f"invalid weighted Delannoy path: condition {violated} violated")
+    steps = path.steps
+    r = len(steps)
+    syms = []
+    label = 0
+    for k in range(r // 2, 0, -1):
+        outer = steps[r - k]
+        if outer.direction == "N":
+            syms.insert(0, "+")
+            syms.append("-")
+        elif outer.direction == "E":
+            _swap_middle(syms)
+            syms.insert(0, "-")
+            syms.append("+")
+        else:
+            m = len(syms) // 2 + 2
+            j = outer.label
+            if j > m:
+                _swap_middle(syms)
+            opener, closer = label + 1, label + 2
+            label = closer
+            syms.insert(0, opener)
+            for pos, sym in sorted(((j - 1, closer), (2 * m - j, opener))):
+                syms.insert(pos, sym)
+            syms.append(closer)
+    return DIIIClan(syms)
+
+
 def word(text):
     return WeightedDelannoyPath.from_word(text)
 
@@ -214,6 +286,88 @@ class TestMessagesKept:
         )
 
     @pytest.mark.parametrize(
+        "left, right, blocks, message",
+        [
+            (
+                {1},
+                frozenset({2}),
+                frozenset({frozenset({1, 2})}),
+                "partition pair sides and blocks must be frozensets of ints, "
+                "got {1}, frozenset({2}), frozenset({frozenset({1, 2})})",
+            ),
+            (
+                frozenset({1}),
+                frozenset({True}),
+                frozenset({frozenset({1, 2})}),
+                "partition pair sides and blocks must be frozensets of ints, "
+                "got frozenset({1}), frozenset({True}), frozenset({frozenset({1, 2})})",
+            ),
+            (
+                frozenset({1}),
+                frozenset({2}),
+                frozenset({frozenset({1.0, 2})}),
+                "partition pair sides and blocks must be frozensets of ints, "
+                "got frozenset({1}), frozenset({2}), frozenset({frozenset({1.0, 2})})",
+            ),
+            (frozenset(), frozenset({1}), frozenset(), "both partition blocks must be nonempty"),
+            # overlap is named before the cover fault it also causes
+            (frozenset({1, 9}), frozenset({1}), frozenset(), "partition blocks overlap"),
+            (frozenset({1, 4}), frozenset({2}), frozenset(), "partition blocks must cover 1..3"),
+            (frozenset({0}), frozenset({2}), frozenset(), "partition blocks must cover 1..2"),
+            (
+                frozenset({1, 2}),
+                frozenset({3}),
+                frozenset({frozenset({1, 2, 3})}),
+                "block {1, 2, 3} has more than two elements",
+            ),
+            (
+                frozenset({1}),
+                frozenset({2}),
+                frozenset({frozenset()}),
+                "block set() has more than two elements",
+            ),
+            (
+                frozenset({1, 3}),
+                frozenset({2}),
+                frozenset({frozenset({1, 2}), frozenset({2, 3})}),
+                "second partition has overlapping blocks",
+            ),
+            (
+                frozenset({1, 3}),
+                frozenset({2}),
+                frozenset({frozenset({1, 3}), frozenset({2})}),
+                "block {1, 3} does not straddle the two-block partition",
+            ),
+            (
+                frozenset({1}),
+                frozenset({2, 3}),
+                frozenset({frozenset({1}), frozenset({2, 3})}),
+                "block {2, 3} does not straddle the two-block partition",
+            ),
+            # a member outside 1..n straddles nothing and is a cover fault
+            (
+                frozenset({1}),
+                frozenset({2}),
+                frozenset({frozenset({1, 5}), frozenset({2})}),
+                "second partition must cover 1..2",
+            ),
+            (
+                frozenset({1}),
+                frozenset({2}),
+                frozenset({frozenset({1})}),
+                "second partition must cover 1..2",
+            ),
+            (frozenset({1}), frozenset({2}), frozenset(), "second partition must cover 1..2"),
+        ],
+    )
+    def test_partition_pair(self, left, right, blocks, message):
+        assert outcome(PartitionPair, left, right, blocks) == (ClanError, message)
+        assert outcome(reference_partition_pair_check, left, right, blocks) == (
+            ClanError,
+            message,
+        )
+
+    @pytest.mark.parametrize(
         "path, result",
         [
             ((), (False, 1)),
@@ -291,6 +445,92 @@ class TestSameVerdictAsTheReference:
     def test_assemble_key(self, n, contained, straddling, signs):
         args = (n, contained, straddling, signs)
         assert outcome(assemble_key, *args) == outcome(reference_assemble_key, *args)
+
+
+_members = st.frozensets(st.integers(-1, 6), max_size=4)
+_sides = _members | st.frozensets(st.integers(1, 3) | st.booleans(), max_size=3) | st.just({1})
+_blocks = st.frozensets(
+    st.frozensets(st.integers(0, 6), max_size=3)
+    | st.frozensets(st.integers(1, 6), min_size=1, max_size=2),
+    max_size=5,
+)
+
+
+def _pair_parts(clan):
+    pair = pyramid_to_partition_pair(clan_to_pyramid(clan))
+    return pair.left, pair.right, pair.blocks
+
+
+class TestPartitionPairCheck:
+    """The one-pass ``PartitionPair`` check returns or raises exactly what
+    the per-block-set reference does."""
+
+    @settings(deadline=None)
+    @given(_sides, _sides, _blocks | st.sets(_members, max_size=2))
+    def test_random_parts(self, left, right, blocks):
+        args = (left, right, blocks)
+        assert verdict(PartitionPair, *args) == outcome(reference_partition_pair_check, *args)
+
+    @settings(deadline=None)
+    @given(diii_clans(min_n=2, max_n=12), st.data())
+    def test_built_pairs_and_their_near_misses(self, clan, data):
+        try:
+            left, right, blocks = _pair_parts(clan)
+        except ClanError:  # the all-plus-then-all-minus clan has no pair
+            return
+        args = (left, right, blocks)
+        assert verdict(PartitionPair, *args) == outcome(reference_partition_pair_check, *args)
+        # move one index to the other side, or merge or drop a block
+        k = data.draw(st.sampled_from(sorted(left | right)))
+        moved = (left ^ {k}, right ^ {k}, blocks)
+        listed = sorted(blocks, key=sorted)
+        a, b = data.draw(st.sampled_from(listed)), data.draw(st.sampled_from(listed))
+        merged = (left, right, (blocks - {a, b}) | {a | b})
+        dropped = (left, right, blocks - {a})
+        for args in (moved, merged, dropped):
+            assert verdict(PartitionPair, *args) == outcome(reference_partition_pair_check, *args)
+
+
+def _words(n):
+    for raw in candidate_weighted_words(n):
+        yield WeightedDelannoyPath(tuple(LabeledStep(d, l) for d, l in raw))
+
+
+class TestPathDecode:
+    """``path_to_clan`` reads a checked path from the outside in and builds
+    through ``assemble_clan``: the same clan, or the same error, as the
+    insertion decode, and no checked clan build."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_candidate_word(self, n):
+        accepted = 0
+        for path in _words(n):
+            kind, result = outcome(path_to_clan, path)
+            assert (kind, result) == outcome(reference_path_to_clan, path)
+            accepted += kind == "ok"
+        assert accepted == len(enumerate_diii(n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_clan(self, n):
+        for clan in enumerate_diii(n):
+            path = clan_to_path(clan)
+            decoded = path_to_clan(path)
+            assert decoded == reference_path_to_clan(path) == clan
+            assert decoded._key() == clan._key()
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_large_clans(self, clan):
+        path = clan_to_path(clan)
+        assert path_to_clan(path) == reference_path_to_clan(path) == clan
+
+    def test_builds_one_unchecked_clan(self, monkeypatch):
+        paths = [clan_to_path(clan) for clan in enumerate_diii(5)]
+        built = count_clan_builds(monkeypatch)
+        for path in paths:
+            built.clear()
+            path_to_clan(path)
+            assert [kind for kind, _ in built] == ["_from_key"]
 
 
 class TestPathMemo:

@@ -29,6 +29,7 @@ from diii_clans.weak_order import _image_key, _move
 from conftest import RecordingStream, count_clan_builds, diii_clans
 from oracles import (
     canonical_raw,
+    rank_poly_by_choices,
     rank_polys_convolution,
     raw_is_diii,
     raw_length,
@@ -470,6 +471,12 @@ class TestRankPolynomial:
 
     def test_window_sum_matches_convolution(self):
         for n, coeffs in enumerate(rank_polys_convolution(40), start=1):
+            assert rank_poly_recurrence(n).coeffs == coeffs, n
+
+    def test_matches_the_generator_choices(self):
+        # the sect generator's choices, weighted by the length each adds,
+        # give the recurrence's polynomials (and equal parity states)
+        for n, coeffs in enumerate(rank_poly_by_choices(60), start=1):
             assert rank_poly_recurrence(n).coeffs == coeffs, n
 
 
