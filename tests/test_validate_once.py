@@ -354,6 +354,12 @@ class TestMessagesKept:
             (
                 frozenset({1}),
                 frozenset({2}),
+                frozenset({frozenset({0, 1})}),
+                "second partition must cover 1..2",
+            ),
+            (
+                frozenset({1}),
+                frozenset({2}),
                 frozenset({frozenset({1})}),
                 "second partition must cover 1..2",
             ),
