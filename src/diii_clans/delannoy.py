@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan, Symbol, ascii_int, json_fields
+from .clans import MINUS, PLUS, ClanError, DIIIClan, ascii_int, json_fields
 from .enumeration import assemble_clan
 
 NORTH = "N"
@@ -175,10 +175,19 @@ def _scan(steps: Sequence[LabeledStep]) -> tuple[bool, int | None]:
     return True, None
 
 
-def _swap_middle(syms: list[Symbol]) -> None:
-    k = len(syms) // 2
+def _swap_middle(open_: list[int]) -> None:
+    k = len(open_) // 2
     if k:
-        syms[k - 1], syms[k] = syms[k], syms[k - 1]
+        open_[k - 1], open_[k] = open_[k], open_[k - 1]
+
+
+def _strip(open_: list[int], j: int) -> None:
+    """Delete a diagonal step's family once its last position is popped:
+    the mate at place j, its mirror and the first; trade the middle if j > m."""
+    m = (len(open_) + 1) // 2
+    del open_[max(j - 1, 2 * m - j)], open_[min(j - 1, 2 * m - j)], open_[0]
+    if j > m:
+        _swap_middle(open_)
 
 
 def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
@@ -186,37 +195,34 @@ def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
 
     A trailing minus emits E...N and strips the outer symbols; a trailing
     plus emits N...E, strips, and trades the middle pair.  A trailing mate
-    emits a labeled diagonal pair and strips its whole family, trading the
-    middle pair when the mate straddled into the second half.  One symbol
-    list shrinks in place (the last symbol popped, the other consumed
-    positions deleted from the highest down), and every N or E step is the
-    same step object.  The result is checked with ``validate_path``, which
-    remembers it for later calls.
+    emits a labeled diagonal pair and strips its whole family (``_strip``).
+    ``open_`` lists the positions still to reduce, in the order of the
+    shrinking clan, and each is read off the clan's key: its sign, or its
+    mate, found by place in ``open_``.  Every N or E step is the same step
+    object.  The result is checked with ``validate_path``, which remembers
+    it for later calls.
     """
-    syms: list[Symbol] = list(clan.to_diii().symbols)
+    key = clan.to_diii()._key()
+    open_ = list(range(1, len(key) + 1))
     north, east = LabeledStep(NORTH), LabeledStep(EAST)
     head: list[LabeledStep] = []
     tail: list[LabeledStep] = []
-    while syms:
-        m = len(syms) // 2
-        last = syms.pop()
+    while open_:
+        last = key[open_.pop() - 1]
         if last == MINUS:
             head.append(east)
             tail.append(north)
-            del syms[0]
+            del open_[0]
         elif last == PLUS:
             head.append(north)
             tail.append(east)
-            del syms[0]
-            _swap_middle(syms)
+            del open_[0]
+            _swap_middle(open_)
         else:
-            j = syms.index(last) + 1  # position of the matching mate
+            j = open_.index(last) + 1  # place of the matching mate
             tail.append(LabeledStep(DIAGONAL, j))
-            head.append(LabeledStep(DIAGONAL, 2 * m + 1 - j))
-            # 0-based: the mate j - 1, its mirror 2m - j, and the last's mirror 0
-            del syms[max(j - 1, 2 * m - j)], syms[min(j - 1, 2 * m - j)], syms[0]
-            if j > m:
-                _swap_middle(syms)
+            head.append(LabeledStep(DIAGONAL, len(open_) + 2 - j))
+            _strip(open_, j)
     head.extend(reversed(tail))
     path = WeightedDelannoyPath(tuple(head))
     ok, violated = validate_path(path)
@@ -232,7 +238,7 @@ def path_to_clan(path: WeightedDelannoyPath) -> DIIIClan:
     positions still to decode, in the order of the symbols ``clan_to_path``
     holds at that stage: each loop reads one outer step, gives the consumed
     positions their signs or mates, then deletes them and trades the middle
-    pair as the reduction does. ``assemble_clan`` builds the clan from the
+    pair as the reduction does (``_strip``). ``assemble_clan`` builds the clan from the
     first-half data, checking coverage and parity.
     """
     ok, violated = validate_path(path)
@@ -249,16 +255,13 @@ def path_to_clan(path: WeightedDelannoyPath) -> DIIIClan:
         outer = steps[r - k]
         last = open_.pop()
         if outer.direction == DIAGONAL:
-            m, j = (len(open_) + 1) // 2, outer.label
+            j = outer.label
             a, b = sorted((open_[j - 1], last))  # mates; their mirrors are the other pair
             if b <= n or a > n:  # contained, in the first half or mirrored from it
                 contained.append((a, b) if b <= n else (mirror - b, mirror - a))
             else:
                 straddling.append((min(a, mirror - b), max(a, mirror - b)))
-            # 0-based: the mate j - 1, its mirror 2m - j, and the last's mirror 0
-            del open_[max(j - 1, 2 * m - j)], open_[min(j - 1, 2 * m - j)], open_[0]
-            if j > m:
-                _swap_middle(open_)
+            _strip(open_, j)
         else:
             first = open_.pop(0)
             p = min(first, last)  # an outer N strips a trailing minus, an outer E a plus

@@ -243,7 +243,7 @@ def clan_to_pfpf(clan: DIIIClan) -> PartialFPFInvolution:
     straddling pair (i, j) and n for the contained pair (i, n) of odd n."""
     clan = clan.to_diii()
     n = clan.n
-    if clan.signatures() != big_sect_base(n)._key():
+    if clan.signatures() != base_key(_big_sect_signs(n)):
         raise ClanError("clan does not belong to the big sect")
     values = [0] * n
     for (i, j, jj, _) in clan._families():
@@ -263,7 +263,7 @@ def pfpf_to_clan(x: PartialFPFInvolution, n: int) -> DIIIClan:
     straddling: list[tuple[int, int]] = []
     for (i, j) in x.blocks():
         (contained if j == n and n % 2 == 1 else straddling).append((i, j))
-    base_signs = big_sect_base(n)._key()
+    base_signs = base_key(_big_sect_signs(n))
     signs = {p: base_signs[p - 1] for p in range(1, n + 1) if not x(p)}
     clan = assemble_clan(n, contained, straddling, signs)
     if clan.signatures() != base_signs:

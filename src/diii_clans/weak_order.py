@@ -36,28 +36,30 @@ tau s_{n-1} tau for the flip tau of positions n and n+1 (``Clan.flip``):
 both trade n-1, n with n+1, n+2 or collapse x, x, -x, -x into (n-1, n+1),
 (n, n+2). tau commutes with the mirror, so a flipped clan is skew-symmetric
 with no antipodal mates, which is all the rule above reads. tau flips the
-parity, which an s_{n-1} move keeps, and keeps the length formula: n and
+parity, which an s_{n-1} step keeps, and keeps the length formula: n and
 n+1 hold two signs, or ends of a pair and its mirror, whose spreads,
 crossing and straddling change by 2 - 1 - 1 = 0 (or -2 + 1 + 1). So s_n
 ascends a clan exactly when s_{n-1} ascends its flip; checked against the
 raw two-candidate rule on every clan with n <= 8.
 
 Every step reads one table, the key a clan carries (``Clan._key``: per
-position, the sign or the 1-based mate position). An accepted ascent is a
-move: where each moved symbol goes, or the fresh mate pairs of a collapse.
-Its image's key is the input's, edited at the moved positions and their
-mates' back-pointers (``_image_key``). ``apply_reflection`` builds a clan
-from that key once (``DIIIClan._from_key``), with its length preset to
-the input's plus one. The weak order poset builds no clan at all: it reads
-each move off an enumerated key and finds the upper end of the cover by
-the image's key among the enumerated keys. It grades its nodes from the
-covers, in one pass up from the minimal elements, and renders each node's
-stored text.
+position, the sign or the 1-based mate position), and writes its image's
+key straight from it (``_step``): a collapse writes its two fresh pairs,
+and a swap trades the entries at i, i+1 and at their mirrors, the
+back-pointers of their mates following them (``_swapped``). tau is that
+trade at n and n+1, so s_n runs on keys as tau s_{n-1} tau.
+``apply_reflection`` builds a clan from the image key once
+(``DIIIClan._from_key``), with its length preset to the input's plus one.
+The weak order poset builds no clan at all: it steps each enumerated key
+and finds the upper end of the cover by the image key among the
+enumerated keys. It grades its nodes from the covers, in one pass up from
+the minimal elements, and renders each node's stored text.
 """
 
 from __future__ import annotations
 
 import io
+import json
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,13 +106,25 @@ def clan_length(clan: Clan) -> LengthStats:
     )
 
 
-#: A reflection's accepted move, 1-based: where each moved symbol goes, and
-#: the fresh mate pairs a collapse writes over signs.
-Move = tuple[dict[int, int], tuple[tuple[int, int], ...]]
+def _swapped(key: Key, a: int, b: int) -> Key:
+    """The key with the symbols at positions a and b traded, and those at
+    their mirrors, each mate's back-pointer following its end. No two of
+    the moved positions may be mates: so it is for every swap ``_image``
+    accepts, and for tau, ``_swapped(key, n, n + 1)``, on a skew-symmetric
+    key with no antipodal mates."""
+    m = len(key)
+    to = {a: b, b: a, m + 1 - a: m + 1 - b, m + 1 - b: m + 1 - a}
+    out = list(key)
+    for p, r in to.items():
+        q = key[p - 1]
+        if type(q) is int:
+            out[q - 1] = r
+        out[r - 1] = q
+    return tuple(out)
 
 
-def _ascent(i: int, key: Key) -> Move | None:
-    """The move of s_i, i < n, when its image is one longer, else None,
+def _image(i: int, key: Key) -> Key | None:
+    """The key of s_i's image, i < n, when it is one longer, else None,
     decided in O(1) by the rule in the module docstring from the key's
     entries at positions a = i and b = i + 1: a sign, or the mates q_a
     and q_b."""
@@ -123,7 +137,9 @@ def _ascent(i: int, key: Key) -> Move | None:
             return None  # the swap moves nothing
         # the collapse into (a, b) and its mirror: spread +2, no crossing;
         # it trades one minus for one contained pair, keeping the parity
-        return {}, ((a, b), (m + 1 - b, m + 1 - a))
+        out = list(key)
+        out[a - 1], out[b - 1], out[m - b], out[m - a] = b, a, m + 1 - a, m + 1 - b
+        return tuple(out)
     if sign_a:
         ascends = qb > b  # the number at b moves away from its mate
     elif sign_b:
@@ -140,83 +156,43 @@ def _ascent(i: int, key: Key) -> Move | None:
         crossing = (qa < qb < a) if qa < a else (qb < a or qb > qa)
         t = -1 if crossing else 1
         ascends = sa + sb - t == 1
-    if not ascends:
-        return None
-    return {a: b, b: a, m + 1 - b: m + 1 - a, m + 1 - a: m + 1 - b}, ()
+    return _swapped(key, a, b) if ascends else None
 
 
-def _move(i: int, key: Key) -> Move | None:
-    """The accepted move of s_i on the DIII clan with this key, or None.
-    s_n runs s_{n-1}'s rule on the key flipped by tau (entries at n and
-    n+1 swapped, and the back-pointers of their mates following them) and
-    maps the move back through tau."""
+def _step(i: int, key: Key) -> Key | None:
+    """The key of s_i's image on the DIII clan with this key when s_i
+    ascends, else None. s_n is tau s_{n-1} tau, tau being
+    ``_swapped(key, n, n + 1)``."""
     n = len(key) // 2
+    if i < n:
+        return _image(i, key)
     if n == 1:
         return None
-    if i < n:
-        return _ascent(i, key)
-    # the mates of positions n and n+1 are neither n nor n+1 (no
-    # antipodal mates)
-    flipped = list(key)
-    qa, qb = key[n - 1], key[n]
-    if type(qa) is int:
-        flipped[qa - 1] = n + 1
-    if type(qb) is int:
-        flipped[qb - 1] = n
-    flipped[n - 1], flipped[n] = qb, qa
-    move = _ascent(n - 1, flipped)
-    if move is None:
-        return None
-    moved, fresh = move
-    tau = {n: n + 1, n + 1: n}
-    moved = {tau.get(p, p): tau.get(r, r) for p, r in moved.items()}
-    return moved, tuple((tau.get(p, p), tau.get(q, q)) for p, q in fresh)
-
-
-def _image_key(key: Key, move: Move) -> Key:
-    """The key of a move's image, from the input's key by local edits:
-    each moved position's entry goes where the position goes, with its
-    mate moved along, the back-pointer of a mate left in place follows it,
-    and a collapse writes its fresh pairs."""
-    moved, fresh = move
-    out = list(key)
-    for p, r in moved.items():
-        q = key[p - 1]
-        if type(q) is int:
-            if q in moved:
-                q = moved[q]
-            else:
-                out[q - 1] = r
-        out[r - 1] = q
-    for p, q in fresh:
-        out[p - 1], out[q - 1] = q, p
-    return tuple(out)
+    image = _image(n - 1, _swapped(key, n, n + 1))
+    return None if image is None else _swapped(image, n, n + 1)
 
 
 def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
     """The action of the i-th simple reflection on a DIII clan.
 
-    Returns the one candidate move when it is a valid DIII clan of length
+    Returns the one candidate image when it is a valid DIII clan of length
     one greater, or the clan itself otherwise. Only one candidate exists:
     where the signs allow a collapse, the swap would move only signs, which
     leaves every pair, and so the length, unchanged. s_n is s_{n-1}
-    conjugated by the middle flip (``_move``).
+    conjugated by the middle flip (``_step``).
 
     The candidate is filtered on the clan's key alone, from the change it
     makes to length = (spread - crossings - z) / 2 (see the module
     docstring), so a rejected candidate builds no clan. An accepted
-    image's key is edited from the input's (``_image_key``, as in the
-    poset) and built once, unvalidated, by ``DIIIClan._from_key`` with its
-    length preset to the input's plus one.
+    image's key (``_step``, as in the poset) is built once, unvalidated,
+    by ``DIIIClan._from_key`` with its length preset to the input's plus
+    one.
     """
     clan = clan.to_diii()
     if not 1 <= i <= clan.n:
         raise ClanError(f"reflection index {i} out of range 1..{clan.n}")
-    key = clan._key()
-    move = _move(i, key)
-    if move is None:
-        return clan
-    return DIIIClan._from_key(_image_key(key, move), clan.length + 1)
+    image = _step(i, clan._key())
+    return clan if image is None else DIIIClan._from_key(image, clan.length + 1)
 
 
 @dataclass(frozen=True)
@@ -407,8 +383,10 @@ class WeakOrderPoset:
         return out.getvalue()
 
     def write_json(self, out: TextIO) -> None:
-        """Write ``json.dumps(self.to_json_dict())`` to ``out``, in batches
-        (``write_joined``). A spaced text holds only signs, digits and
+        """Write the poset as one JSON object to ``out``, in batches
+        (``write_joined``), as ``json.dumps`` would: ``n``, the nodes'
+        spaced texts, and each cover as its lower and upper text and its
+        reflection index. A spaced text holds only signs, digits and
         spaces, which JSON writes as they are, so each is written between
         quotes without a copy."""
         texts = self.universe.texts
@@ -426,36 +404,30 @@ class WeakOrderPoset:
         out.write("]}")
 
     def to_json_dict(self) -> dict:
-        spaced = self.universe.texts
-        return {
-            "n": self.n,
-            "nodes": list(spaced),
-            "covers": [
-                {"lower": spaced[l], "upper": spaced[u], "reflection": i}
-                for l, u, i in self._edges()
-            ],
-        }
+        """The object ``write_json`` writes."""
+        out = io.StringIO()
+        self.write_json(out)
+        return json.loads(out.getvalue())
 
 
 def weak_order_poset(n: int) -> WeakOrderPoset:
     """Build the weak order from the reflection action on all clans' keys.
 
-    Each accepted move read off a node's key (``_move``) is turned into
-    its image's key (``_image_key``) and looked up in a dict from key to
-    node, local to the build, so every upper is a node and no clan is
-    built. A key outside the dict means the move gave no DIII clan of
-    size n: that raises rather than drop the cover. Covers come out sorted
-    by (lower, reflection index): the nodes are in spaced-text order and
-    each (lower, i) has at most one upper."""
+    Each image key read off a node's key (``_step``) is looked up in a
+    dict from key to node, local to the build, so every upper is a node
+    and no clan is built. A key outside the dict means the reflection gave
+    no DIII clan of size n: that raises rather than drop the cover. Covers
+    come out sorted by (lower, reflection index): the nodes are in
+    spaced-text order and each (lower, i) has at most one upper."""
     clans = enumerate_diii(n)
     index = {key: k for k, key in enumerate(clans.keys)}
     offsets, uppers, labels = array("i", [0]), array("i"), array("i")
     for k, key in enumerate(clans.keys):
         for i in range(1, n + 1):
-            move = _move(i, key)
-            if move is None:
+            image = _step(i, key)
+            if image is None:
                 continue
-            upper = index.get(_image_key(key, move))
+            upper = index.get(image)
             if upper is None:
                 text = text_from_spaced(clans.texts[k])
                 raise ClanError(f"s_{i} on {text} left the DIII ({n},{n})-clans")

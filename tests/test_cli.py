@@ -104,7 +104,24 @@ class TestEnumerate:
         assert sum(out.writes) > 1 << 20 >= max(out.writes)
 
 
+#: SHA-256 of ``act i <clan>`` for every i and every clan with n <= 5,
+#: recorded from the move-record reflection code that preceded image keys
+ACT_DIGEST = "c27fb2e165548af95d82c4c35c3386a23308a58e436d0520473c0fa7651c48ae"
+
+
 class TestLengthAndAct:
+    def test_every_small_clan_byte_identical(self, capsys):
+        # one SHA-256 over `act i <clan>`, i = 1..n, for every clan with
+        # n <= 5 in listing order
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for clan in enumerate_diii(n):
+                for i in range(1, n + 1):
+                    code, out, _ = run(capsys, "act", str(i), clan.text())
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == ACT_DIGEST
+
     def test_length(self, capsys):
         assert run(capsys, "length", "++1212--")[1].strip() == "1"
 
@@ -282,7 +299,23 @@ def test_listing_commands_build_no_clan(capsys, monkeypatch, argv):
     assert built == []
 
 
+#: SHA-256 of ``convert --to delannoy <clan>`` for every clan with n <= 5,
+#: recorded from the symbol-list reduction that preceded the key-read one
+DELANNOY_DIGEST = "3fddc591b911b7aaa1bfbb0f9e64676871b7f8637572231e2db3395abb57358e"
+
+
 class TestConvert:
+    def test_every_small_clan_to_delannoy_byte_identical(self, capsys):
+        # one SHA-256 over `convert --to delannoy <clan>` for every clan
+        # with n <= 5 in listing order
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for clan in enumerate_diii(n):
+                code, out, _ = run(capsys, "convert", "--to", "delannoy", clan.text())
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == DELANNOY_DIGEST
+
     def test_pyramid_round_trip(self, capsys):
         code, out, _ = run(capsys, "convert", "--to", "pyramid", "1-1+-2+2")
         data = json.loads(out)

@@ -24,7 +24,7 @@ from diii_clans import (
 )
 from diii_clans import verify, weak_order
 from diii_clans.clans import text_from_spaced
-from diii_clans.weak_order import _image_key, _move
+from diii_clans.weak_order import _step, _swapped
 
 from conftest import RecordingStream, count_clan_builds, diii_clans
 from oracles import (
@@ -169,15 +169,15 @@ class TestReflectionAction:
 
     @staticmethod
     def assert_image_keys(clan):
-        # the move read off the key, and the key edited from it, agree with
-        # the raw two-candidate rule's image built as a checked clan
+        # the image key written from the key agrees with the raw
+        # two-candidate rule's image built as a checked clan
         key = clan._key()
         for i in range(1, clan.n + 1):
             raw = raw_reflection(i, clan.symbols)
-            move = _move(i, key)
-            assert (move is None) == (raw == clan.symbols)
-            if move is not None:
-                assert _image_key(key, move) == DIIIClan(raw)._key()
+            image = _step(i, key)
+            assert (image is None) == (raw == clan.symbols)
+            if image is not None:
+                assert image == DIIIClan(raw)._key()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_image_key_matches_built_image(self, n):
@@ -188,6 +188,18 @@ class TestReflectionAction:
     @given(diii_clans(max_n=24))
     def test_image_key_matches_built_image_on_large_clans(self, clan):
         self.assert_image_keys(clan)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_middle_swap_is_flip(self, n):
+        # tau on keys, as s_n conjugates s_{n-1} by it, is Clan.flip
+        for clan in enumerate_diii(n):
+            assert _swapped(clan._key(), n, n + 1) == clan.flip()._key()
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_middle_swap_is_flip_on_large_clans(self, clan):
+        n = clan.n
+        assert _swapped(clan._key(), n, n + 1) == clan.flip()._key()
 
     @staticmethod
     def assert_images_carry_checked_keys(clan):
@@ -338,6 +350,13 @@ class TestPoset:
         assert all({"lower", "upper", "reflection"} <= set(e) for e in data["covers"])
 
 
+def reference_json_dict(poset):
+    """The JSON object built field by field from the texts and the covers."""
+    texts = poset.universe.texts
+    covers = [{"lower": texts[l], "upper": texts[u], "reflection": i} for l, u, i in poset._edges()]
+    return {"n": poset.n, "nodes": list(texts), "covers": covers}
+
+
 def reference_dot(poset):
     """The DOT text as one join of one line per rank and per cover."""
     texts = [text_from_spaced(t) for t in poset.universe.texts]
@@ -356,7 +375,8 @@ class TestWriters:
         poset = weak_order_poset(n)
         out = io.StringIO()
         poset.write_json(out)
-        assert out.getvalue() == json.dumps(poset.to_json_dict())
+        assert poset.to_json_dict() == reference_json_dict(poset)
+        assert out.getvalue() == json.dumps(reference_json_dict(poset))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_write_dot_is_to_dot(self, n):
