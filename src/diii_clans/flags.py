@@ -14,9 +14,14 @@ which divides exactly in Z[sqrt 2]. Once the form holds, the sign of the
 determinant follows from the intersection parity, an n x n rank, with no
 2n x 2n determinant.
 
-A ``FlagMatrix`` is scaled and ranked once for the form check, the parity
-and ``verify.check_flags``, while it holds the row tuples and clan it was
-read from; other rows set around the constructor are read on every call.
+A representative comes with its integer form: ``representative_matrix``
+writes it in the loop that writes the entries, so no check reads them
+again, and ``verify.check_flags`` compares it with the form read afresh
+from the rows. Any other ``FlagMatrix`` is scaled on first use. Either
+form serves the form check, the parity and ``verify.check_flags``, and its
+block is ranked once, while the matrix holds the row tuples and clan the
+form was made for; other rows set around the constructor are read on
+every call.
 """
 
 from __future__ import annotations
@@ -165,27 +170,46 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     default permutation sigma) and mixed +-1/sqrt(2) combinations on each
     family of four mate positions, both read off the clan's key
     (``Clan._default_mapping``, ``Clan._families``): no ``Involution`` or
-    ``PairClassification`` is built."""
+    ``PairClassification`` is built.
+
+    The same loop writes the matrix's integer form, as ``_scaled`` would
+    read it: L is 2 when there is a family (its entries are
+    +-sqrt(2)/2) and 1 otherwise, a sign column's one entry scales to
+    (L, 0) and a family's entries to (0, +-1). sigma is a permutation, so
+    each row takes its entries from one sign or one family pair: at most
+    two, put in column order by one compare."""
     clan = clan.to_diii()
     key = clan._key()
     m = len(key)
     sigma = clan._default_mapping()
+    families = clan._families()
+    scale = 2 if families else 1
     rows = [[ZERO] * m for _ in range(m)]
+    scaled: list[_ScaledRow | None] = [None] * m
     filled = 0
     for pos, q in enumerate(key):
         if type(q) is str:
-            rows[sigma[pos] - 1][pos] = ONE
+            r = sigma[pos] - 1
+            rows[r][pos] = ONE
+            scaled[r] = ((pos, scale, 0),)
             filled += 1
-    for (i, j, jj, ii) in clan._families():
+    for (i, j, jj, ii) in families:
         # columns p and q: (e_r + e_s)/sqrt2 and (e_r - e_s)/sqrt2
-        for p, q in ((i, j), (ii, jj)):
-            r, s = rows[sigma[p - 1] - 1], rows[sigma[q - 1] - 1]
-            r[p - 1] = r[q - 1] = s[p - 1] = INV_SQRT2
-            s[q - 1] = _NEG_INV_SQRT2
+        for p, q in ((i - 1, j - 1), (ii - 1, jj - 1)):
+            r, s = sigma[p] - 1, sigma[q] - 1
+            rows[r][p] = rows[r][q] = rows[s][p] = INV_SQRT2
+            rows[s][q] = _NEG_INV_SQRT2
+            sp, sq = (p, 0, 1), (q, 0, -1)
+            if p < q:
+                scaled[r], scaled[s] = (sp, (q, 0, 1)), (sp, sq)
+            else:
+                scaled[r], scaled[s] = ((q, 0, 1), sp), (sq, sp)
         filled += 4
-    if filled != m:
-        raise AssertionError("flag construction left empty columns")
-    return FlagMatrix(clan, tuple(map(tuple, rows)))
+    if filled != m or None in scaled:
+        raise AssertionError("flag construction left empty columns or rows")
+    matrix = FlagMatrix(clan, tuple(map(tuple, rows)))
+    object.__setattr__(matrix, "_form", _Form(matrix.rows, clan, (scale, tuple(scaled))))
+    return matrix
 
 
 def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, tuple[_ScaledRow, ...]]:
@@ -325,7 +349,7 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     G^T J G = J exactly when H^T J H = L^2 J, an identity over Z[sqrt 2].
     Row a of H^T J H is the sum, over each nonzero H[r][a], of H[r][a]
     times row m-1-r of H; only products of nonzero entries are formed, as
-    int pairs.
+    int pairs (``_form_holds``).
 
     Once the form holds, det G = 1 is decided without eliminating G. Let
     m = 2n and E = span(e_1..e_n), maximal isotropic for J.
@@ -343,27 +367,45 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     whose rows were replaced around that check is refused here too.
     """
     form = _integer_form(matrix)
-    if form is None:
-        return False
-    m = 2 * matrix.clan.n
-    scale, rows = form.scaled
+    return (
+        form is not None
+        and _form_holds(form.scaled)
+        and intersection_parity(matrix) == matrix.clan.n % 2
+    )
+
+
+def _form_holds(scaled: tuple[int, tuple[_ScaledRow, ...]]) -> bool:
+    """Whether H^T J H = L^2 J for ``(L, H)`` as ``_scaled`` gives it, H
+    square.
+
+    Row a of H^T J H is built as a dict over the columns its products
+    touch, each entry a (rational, sqrt(2)) pair: its antidiagonal entry
+    must be (L^2, 0), and every other touched entry (0, 0). An entry no
+    product touches is zero, so the antidiagonal one must be touched.
+    """
+    scale, rows = scaled
+    m = len(rows)
     cols: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]  # (row, a, b)
     for r, row in enumerate(rows):
         for c, ea, eb in row:
             cols[c].append((r, ea, eb))
+    target = (scale * scale, 0)
     for a, col in enumerate(cols):
-        # row a of H^T J H: its rational parts and its sqrt(2) parts
-        rational, irrational = [0] * m, [0] * m
+        touched: dict[int, tuple[int, int]] = {}
         for r, ga, gb in col:
             for b, ha, hb in rows[m - 1 - r]:
-                rational[b] += ga * ha + 2 * gb * hb
-                irrational[b] += ga * hb + gb * ha
-        if rational[m - 1 - a] != scale * scale:
+                x, y = ga * ha + 2 * gb * hb, ga * hb + gb * ha
+                if b in touched:
+                    px, py = touched[b]
+                    touched[b] = (px + x, py + y)
+                else:
+                    touched[b] = (x, y)
+        if touched.pop(m - 1 - a, None) != target:
             return False
-        rational[m - 1 - a] = 0
-        if any(rational) or any(irrational):
-            return False
-    return intersection_parity(matrix) == (m // 2) % 2
+        for x, y in touched.values():
+            if x or y:
+                return False
+    return True
 
 
 def intersection_dimension(matrix: FlagMatrix) -> int:

@@ -313,6 +313,7 @@ def check_delannoy(posets: Posets) -> CheckResult:
 def check_flags(posets: Posets) -> CheckResult:
     from .flags import (
         _integer_form,
+        _scaled,
         intersection_parity,
         representative_matrix,
         verify_special_orthogonal,
@@ -323,13 +324,18 @@ def check_flags(posets: Posets) -> CheckResult:
         seen = set()
         for clan in poset.nodes:
             matrix = representative_matrix(clan)
+            # the checks below read the form the matrix was built with;
+            # read afresh from its rows, it must be the same
+            scaled = _scaled(matrix.rows)
+            if _integer_form(matrix).scaled != scaled:
+                return CheckResult("flags", False, f"{clan} carries a wrong integer form")
             if not verify_special_orthogonal(matrix):
                 return CheckResult("flags", False, f"{clan} not special orthogonal")
             if intersection_parity(matrix) != n % 2:
                 return CheckResult("flags", False, f"{clan} has wrong parity")
             # L with the scaled integer entries is an exact, injective key
             # that hashes ints, not Fractions
-            seen.add(_integer_form(matrix).scaled)
+            seen.add(scaled)
         if len(seen) != count_formula(n):
             return CheckResult("flags", False, f"n={n}: matrices not distinct")
     return CheckResult("flags", True, f"exact SO and parity for n<= {cap}")

@@ -1,13 +1,15 @@
 import io
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from diii_clans import Clan, DIIIClan, assemble_clan
+from diii_clans import Clan, DIIIClan, FlagMatrix, QSqrt2, assemble_clan, representative_matrix
+from diii_clans.flags import ZERO
 
 
 def count_clan_builds(monkeypatch) -> list:
@@ -92,3 +94,51 @@ def diii_clans(draw, min_n: int = 1, max_n: int = 12) -> DIIIClan:
             moved = contained.pop()
             straddling.append(moved)
     return assemble_clan(n, contained, straddling, signs)
+
+
+# flag-matrix strategies, shared by test_flags.py and test_validate_once.py
+small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+irrational_elements = st.builds(QSqrt2, small_fractions, small_fractions.filter(bool))
+
+
+def from_columns(clan, cols):
+    m = len(cols)
+    return FlagMatrix(clan, tuple(tuple(col[r] for col in cols) for r in range(m)))
+
+
+@st.composite
+def perturbed_representatives(draw):
+    """A representative with n <= 4 after one to three column operations:
+    swap two columns, negate one, or add one column to another."""
+    clan = draw(diii_clans(max_n=4))
+    m = 2 * clan.n
+    matrix = representative_matrix(clan)
+    cols = [list(matrix.column(c)) for c in range(1, m + 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if op == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        elif op == "negate":
+            cols[i] = [-e for e in cols[i]]
+        else:
+            cols[j] = [e + f for e, f in zip(cols[j], cols[i])]
+    return from_columns(clan, cols)
+
+
+@st.composite
+def dense_matrices(draw):
+    """1-6 rows of 1-6 entries a + b*sqrt(2), b != 0, square half the time.
+    In about half of those with two or more rows, one row, placed anywhere,
+    is a combination of the others."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 6))
+    row = st.lists(irrational_elements, min_size=ncols, max_size=ncols)
+    dependent = nrows > 1 and draw(st.booleans())
+    rows = draw(st.lists(row, min_size=nrows - dependent, max_size=nrows - dependent))
+    if dependent:
+        coefficient = irrational_elements | st.just(ZERO)
+        coeffs = draw(st.lists(coefficient, min_size=len(rows), max_size=len(rows)))
+        combination = [sum((k * r[c] for k, r in zip(coeffs, rows)), ZERO) for c in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combination)
+    return rows

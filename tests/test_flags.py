@@ -32,7 +32,7 @@ from diii_clans.flags import (
 )
 from diii_clans.verify import check_flags
 
-from conftest import diii_clans
+from conftest import dense_matrices, diii_clans, from_columns, perturbed_representatives
 from oracles import (
     raw_antidiagonal,
     raw_form,
@@ -45,8 +45,6 @@ from oracles import (
 RAW_MINUS_ONE = (Fraction(-1), Fraction(0))
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 elements = st.builds(QSqrt2, rationals, rationals)
-small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
-irrational_elements = st.builds(QSqrt2, small_fractions, small_fractions.filter(bool))
 sparse_elements = st.sampled_from(
     (ZERO, ZERO, ZERO, ONE, -ONE, INV_SQRT2, QSqrt2(Fraction(1, 2)), QSqrt2(1, 1))
 )
@@ -66,35 +64,11 @@ def raw(rows):
 
 def around_constructor(clan, rows):
     """A FlagMatrix holding ``rows`` of any shape, set past the
-    constructor's shape check."""
-    matrix = representative_matrix(clan)
+    constructor's shape check. It is built by the constructor, so it
+    starts with no integer form."""
+    matrix = FlagMatrix(clan, representative_matrix(clan).rows)
     object.__setattr__(matrix, "rows", rows)
     return matrix
-
-
-def from_columns(clan, cols):
-    m = len(cols)
-    return FlagMatrix(clan, tuple(tuple(col[r] for col in cols) for r in range(m)))
-
-
-@st.composite
-def perturbed_representatives(draw):
-    """A representative with n <= 4 after one to three column operations:
-    swap two columns, negate one, or add one column to another."""
-    clan = draw(diii_clans(max_n=4))
-    m = 2 * clan.n
-    matrix = representative_matrix(clan)
-    cols = [list(matrix.column(c)) for c in range(1, m + 1)]
-    for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(("swap", "negate", "add")))
-        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-        if op == "swap":
-            cols[i], cols[j] = cols[j], cols[i]
-        elif op == "negate":
-            cols[i] = [-e for e in cols[i]]
-        else:
-            cols[j] = [e + f for e, f in zip(cols[j], cols[i])]
-    return from_columns(clan, cols)
 
 
 @st.composite
@@ -102,24 +76,6 @@ def square_matrices(draw):
     n = draw(st.integers(1, 3))
     cols = [draw(st.lists(sparse_elements, min_size=2 * n, max_size=2 * n)) for _ in range(2 * n)]
     return from_columns(parse_diii("+" * n + "-" * n), cols)
-
-
-@st.composite
-def dense_matrices(draw):
-    """1-6 rows of 1-6 entries a + b*sqrt(2), b != 0, square half the time.
-    In about half of those with two or more rows, one row, placed anywhere,
-    is a combination of the others."""
-    nrows = draw(st.integers(1, 6))
-    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 6))
-    row = st.lists(irrational_elements, min_size=ncols, max_size=ncols)
-    dependent = nrows > 1 and draw(st.booleans())
-    rows = draw(st.lists(row, min_size=nrows - dependent, max_size=nrows - dependent))
-    if dependent:
-        coefficient = irrational_elements | st.just(ZERO)
-        coeffs = draw(st.lists(coefficient, min_size=len(rows), max_size=len(rows)))
-        combination = [sum((k * r[c] for k, r in zip(coeffs, rows)), ZERO) for c in range(ncols)]
-        rows.insert(draw(st.integers(0, len(rows))), combination)
-    return rows
 
 
 @st.composite
@@ -612,8 +568,9 @@ class TestIntegerForm:
         assert matrix._form.clan is matrix.clan
 
     def test_shape_is_read_once_per_form(self, monkeypatch):
-        # a kept form was read from rows of the right shape, and its very
-        # tuples and clan cannot change shape, so a memo hit skips the test
+        # a representative comes with its form, and a kept form was read
+        # from rows of the right shape, whose very tuples and clan cannot
+        # change shape, so neither is tested again
         shapes = []
         is_flag_shape = flags._is_flag_shape
 
@@ -626,17 +583,24 @@ class TestIntegerForm:
         assert verify_special_orthogonal(matrix)
         assert intersection_parity(matrix) == 1
         assert verify_special_orthogonal(matrix)
-        assert shapes == [matrix.rows]
+        assert shapes == []
+        # a matrix built by the constructor is tested once, on first use
+        built = FlagMatrix(matrix.clan, matrix.rows)
+        assert verify_special_orthogonal(built)
+        assert intersection_parity(built) == 1
+        assert verify_special_orthogonal(built)
+        assert shapes == [built.rows]
         # rows replaced around the constructor miss the memo and are tested
         object.__setattr__(matrix, "rows", REFERENCE_MATRIX[:4])
         assert not verify_special_orthogonal(matrix)
         with pytest.raises(ClanError):
             intersection_dimension(matrix)
-        assert shapes == [shapes[0]] + [REFERENCE_MATRIX[:4]] * 2
+        assert shapes == [built.rows] + [REFERENCE_MATRIX[:4]] * 2
 
     def test_form_takes_no_part_in_equality_hash_or_repr(self):
         clan = parse_diii("+1212-")
-        fresh, used = representative_matrix(clan), representative_matrix(clan)
+        used = representative_matrix(clan)
+        fresh = FlagMatrix(clan, representative_matrix(clan).rows)
         assert verify_special_orthogonal(used)
         assert intersection_parity(used) == 1
         assert used._form is not None and fresh._form is None
@@ -647,7 +611,71 @@ class TestIntegerForm:
         assert used.to_json_dict() == fresh.to_json_dict()
 
 
+class TestSeededForm:
+    """``representative_matrix`` writes the integer form with the rows;
+    it must be the one ``_scaled`` reads off them."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_scaled_rows(self, n):
+        for clan in enumerate_diii(n):
+            matrix = representative_matrix(clan)
+            assert matrix._form.scaled == _scaled(matrix.rows)
+            assert matrix._form.rows is matrix.rows and matrix._form.clan is matrix.clan
+
+    @settings(max_examples=50, deadline=None)
+    @given(diii_clans(min_n=8, max_n=16))
+    def test_equals_the_scaled_rows_beyond_exhaustive_sizes(self, clan):
+        matrix = representative_matrix(clan)
+        assert matrix._form.scaled == _scaled(matrix.rows)
+
+    def test_a_representative_is_read_by_no_one(self, monkeypatch):
+        calls = []
+        for name in ("_scaled", "_is_flag_shape"):
+
+            def counting(*args, f=getattr(flags, name), name=name):
+                calls.append(name)
+                return f(*args)
+
+            monkeypatch.setattr(flags, name, counting)
+        for clan in (*enumerate_diii(3), *enumerate_diii(4)):
+            matrix = representative_matrix(clan)
+            assert verify_special_orthogonal(matrix)
+            assert intersection_parity(matrix) == clan.n % 2
+            assert calls == []
+            built = FlagMatrix(clan, matrix.rows)
+            assert verify_special_orthogonal(built)
+            assert intersection_parity(built) == clan.n % 2
+            assert sorted(calls) == ["_is_flag_shape", "_scaled"]
+            calls.clear()
+
+
 def test_check_flags_runs_to_seven():
     result = check_flags(tuple(weak_order_poset(n) for n in range(1, 9)))
     assert result.passed
     assert result.detail == "exact SO and parity for n<= 7"
+
+
+@pytest.mark.parametrize("wrong", ("another clan's form", "the form at twice the scale"))
+def test_check_flags_refuses_a_wrong_seeded_form(monkeypatch, wrong):
+    posets = tuple(weak_order_poset(n) for n in range(1, 4))
+    first, last = posets[2].nodes[0], posets[2].nodes[-1]
+    build = flags.representative_matrix
+
+    def seeded_wrong(clan):
+        matrix = build(clan)
+        if clan in (first, last):
+            if wrong == "another clan's form":
+                scaled = build(last if clan == first else first)._form.scaled
+            else:
+                scale, rows = matrix._form.scaled
+                scaled = 2 * scale, tuple(tuple((c, 2 * a, 2 * b) for c, a, b in row) for row in rows)
+            object.__setattr__(matrix, "_form", flags._Form(matrix.rows, matrix.clan, scaled))
+        return matrix
+
+    # either wrong form passes the SO check and the parity on its own
+    assert verify_special_orthogonal(seeded_wrong(first))
+    assert intersection_parity(seeded_wrong(first)) == 1
+    monkeypatch.setattr(flags, "representative_matrix", seeded_wrong)
+    result = check_flags(posets)
+    assert not result.passed
+    assert result.detail == f"{first} carries a wrong integer form"

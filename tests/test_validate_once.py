@@ -8,9 +8,12 @@ per-index, per-claim and per-block-set versions those checks ran before.
 ``path_to_clan`` decodes a checked path through ``assemble_clan`` and is
 compared with the insertion decode it replaced. The placement decode,
 which builds no pyramid, is tested with the other decodes in
-test_pyramids.py.
+test_pyramids.py. The flag form check builds each row of H^T J H over the
+columns its products touch, and is compared with the dense-list check it
+replaced.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -33,12 +36,20 @@ from diii_clans import (
     parse_diii,
     path_to_clan,
     pyramid_to_partition_pair,
+    representative_matrix,
     validate_path,
 )
 from diii_clans.delannoy import _swap_middle
 from diii_clans.enumeration import _put_pair, _put_sign, assemble_key
+from diii_clans.flags import INV_SQRT2, ONE, ZERO, QSqrt2, _form_holds, _scaled
 
-from conftest import count_checks, count_clan_builds, diii_clans
+from conftest import (
+    count_checks,
+    count_clan_builds,
+    dense_matrices,
+    diii_clans,
+    perturbed_representatives,
+)
 from oracles import candidate_weighted_words, doubly_symmetric
 
 
@@ -194,6 +205,29 @@ def reference_path_to_clan(path):
                 syms.insert(pos, sym)
             syms.append(closer)
     return DIIIClan(syms)
+
+
+def reference_form_holds(scaled):
+    """The form check H^T J H = L^2 J with two dense m-lists per row of
+    H^T J H, each scanned in full."""
+    scale, rows = scaled
+    m = len(rows)
+    cols = [[] for _ in range(m)]
+    for r, row in enumerate(rows):
+        for c, ea, eb in row:
+            cols[c].append((r, ea, eb))
+    for a, col in enumerate(cols):
+        rational, irrational = [0] * m, [0] * m
+        for r, ga, gb in col:
+            for b, ha, hb in rows[m - 1 - r]:
+                rational[b] += ga * ha + 2 * gb * hb
+                irrational[b] += ga * hb + gb * ha
+        if rational[m - 1 - a] != scale * scale:
+            return False
+        rational[m - 1 - a] = 0
+        if any(rational) or any(irrational):
+            return False
+    return True
 
 
 def word(text):
@@ -603,3 +637,71 @@ class TestPathMemo:
         steps = [LabeledStep("E"), LabeledStep("D", 3), LabeledStep("D", 2), LabeledStep("N")]
         assert validate_path(steps) == (True, None)
         assert validate_path(tuple(steps)) == (True, None)
+
+
+SQRT2 = QSqrt2(0, 1)
+
+
+class TestFormCheck:
+    """``_form_holds`` gives the reference's verdict, on the table and on
+    random matrices, read as ``_scaled`` reads them."""
+
+    @pytest.mark.parametrize(
+        "rows, holds",
+        [
+            ((), True),
+            (((ONE,),), True),
+            (((-ONE,),), True),
+            (((ONE, ZERO), (ZERO, ONE)), True),
+            (((ZERO, ONE, ZERO, ZERO), (ONE, ZERO, ZERO, ZERO),
+              (ZERO, ZERO, ZERO, ONE), (ZERO, ZERO, ONE, ZERO)), True),
+            (((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2)), False),
+            (((QSqrt2(2), ZERO), (ZERO, QSqrt2(Fraction(1, 2)))), True),
+            # the antidiagonal is L^2 times some unit other than 1
+            (((QSqrt2(2), ZERO), (ZERO, QSqrt2(Fraction(1, 3)))), False),
+            # only defect: the antidiagonal entries are 1 + sqrt(2)
+            (((ONE + SQRT2, ZERO), (ZERO, ONE)), False),
+            # only defect: entry (1, 1) is 2, off the antidiagonal
+            (((ONE, ZERO), (ONE, ONE)), False),
+            # only defect: entry (1, 1) is 2 sqrt(2), off the antidiagonal
+            (((ONE, ZERO), (SQRT2, ONE)), False),
+            # a zero column: the antidiagonal entry is touched by no product
+            (((ONE, ZERO), (ZERO, ZERO)), False),
+        ],
+        ids=[
+            "empty",
+            "one",
+            "minus-one",
+            "identity",
+            "antidiagonal-4",
+            "hadamard",
+            "scale-squared",
+            "scale-not-squared",
+            "sqrt2-on-antidiagonal",
+            "rational-off-antidiagonal",
+            "sqrt2-off-antidiagonal",
+            "antidiagonal-untouched",
+        ],
+    )
+    def test_table(self, rows, holds):
+        scaled = _scaled(rows)
+        assert _form_holds(scaled) is holds
+        assert reference_form_holds(scaled) is holds
+
+    @settings(deadline=None)
+    @given(perturbed_representatives())
+    def test_perturbed_representatives(self, matrix):
+        scaled = _scaled(matrix.rows)
+        assert _form_holds(scaled) == reference_form_holds(scaled)
+
+    @settings(deadline=None)
+    @given(dense_matrices().filter(lambda rows: len(rows) == len(rows[0])))
+    def test_square_dense_matrices(self, rows):
+        scaled = _scaled(rows)
+        assert _form_holds(scaled) == reference_form_holds(scaled)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_representatives(self, n):
+        for clan in enumerate_diii(n):
+            scaled = representative_matrix(clan)._form.scaled
+            assert _form_holds(scaled) and reference_form_holds(scaled)
