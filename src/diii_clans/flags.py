@@ -9,10 +9,16 @@ anywhere. The kernels do not compute with those
 entries: they first scale the matrix by L, the lcm of every denominator,
 into sparse (L*a, L*b) int pairs, elements of Z[sqrt 2]. The form identity
 is then checked by pairing columns through their nonzero entries, and
-ranks and determinants come from fraction-free (Bareiss) elimination,
-which divides exactly in Z[sqrt 2]. Once the form holds, the sign of the
-determinant follows from the intersection parity, an n x n rank, with no
-2n x 2n determinant.
+determinants come from fraction-free (Bareiss) elimination, which divides
+exactly in Z[sqrt 2]. Once the form holds, the sign of the determinant
+follows from the intersection parity, the rank of the n x n lower-left
+block, with no 2n x 2n determinant. That rank is taken piece by piece
+(``_piece_rank``): permuting rows and columns makes the block
+block-diagonal over the connected pieces of its nonzero pattern, so its
+rank is the sum of theirs; a piece of one row or one column has rank 1,
+since the scaled rows hold only nonzero entries, and only a larger piece
+is eliminated. Every piece of a representative's block is a single row
+(checked for each clan with n <= 7), so verifying one eliminates nothing.
 
 A representative comes with its integer form: ``representative_matrix``
 writes it in the loop that writes the entries, so no check reads them
@@ -148,6 +154,9 @@ class FlagMatrix:
         return len(self.rows)
 
     def column(self, c: int) -> tuple[QSqrt2, ...]:
+        """Column c, counted from 1; any other index raises ``ClanError``."""
+        if type(c) is not int or not 1 <= c <= self.size:
+            raise ClanError(f"column index must be an int in 1..{self.size}, got {c!r}")
         return tuple(self.rows[r][c - 1] for r in range(self.size))
 
     def pretty(self) -> str:
@@ -295,6 +304,45 @@ def _eliminate(rows: Sequence[_ScaledRow], ncols: int) -> tuple[int, int, tuple[
     return rank, sign, (pa, pb)
 
 
+def _piece_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
+    """The rank of sparse integer rows as ``_scaled`` gives them, as the
+    sum of the ranks of their pieces.
+
+    A piece is a connected component of the graph joining each row to the
+    columns of its nonzero entries; union-find over the columns merges the
+    columns each row touches. Permuting rows and columns makes the matrix
+    block-diagonal over its pieces, so its rank is the sum of theirs. Rows
+    hold only nonzero entries, so a piece with one row, or with one column
+    (every row a single entry), has rank 1; any other piece is ranked by
+    ``_eliminate``. An empty row belongs to no piece.
+    """
+    parent = list(range(ncols))
+    for row in rows:
+        if len(row) > 1:
+            root = row[0][0]
+            while parent[root] != root:
+                root = parent[root]
+            for c, _, _ in row[1:]:
+                while parent[c] != c:
+                    c = parent[c]
+                if c != root:
+                    parent[c] = root
+    pieces: dict[int, list[_ScaledRow]] = {}
+    for row in rows:
+        if row:
+            c = row[0][0]
+            while parent[c] != c:
+                c = parent[c]
+            pieces.setdefault(c, []).append(row)
+    rank = 0
+    for piece in pieces.values():
+        if len(piece) == 1 or all(len(row) == 1 for row in piece):
+            rank += 1
+        else:
+            rank += _eliminate(piece, ncols)[0]
+    return rank
+
+
 def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
     """Determinant of a square matrix: that of L times it over L^m."""
     m = len(rows)
@@ -416,7 +464,11 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
     dependencies too: the zero 2 x 2 matrix gives 1, while the meet is {0}.
     A matrix whose rows were replaced around ``FlagMatrix``'s shape check
     by one that is not 2n x 2n raises ``ClanError``. The block is ranked as
-    L times itself, on the integer form, which keeps the result.
+    L times itself, on the integer form, which keeps the result. Its rank
+    is the sum of the ranks of its connected pieces (``_piece_rank``),
+    exactly, since permuting rows and columns makes it block-diagonal over
+    them; a piece of one row or one column has rank 1, and only a larger
+    piece goes through Bareiss elimination.
     """
     form = _integer_form(matrix)
     if form is None:
@@ -425,7 +477,7 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
     if form.dimension is None:
         n = matrix.clan.n
         block = [[entry for entry in row if entry[0] < n] for row in form.scaled[1][n:]]
-        form.dimension = n - _eliminate(block, n)[0]
+        form.dimension = n - _piece_rank(block, n)
     return form.dimension
 
 

@@ -142,3 +142,40 @@ def dense_matrices(draw):
         combination = [sum((k * r[c] for k, r in zip(coeffs, rows)), ZERO) for c in range(ncols)]
         rows.insert(draw(st.integers(0, len(rows))), combination)
     return rows
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """Rows and columns of a block-diagonal matrix of 1-4 pieces, each 1-3
+    rows by 1-3 columns of entries a + b*sqrt(2), b != 0, both permuted.
+    In about half of the pieces of two or more rows, one row is a multiple
+    of another, so the piece is singular. In about half the matrices a
+    last row joins two pieces: a combination of a row of each (rank
+    unchanged) or fresh entries in a column of each (rank one more)."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4))
+    ncols = sum(c for _, c in shapes)
+    pieces, start = [], 0
+    for nrows, width in shapes:
+        entries = st.lists(irrational_elements, min_size=width, max_size=width)
+        piece = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+        if nrows > 1 and draw(st.booleans()):
+            k = draw(irrational_elements)
+            piece[-1] = [k * e for e in piece[0]]
+        cols = range(start, start + width)
+        pieces.append([[row[c - start] if c in cols else ZERO for c in range(ncols)] for row in piece])
+        start += width
+    rows = [row for piece in pieces for row in piece]
+    order = draw(st.permutations(range(ncols)))
+    rows = draw(st.permutations([[row[c] for c in order] for row in rows]))
+    if len(pieces) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(pieces) - 1), min_size=2, max_size=2, unique=True))
+        first, second = draw(st.sampled_from(pieces[i])), draw(st.sampled_from(pieces[j]))
+        if draw(st.booleans()):
+            h, k = draw(irrational_elements), draw(irrational_elements)
+            join = [h * e + k * f for e, f in zip(first, second)]
+        else:
+            a = draw(st.sampled_from([c for c, e in enumerate(first) if e]))
+            b = draw(st.sampled_from([c for c, e in enumerate(second) if e]))
+            join = [draw(irrational_elements) if c in (a, b) else ZERO for c in range(ncols)]
+        rows.append([join[c] for c in order])
+    return rows

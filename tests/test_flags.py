@@ -27,12 +27,19 @@ from diii_clans.flags import (
     ZERO,
     _eliminate,
     _integer_form,
+    _piece_rank,
     _scaled,
     exact_determinant,
 )
 from diii_clans.verify import check_flags
 
-from conftest import dense_matrices, diii_clans, from_columns, perturbed_representatives
+from conftest import (
+    block_diagonal_matrices,
+    dense_matrices,
+    diii_clans,
+    from_columns,
+    perturbed_representatives,
+)
 from oracles import (
     raw_antidiagonal,
     raw_form,
@@ -143,6 +150,11 @@ def exact_rank(rows):
     return _eliminate(_scaled(rows)[1], len(rows[0]) if rows else 0)[0]
 
 
+def piece_rank(rows):
+    """The rank of a matrix over Q(sqrt 2) by ``_piece_rank``."""
+    return _piece_rank(_scaled(rows)[1], len(rows[0]) if rows else 0)
+
+
 def block_dimension(rows):
     """n minus the rank of the lower-left n x n block, from the rows."""
     n = len(rows) // 2
@@ -227,6 +239,15 @@ class TestRepresentativeMatrix:
     def test_reference_6x6_entry_for_entry(self):
         matrix = representative_matrix(parse_diii("+1212-"))
         assert matrix.rows == REFERENCE_MATRIX
+
+    def test_column_index_out_of_range(self):
+        matrix = representative_matrix(parse_diii("+1212-"))
+        assert matrix.column(1) == tuple(row[0] for row in REFERENCE_MATRIX)
+        assert matrix.column(6) == tuple(row[5] for row in REFERENCE_MATRIX)
+        # 0 and -1 would wrap around to columns 6 and 5
+        for c in (0, -1, 7, 1.0, "1", True):
+            with pytest.raises(ClanError, match="column index"):
+                matrix.column(c)
 
     def test_matchless_gives_permutation_matrix(self):
         clan = parse_diii("++--")
@@ -394,7 +415,7 @@ class TestIntersection:
             with pytest.raises(ClanError):
                 intersection_parity(matrix)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_block_rank_on_representatives(self, n):
         for clan in enumerate_diii(n):
             matrix = representative_matrix(clan)
@@ -452,8 +473,51 @@ class TestExactLinearAlgebra:
     def test_matches_dense_oracle(self, rows):
         rank, det = raw_rank_and_determinant(raw(rows))
         assert exact_rank(rows) == rank
+        assert piece_rank(rows) == rank
         if len(rows) == len(rows[0]):
             assert exact_determinant(rows) == QSqrt2(*det)
+
+
+class TestPieceRank:
+    """``_piece_rank`` must equal whole-matrix elimination (``exact_rank``).
+    ``TestIntersection`` compares them on every representative block with
+    n <= 7 and on perturbed representatives, ``TestExactLinearAlgebra`` on
+    dense matrices."""
+
+    @settings(deadline=None)
+    @given(block_diagonal_matrices())
+    def test_matches_elimination_on_block_diagonal_matrices(self, rows):
+        assert piece_rank(rows) == exact_rank(rows)
+
+    def test_a_later_row_merges_two_pieces(self):
+        # e1, e2, then e1 + e2: three one-row pieces until the last row
+        # joins the first two
+        rows = [[ONE, ZERO], [ZERO, ONE], [ONE, ONE]]
+        assert piece_rank(rows) == exact_rank(rows) == 2
+
+    def test_a_one_column_piece_has_rank_one(self):
+        rows = [[ZERO, ONE], [ZERO, INV_SQRT2], [ZERO, QSqrt2(3)]]
+        assert piece_rank(rows) == exact_rank(rows) == 1
+
+    def test_empty_rows_belong_to_no_piece(self):
+        rows = [[ZERO, ZERO], [ZERO, ONE], [ZERO, ZERO]]
+        assert piece_rank(rows) == exact_rank(rows) == 1
+        assert piece_rank([[ZERO, ZERO]]) == 0
+
+    def test_verifying_a_representative_eliminates_nothing(self, monkeypatch):
+        calls = []
+        eliminate = flags._eliminate
+        monkeypatch.setattr(flags, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        for n in range(1, 8):
+            for clan in enumerate_diii(n):
+                matrix = representative_matrix(clan)
+                assert verify_special_orthogonal(matrix)
+                assert intersection_parity(matrix) == n % 2
+        assert calls == []
+        entries = (ONE, INV_SQRT2, QSqrt2(2), QSqrt2(1, 1))
+        dense = FlagMatrix(parse_diii("++--"), tuple(entries[r:] + entries[:r] for r in range(4)))
+        assert intersection_dimension(dense) == 0
+        assert len(calls) == 1
 
 
 class TestScaled:

@@ -55,6 +55,15 @@ def test_independent_routes_import_nothing_from_the_package(path):
     assert "diii_clans" not in absolute_imports(ROOT / path)
 
 
+def test_mutation_guard_reads_nothing_of_the_benchmark():
+    # its mutants must be killed by the package's own checks and tests
+    path = ROOT / "tests" / "test_mutants.py"
+    benchmark_modules = {p.stem for p in (ROOT / "clanbench").glob("*.py")}
+    assert benchmark_modules
+    assert "clanbench" not in path.read_text()
+    assert not absolute_imports(path) & benchmark_modules
+
+
 def test_public_names_resolve_and_are_not_modules():
     assert len(set(diii_clans.__all__)) == len(diii_clans.__all__)
     for name in diii_clans.__all__:
