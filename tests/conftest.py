@@ -151,8 +151,10 @@ def block_diagonal_matrices(draw):
     In about half of the pieces of two or more rows, one row is a multiple
     of another, so the piece is singular. In about half the matrices a
     last row joins two pieces: a combination of a row of each (rank
-    unchanged) or fresh entries in a column of each (rank one more)."""
-    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4))
+    unchanged) or fresh entries in a column of each (most often rank one
+    more)."""
+    shape = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    shapes = draw(st.lists(shape, min_size=1, max_size=4))
     ncols = sum(c for _, c in shapes)
     pieces, start = [], 0
     for nrows, width in shapes:
@@ -162,7 +164,9 @@ def block_diagonal_matrices(draw):
             k = draw(irrational_elements)
             piece[-1] = [k * e for e in piece[0]]
         cols = range(start, start + width)
-        pieces.append([[row[c - start] if c in cols else ZERO for c in range(ncols)] for row in piece])
+        pieces.append(
+            [[row[c - start] if c in cols else ZERO for c in range(ncols)] for row in piece]
+        )
         start += width
     rows = [row for piece in pieces for row in piece]
     order = draw(st.permutations(range(ncols)))

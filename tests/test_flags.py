@@ -507,7 +507,9 @@ class TestPieceRank:
     def test_verifying_a_representative_eliminates_nothing(self, monkeypatch):
         calls = []
         eliminate = flags._eliminate
-        monkeypatch.setattr(flags, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        monkeypatch.setattr(
+            flags, "_eliminate", lambda *args: calls.append(args) or eliminate(*args)
+        )
         for n in range(1, 8):
             for clan in enumerate_diii(n):
                 matrix = representative_matrix(clan)

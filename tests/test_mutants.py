@@ -51,8 +51,8 @@ MUTANTS = (
     Mutant(
         "one-column piece counted as its row count",
         "flags.py",
-        "            rank += 1\n        else:\n            rank += _eliminate(piece, ncols)[0]",
-        "            rank += len(piece)\n        else:\n            rank += _eliminate(piece, ncols)[0]",
+        "            rank += 1\n        else:\n",
+        "            rank += len(piece)\n        else:\n",
         ("pytest", "tests/test_flags.py::TestPieceRank::test_a_one_column_piece_has_rank_one"),
         "k nonzero rows in one column have rank 1, not k; one-row pieces (all a "
         "representative has) are unchanged, so only a test matrix can catch it",
@@ -110,7 +110,9 @@ def test_mutant_is_killed(tmp_path, mutant):
         )
     else:
         # the ini's ``pythonpath`` would put the unmutated src/ first
-        done = run(["-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", f"pythonpath={root}", target], root)
+        args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", f"pythonpath={root}", target]
+        done = run(args, root)
         assert done.returncode == 1, (
-            f"mutant {mutant.name!r} survived {target} (exit {done.returncode}):\n{done.stdout[-2000:]}"
+            f"mutant {mutant.name!r} survived {target} "
+            f"(exit {done.returncode}):\n{done.stdout[-2000:]}"
         )
