@@ -18,7 +18,8 @@ block-diagonal over the connected pieces of its nonzero pattern, so its
 rank is the sum of theirs; a piece of one row or one column has rank 1,
 since the scaled rows hold only nonzero entries, and only a larger piece
 is eliminated. Every piece of a representative's block is a single row
-(checked for every clan with n <= 9), so verifying one eliminates nothing.
+(the tests check every clan with n <= 7 and sample n <= 16), so verifying
+one eliminates nothing.
 
 A representative comes with its integer form: ``representative_matrix``
 writes it in the loop that writes the entries, so no check reads them

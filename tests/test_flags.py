@@ -504,6 +504,15 @@ class TestPieceRank:
         assert piece_rank(rows) == exact_rank(rows) == 1
         assert piece_rank([[ZERO, ZERO]]) == 0
 
+    @settings(max_examples=50, deadline=None)
+    @given(diii_clans(min_n=8, max_n=16))
+    def test_a_representative_block_has_one_row_pieces_beyond_exhaustive_sizes(self, clan):
+        # no column of the block is touched by two rows
+        n = clan.n
+        rows = representative_matrix(clan)._form.scaled[1][n:]
+        touched = [c for row in rows for c, _, _ in row if c < n]
+        assert len(touched) == len(set(touched))
+
     def test_verifying_a_representative_eliminates_nothing(self, monkeypatch):
         calls = []
         eliminate = flags._eliminate
