@@ -471,25 +471,35 @@ class PairClassification:
         return len(self.pi0) // 2
 
 
+#: The symbol of each sign token and of each label token 1..99 as written.
+_TOKENS: dict[str, Symbol] = {PLUS: PLUS, MINUS: MINUS, **{str(k): k for k in range(1, 100)}}
+
+
 def _parse_symbols(text: str) -> list[Symbol]:
     """The raw symbols of compact (one char per symbol) or spaced (token per
     symbol) clan text; the unicode minus sign is accepted as an alias for
-    ``-``, and a label is ASCII digits only."""
-    cleaned = text.replace("−", "-").strip()
-    if not cleaned:
+    ``-``, and a label is ASCII digits only.
+
+    The text is split once on whitespace. That gives exactly one token
+    exactly when the stripped text has no whitespace in it; the text is
+    then compact and read char by char, and otherwise each token is one
+    symbol. A token is looked up in ``_TOKENS``; any other token is read
+    by ``ascii_int``, so ``100`` and ``01`` are labels, and a token that is
+    no label 1 or more raises ``ClanError`` naming it.
+    """
+    tokens: Sequence[str] = text.replace("−", "-").split()
+    if not tokens:
         raise ClanError("empty clan text")
-    if any(ch.isspace() for ch in cleaned):
-        tokens = cleaned.split()
-    else:
-        tokens = list(cleaned)
-    symbols: list[Symbol] = []
-    for tok in tokens:
-        if tok == PLUS or tok == MINUS:
-            symbols.append(tok)
-        elif (label := ascii_int(tok)) is not None and label >= 1:
-            symbols.append(label)
-        else:
-            raise ClanError(f"unknown token {tok!r}")
+    if len(tokens) == 1:
+        tokens = tokens[0]
+    symbols = list(map(_TOKENS.get, tokens))
+    if None in symbols:
+        for i, tok in enumerate(tokens):
+            if symbols[i] is None:
+                label = ascii_int(tok)
+                if label is None or label < 1:
+                    raise ClanError(f"unknown token {tok!r}")
+                symbols[i] = label
     return symbols
 
 

@@ -8,8 +8,13 @@ and unit determinant) is decided exactly, with no floating point
 anywhere. The kernels do not compute with those
 entries: they first scale the matrix by L, the lcm of every denominator,
 into sparse (L*a, L*b) int pairs, elements of Z[sqrt 2]. The form identity
-is then checked by pairing columns through their nonzero entries, and
-determinants come from fraction-free (Bareiss) elimination, which divides
+H^T J H = L^2 J is then checked on the upper triangle alone: entry (a, b)
+of H^T J H sums H[r][a] * H[m-1-r][b] over the rows r, and putting
+s = m-1-r turns that sum into entry (b, a), so the product is symmetric
+for any H. One pass over the row pairs (r, m-1-r) forms each product with
+b >= a once; every such entry off the antidiagonal must be zero, and all
+(m+1)//2 antidiagonal ones must be L^2. Determinants come from
+fraction-free (Bareiss) elimination, which divides
 exactly in Z[sqrt 2]. Once the form holds, the sign of the determinant
 follows from the intersection parity, the rank of the n x n lower-left
 block, with no 2n x 2n determinant. That rank is taken piece by piece
@@ -140,11 +145,13 @@ class FlagMatrix:
     _form: _Form | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = 2 * self.clan.n
+        m, rows = 2 * self.clan.n, self.rows
+        # the length test reads only rows the type test passed
         if not (
-            type(self.rows) is tuple
-            and len(self.rows) == m
-            and all(type(row) is tuple and len(row) == m for row in self.rows)
+            type(rows) is tuple
+            and len(rows) == m
+            and {*map(type, rows)} == {tuple}
+            and {*map(len, rows)} == {m}
         ):
             raise ClanError(
                 f"a flag matrix of {self.clan} must be a tuple of {m} row tuples of length {m}"
@@ -394,9 +401,9 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
 
     The form is checked on the scaled integer form H = L G of ``_scaled``:
     G^T J G = J exactly when H^T J H = L^2 J, an identity over Z[sqrt 2].
-    Row a of H^T J H is the sum, over each nonzero H[r][a], of H[r][a]
-    times row m-1-r of H; only products of nonzero entries are formed, as
-    int pairs (``_form_holds``).
+    H^T J H is symmetric, so only its entries (a, b) with a <= b are
+    formed, each a sum of products of nonzero entries as int pairs
+    (``_form_holds``).
 
     Once the form holds, det G = 1 is decided without eliminating G. Let
     m = 2n and E = span(e_1..e_n), maximal isotropic for J.
@@ -425,34 +432,41 @@ def _form_holds(scaled: tuple[int, tuple[_ScaledRow, ...]]) -> bool:
     """Whether H^T J H = L^2 J for ``(L, H)`` as ``_scaled`` gives it, H
     square.
 
-    Row a of H^T J H is built as a dict over the columns its products
-    touch, each entry a (rational, sqrt(2)) pair: its antidiagonal entry
-    must be (L^2, 0), and every other touched entry (0, 0). An entry no
-    product touches is zero, so the antidiagonal one must be touched.
+    (H^T J H)[a][b] is the sum over rows r of H[r][a] * H[m-1-r][b].
+    Putting s = m-1-r turns it into the sum of H[s][b] * H[m-1-s][a],
+    which is (H^T J H)[b][a], so H^T J H is symmetric for any H and its
+    entries with a <= b decide the identity. One pass over the row pairs
+    (r, m-1-r) forms each product H[r][a] * H[m-1-r][b] with b >= a once,
+    summing the (rational, sqrt(2)) parts keyed by (a, b). Every touched
+    entry off the antidiagonal must be (0, 0), and every antidiagonal one
+    (L^2, 0). An entry no product touches is zero, so all (m+1)//2
+    antidiagonal entries with a <= b must be touched.
     """
     scale, rows = scaled
     m = len(rows)
-    cols: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]  # (row, a, b)
+    upper: dict[tuple[int, int], tuple[int, int]] = {}
     for r, row in enumerate(rows):
-        for c, ea, eb in row:
-            cols[c].append((r, ea, eb))
-    target = (scale * scale, 0)
-    for a, col in enumerate(cols):
-        touched: dict[int, tuple[int, int]] = {}
-        for r, ga, gb in col:
-            for b, ha, hb in rows[m - 1 - r]:
-                x, y = ga * ha + 2 * gb * hb, ga * hb + gb * ha
-                if b in touched:
-                    px, py = touched[b]
-                    touched[b] = (px + x, py + y)
-                else:
-                    touched[b] = (x, y)
-        if touched.pop(m - 1 - a, None) != target:
-            return False
-        for x, y in touched.values():
-            if x or y:
+        mirror = rows[m - 1 - r]
+        for a, ga, gb in row:
+            for b, ha, hb in mirror:
+                if b >= a:
+                    x, y = ga * ha + 2 * gb * hb, ga * hb + gb * ha
+                    if (a, b) in upper:
+                        px, py = upper[a, b]
+                        upper[a, b] = (px + x, py + y)
+                    else:
+                        upper[a, b] = (x, y)
+    antidiagonal = (scale * scale, 0)
+    touched = 0
+    for (a, b), entry in upper.items():
+        if a + b != m - 1:
+            if entry != (0, 0):
                 return False
-    return True
+        elif entry == antidiagonal:
+            touched += 1
+        else:
+            return False
+    return touched == (m + 1) // 2
 
 
 def intersection_dimension(matrix: FlagMatrix) -> int:

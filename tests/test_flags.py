@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diii_clans import (
@@ -486,6 +486,8 @@ class TestPieceRank:
 
     @settings(deadline=None)
     @given(block_diagonal_matrices())
+    @example(rows=[[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])
+    @example(rows=[[ZERO, ONE], [ZERO, INV_SQRT2], [ZERO, QSqrt2(3)]])
     def test_matches_elimination_on_block_diagonal_matrices(self, rows):
         assert piece_rank(rows) == exact_rank(rows)
 

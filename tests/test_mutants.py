@@ -60,8 +60,8 @@ MUTANTS = (
     Mutant(
         "form target L^2 read as L",
         "flags.py",
-        "    target = (scale * scale, 0)\n",
-        "    target = (scale, 0)\n",
+        "    antidiagonal = (scale * scale, 0)\n",
+        "    antidiagonal = (scale, 0)\n",
         ("verify", "3"),
         "H^T J H = L^2 J for H = L G; a clan with a family has L = 2, so its "
         "antidiagonal 4 no longer matches and +1212- fails the SO check",
@@ -74,6 +74,44 @@ MUTANTS = (
         ("verify", "3"),
         "every representative has det 1 and parity n mod 2, so each is then "
         "refused as not special orthogonal",
+    ),
+    Mutant(
+        "form triangle made strict",
+        "flags.py",
+        "                if b >= a:\n",
+        "                if b > a:\n",
+        ("pytest", "tests/test_validate_once.py::TestFormCheck::test_table"),
+        "the diagonal of H^T J H is then never formed, so a form whose only "
+        "defect is a diagonal entry holds, and an odd size's centre entry, "
+        "on both diagonals, is never touched",
+    ),
+    Mutant(
+        "antidiagonal count read as m // 2",
+        "flags.py",
+        "    return touched == (m + 1) // 2\n",
+        "    return touched == m // 2\n",
+        ("pytest", "tests/test_validate_once.py::TestFormCheck::test_table"),
+        "for even m the two counts agree, so every representative still holds; "
+        "an odd m has (m + 1) // 2 antidiagonal entries with a <= b, so [[1]] "
+        "and the 3 x 3 antidiagonal fail",
+    ),
+    Mutant(
+        "tokenizer accepts label 0",
+        "clans.py",
+        "**{str(k): k for k in range(1, 100)}}",
+        "**{str(k): k for k in range(0, 100)}}",
+        ("pytest", "tests/test_clans.py::TestParsing::test_unknown_token_rejected"),
+        "the token 0 becomes the label 0, so '+ 0 - +' raises a label count "
+        "error, not 'unknown token'",
+    ),
+    Mutant(
+        "flag shape test without its length half",
+        "flags.py",
+        "            and {*map(len, rows)} == {m}\n",
+        "",
+        ("pytest", "tests/test_flags.py::TestRepresentativeMatrix::test_constructor_refuses_wrong_shape"),
+        "a tuple of m row tuples of other lengths is then a FlagMatrix, so the "
+        "ragged ((1,), (0, 1)) for +- is no longer refused",
     ),
 )
 

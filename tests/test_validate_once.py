@@ -8,21 +8,24 @@ per-index, per-claim and per-block-set versions those checks ran before.
 ``path_to_clan`` decodes a checked path through ``assemble_clan`` and is
 compared with the insertion decode it replaced. The placement decode,
 which builds no pyramid, is tested with the other decodes in
-test_pyramids.py. The flag form check builds each row of H^T J H over the
-columns its products touch, and is compared with the dense-list check it
-replaced.
+test_pyramids.py. The flag form check forms only the upper triangle of
+H^T J H, and is compared with a check of every row in dense lists. The
+clan tokenizer splits its text once and looks each token up, and
+``FlagMatrix`` tests its rows' types and lengths as two sets; each is
+compared with the per-item loop it replaced.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diii_clans import (
     ClanError,
     DIIIClan,
+    FlagMatrix,
     LabeledStep,
     PartitionPair,
     PathError,
@@ -39,6 +42,7 @@ from diii_clans import (
     representative_matrix,
     validate_path,
 )
+from diii_clans.clans import _parse_symbols, ascii_int
 from diii_clans.delannoy import _swap_middle
 from diii_clans.enumeration import _put_pair, _put_sign, assemble_key
 from diii_clans.flags import INV_SQRT2, ONE, ZERO, QSqrt2, _form_holds, _scaled
@@ -50,7 +54,7 @@ from conftest import (
     diii_clans,
     perturbed_representatives,
 )
-from oracles import candidate_weighted_words, doubly_symmetric
+from oracles import candidate_weighted_words, doubly_symmetric, raw_antidiagonal, raw_form
 
 
 def outcome(f, *args):
@@ -228,6 +232,40 @@ def reference_form_holds(scaled):
         if any(rational) or any(irrational):
             return False
     return True
+
+
+def reference_parse_symbols(text):
+    """The clan tokenizer with a whitespace test per char and an
+    ``ascii_int`` read per token."""
+    cleaned = text.replace("−", "-").strip()
+    if not cleaned:
+        raise ClanError("empty clan text")
+    if any(ch.isspace() for ch in cleaned):
+        tokens = cleaned.split()
+    else:
+        tokens = list(cleaned)
+    symbols = []
+    for tok in tokens:
+        if tok == "+" or tok == "-":
+            symbols.append(tok)
+        elif (label := ascii_int(tok)) is not None and label >= 1:
+            symbols.append(label)
+        else:
+            raise ClanError(f"unknown token {tok!r}")
+    return symbols
+
+
+def reference_flag_shape(clan, rows):
+    """The ``FlagMatrix`` shape test with one ``all(...)`` over the rows."""
+    m = 2 * clan.n
+    if not (
+        type(rows) is tuple
+        and len(rows) == m
+        and all(type(row) is tuple and len(row) == m for row in rows)
+    ):
+        raise ClanError(
+            f"a flag matrix of {clan} must be a tuple of {m} row tuples of length {m}"
+        )
 
 
 def word(text):
@@ -640,6 +678,62 @@ class TestPathMemo:
 
 
 SQRT2 = QSqrt2(0, 1)
+# pairs (t, 1/t): a column scaled by t and its mirror by 1/t keep the form
+_unit_pairs = st.sampled_from(
+    (
+        (-ONE, -ONE),
+        (QSqrt2(2), QSqrt2(Fraction(1, 2))),
+        (ONE + SQRT2, SQRT2 - ONE),
+        (INV_SQRT2, SQRT2),
+    )
+)
+_alphabet = st.sampled_from((ZERO, ONE, -ONE, QSqrt2(2), INV_SQRT2, ONE + SQRT2))
+
+
+def raw(rows):
+    """Entries as (a, b) Fraction pairs, for the dense oracle."""
+    return [[(e.a, e.b) for e in row] for row in rows]
+
+
+@st.composite
+def near_isometries(draw):
+    """Square matrices of size 1-6 with G^T J G = J, or missing it by one
+    entry: the identity after up to four column operations that keep the
+    form, then, half the time, one entry redrawn from a small alphabet.
+    The operations, for c and d off the centre of an odd size:
+
+    - trade columns c and d, and their mirrors m-1-c and m-1-d;
+    - scale column c by t and its mirror by 1/t (the centre by -1);
+    - add k times column c to column d and take k times column m-1-d from
+      column m-1-c, for d not c or its mirror.
+    """
+    m = draw(st.integers(1, 6))
+    cols = [[ONE if r == c else ZERO for r in range(m)] for c in range(m)]
+    off_centre = [c for c in range(m) if 2 * c != m - 1]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("trade", "scale", "add")))
+        c = draw(st.integers(0, m - 1))
+        if op == "scale":
+            t, u = draw(_unit_pairs) if c in off_centre else (-ONE, ONE)
+            cols[c] = [t * e for e in cols[c]]
+            cols[m - 1 - c] = [u * e for e in cols[m - 1 - c]]
+            continue
+        if c not in off_centre:
+            continue
+        d = draw(st.sampled_from(off_centre))
+        if op == "trade":
+            cols[c], cols[d] = cols[d], cols[c]
+            if c != m - 1 - d:
+                cols[m - 1 - c], cols[m - 1 - d] = cols[m - 1 - d], cols[m - 1 - c]
+        elif d not in (c, m - 1 - c):
+            k = draw(_alphabet)
+            cols[d] = [e + k * f for e, f in zip(cols[d], cols[c])]
+            cols[m - 1 - c] = [e - k * f for e, f in zip(cols[m - 1 - c], cols[m - 1 - d])]
+    rows = [[cols[c][r] for c in range(m)] for r in range(m)]
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows[r][c] = draw(_alphabet)
+    return tuple(map(tuple, rows))
 
 
 class TestFormCheck:
@@ -667,6 +761,14 @@ class TestFormCheck:
             (((ONE, ZERO), (SQRT2, ONE)), False),
             # a zero column: the antidiagonal entry is touched by no product
             (((ONE, ZERO), (ZERO, ZERO)), False),
+            (((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)), True),
+            (((ZERO, ZERO, ONE), (ZERO, -ONE, ZERO), (ONE, ZERO, ZERO)), True),
+            # only defect: the centre entry, on both diagonals, is 2
+            (((ONE, ZERO, ZERO), (ZERO, SQRT2, ZERO), (ZERO, ZERO, ONE)), False),
+            # only defect: the centre entry is touched by no product
+            (((ONE, ZERO, ZERO), (ZERO, ZERO, ZERO), (ZERO, ZERO, ONE)), False),
+            # only defect: entries (0, 2) and (2, 0) are 2
+            (((QSqrt2(2), ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)), False),
         ],
         ids=[
             "empty",
@@ -681,6 +783,11 @@ class TestFormCheck:
             "rational-off-antidiagonal",
             "sqrt2-off-antidiagonal",
             "antidiagonal-untouched",
+            "identity-3",
+            "antidiagonal-3",
+            "centre-defect-3",
+            "centre-untouched-3",
+            "corner-defect-3",
         ],
     )
     def test_table(self, rows, holds):
@@ -700,8 +807,112 @@ class TestFormCheck:
         scaled = _scaled(rows)
         assert _form_holds(scaled) == reference_form_holds(scaled)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @settings(deadline=None)
+    @given(near_isometries())
+    @example(rows=((ONE, ZERO, ZERO), (ZERO, SQRT2, ZERO), (ZERO, ZERO, ONE)))
+    @example(rows=((ONE, ZERO), (ONE, ONE)))
+    @example(rows=((ONE, ZERO, ZERO), (ZERO, ZERO, ZERO), (ZERO, ZERO, ONE)))
+    def test_near_isometries(self, rows):
+        scaled = _scaled(rows)
+        expected = raw_form(raw(rows)) == raw_antidiagonal(len(rows))
+        assert _form_holds(scaled) == reference_form_holds(scaled) == expected
+
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_representatives(self, n):
         for clan in enumerate_diii(n):
             scaled = representative_matrix(clan)._form.scaled
             assert _form_holds(scaled) and reference_form_holds(scaled)
+
+
+TOKENIZER_TABLE = [
+    "+1212-",
+    "+ 1 2 1 2 -",
+    "  +1212-\n",
+    "+\t1\t-\t1",
+    "+\n1 2\n1 2\n-",
+    "+\n1212-",
+    "+\xa01\xa0-\xa01",
+    "+1212−",
+    "+ 1 2 1 2 −",
+    "−",
+    "0",
+    "+0-+",
+    "+ 0 - +",
+    "01",
+    "+ 01 - 1",
+    "100",
+    "+ 100 - 100",
+    "+ 99 - 99",
+    "²",
+    "+ ² - ²",
+    "٣",
+    "+ ٣ - ٣",
+    "1_0",
+    "+ 1_0 - 1_0",
+    "+1",
+    "+1 - 1",
+    "+ +1 - +1",
+    "+x-+",
+    "",
+    " ",
+    "\t\n\xa0",
+]
+
+
+class TestTokenizer:
+    """``_parse_symbols`` returns the symbols, or raises the ``ClanError``,
+    that the per-char and per-token tokenizer gives."""
+
+    @pytest.mark.parametrize("text", TOKENIZER_TABLE)
+    def test_table(self, text):
+        assert outcome(_parse_symbols, text) == outcome(reference_parse_symbols, text)
+
+    @settings(deadline=None)
+    @given(st.text(alphabet="+-−0123456789²٣_x \t\n\xa0", max_size=12))
+    def test_random_text(self, text):
+        assert outcome(_parse_symbols, text) == outcome(reference_parse_symbols, text)
+
+
+TWO = parse_diii("+-")
+SIX = parse_diii("+1212-")
+
+
+class TestFlagShape:
+    """``FlagMatrix`` refuses the shapes the ``all(...)`` test refused,
+    with its message."""
+
+    @pytest.mark.parametrize(
+        "clan, rows",
+        [
+            (TWO, ((ONE, ZERO), (ZERO, ONE))),
+            (TWO, [(ONE, ZERO), (ZERO, ONE)]),
+            (TWO, ((ONE,), (ZERO, ONE))),
+            (TWO, ((ONE, ZERO), (ZERO, ONE, ZERO))),
+            (TWO, ((ONE, ZERO), [ZERO, ONE])),
+            (TWO, ((ONE, ZERO),)),
+            (TWO, ((ONE, ZERO), 5)),
+            (TWO, (5, (ONE, ZERO))),
+            (TWO, ()),
+            (TWO, 5),
+            (SIX, ((ONE,) * 6,) * 5),
+            (SIX, ((ONE,) * 6,) * 5 + ((ONE,) * 5,)),
+            (SIX, ((ONE,) * 6,) * 6),
+        ],
+        ids=[
+            "two-by-two",
+            "rows-in-a-list",
+            "ragged-row",
+            "long-row",
+            "row-in-a-list",
+            "one-row-short",
+            "int-row",
+            "int-row-first",
+            "no-rows",
+            "rows-an-int",
+            "six-one-row-short",
+            "six-ragged-last-row",
+            "six-by-six",
+        ],
+    )
+    def test_message(self, clan, rows):
+        assert verdict(FlagMatrix, clan, rows) == outcome(reference_flag_shape, clan, rows)
