@@ -101,6 +101,11 @@ small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
 irrational_elements = st.builds(QSqrt2, small_fractions, small_fractions.filter(bool))
 
 
+def raw(rows):
+    """Entries as (a, b) Fraction pairs, for the oracles."""
+    return [[(e.a, e.b) for e in row] for row in rows]
+
+
 def from_columns(clan, cols):
     m = len(cols)
     return FlagMatrix(clan, tuple(tuple(col[r] for col in cols) for r in range(m)))

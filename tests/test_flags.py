@@ -39,6 +39,7 @@ from conftest import (
     diii_clans,
     from_columns,
     perturbed_representatives,
+    raw,
 )
 from oracles import (
     raw_antidiagonal,
@@ -62,11 +63,6 @@ shared_and_copied_elements = st.one_of(
     sparse_elements.map(lambda e: QSqrt2(e.a, e.b)),
     st.just(QSqrt2(0)),
 )
-
-
-def raw(rows):
-    """Entries as (a, b) Fraction pairs, for the oracles."""
-    return [[(e.a, e.b) for e in row] for row in rows]
 
 
 def around_constructor(clan, rows):

@@ -53,6 +53,7 @@ from conftest import (
     dense_matrices,
     diii_clans,
     perturbed_representatives,
+    raw,
 )
 from oracles import candidate_weighted_words, doubly_symmetric, raw_antidiagonal, raw_form
 
@@ -690,11 +691,6 @@ _unit_pairs = st.sampled_from(
 _alphabet = st.sampled_from((ZERO, ONE, -ONE, QSqrt2(2), INV_SQRT2, ONE + SQRT2))
 
 
-def raw(rows):
-    """Entries as (a, b) Fraction pairs, for the dense oracle."""
-    return [[(e.a, e.b) for e in row] for row in rows]
-
-
 @st.composite
 def near_isometries(draw):
     """Square matrices of size 1-6 with G^T J G = J, or missing it by one
@@ -767,7 +763,7 @@ class TestFormCheck:
             (((ONE, ZERO, ZERO), (ZERO, SQRT2, ZERO), (ZERO, ZERO, ONE)), False),
             # only defect: the centre entry is touched by no product
             (((ONE, ZERO, ZERO), (ZERO, ZERO, ZERO), (ZERO, ZERO, ONE)), False),
-            # only defect: entries (0, 2) and (2, 0) are 2
+            # only defect: the antidiagonal's corners (1, 3) and (3, 1) are 2
             (((QSqrt2(2), ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)), False),
         ],
         ids=[
