@@ -19,8 +19,8 @@ from . import clans, enumeration, sects
 #: Each public name, by its home module; the order of ``__all__``.
 _EXPORTS = {
     "clans": (
-        "MINUS", "PLUS", "Clan", "ClanError", "DIIIClan", "Involution",
-        "PairClassification", "parse_clan", "parse_diii",
+        "MINUS", "PLUS", "Clan", "ClanError", "DIIIClan", "parse_clan",
+        "parse_diii",
     ),
     "delannoy": (
         "LabeledStep", "PathError", "WeightedDelannoyPath", "clan_to_path",
@@ -36,10 +36,9 @@ _EXPORTS = {
     ),
     "pyramids": (
         "PartitionPair", "Pyramid", "PyramidCell", "PyramidParityError",
-        "RookPlacement", "clan_to_pyramid", "extend_odd", "extract_pyramid",
+        "RookPlacement", "clan_to_pyramid", "extend_odd",
         "partition_pair_to_pyramid", "placement_to_clan", "pyramid_to_clan",
         "pyramid_to_partition_pair", "pyramid_to_placement", "rotate_placement",
-        "signed_involution_pair",
     ),
     "sects": (
         "PartialFPFInvolution", "SchubertSubset", "Sect", "base_clan_to_subset",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
@@ -37,21 +36,19 @@ def json_fields(
     data: Any,
     what: str,
     kinds: Mapping[str, type],
-    error: type[ClanError] = ClanError,
-    defaults: Mapping[str, Any] = {},
 ) -> list[Any]:
     """The values of the JSON object ``data`` at the keys of ``kinds``, in
     order.  Each must be exactly of its kind, so nothing is coerced: an int
-    field refuses a bool, a float or a string.  Keys in ``defaults`` may be
-    absent; anything else malformed raises ``error``."""
+    field refuses a bool, a float or a string.  Anything malformed raises
+    ``ClanError``."""
     values = []
     for key, kind in kinds.items():
         try:
-            value = data.get(key, defaults[key]) if key in defaults else data[key]
+            value = data[key]
         except (KeyError, TypeError) as exc:
-            raise error(f"malformed {what} JSON: {exc}") from None
+            raise ClanError(f"malformed {what} JSON: {exc}") from None
         if type(value) is not kind:
-            raise error(f"malformed {what} JSON: {key!r} must be {kind.__name__}, got {value!r}")
+            raise ClanError(f"malformed {what} JSON: {key!r} must be {kind.__name__}, got {value!r}")
         values.append(value)
     return values
 
@@ -239,10 +236,6 @@ class Clan:
 
     # -- structure queries --------------------------------------------------
 
-    def mate_positions(self) -> dict[int, int]:
-        """Map each number-holding position to the position of its mate."""
-        return {p: q for p, q in enumerate(self._table, start=1) if type(q) is int}
-
     def pairs(self) -> list[tuple[int, int]]:
         """Mate-position pairs (i, j) with i < j, in label order."""
         return [(p, q) for p, q in enumerate(self._table, start=1) if type(q) is int and p < q]
@@ -257,8 +250,9 @@ class Clan:
         return self._table
 
     def _default_mapping(self) -> list[int]:
-        """``default_permutation`` in one-line notation, as a plain list:
-        i <= n and 2n+1-i are swapped when the signature at i is ``-``."""
+        """The default permutation in one-line notation, as a plain list: the
+        involution swapping i <= n and 2n+1-i when the signature at i is
+        ``-``, and fixing both when it is ``+``."""
         key = self._table
         m = len(key) + 1
         mapping = list(range(1, m))
@@ -320,9 +314,6 @@ class Clan:
             )
         return None
 
-    def is_diii(self) -> bool:
-        return self.diii_violation() is None
-
     def to_diii(self) -> "DIIIClan":
         return self if isinstance(self, DIIIClan) else DIIIClan(self.symbols)
 
@@ -382,93 +373,6 @@ class DIIIClan(Clan):
         if not 0 <= length <= n * (n - 1) // 2:
             raise ClanError(f"length {length} outside [0, n(n-1)/2]")
         return spreads, weaves, z, length
-
-    # -- derived combinatorial data ------------------------------------------
-
-    def classify_pairs(self) -> "PairClassification":
-        """Split mate pairs into straddling and one-sided sets, with families."""
-        n = self.n
-        pi0: set[tuple[int, int]] = set()
-        pi1: set[tuple[int, int]] = set()
-        for i, j in self.pairs():
-            (pi0 if i <= n < j else pi1).add((i, j))
-        return PairClassification(
-            pi0=frozenset(pi0), pi1=frozenset(pi1), families=tuple(self._families())
-        )
-
-    def base_clan(self) -> "DIIIClan":
-        """The matchless clan of signatures; a fixed point on matchless input."""
-        return DIIIClan(self.signatures())
-
-    def default_permutation(self) -> "Involution":
-        """The involution fixing position i and its opposite when the
-        signature at i is ``+``, and swapping them when it is ``-``."""
-        return Involution(tuple(self._default_mapping()))
-
-    def underlying_involution(self) -> "Involution":
-        """The involution exchanging the two positions of each mate pair."""
-        return Involution(
-            tuple(p if type(q) is str else q for p, q in enumerate(self._table, start=1))
-        )
-
-
-@dataclass(frozen=True)
-class Involution:
-    """A self-inverse permutation of {1..m} in one-line notation.
-
-    ``mapping[k-1]`` is the image of k.
-    """
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.mapping) is not tuple:
-            raise ClanError(f"involution mapping must be a tuple, got {self.mapping!r}")
-        m = len(self.mapping)
-        ints = all(type(v) is int for v in self.mapping)  # True == 1 passes the sort test
-        if not ints or sorted(self.mapping) != list(range(1, m + 1)):
-            raise ClanError(f"{self.mapping} is not a permutation of 1..{m}")
-        for k in range(1, m + 1):
-            if self.mapping[self.mapping[k - 1] - 1] != k:
-                raise ClanError(f"{self.mapping} does not square to the identity")
-
-    def __call__(self, k: int) -> int:
-        return self.mapping[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.mapping, start=1))
-
-    def two_cycles(self) -> list[tuple[int, int]]:
-        return [
-            (k, v) for k, v in enumerate(self.mapping, start=1) if k < v
-        ]
-
-    def one_line(self) -> str:
-        if len(self.mapping) <= 9:
-            return "".join(str(v) for v in self.mapping)
-        return " ".join(str(v) for v in self.mapping)
-
-    def __str__(self) -> str:
-        return self.one_line()
-
-
-@dataclass(frozen=True)
-class PairClassification:
-    """Mate pairs split by position: ``pi0`` straddles the halfway point,
-    ``pi1`` stays within one half.  Each family groups a pair (i, j) with
-    its mirror pair as the quadruple (i, j, 2n+1-j, 2n+1-i)."""
-
-    pi0: frozenset[tuple[int, int]]
-    pi1: frozenset[tuple[int, int]]
-    families: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def z(self) -> int:
-        """Half the number of straddling pairs."""
-        return len(self.pi0) // 2
 
 
 #: The symbol of each sign token and of each label token 1..99 as written.

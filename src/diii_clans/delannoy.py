@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan, ascii_int, json_fields
+from .clans import MINUS, PLUS, ClanError, DIIIClan, ascii_int
 from .enumeration import assemble_clan
 
 NORTH = "N"
@@ -94,17 +94,6 @@ class WeightedDelannoyPath:
         if not tokens:
             raise PathError("empty path word")
         return cls(tuple(LabeledStep.from_token(t) for t in tokens))
-
-    def to_json_list(self) -> list[dict]:
-        return [{"direction": s.direction, "label": s.label} for s in self.steps]
-
-    @classmethod
-    def from_json_list(cls, data: list[dict]) -> "WeightedDelannoyPath":
-        if type(data) is not list:
-            raise PathError(f"malformed path JSON: expected a list of steps, got {data!r}")
-        kinds = {"direction": str, "label": int}
-        steps = (json_fields(item, "step", kinds, PathError, {"label": 1}) for item in data)
-        return cls(tuple(LabeledStep(*fields) for fields in steps))
 
     def __str__(self) -> str:
         return self.to_word()

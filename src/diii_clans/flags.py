@@ -186,8 +186,7 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     """Columns are basis vectors at sign positions (routed through the
     default permutation sigma) and mixed +-1/sqrt(2) combinations on each
     family of four mate positions, both read off the clan's key
-    (``Clan._default_mapping``, ``Clan._families``): no ``Involution`` or
-    ``PairClassification`` is built.
+    (``Clan._default_mapping``, ``Clan._families``).
 
     The same loop writes the matrix's integer form, as ``_scaled`` would
     read it: L is 2 when there is a family (its entries are

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan, Involution, json_fields
+from .clans import MINUS, PLUS, ClanError, DIIIClan, json_fields
 from .enumeration import assemble_clan
 
 LEFT = "L"
@@ -242,13 +242,6 @@ def _triangle(perm: Sequence[int]) -> list[tuple[str, int, int]]:
     return [cell for cell in reversed(by_row) if cell is not None]
 
 
-def extract_pyramid(placement: RookPlacement) -> Pyramid:
-    """The bottom-triangle pyramid of a placement (rows r with r <= c and
-    r <= m+1-c), from the rooks ``_triangle`` finds."""
-    cells = _triangle(placement.perm)
-    return Pyramid(placement.size // 2, frozenset(PyramidCell(*cell) for cell in cells))
-
-
 def placement_to_clan(placement: RookPlacement) -> DIIIClan:
     """Of the two pyramids of a placement, decode the one giving a DIII clan.
 
@@ -285,15 +278,6 @@ def extend_odd(placement: RookPlacement) -> RookPlacement:
         r = placement.perm[old_c - 1]
         perm.append(r if r <= n else r + 1)
     return RookPlacement(tuple(perm))
-
-
-def signed_involution_pair(placement: RookPlacement) -> frozenset[Involution]:
-    """The unordered pair {v, w0 v} of involutions determined by a doubly
-    symmetric placement and its quarter turn."""
-    m = placement.size
-    v = Involution(placement.perm)
-    w0v = Involution(tuple(m + 1 - r for r in placement.perm))
-    return frozenset({v, w0v})
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterator
+from math import comb
+from typing import TYPE_CHECKING, Callable
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan
 from .enumeration import KNOWN_COUNTS, count_by_pairs, count_formula, count_recurrence
@@ -40,32 +41,28 @@ class CheckResult:
     detail: str
 
 
-def _involutions(m: int) -> Iterator[tuple[int, ...]]:
-    """All involutions of {1..m} in one-line notation."""
+def doubly_symmetric_by_orbits(m: int) -> int:
+    """The number of placements of m rooks symmetric across both main
+    diagonals, counted over the orbits of the reversal w0(i) = m+1-i.
 
-    def rec(remaining: tuple[int, ...], acc: dict[int, int]) -> Iterator[dict[int, int]]:
-        if not remaining:
-            yield dict(acc)
-            return
-        first, rest = remaining[0], remaining[1:]
-        acc[first] = first
-        yield from rec(rest, acc)
-        del acc[first]
-        for k, partner in enumerate(rest):
-            acc[first], acc[partner] = partner, first
-            yield from rec(rest[:k] + rest[k + 1 :], acc)
-            del acc[first], acc[partner]
-
-    for mapping in rec(tuple(range(1, m + 1)), {}):
-        yield tuple(mapping[i] for i in range(1, m + 1))
-
-
-def count_doubly_symmetric_placements(m: int) -> int:
-    """Brute force: involutions of S_m that are also antidiagonal-symmetric."""
+    Such a placement is an involution sigma of S_m with
+    sigma w0 sigma = w0, that is, sigma commutes with w0. So sigma maps
+    each w0-orbit {i, m+1-i} onto an orbit, and the map it induces on the
+    orbits is again an involution. An odd board's middle point is the one
+    orbit of size 1, so it is fixed. Over the other p = m // 2 orbits,
+    sigma matches 2k of them in pairs, which can be done in
+    C(p, 2k) * (2k-1)!! ways. On a matched pair O, O' sigma sends i in O
+    to either point of O', and that choice fixes sigma on the rest of
+    O and O': 2 ways a pair. Each of the other p - 2k orbits is fixed
+    pointwise or swapped: 2 ways each. So the count is the sum over k of
+    C(p, 2k) * (2k-1)!! * 2**k * 2**(p - 2k).
+    """
+    p = m // 2
     total = 0
-    for perm in _involutions(m):
-        if all(perm[m - perm[i - 1]] == m + 1 - i for i in range(1, m + 1)):
-            total += 1
+    matchings = 1  # (2k-1)!!
+    for k in range(p // 2 + 1):
+        total += comb(p, 2 * k) * matchings * 2 ** k * 2 ** (p - 2 * k)
+        matchings *= 2 * k + 1
     return total
 
 
@@ -243,13 +240,13 @@ def check_rooks(posets: Posets) -> CheckResult:
                 return CheckResult("rooks", False, "extend_odd size wrong")
         if len(classes) != count_formula(n):
             return CheckResult("rooks", False, f"n={n}: {len(classes)} classes")
-        brute_even = count_doubly_symmetric_placements(2 * n)
-        brute_odd = count_doubly_symmetric_placements(2 * n + 1)
-        if brute_even != 2 * count_formula(n) or brute_odd != brute_even:
+        even = doubly_symmetric_by_orbits(2 * n)
+        odd = doubly_symmetric_by_orbits(2 * n + 1)
+        if even != 2 * count_formula(n) or odd != even:
             return CheckResult(
                 "rooks",
                 False,
-                f"n={n}: brute counts {brute_even}/{brute_odd} vs {2 * count_formula(n)}",
+                f"n={n}: orbit counts {even}/{odd} vs {2 * count_formula(n)}",
             )
     return CheckResult("rooks", True, f"bijections and brute counts for n<= {cap}")
 

@@ -90,14 +90,14 @@ class TestParsing:
 
 class TestDIIIConditions:
     def test_reference_valid_clan(self):
-        assert parse_clan("+-1122+-").is_diii()
+        assert parse_clan("+-1122+-").diii_violation() is None
 
     def test_contained_pair_parity_counts(self):
         # one pair inside the first half and no minus signs: odd
-        assert not parse_clan("1122").is_diii()
+        assert parse_clan("1122").diii_violation() is not None
 
     def test_antipodal_mates_rejected(self):
-        assert not parse_clan("1221").is_diii()
+        assert parse_clan("1221").diii_violation() is not None
         assert "antipodal" in parse_clan("1221").diii_violation()
 
     def test_skew_symmetry_required(self):
@@ -106,7 +106,7 @@ class TestDIIIConditions:
     def test_matches_literal_condition_checker(self):
         for n in range(1, 5):
             for raw in all_canonical_clans(n):
-                assert Clan(raw).is_diii() == raw_is_diii(raw)
+                assert (Clan(raw).diii_violation() is None) == raw_is_diii(raw)
 
     def test_diii_constructor_validates(self):
         with pytest.raises(ClanError, match="not a DIII clan"):
@@ -125,7 +125,7 @@ class TestMateTable:
                 clan = Clan(raw)
                 pairs, mates, signatures = raw_pair_data(raw)
                 assert clan.pairs() == pairs
-                assert clan.mate_positions() == mates
+                assert {p: q for p, q in enumerate(clan._key(), start=1) if type(q) is int} == mates
                 assert clan.signatures() == signatures
                 assert clan.is_matchless() == (not pairs)
 
@@ -166,83 +166,75 @@ class TestTransforms:
 
     @given(diii_clans(max_n=6))
     def test_flip_leaves_diii(self, clan):
-        assert not clan.flip().is_diii()
+        assert clan.flip().diii_violation() is not None
 
     def test_flip_never_diii_exhaustive(self):
         from diii_clans import enumerate_diii
 
         for n in range(1, 5):
             for raw in naive_diii(n):
-                assert not Clan(raw).flip().is_diii()
+                assert Clan(raw).flip().diii_violation() is not None
         for n in range(5, 7):
             for clan in enumerate_diii(n):
-                assert not clan.flip().is_diii()
+                assert clan.flip().diii_violation() is not None
 
 
 class TestClassification:
     def test_straddling_example(self):
-        cp = parse_diii("++1212--").classify_pairs()
-        assert cp.pi0 == frozenset({(3, 5), (4, 6)})
-        assert cp.pi1 == frozenset()
-        assert cp.z == 1
-        assert cp.families == ((3, 5, 4, 6),)
+        clan = parse_diii("++1212--")
+        assert clan.pairs() == [(3, 5), (4, 6)]
+        assert clan._length_terms()[2] == 1
+        assert clan._families() == [(3, 5, 4, 6)]
 
     def test_contained_example(self):
-        cp = parse_diii("+-1122+-").classify_pairs()
-        assert cp.pi1 == frozenset({(3, 4), (5, 6)})
-        assert cp.pi0 == frozenset()
-        assert cp.families == ((3, 4, 5, 6),)
+        clan = parse_diii("+-1122+-")
+        assert clan.pairs() == [(3, 4), (5, 6)]
+        assert clan._length_terms()[2] == 0
+        assert clan._families() == [(3, 4, 5, 6)]
 
     def test_matchless_is_empty(self):
-        cp = parse_diii("++--").classify_pairs()
-        assert not cp.pi0 and not cp.pi1 and not cp.families
+        clan = parse_diii("++--")
+        assert not clan.pairs() and not clan._families()
+        assert clan._length_terms()[2] == 0
 
     @given(diii_clans())
     def test_classification_partitions_pairs(self, clan):
-        cp = clan.classify_pairs()
-        assert len(cp.pi0) % 2 == 0
-        assert len(cp.pi1) % 2 == 0
-        assert len(cp.pi0) + len(cp.pi1) == len(clan.pairs())
-        for (i, j, jj, ii) in cp.families:
-            assert i < j and i < jj and (jj, ii) == (2 * clan.n + 1 - j, 2 * clan.n + 1 - i)
+        n = clan.n
+        pairs = clan.pairs()
+        straddling = sum(i <= n < j for i, j in pairs)
+        assert straddling % 2 == 0
+        assert (len(pairs) - straddling) % 2 == 0
+        assert clan._length_terms()[2] == straddling // 2
+        # no pair is antipodal, so each pair is in exactly one family
+        assert 2 * len(clan._families()) == len(pairs)
+        for (i, j, jj, ii) in clan._families():
+            assert i < j and i < jj and (jj, ii) == (2 * n + 1 - j, 2 * n + 1 - i)
 
 
 class TestBaseClan:
     def test_signature_replacement(self):
-        assert parse_diii("-12334412+").base_clan().text() == "----+-++++"
+        assert DIIIClan(parse_diii("-12334412+").signatures()).text() == "----+-++++"
 
     def test_signature_rule(self):
-        assert parse_diii("+1212-").base_clan().text() == "+--++-"
+        assert DIIIClan(parse_diii("+1212-").signatures()).text() == "+--++-"
 
     @given(diii_clans())
     def test_idempotent_matchless_and_valid(self, clan):
-        base = clan.base_clan()
+        base = DIIIClan(clan.signatures())
         assert base.is_matchless()
-        assert base.is_diii()
-        assert base.base_clan() == base
+        assert base.diii_violation() is None
+        assert DIIIClan(base.signatures()) == base
 
 
 class TestInvolutions:
     def test_default_permutation_one_line(self):
-        assert parse_diii("+1212-").default_permutation().mapping == (1, 5, 4, 3, 2, 6)
+        assert parse_diii("+1212-")._default_mapping() == [1, 5, 4, 3, 2, 6]
 
     def test_default_permutation_all_plus(self):
-        assert parse_diii("++--").default_permutation().is_identity()
+        assert parse_diii("++--")._default_mapping() == [1, 2, 3, 4]
 
     def test_default_permutation_all_minus(self):
-        assert parse_diii("--++").default_permutation().mapping == (4, 3, 2, 1)
-
-    def test_underlying_involution_pairs(self):
-        assert parse_diii("1212").underlying_involution().two_cycles() == [(1, 3), (2, 4)]
-        assert parse_diii("12343412").underlying_involution().two_cycles() == [
-            (1, 7),
-            (2, 8),
-            (3, 5),
-            (4, 6),
-        ]
-
-    def test_matchless_underlying_identity(self):
-        assert parse_diii("+--+-++-").underlying_involution().is_identity()
+        assert parse_diii("--++")._default_mapping() == [4, 3, 2, 1]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_key_readers_match_raw_oracle(self, n):
@@ -252,8 +244,6 @@ class TestInvolutions:
             sigma, families = raw_flag_data(clan.symbols)
             assert clan._default_mapping() == sigma
             assert clan._families() == families
-            assert clan.default_permutation().mapping == tuple(sigma)
-            assert clan.classify_pairs().families == tuple(families)
 
     @given(diii_clans(max_n=16))
     def test_key_readers_match_raw_oracle_beyond_exhaustive_sizes(self, clan):
@@ -262,6 +252,5 @@ class TestInvolutions:
 
     @given(diii_clans())
     def test_involutions_square_to_identity(self, clan):
-        # Involution.__post_init__ enforces the square; both must construct
-        clan.default_permutation()
-        clan.underlying_involution()
+        sigma = clan._default_mapping()
+        assert [sigma[v - 1] for v in sigma] == list(range(1, len(sigma) + 1))

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from diii_clans import (
     LabeledStep,
@@ -16,18 +15,6 @@ from diii_clans import (
 
 from conftest import diii_clans
 from oracles import candidate_weighted_words, raw_delannoy_word
-
-
-_json = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=5)
-    | st.dictionaries(st.text(max_size=9), inner, max_size=3),
-    max_leaves=12,
-)
-# steps close to the format, so many lists decode and the rest fail late
-_near_step = st.fixed_dictionaries(
-    {"direction": st.sampled_from("NED")}, optional={"label": st.integers(-1, 6)}
-)
 
 
 def word_of(*tokens):
@@ -57,34 +44,6 @@ class TestSteps:
         for word in ("E D:+4 D:3 D:0_2 D:5 N", "D:٤ N", "D: 4 N", "D:²"):
             with pytest.raises(PathError, match="bad diagonal label"):
                 WeightedDelannoyPath.from_word(word)
-
-    def test_json_round_trip(self):
-        path = WeightedDelannoyPath.from_word("D:5 E N D:2")
-        assert WeightedDelannoyPath.from_json_list(path.to_json_list()) == path
-        assert WeightedDelannoyPath.from_json_list([{"direction": "E"}]).to_word() == "E"
-
-    @pytest.mark.parametrize(
-        "item", [{"label": 1}, {"direction": 1}, {"direction": "N", "label": True},
-                 {"direction": "D", "label": 2.0}, ["E"], 5]
-    )
-    def test_json_refuses_mistyped_steps(self, item):
-        with pytest.raises(PathError, match="malformed step JSON"):
-            WeightedDelannoyPath.from_json_list([item])
-
-    @pytest.mark.parametrize("data", [5, None, {"direction": "E"}, "E"])
-    def test_json_refuses_non_list(self, data):
-        with pytest.raises(PathError, match="malformed path JSON"):
-            WeightedDelannoyPath.from_json_list(data)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_json | st.lists(_near_step, max_size=8) | st.lists(_near_step | _json, max_size=8))
-    def test_json_gives_a_path_or_path_error(self, data):
-        try:
-            path = WeightedDelannoyPath.from_json_list(data)
-        except PathError:
-            return
-        assert type(path) is WeightedDelannoyPath
-        assert WeightedDelannoyPath.from_json_list(path.to_json_list()) == path
 
 
 class TestValidation:

@@ -93,7 +93,7 @@ class TestEnumeration:
         clans = enumerate_diii(n)
         assert len(clans) == EXPECTED[n]
         assert len(set(clans.clans)) == len(clans)
-        assert all(c.is_diii() for c in clans)
+        assert all(c.diii_violation() is None for c in clans)
 
     def test_all_routes_agree_at_n8(self):
         total = count_formula(8)
@@ -125,7 +125,7 @@ class TestEnumeration:
             for sect in sects(n):
                 assert sum(clan in sect.clans for clan in clans) == len(sect)
         non_diii = Clan("1122")
-        assert not non_diii.is_diii() and non_diii not in sets[2]
+        assert non_diii.diii_violation() is not None and non_diii not in sets[2]
         assert "1212" not in sets[2] and "1 2 1 2" not in sets[2]
         assert None not in sets[2] and sets[2].keys[0] not in sets[2]
 

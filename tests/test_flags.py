@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from diii_clans import (
     ClanError,
     FlagMatrix,
-    Involution,
-    PairClassification,
     QSqrt2,
     count_formula,
     enumerate_diii,
@@ -248,10 +246,10 @@ class TestRepresentativeMatrix:
     def test_matchless_gives_permutation_matrix(self):
         clan = parse_diii("++--")
         matrix = representative_matrix(clan)
-        sigma = clan.default_permutation()
+        sigma = clan._default_mapping()
         for c in range(1, 5):
             col = matrix.column(c)
-            assert col[sigma(c) - 1] == ONE
+            assert col[sigma[c - 1] - 1] == ONE
             assert sum(1 for e in col if e) == 1
 
     def test_identity_clan(self):
@@ -277,23 +275,6 @@ class TestRepresentativeMatrix:
     def test_matches_column_built_construction(self, n):
         for clan in enumerate_diii(n):
             assert representative_matrix(clan).rows == column_built_rows(clan)
-
-    def test_builds_no_involution_or_classification(self, monkeypatch):
-        built = []
-        for cls in (Involution, PairClassification):
-
-            def counting_init(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
-                built.append(name)
-                init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting_init)
-        clan = parse_diii("+1212-")
-        clan.default_permutation(), clan.classify_pairs()
-        assert built == ["Involution", "PairClassification"]
-        built.clear()
-        for clan in enumerate_diii(4):
-            representative_matrix(clan)
-        assert built == []
 
 
 class TestSpecialOrthogonality:

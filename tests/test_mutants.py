@@ -113,6 +113,56 @@ MUTANTS = (
         "a tuple of m row tuples of other lengths is then a FlagMatrix, so the "
         "ragged ((1,), (0, 1)) for +- is no longer refused",
     ),
+    Mutant(
+        "orbit count without the 2 ways of a matched pair",
+        "verify.py",
+        "matchings * 2 ** k * 2 ** (p - 2 * k)",
+        "matchings * 2 ** (p - 2 * k)",
+        ("verify", "3"),
+        "sigma can map a matched pair of w0-orbits onto each other in 2 ways; "
+        "counting 1 gives 5 placements of 4 rooks, not 2 D(2) = 6, so the "
+        "rooks line fails at n = 2",
+    ),
+    Mutant(
+        "clan recurrence with 2k - 3",
+        "enumeration.py",
+        "(2 * k - 2) * prev",
+        "(2 * k - 3) * prev",
+        ("verify", "3"),
+        "D(3) becomes 2 * 3 + 3 * 1 = 9 against the formula's and the poset's "
+        "10; of the checks, only counting reads the recurrence",
+    ),
+    Mutant(
+        "sect size opens a pair at a plus",
+        "sects.py",
+        "            if sign == MINUS:\n                for k, w in enumerate(ways):",
+        "            if True:\n                for k, w in enumerate(ways):",
+        ("verify", "3"),
+        "a pair opens only at a first-half minus; opening one at a plus too "
+        "counts 2 members for the one-clan sect of ++-- at n = 2, so the sects "
+        "check finds its parts' sizes differ from sect_sizes",
+    ),
+    Mutant(
+        "partition pair rebuilt on its row's side",
+        "pyramids.py",
+        "LEFT if j in pair.left else RIGHT",
+        "LEFT if i in pair.left else RIGHT",
+        ("verify", "3"),
+        "the two points of a two-point block lie on opposite sides, so its rook "
+        "moves to the other side and the partition-pairs round trip fails at "
+        "1212; a singleton block (i == j) is unchanged",
+    ),
+    Mutant(
+        "Delannoy decode trades the middle after N",
+        "delannoy.py",
+        "            if outer.direction == EAST:\n                _swap_middle(open_)\n",
+        "            if outer.direction == NORTH:\n                _swap_middle(open_)\n",
+        ("verify", "3"),
+        "the reduction trades the middle pair after a trailing plus, whose "
+        "outer step is E; trading it after N puts later signs at the wrong "
+        "positions, and verify calls path_to_clan only in the Delannoy check, "
+        "where decoding a valid path then raises ClanError (first-half parity)",
+    ),
 )
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from diii_clans import (
     Clan,
     ClanError,
-    Involution,
     PartitionPair,
     Pyramid,
     PyramidCell,
@@ -14,7 +13,6 @@ from diii_clans import (
     count_formula,
     enumerate_diii,
     extend_odd,
-    extract_pyramid,
     parse_diii,
     partition_pair_to_pyramid,
     placement_to_clan,
@@ -22,7 +20,6 @@ from diii_clans import (
     pyramid_to_partition_pair,
     pyramid_to_placement,
     rotate_placement,
-    signed_involution_pair,
     weak_order_poset,
 )
 from diii_clans import pyramids, verify
@@ -136,6 +133,15 @@ class TestClanPyramidBijection:
         )
         assert REFERENCE_PYRAMID.mirror() == mirrored
         assert mirrored.mirror() == REFERENCE_PYRAMID
+
+
+def extract_pyramid(placement):
+    """The bottom-triangle pyramid of a placement (rows r with r <= c and
+    r <= m+1-c) as checked cells, from the rooks ``pyramids._triangle``
+    finds: the second decode route, through ``Pyramid`` and
+    ``pyramid_to_clan``, beside ``placement_to_clan``'s tuples."""
+    cells = pyramids._triangle(placement.perm)
+    return Pyramid(placement.size // 2, frozenset(PyramidCell(*cell) for cell in cells))
 
 
 def decode_either(pyramid):
@@ -265,6 +271,16 @@ class TestPlacements:
     def test_odd_boards_match_even(self, m):
         assert doubly_symmetric_count(m) == doubly_symmetric_count(m - 1)
 
+    def test_orbit_count_matches_brute_force(self):
+        for m in range(13):
+            assert verify.doubly_symmetric_by_orbits(m) == doubly_symmetric_count(m)
+
+    def test_orbit_count_is_twice_the_clan_count(self):
+        for n in range(1, 41):
+            twice = 2 * count_formula(n)
+            assert verify.doubly_symmetric_by_orbits(2 * n) == twice
+            assert verify.doubly_symmetric_by_orbits(2 * n + 1) == twice
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_equivalence_classes_count_clans(self, n):
         classes = set()
@@ -287,22 +303,6 @@ class TestPlacements:
     def test_json_round_trip(self):
         placement = pyramid_to_placement(REFERENCE_PYRAMID)
         assert RookPlacement.from_json_dict(placement.to_json_dict()) == placement
-
-
-class TestSignedInvolutionPairs:
-    def test_identity_placement(self):
-        m = 4
-        pair = signed_involution_pair(RookPlacement(tuple(range(1, m + 1))))
-        w0 = Involution(tuple(range(m, 0, -1)))
-        assert pair == frozenset({Involution(tuple(range(1, m + 1))), w0})
-
-    def test_rotation_stable_and_order_two(self):
-        for n in range(1, 5):
-            for clan in enumerate_diii(n):
-                placement = pyramid_to_placement(clan_to_pyramid(clan))
-                pair = signed_involution_pair(placement)
-                assert signed_involution_pair(rotate_placement(placement)) == pair
-                assert len(pair) == 2  # v != w0 v on these boards
 
 
 class TestPartitionPairs:

@@ -4,6 +4,7 @@ import pytest
 
 from diii_clans import (
     ClanError,
+    DIIIClan,
     PartialFPFInvolution,
     SchubertSubset,
     base_clan_to_subset,
@@ -82,7 +83,7 @@ class TestSects:
         seen = set()
         for sect in parts:
             for clan in sect:
-                assert clan.base_clan() == sect.base
+                assert DIIIClan(clan.signatures()) == sect.base
                 assert clan not in seen
                 seen.add(clan)
             # unique longest member (raises internally if tied)

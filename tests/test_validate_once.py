@@ -670,7 +670,7 @@ class TestPathMemo:
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         assert "_valid" not in repr(used)
-        assert used.to_json_list() == fresh.to_json_list()
+        assert used.to_word() == fresh.to_word()
 
     def test_a_sequence_of_steps_is_checked_as_before(self):
         steps = [LabeledStep("E"), LabeledStep("D", 3), LabeledStep("D", 2), LabeledStep("N")]
