@@ -333,7 +333,7 @@ class DIIIClan(Clan):
     @classmethod
     def _from_key(cls, key: Key, length: int | None = None) -> "DIIIClan":
         """The DIII clan whose ``_key()`` is ``key``, storing only the key
-        and ``length``: the package's one unchecked constructor. Its keys are
+        and ``length``: the one unchecked clan constructor. Its keys are
         DIII by construction, written by ``enumeration.assemble_key``, the
         sect generator or ``apply_reflection``, which knows the length."""
         clan = cls.__new__(cls)

@@ -63,17 +63,19 @@ class LabeledStep:
 
 @dataclass(frozen=True)
 class WeightedDelannoyPath:
-    """A word of labeled steps; validity is checked by ``validate_path``.
-    ``_valid`` (outside equality, hash and repr) is its memo."""
+    """A word of labeled steps. The constructor scans them once for the
+    conditions of ``validate_path`` and stores the verdict in ``_verdict``,
+    outside equality, hash and repr."""
 
     steps: tuple[LabeledStep, ...]
-    _valid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _verdict: tuple[bool, int | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.steps) is not tuple or not all(
             isinstance(s, LabeledStep) for s in self.steps
         ):
             raise PathError(f"path steps must be a tuple of steps, got {self.steps!r}")
+        object.__setattr__(self, "_verdict", _scan(self.steps))
 
     @property
     def n(self) -> int:
@@ -112,21 +114,12 @@ def validate_path(path: WeightedDelannoyPath | Sequence[LabeledStep]) -> tuple[b
 
     Any other input goes through the ``WeightedDelannoyPath`` container
     check first (a sequence as the tuple of its items), so it raises
-    ``PathError`` unless every item is a ``LabeledStep``.
-
-    A path that passes keeps its steps tuple in ``_valid``; later calls
-    return at once while ``steps`` is that very tuple. Steps replaced
-    around the constructor are scanned again; a failure is not remembered.
+    ``PathError`` unless every item is a ``LabeledStep``. A path's verdict
+    is taken when it is built, so this reads it.
     """
     if not isinstance(path, WeightedDelannoyPath):
         path = WeightedDelannoyPath(tuple(path) if isinstance(path, Sequence) else path)
-    steps = path.steps
-    if path._valid is steps:
-        return True, None
-    ok, violated = _scan(steps)
-    if ok and type(steps) is tuple:
-        object.__setattr__(path, "_valid", steps)
-    return ok, violated
+    return path._verdict
 
 
 def _scan(steps: Sequence[LabeledStep]) -> tuple[bool, int | None]:
@@ -188,8 +181,8 @@ def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
     ``open_`` lists the positions still to reduce, in the order of the
     shrinking clan, and each is read off the clan's key: its sign, or its
     mate, found by place in ``open_``.  Every N or E step is the same step
-    object.  The result is checked with ``validate_path``, which remembers
-    it for later calls.
+    object.  The result is checked when it is built, and ``validate_path``
+    reads that verdict.
     """
     key = clan.to_diii()._key()
     open_ = list(range(1, len(key) + 1))

@@ -26,14 +26,11 @@ is eliminated. Every piece of a representative's block is a single row
 (the tests check every clan with n <= 7 and sample n <= 16), so verifying
 one eliminates nothing.
 
-A representative comes with its integer form: ``representative_matrix``
-writes it in the loop that writes the entries, so no check reads them
+A ``FlagMatrix`` is complete when it is built: the constructor scales
+its rows and ranks its block once. ``representative_matrix`` writes the
+integer form in the loop that writes the entries, so no one reads them
 again, and ``verify.check_flags`` compares it with the form read afresh
-from the rows. Any other ``FlagMatrix`` is scaled on first use. Either
-form serves the form check, the parity and ``verify.check_flags``, and its
-block is ranked once, while the matrix holds the row tuples and clan the
-form was made for; other rows set around the constructor are read on
-every call.
+from the rows.
 """
 
 from __future__ import annotations
@@ -49,6 +46,8 @@ _Scalar = Union[int, Fraction, "QSqrt2"]
 #: The nonzero entries of one row of L times a matrix, as (column, a, b)
 #: for a + b*sqrt(2) in Z[sqrt 2].
 _ScaledRow = tuple[tuple[int, int, int], ...]
+#: A matrix's integer form as ``_scaled`` gives it: L and the rows of L times it.
+_ScaledForm = tuple[int, tuple[_ScaledRow, ...]]
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,13 @@ class FlagMatrix:
     """A 2n x 2n matrix over Q(sqrt 2) representing an isotropic flag;
     rows[r][c] is the entry in row r+1, column c+1. Rows of any other
     shape, or not held in tuples, raise ``ClanError``, and so does any entry
-    but a ``QSqrt2`` in the checks. ``_form`` keeps what they read (see
-    ``_integer_form``) outside equality, hashing and the repr."""
+    but a ``QSqrt2``. The constructor stores the integer form (``_scaled``)
+    and the intersection dimension, outside equality, hashing and the repr."""
 
     clan: DIIIClan
     rows: tuple[tuple[QSqrt2, ...], ...]
-    _form: _Form | None = field(default=None, init=False, repr=False, compare=False)
+    _form: _ScaledForm = field(init=False, repr=False, compare=False)
+    _dimension: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, rows = 2 * self.clan.n, self.rows
@@ -156,6 +156,23 @@ class FlagMatrix:
             raise ClanError(
                 f"a flag matrix of {self.clan} must be a tuple of {m} row tuples of length {m}"
             )
+        form = _scaled(rows)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_dimension", _block_dimension(form, self.clan.n))
+
+    @classmethod
+    def _from_form(
+        cls, clan: DIIIClan, rows: tuple[tuple[QSqrt2, ...], ...], form: _ScaledForm
+    ) -> "FlagMatrix":
+        """The matrix of ``rows`` with the integer form ``form``, neither
+        tested nor read: the one unchecked ``FlagMatrix`` constructor, for
+        ``representative_matrix``, which writes both together."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "clan", clan)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "_form", form)
+        object.__setattr__(matrix, "_dimension", _block_dimension(form, clan.n))
+        return matrix
 
     @property
     def size(self) -> int:
@@ -221,12 +238,10 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     # each column writes one row, so an empty column leaves an empty row
     if None in scaled:
         raise AssertionError("flag construction left empty rows")
-    matrix = FlagMatrix(clan, tuple(map(tuple, rows)))
-    object.__setattr__(matrix, "_form", _Form(matrix.rows, clan, (scale, tuple(scaled))))
-    return matrix
+    return FlagMatrix._from_form(clan, tuple(map(tuple, rows)), (scale, tuple(scaled)))
 
 
-def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> tuple[int, tuple[_ScaledRow, ...]]:
+def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> _ScaledForm:
     """The matrix as L times itself, with L the lcm of every denominator.
 
     Returns ``(L, scaled)``: ``scaled[r]`` lists ``(c, L*a, L*b)`` for each
@@ -362,39 +377,6 @@ def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
     return QSqrt2(Fraction(sign * pa, scale**m), Fraction(sign * pb, scale**m))
 
 
-def _is_flag_shape(matrix: FlagMatrix) -> bool:
-    """The constructor's shape rule, kept for a matrix whose rows were
-    replaced around it (the dataclass is frozen, not sealed)."""
-    m = 2 * matrix.clan.n
-    return len(matrix.rows) == m and all(len(row) == m for row in matrix.rows)
-
-
-@dataclass(eq=False, slots=True)
-class _Form:
-    """The ``_scaled`` pair of a matrix's rows and, once ranked, its intersection dimension."""
-
-    rows: object
-    clan: DIIIClan
-    scaled: tuple[int, tuple[_ScaledRow, ...]]
-    dimension: int | None = None
-
-
-def _integer_form(matrix: FlagMatrix) -> _Form | None:
-    """The matrix's form, or None if its rows are not 2n x 2n for its clan.
-    A form is kept only for a tuple of row tuples that passed the shape
-    test, and returned with no test while ``rows`` and ``clan`` are those
-    very objects, which cannot change shape (rows in lists can)."""
-    rows, clan, form = matrix.rows, matrix.clan, matrix._form
-    if form is not None and form.rows is rows and form.clan is clan:
-        return form
-    if not _is_flag_shape(matrix):
-        return None
-    form = _Form(rows, clan, _scaled(rows))
-    if type(rows) is tuple and all(type(row) is tuple for row in rows):
-        object.__setattr__(matrix, "_form", form)
-    return form
-
-
 def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     """Exact check of G^T J G = J (J the antidiagonal ones) and det G = 1.
 
@@ -415,19 +397,11 @@ def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
       Algebraic Theory of Spinors, 1954).
     - dim(G E meet E) = n - rank G[n:, :n], the columns of G being
       independent; its parity is ``intersection_parity``.
-
-    ``FlagMatrix`` refuses any shape but 2n x 2n for its clan; a matrix
-    whose rows were replaced around that check is refused here too.
     """
-    form = _integer_form(matrix)
-    return (
-        form is not None
-        and _form_holds(form.scaled)
-        and intersection_parity(matrix) == matrix.clan.n % 2
-    )
+    return _form_holds(matrix._form) and intersection_parity(matrix) == matrix.clan.n % 2
 
 
-def _form_holds(scaled: tuple[int, tuple[_ScaledRow, ...]]) -> bool:
+def _form_holds(scaled: _ScaledForm) -> bool:
     """Whether H^T J H = L^2 J for ``(L, H)`` as ``_scaled`` gives it, H
     square.
 
@@ -476,23 +450,20 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
     independent, as they are once G^T J G = J holds, this is the dimension
     of the meet of their span with span(e_1..e_n). Otherwise it counts the
     dependencies too: the zero 2 x 2 matrix gives 1, while the meet is {0}.
-    A matrix whose rows were replaced around ``FlagMatrix``'s shape check
-    by one that is not 2n x 2n raises ``ClanError``. The block is ranked as
-    L times itself, on the integer form, which keeps the result. Its rank
-    is the sum of the ranks of its connected pieces (``_piece_rank``),
-    exactly, since permuting rows and columns makes it block-diagonal over
-    them; a piece of one row or one column has rank 1, and only a larger
-    piece goes through Bareiss elimination.
+    The matrix's constructor takes it (``_block_dimension``).
     """
-    form = _integer_form(matrix)
-    if form is None:
-        m = 2 * matrix.clan.n
-        raise ClanError(f"a flag matrix of {matrix.clan} must be {m} x {m}")
-    if form.dimension is None:
-        n = matrix.clan.n
-        block = [[entry for entry in row if entry[0] < n] for row in form.scaled[1][n:]]
-        form.dimension = n - _piece_rank(block, n)
-    return form.dimension
+    return matrix._dimension
+
+
+def _block_dimension(form: _ScaledForm, n: int) -> int:
+    """n minus the rank of the lower-left n x n block of L G, read off the
+    integer form. Its rank is the sum of the ranks of its connected pieces
+    (``_piece_rank``), exactly, since permuting rows and columns makes it
+    block-diagonal over them; a piece of one row or one column has rank 1,
+    and only a larger piece goes through Bareiss elimination.
+    """
+    block = [[entry for entry in row if entry[0] < n] for row in form[1][n:]]
+    return n - _piece_rank(block, n)
 
 
 def intersection_parity(matrix: FlagMatrix) -> int:

@@ -224,9 +224,8 @@ def pyramid_to_placement(pyramid: Pyramid) -> RookPlacement:
 def _triangle(perm: Sequence[int]) -> list[tuple[str, int, int]]:
     """The board's rooks in its bottom triangle (r <= c, r <= m+1-c) as
     ``(side, row, col)`` cells, apex row first, bucketed by row: column
-    c <= n is (L, r, c), column c > n is (R, r, m+1-c). A row that is not
-    an int >= 1, or holds two rooks, raises ``ClanError`` (a ``perm``
-    replaced around the ``RookPlacement`` check can have either)."""
+    c <= n is (L, r, c), column c > n is (R, r, m+1-c). A placement's
+    ``perm`` is a permutation, so no row holds two rooks."""
     m = len(perm)
     if m % 2 != 0:
         raise ClanError("pyramid extraction requires an even board size")
@@ -234,10 +233,6 @@ def _triangle(perm: Sequence[int]) -> list[tuple[str, int, int]]:
     by_row: list[tuple[str, int, int] | None] = [None] * (n + 1)
     for c, r in enumerate(perm, start=1):
         if r <= c and r <= m + 1 - c:
-            if type(r) is not int or r < 1:
-                raise ClanError(f"rook in column {c} has no board row: {r!r}")
-            if by_row[r] is not None:
-                raise ClanError(f"board row {r} holds two rooks")
             by_row[r] = (LEFT, r, c) if c <= n else (RIGHT, r, m + 1 - c)
     return [cell for cell in reversed(by_row) if cell is not None]
 
@@ -246,9 +241,9 @@ def placement_to_clan(placement: RookPlacement) -> DIIIClan:
     """Of the two pyramids of a placement, decode the one giving a DIII clan.
 
     The rooks are read off the board as tuples (``_triangle``); no
-    ``PyramidCell`` or ``Pyramid`` is built, and ``_triangle`` and the
-    decode enforce the pyramid's coverage rule. The mirror's scan is the
-    scan with the switch starting RIGHT. Each flip trades sides, so a scan
+    ``PyramidCell`` or ``Pyramid`` is built, and the decode enforces the
+    pyramid's coverage rule. The mirror's scan is the scan with the switch
+    starting RIGHT. Each flip trades sides, so a scan
     has an even flip count exactly when it ends on its starting side: the
     start to decode is the side of the last rook, in row 1.
     """

@@ -309,11 +309,7 @@ def check_delannoy(posets: Posets) -> CheckResult:
 
 def check_flags(posets: Posets) -> CheckResult:
     from .flags import (
-        _integer_form,
-        _scaled,
-        intersection_parity,
-        representative_matrix,
-        verify_special_orthogonal,
+        _scaled, intersection_parity, representative_matrix, verify_special_orthogonal
     )
 
     cap = min(len(posets), 7)
@@ -324,7 +320,7 @@ def check_flags(posets: Posets) -> CheckResult:
             # the checks below read the form the matrix was built with;
             # read afresh from its rows, it must be the same
             scaled = _scaled(matrix.rows)
-            if _integer_form(matrix).scaled != scaled:
+            if matrix._form != scaled:
                 return CheckResult("flags", False, f"{clan} carries a wrong integer form")
             if not verify_special_orthogonal(matrix):
                 return CheckResult("flags", False, f"{clan} not special orthogonal")
@@ -350,8 +346,21 @@ CHECKS: tuple[Callable[[Posets], CheckResult], ...] = (
 )
 
 
+#: Each check's name, as its ``CheckResult`` gives it, in ``CHECKS`` order.
+CHECK_NAMES = tuple(c.__name__.removeprefix("check_").replace("_", "-") for c in CHECKS)
+
+
 def run_suite(n_max: int) -> list[CheckResult]:
+    """Every check on the posets of sizes 1..n_max, in ``CHECKS`` order. A
+    ``ClanError`` raised inside a check fails that check, with the error's
+    message as the detail, and the other checks still run."""
     from .weak_order import weak_order_poset
 
     posets = tuple(weak_order_poset(n) for n in range(1, n_max + 1))
-    return [check(posets) for check in CHECKS]
+    results = []
+    for name, check in zip(CHECK_NAMES, CHECKS):
+        try:
+            results.append(check(posets))
+        except ClanError as exc:
+            results.append(CheckResult(name, False, str(exc)))
+    return results

@@ -35,7 +35,7 @@ def count_clan_builds(monkeypatch) -> list:
 def count_checks(monkeypatch) -> Counter:
     """Count, until ``monkeypatch.undo()``, every checked ``PyramidCell``
     and ``Pyramid`` built (one ``__post_init__`` each) and every scan of a
-    path's steps by ``validate_path`` (``delannoy._scan``), under the keys
+    path's steps (``delannoy._scan``, once per path built), under the keys
     ``"PyramidCell"``, ``"Pyramid"`` and ``"scan"``."""
     from diii_clans import delannoy, pyramids
 

@@ -451,6 +451,21 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == 8 and all(l.startswith("PASS") for l in lines)
 
+    def test_an_error_inside_a_check_fails_that_check(self, capsys, monkeypatch):
+        def fail(path):
+            raise diii_clans.ClanError("decode refused")
+
+        monkeypatch.setattr(diii_clans.delannoy, "path_to_clan", fail)
+        code, out, err = run(capsys, "verify", "3")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["PASS", name] if name != "delannoy" else ["FAIL", name]
+            for name in diii_clans.verify.CHECK_NAMES
+        ]
+        assert sum(line.startswith("PASS") for line in lines) == 7
+        assert "FAIL delannoy          decode refused" in lines
+
 
 #: SHA-256 of the stdout of each command, recorded for the benchmark's
 #: cli-cold workload; read as data, without importing the benchmark

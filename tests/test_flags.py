@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
 
@@ -24,7 +25,6 @@ from diii_clans.flags import (
     ONE,
     ZERO,
     _eliminate,
-    _integer_form,
     _piece_rank,
     _scaled,
     exact_determinant,
@@ -61,15 +61,6 @@ shared_and_copied_elements = st.one_of(
     sparse_elements.map(lambda e: QSqrt2(e.a, e.b)),
     st.just(QSqrt2(0)),
 )
-
-
-def around_constructor(clan, rows):
-    """A FlagMatrix holding ``rows`` of any shape, set past the
-    constructor's shape check. It is built by the constructor, so it
-    starts with no integer form."""
-    matrix = FlagMatrix(clan, representative_matrix(clan).rows)
-    object.__setattr__(matrix, "rows", rows)
-    return matrix
 
 
 @st.composite
@@ -309,7 +300,6 @@ class TestSpecialOrthogonality:
         ):
             with pytest.raises(ClanError):
                 FlagMatrix(parse_diii(clan), rows)
-            assert not verify_special_orthogonal(around_constructor(parse_diii(clan), rows))
 
     def test_form_is_compared_with_scale_squared(self):
         # entries 2 and 1/2 scale by L = 2 to 4 and 1, whose product is L^2;
@@ -386,11 +376,6 @@ class TestIntersection:
         for clan, rows in (("+1212-", identity), ("+-", ((ONE,),)), ("+-", ragged)):
             with pytest.raises(ClanError):
                 FlagMatrix(parse_diii(clan), rows)
-            matrix = around_constructor(parse_diii(clan), rows)
-            with pytest.raises(ClanError):
-                intersection_dimension(matrix)
-            with pytest.raises(ClanError):
-                intersection_parity(matrix)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_block_rank_on_representatives(self, n):
@@ -488,7 +473,7 @@ class TestPieceRank:
     def test_a_representative_block_has_one_row_pieces_beyond_exhaustive_sizes(self, clan):
         # no column of the block is touched by two rows
         n = clan.n
-        rows = representative_matrix(clan)._form.scaled[1][n:]
+        rows = representative_matrix(clan)._form[1][n:]
         touched = [c for row in rows for c, _, _ in row if c < n]
         assert len(touched) == len(set(touched))
 
@@ -546,110 +531,74 @@ class TestEntryTypes:
     @pytest.mark.parametrize("kind", (int, float, Fraction))
     def test_entries_of_another_type_are_clan_errors(self, kind):
         clan = parse_diii("+-")
-        swap = FlagMatrix(clan, ((kind(0), kind(1)), (kind(1), kind(0))))
-        one_entry = FlagMatrix(clan, ((ONE, ZERO), (ZERO, kind(1))))
-        zero_entry = FlagMatrix(clan, ((ONE, ZERO), (kind(0), ONE)))
-        for matrix in (swap, one_entry, zero_entry):
-            for check in (verify_special_orthogonal, intersection_dimension, intersection_parity):
-                with pytest.raises(ClanError, match=f"QSqrt2, not {kind.__name__}$"):
-                    check(matrix)
+        for rows in (
+            ((kind(0), kind(1)), (kind(1), kind(0))),
+            ((ONE, ZERO), (ZERO, kind(1))),
+            ((ONE, ZERO), (kind(0), ONE)),
+        ):
+            with pytest.raises(ClanError, match=f"QSqrt2, not {kind.__name__}$"):
+                FlagMatrix(clan, rows)
 
 
 class TestIntegerForm:
-    """The integer form a check reads off a matrix is reused only while
-    the matrix holds the row tuples and the clan it was read from."""
+    """A matrix's integer form and intersection dimension are set when it
+    is built, from its own rows, and the frozen matrix keeps them."""
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_column_swap_after_verifying(self, n):
         for clan in enumerate_diii(n):
             matrix = representative_matrix(clan)
-            original = matrix.rows
             assert verify_special_orthogonal(matrix)
             assert intersection_parity(matrix) == n % 2
             for c in range(n):
-                rows = swap_columns(original, c)
-                object.__setattr__(matrix, "rows", rows)
-                assert not verify_special_orthogonal(matrix)
-                assert intersection_dimension(matrix) == block_dimension(rows)
-                assert intersection_parity(matrix) != n % 2
-            object.__setattr__(matrix, "rows", original)
+                rows = swap_columns(matrix.rows, c)
+                swapped = FlagMatrix(clan, rows)
+                assert not verify_special_orthogonal(swapped)
+                assert intersection_dimension(swapped) == block_dimension(rows)
+                assert intersection_parity(swapped) != n % 2
             assert verify_special_orthogonal(matrix)
 
     def test_wrong_shape_after_verifying(self):
+        # a built matrix is frozen, so no rows of another shape reach it
         matrix = representative_matrix(parse_diii("+1212-"))
         assert verify_special_orthogonal(matrix)
-        assert intersection_dimension(matrix) == 1
         for rows in (((ONE, ZERO), (ZERO, ONE)), REFERENCE_MATRIX[:4], ((ONE,),) * 6):
-            object.__setattr__(matrix, "rows", rows)
-            assert not verify_special_orthogonal(matrix)
+            with pytest.raises(FrozenInstanceError):
+                matrix.rows = rows
             with pytest.raises(ClanError):
-                intersection_dimension(matrix)
-
-    def test_rows_in_lists_are_read_on_every_call(self):
-        clan = parse_diii("+-")
-        for rows in ([[ONE, ZERO], [ZERO, ONE]], ([ONE, ZERO], [ZERO, ONE])):
-            matrix = around_constructor(clan, rows)
-            assert verify_special_orthogonal(matrix)
-            assert intersection_dimension(matrix) == 1
-            for row in rows:
-                row[0], row[1] = row[1], row[0]
-            assert not verify_special_orthogonal(matrix)
-            assert intersection_dimension(matrix) == 0
-            assert matrix._form is None
-
-    def test_rows_in_lists_of_a_representative_are_read_on_every_call(self):
-        clan = parse_diii("+1212-")
-        rows = [list(row) for row in representative_matrix(clan).rows]
-        matrix = around_constructor(clan, rows)
-        assert verify_special_orthogonal(matrix)
-        for row in rows:
-            row[0], row[5] = row[5], row[0]
-        assert not verify_special_orthogonal(matrix)
-        assert intersection_dimension(matrix) == block_dimension(rows)
+                FlagMatrix(matrix.clan, rows)
+        assert matrix.rows == REFERENCE_MATRIX
+        assert intersection_dimension(matrix) == 1
 
     def test_form_is_kept_for_its_own_rows_and_clan(self):
-        clan = parse_diii("+1212-")
-        matrix = representative_matrix(clan)
-        form = _integer_form(matrix)
-        assert _integer_form(matrix) is form
-        assert matrix._form is form
-        # equal rows and an equal clan, but other objects
-        object.__setattr__(matrix, "rows", tuple(list(matrix.rows)))
-        again = _integer_form(matrix)
-        assert again is not form and again.scaled == form.scaled
-        object.__setattr__(matrix, "clan", parse_diii("+1212-"))
-        assert _integer_form(matrix) is not again
-        assert matrix._form.clan is matrix.clan
+        for clan, rows in (
+            (parse_diii("+1212-"), REFERENCE_MATRIX),
+            (parse_diii("+-"), ((ONE, ONE), (ZERO, ONE))),
+            (parse_diii("+-"), ((QSqrt2(2), ZERO), (ZERO, QSqrt2(Fraction(1, 3))))),
+        ):
+            matrix = FlagMatrix(clan, rows)
+            assert matrix._form == _scaled(rows)
+            assert intersection_dimension(matrix) == block_dimension(rows)
+        representative = representative_matrix(parse_diii("+1212-"))
+        assert representative._form == FlagMatrix(representative.clan, REFERENCE_MATRIX)._form
 
     def test_shape_is_read_once_per_form(self, monkeypatch):
-        # a representative comes with its form, and a kept form was read
-        # from rows of the right shape, whose very tuples and clan cannot
-        # change shape, so neither is tested again
-        shapes = []
-        is_flag_shape = flags._is_flag_shape
-
-        def counting(matrix):
-            shapes.append(matrix.rows)
-            return is_flag_shape(matrix)
-
-        monkeypatch.setattr(flags, "_is_flag_shape", counting)
+        # the shape test and the scaling run once, in the constructor: a
+        # representative skips both, and no check repeats either
+        calls = []
+        post_init, scaled = FlagMatrix.__post_init__, flags._scaled
+        monkeypatch.setattr(
+            FlagMatrix, "__post_init__", lambda self: calls.append("shape") or post_init(self)
+        )
+        monkeypatch.setattr(flags, "_scaled", lambda rows: calls.append("scaled") or scaled(rows))
         matrix = representative_matrix(parse_diii("+1212-"))
-        assert verify_special_orthogonal(matrix)
-        assert intersection_parity(matrix) == 1
-        assert verify_special_orthogonal(matrix)
-        assert shapes == []
-        # a matrix built by the constructor is tested once, on first use
         built = FlagMatrix(matrix.clan, matrix.rows)
-        assert verify_special_orthogonal(built)
-        assert intersection_parity(built) == 1
-        assert verify_special_orthogonal(built)
-        assert shapes == [built.rows]
-        # rows replaced around the constructor miss the memo and are tested
-        object.__setattr__(matrix, "rows", REFERENCE_MATRIX[:4])
-        assert not verify_special_orthogonal(matrix)
-        with pytest.raises(ClanError):
-            intersection_dimension(matrix)
-        assert shapes == [built.rows] + [REFERENCE_MATRIX[:4]] * 2
+        assert calls == ["shape", "scaled"]
+        for _ in range(2):
+            for m in (matrix, built):
+                assert verify_special_orthogonal(m)
+                assert intersection_parity(m) == 1
+        assert calls == ["shape", "scaled"]
 
     def test_form_takes_no_part_in_equality_hash_or_repr(self):
         clan = parse_diii("+1212-")
@@ -657,11 +606,11 @@ class TestIntegerForm:
         fresh = FlagMatrix(clan, representative_matrix(clan).rows)
         assert verify_special_orthogonal(used)
         assert intersection_parity(used) == 1
-        assert used._form is not None and fresh._form is None
+        assert used._form is not fresh._form
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
-        assert "_form" not in repr(used)
+        assert "_form" not in repr(used) and "_dimension" not in repr(used)
         assert used.to_json_dict() == fresh.to_json_dict()
 
 
@@ -673,24 +622,19 @@ class TestSeededForm:
     def test_equals_the_scaled_rows(self, n):
         for clan in enumerate_diii(n):
             matrix = representative_matrix(clan)
-            assert matrix._form.scaled == _scaled(matrix.rows)
-            assert matrix._form.rows is matrix.rows and matrix._form.clan is matrix.clan
+            assert matrix._form == _scaled(matrix.rows)
+            assert intersection_dimension(matrix) == block_dimension(matrix.rows)
 
     @settings(max_examples=50, deadline=None)
     @given(diii_clans(min_n=8, max_n=16))
     def test_equals_the_scaled_rows_beyond_exhaustive_sizes(self, clan):
         matrix = representative_matrix(clan)
-        assert matrix._form.scaled == _scaled(matrix.rows)
+        assert matrix._form == _scaled(matrix.rows)
 
     def test_a_representative_is_read_by_no_one(self, monkeypatch):
         calls = []
-        for name in ("_scaled", "_is_flag_shape"):
-
-            def counting(*args, f=getattr(flags, name), name=name):
-                calls.append(name)
-                return f(*args)
-
-            monkeypatch.setattr(flags, name, counting)
+        scaled = flags._scaled
+        monkeypatch.setattr(flags, "_scaled", lambda rows: calls.append("_scaled") or scaled(rows))
         for clan in (*enumerate_diii(3), *enumerate_diii(4)):
             matrix = representative_matrix(clan)
             assert verify_special_orthogonal(matrix)
@@ -699,7 +643,7 @@ class TestSeededForm:
             built = FlagMatrix(clan, matrix.rows)
             assert verify_special_orthogonal(built)
             assert intersection_parity(built) == clan.n % 2
-            assert sorted(calls) == ["_is_flag_shape", "_scaled"]
+            assert calls == ["_scaled"]
             calls.clear()
 
 
@@ -719,11 +663,11 @@ def test_check_flags_refuses_a_wrong_seeded_form(monkeypatch, wrong):
         matrix = build(clan)
         if clan in (first, last):
             if wrong == "another clan's form":
-                scaled = build(last if clan == first else first)._form.scaled
+                scaled = build(last if clan == first else first)._form
             else:
-                scale, rows = matrix._form.scaled
+                scale, rows = matrix._form
                 scaled = 2 * scale, tuple(tuple((c, 2 * a, 2 * b) for c, a, b in row) for row in rows)
-            object.__setattr__(matrix, "_form", flags._Form(matrix.rows, matrix.clan, scaled))
+            matrix = FlagMatrix._from_form(clan, matrix.rows, scaled)
         return matrix
 
     # either wrong form passes the SO check and the parity on its own

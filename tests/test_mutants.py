@@ -5,9 +5,9 @@ A mutant is (name, file, old text, new text, killer, why). The old text
 must occur exactly once in the file, so a refactor that moves it fails the
 mutant by name, to be re-aimed. Two kinds of killer:
 
-- ``("verify", N)``: ``diii-clans verify N`` on the copy must print a
-  line that is not ``PASS`` (a ``FAIL``), or end with the CLI's
-  ``error:`` line, never with a traceback;
+- ``("verify", N, check)``: ``diii-clans verify N`` on the copy must
+  exit 1 and print the ``FAIL`` line of the named check, never end with
+  an error or a traceback;
 - ``("pytest", selection)``: that pytest selection, run with the copy
   first on the import path, must report a failing test (exit code 1, not
   a collection or usage error).
@@ -34,7 +34,7 @@ class Mutant(NamedTuple):
     file: str
     old: str
     new: str
-    killer: tuple[str, str]
+    killer: tuple[str, ...]
     why: str
 
 
@@ -62,7 +62,7 @@ MUTANTS = (
         "flags.py",
         "    antidiagonal = (scale * scale, 0)\n",
         "    antidiagonal = (scale, 0)\n",
-        ("verify", "3"),
+        ("verify", "3", "flags"),
         "H^T J H = L^2 J for H = L G; a clan with a family has L = 2, so its "
         "antidiagonal 4 no longer matches and +1212- fails the SO check",
     ),
@@ -71,7 +71,7 @@ MUTANTS = (
         "flags.py",
         "intersection_parity(matrix) == matrix.clan.n % 2",
         "intersection_parity(matrix) != matrix.clan.n % 2",
-        ("verify", "3"),
+        ("verify", "3", "flags"),
         "every representative has det 1 and parity n mod 2, so each is then "
         "refused as not special orthogonal",
     ),
@@ -118,7 +118,7 @@ MUTANTS = (
         "verify.py",
         "matchings * 2 ** k * 2 ** (p - 2 * k)",
         "matchings * 2 ** (p - 2 * k)",
-        ("verify", "3"),
+        ("verify", "3", "rooks"),
         "sigma can map a matched pair of w0-orbits onto each other in 2 ways; "
         "counting 1 gives 5 placements of 4 rooks, not 2 D(2) = 6, so the "
         "rooks line fails at n = 2",
@@ -128,7 +128,7 @@ MUTANTS = (
         "enumeration.py",
         "(2 * k - 2) * prev",
         "(2 * k - 3) * prev",
-        ("verify", "3"),
+        ("verify", "3", "counting"),
         "D(3) becomes 2 * 3 + 3 * 1 = 9 against the formula's and the poset's "
         "10; of the checks, only counting reads the recurrence",
     ),
@@ -137,7 +137,7 @@ MUTANTS = (
         "sects.py",
         "            if sign == MINUS:\n                for k, w in enumerate(ways):",
         "            if True:\n                for k, w in enumerate(ways):",
-        ("verify", "3"),
+        ("verify", "3", "sects"),
         "a pair opens only at a first-half minus; opening one at a plus too "
         "counts 2 members for the one-clan sect of ++-- at n = 2, so the sects "
         "check finds its parts' sizes differ from sect_sizes",
@@ -147,7 +147,7 @@ MUTANTS = (
         "pyramids.py",
         "LEFT if j in pair.left else RIGHT",
         "LEFT if i in pair.left else RIGHT",
-        ("verify", "3"),
+        ("verify", "3", "partition-pairs"),
         "the two points of a two-point block lie on opposite sides, so its rook "
         "moves to the other side and the partition-pairs round trip fails at "
         "1212; a singleton block (i == j) is unchanged",
@@ -157,11 +157,53 @@ MUTANTS = (
         "delannoy.py",
         "            if outer.direction == EAST:\n                _swap_middle(open_)\n",
         "            if outer.direction == NORTH:\n                _swap_middle(open_)\n",
-        ("verify", "3"),
+        ("verify", "3", "delannoy"),
         "the reduction trades the middle pair after a trailing plus, whose "
         "outer step is E; trading it after N puts later signs at the wrong "
-        "positions, and verify calls path_to_clan only in the Delannoy check, "
-        "where decoding a valid path then raises ClanError (first-half parity)",
+        "positions, so decoding a valid path raises ClanError (first-half "
+        "parity) inside the Delannoy check, the one check that calls "
+        "path_to_clan, and run_suite reports it as that check's FAIL line",
+    ),
+    Mutant(
+        "rank recurrence without its doubled middle term",
+        "weak_order.py",
+        "new[d] += window + (a[d - k + 1] if d >= k - 1 else 0)",
+        "new[d] += window",
+        ("verify", "3", "rank-polynomials"),
+        "m_k has coefficient 2 on t^(k-1), the window giving only 1; without "
+        "the extra A_(k-2) term A_3 is t^3+t^2+3t+4, one clan short of the "
+        "poset's t^3+2t^2+3t+4, and nothing else in verify reads the recurrence",
+    ),
+    Mutant(
+        "cover labelled by the mirrored reflection",
+        "weak_order.py",
+        "            labels.append(i)\n",
+        "            labels.append(n + 1 - i)\n",
+        ("verify", "3", "weak-order"),
+        "each cover keeps its ends, so the poset builds and grades as before, "
+        "but a cover by s_i reads as one by s_(n+1-i); at n = 3 s_1 and s_2, "
+        "which braid, are read as s_3 and s_2, which must commute, so the "
+        "commutation (2,3) fails",
+    ),
+    Mutant(
+        "path verdict stored without a scan",
+        "delannoy.py",
+        'object.__setattr__(self, "_verdict", _scan(self.steps))',
+        'object.__setattr__(self, "_verdict", (True, None))',
+        ("pytest", "tests/test_delannoy.py::TestValidation::test_reversed_middle_pair_fails_condition_4"),
+        "the constructor stores the one verdict validate_path returns, so every "
+        "path then passes, D:2 D:3 among them; verify builds only valid paths",
+    ),
+    Mutant(
+        "built matrix's dimension taken as n",
+        "flags.py",
+        '_block_dimension(form, self.clan.n))',
+        'self.clan.n)',
+        ("pytest", "tests/test_flags.py::TestSpecialOrthogonality::test_column_swap_breaks_it"),
+        "a matrix from FlagMatrix(...) then has parity n mod 2 whatever its "
+        "block, so a representative with two columns swapped, which keeps "
+        "the form and has determinant -1, passes the SO check; a "
+        "representative is built by _from_form, so verify cannot see it",
     ),
 )
 
@@ -188,12 +230,11 @@ def run(args: list[str], import_root: Path) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_is_killed(tmp_path, mutant):
     root = mutated_copy(tmp_path, mutant)
-    kind, target = mutant.killer
+    kind, target = mutant.killer[:2]
     if kind == "verify":
         done = run(["-m", "diii_clans.cli", "verify", target], root)
-        failed_line = any(not line.startswith("PASS") for line in done.stdout.splitlines())
-        error_exit = done.returncode == 1 and done.stderr.startswith("error:")
-        assert failed_line or error_exit, (
+        failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAIL ")]
+        assert done.returncode == 1 and done.stderr == "" and mutant.killer[2] in failed, (
             f"mutant {mutant.name!r} survived verify {target}:\n{done.stdout}{done.stderr}"
         )
     else:

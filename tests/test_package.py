@@ -122,6 +122,68 @@ def test_export_guard_reports_a_dead_export_added_back():
     assert unused_exports(names, lines, documented) == []
 
 
+#: The constructors that may set fields of a frozen value past its checks.
+UNCHECKED_CONSTRUCTORS = {"flags.FlagMatrix._from_form"}
+
+
+def frozen_field_writes(module: str, source: str) -> list[str]:
+    """``module.qualname`` of the function around each ``object.__setattr__``
+    call in ``source``, in source order."""
+    writes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, [*scope, child.name])
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+            ):
+                writes.append(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return writes
+
+
+def misplaced_field_writes(writes: list[str]) -> list[str]:
+    """The writes outside a ``__post_init__`` and the unchecked constructors."""
+    return [
+        w for w in writes if not w.endswith(".__post_init__") and w not in UNCHECKED_CONSTRUCTORS
+    ]
+
+
+def package_field_writes() -> list[str]:
+    paths = sorted((ROOT / "src" / "diii_clans").glob("*.py"))
+    return [w for p in paths for w in frozen_field_writes(p.stem, p.read_text())]
+
+
+def test_frozen_values_are_written_only_while_they_are_built():
+    # a frozen value is complete when its constructor returns: a field set
+    # later, say a memo checked by object identity, shows up here
+    writes = package_field_writes()
+    assert UNCHECKED_CONSTRUCTORS <= set(writes)
+    assert misplaced_field_writes(writes) == []
+
+
+def test_field_write_guard_reports_a_memo_added_back():
+    source = (
+        "def validate_path(path):\n"
+        "    if path._valid is path.steps:\n"
+        "        return True, None\n"
+        "    object.__setattr__(path, '_valid', path.steps)\n"
+        "class FlagMatrix:\n"
+        "    def form(self):\n"
+        "        object.__setattr__(self, '_form', 1)\n"
+    )
+    writes = package_field_writes() + frozen_field_writes("delannoy", source)
+    assert misplaced_field_writes(writes) == ["delannoy.validate_path", "delannoy.FlagMatrix.form"]
+
+
 def run_fresh(code: str, *paths: Path) -> str:
     """Stdout of ``code`` in a fresh interpreter that writes no bytecode,
     with the package source and ``paths`` on its path."""

@@ -194,30 +194,6 @@ class TestSingleDecode:
         extract_pyramid(boards[0])
         assert counts["PyramidCell"] == 4 and counts["Pyramid"] == 1
 
-    @pytest.mark.parametrize(
-        "perm, message",
-        [
-            # two diagonal rooks in row 1, at (1, 1) and (1, 4): the one
-            # overlap the decode itself would not see
-            ((1, 2, 3, 1), "board row 1 holds two rooks"),
-            # rooks (R, 1, 2) and (L, 2, 2) both touch index 2
-            ((3, 2, 1, 4), "position 2 assigned twice"),
-            # no rook in the triangle
-            ((3, 3, 3, 3), "positions [1, 2, 3, 4] left unassigned"),
-            ((0, 2, 3, 4), "rook in column 1 has no board row: 0"),
-            ((True, 2, 3, 4), "rook in column 1 has no board row: True"),
-            ((1.0, 2, 3, 4), "rook in column 1 has no board row: 1.0"),
-        ],
-    )
-    def test_perm_replaced_around_its_check(self, perm, message):
-        board = RookPlacement((1, 2, 3, 4))
-        object.__setattr__(board, "perm", perm)
-        with pytest.raises(ClanError) as raised:
-            placement_to_clan(board)
-        assert str(raised.value) == message
-        with pytest.raises(ClanError):
-            extract_pyramid(board)
-
     def test_empty_board_is_a_clan_error(self):
         with pytest.raises(ClanError, match="at least two symbols"):
             placement_to_clan(RookPlacement(()))

@@ -1,7 +1,7 @@
 """Each check on the bijection chain runs once, by the cheapest code, and
 still rejects what it rejected before.
 
-``validate_path`` remembers a path that passed, ``assemble_key`` tests
+A path is scanned once, when it is built, ``assemble_key`` tests
 occupancy inline, and ``RookPlacement``, ``Pyramid`` and ``PartitionPair``
 test their rules in one pass. Each is compared here with a reference: the
 per-index, per-claim and per-block-set versions those checks ran before.
@@ -613,8 +613,8 @@ class TestPathDecode:
 
 
 class TestPathMemo:
-    """``validate_path`` scans a path once and reuses the verdict only
-    while the path holds the very steps tuple that passed."""
+    """A path is scanned once, when it is built; ``validate_path`` and
+    ``path_to_clan`` read the verdict it stored."""
 
     def test_round_trip_scans_once(self, monkeypatch):
         counts = count_checks(monkeypatch)
@@ -625,51 +625,14 @@ class TestPathMemo:
             assert path_to_clan(path) == clan
             assert counts["scan"] == 1
 
-    def test_steps_swapped_after_passing_are_scanned_again(self, monkeypatch):
-        counts = count_checks(monkeypatch)
-        path = clan_to_path(parse_diii("+1212-"))
-        assert path._valid is path.steps
-        object.__setattr__(path, "steps", word("D:2 D:3").steps)
-        assert validate_path(path) == (False, 4)
-        with pytest.raises(PathError, match="condition 4"):
-            path_to_clan(path)
-        assert counts["scan"] == 3
-        # another valid tuple is scanned, then kept in place of the first
-        object.__setattr__(path, "steps", word("E N").steps)
-        assert validate_path(path) == (True, None)
-        assert path_to_clan(path) == parse_diii("+-")
-        assert counts["scan"] == 4 and path._valid is path.steps
-        # an equal tuple that is another object is scanned too
-        object.__setattr__(path, "steps", tuple(list(path.steps)))
-        assert validate_path(path) == (True, None)
-        assert counts["scan"] == 5
-
-    def test_steps_in_a_list_are_scanned_every_time(self, monkeypatch):
-        counts = count_checks(monkeypatch)
-        path = word("E N")
-        steps = list(path.steps)
-        object.__setattr__(path, "steps", steps)
-        assert validate_path(path) == (True, None)
-        steps.reverse()
-        assert validate_path(path) == (False, 4)
-        assert counts["scan"] == 2 and path._valid is None
-
-    def test_a_failing_path_is_never_remembered(self, monkeypatch):
-        counts = count_checks(monkeypatch)
-        path = word("N E")
-        for _ in range(3):
-            assert validate_path(path) == (False, 4)
-            assert path._valid is None
-        assert counts["scan"] == 3
-
     def test_memo_takes_no_part_in_equality_hash_or_repr(self):
         used = clan_to_path(parse_diii("1-1+-2+2"))
         fresh = WeightedDelannoyPath(used.steps)
-        assert used._valid is used.steps and fresh._valid is None
+        assert used._verdict == fresh._verdict == (True, None)
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
-        assert "_valid" not in repr(used)
+        assert "_verdict" not in repr(used)
         assert used.to_word() == fresh.to_word()
 
     def test_a_sequence_of_steps_is_checked_as_before(self):
@@ -816,7 +779,7 @@ class TestFormCheck:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_representatives(self, n):
         for clan in enumerate_diii(n):
-            scaled = representative_matrix(clan)._form.scaled
+            scaled = representative_matrix(clan)._form
             assert _form_holds(scaled) and reference_form_holds(scaled)
 
 
