@@ -35,7 +35,7 @@ import re
 import sys
 from typing import Iterator, Sequence
 
-from .clans import ClanError, parse_diii, text_from_spaced, write_joined
+from .clans import ClanError, ascii_int, parse_diii, text_from_spaced, write_joined
 from .verify import run_suite
 
 
@@ -45,16 +45,14 @@ _DASHED_TEXT = re.compile(r"-[-+0-9]+")
 
 
 def _int(text: str) -> int:
-    """A size or index argument: ASCII digits with an optional leading
-    ``-``.  ``int`` alone would also read ``+5``, `` 5``, ``1_0`` and other
-    scripts' digits (``٥``)."""
-    digits = text[1:] if text.startswith("-") else text
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # past the int/str digit limit
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """A size or index argument: ASCII digits (``ascii_int``) with an
+    optional leading ``-``.  ``int`` alone would also read ``+5``, `` 5``,
+    ``1_0`` and other scripts' digits (``٥``)."""
+    negative = text.startswith("-")
+    value = ascii_int(text[1:] if negative else text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if negative else value
 
 
 class _Arg:

@@ -466,6 +466,22 @@ class TestVerify:
         assert sum(line.startswith("PASS") for line in lines) == 7
         assert "FAIL delannoy          decode refused" in lines
 
+    def test_a_check_is_called_by_its_module_attribute(self, capsys, monkeypatch):
+        # as a tracer rebinds it; each size in turn, to the first that fails
+        sizes = []
+
+        def replaced(n, poset):
+            sizes.append(n)
+            if n == 2:
+                raise diii_clans.verify.CheckFailed("replaced check refused n=2")
+
+        monkeypatch.setattr(diii_clans.verify, "check_delannoy", replaced)
+        code, out, err = run(capsys, "verify", "4")
+        assert code == 1 and err == ""
+        assert sizes == [1, 2]
+        assert "FAIL delannoy          replaced check refused n=2" in out.splitlines()
+        assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
+
 
 #: SHA-256 of the stdout of each command, recorded for the benchmark's
 #: cli-cold workload; read as data, without importing the benchmark

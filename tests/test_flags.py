@@ -19,7 +19,7 @@ from diii_clans import (
     verify_special_orthogonal,
     weak_order_poset,
 )
-from diii_clans import flags
+from diii_clans import flags, verify
 from diii_clans.flags import (
     INV_SQRT2,
     ONE,
@@ -29,7 +29,7 @@ from diii_clans.flags import (
     _scaled,
     exact_determinant,
 )
-from diii_clans.verify import check_flags
+from diii_clans.verify import CheckFailed, check_flags, run_suite
 
 from conftest import (
     block_diagonal_matrices,
@@ -647,10 +647,22 @@ class TestSeededForm:
             calls.clear()
 
 
-def test_check_flags_runs_to_seven():
-    result = check_flags(tuple(weak_order_poset(n) for n in range(1, 9)))
+def test_check_flags_runs_to_seven(monkeypatch):
+    # the other checks replaced, by module attribute, with ones that pass
+    for name in verify.CHECK_NAMES:
+        if name != "flags":
+            monkeypatch.setattr(verify, "check_" + name.replace("-", "_"), lambda n, poset: None)
+    ran = []
+
+    def counted(n, poset):
+        ran.append(n)
+        check_flags(n, poset)
+
+    monkeypatch.setattr(verify, "check_flags", counted)
+    result = next(r for r in run_suite(8) if r.name == "flags")
     assert result.passed
     assert result.detail == "exact SO and parity for n<= 7"
+    assert ran == [1, 2, 3, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("wrong", ("another clan's form", "the form at twice the scale"))
@@ -674,6 +686,8 @@ def test_check_flags_refuses_a_wrong_seeded_form(monkeypatch, wrong):
     assert verify_special_orthogonal(seeded_wrong(first))
     assert intersection_parity(seeded_wrong(first)) == 1
     monkeypatch.setattr(flags, "representative_matrix", seeded_wrong)
-    result = check_flags(posets)
-    assert not result.passed
-    assert result.detail == f"{first} carries a wrong integer form"
+    for n, poset in enumerate(posets[:2], start=1):
+        check_flags(n, poset)
+    with pytest.raises(CheckFailed) as failed:
+        check_flags(3, posets[2])
+    assert str(failed.value) == f"{first} carries a wrong integer form"

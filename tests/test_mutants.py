@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import pytest
 
+from diii_clans import verify
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "diii_clans"
 
@@ -186,6 +188,18 @@ MUTANTS = (
         "commutation (2,3) fails",
     ),
     Mutant(
+        "swap drops a mate's back-pointer",
+        "weak_order.py",
+        "            out[q - 1] = r\n",
+        "            pass\n",
+        ("verify", "3", "weak-order"),
+        "the image key loses a mate's back-pointer: a moved end's partner still "
+        "points at the position it left, so s_2 on ++-- (s_1 between two middle "
+        "flips, the second moving an end of the pair the collapse made) leaves "
+        "the DIII clans and the poset build raises; run_suite then fails every "
+        "check that reaches n = 2 with that message",
+    ),
+    Mutant(
         "path verdict stored without a scan",
         "delannoy.py",
         'object.__setattr__(self, "_verdict", _scan(self.steps))',
@@ -206,6 +220,12 @@ MUTANTS = (
         "representative is built by _from_form, so verify cannot see it",
     ),
 )
+
+
+def test_every_verify_check_has_a_mutant():
+    # one mutant per check, so a new check comes with a fault it must find
+    killed = {m.killer[2] for m in MUTANTS if m.killer[0] == "verify"}
+    assert set(verify.CHECK_NAMES) <= killed, set(verify.CHECK_NAMES) - killed
 
 
 def mutated_copy(tmp_path: Path, mutant: Mutant) -> Path:

@@ -309,9 +309,13 @@ class TestPartitionPairs:
                 raise TypeError("fault in the partition-pair map") from None
 
         monkeypatch.setattr(pyramids, "pyramid_to_partition_pair", faulty)
-        posets = tuple(weak_order_poset(n) for n in range(1, 5))
         with pytest.raises(TypeError, match="fault"):
-            verify.check_partition_pairs(posets)
+            for n in range(1, 5):
+                verify.check_partition_pairs(n, weak_order_poset(n))
+
+    def test_check_passes_at_one(self):
+        # the one clan of size 1, +-, is the excluded one: 0 pairs, D(1) - 1
+        assert verify.check_partition_pairs(1, weak_order_poset(1)) is None
 
     def test_pair_type_validates_its_invariants(self):
         with pytest.raises(ClanError, match="straddle"):

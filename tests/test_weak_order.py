@@ -414,8 +414,8 @@ class TestWriters:
 
 class TestCheckWeakOrder:
     def test_passes(self):
-        result = verify.check_weak_order(tuple(weak_order_poset(n) for n in range(1, 6)))
-        assert result.passed, result.detail
+        for n in range(1, 6):
+            assert verify.check_weak_order(n, weak_order_poset(n)) is None
 
     def test_fails_on_a_cover_to_the_wrong_rank(self):
         # the grading check reads the upper node's own length, from the
@@ -435,10 +435,11 @@ class TestCheckWeakOrder:
         uppers = list(poset.uppers)
         uppers[0] = wrong
         bad = replace(poset, uppers=array("i", uppers))
-        smaller = tuple(weak_order_poset(k) for k in range(1, n))
-        result = verify.check_weak_order(smaller + (bad,))
-        assert result.passed is False
-        assert result.detail == f"s_{i} on {poset.nodes[lower]} changed length oddly"
+        for k in range(1, n):
+            verify.check_weak_order(k, weak_order_poset(k))
+        with pytest.raises(verify.CheckFailed) as failed:
+            verify.check_weak_order(n, bad)
+        assert str(failed.value) == f"s_{i} on {poset.nodes[lower]} changed length oddly"
 
 
 class TestRunSuite:
@@ -463,6 +464,22 @@ class TestRunSuite:
         assert all(r.passed for r in results)
         assert built == [1, 2, 3, 4, 5]
         assert enumerated == [1, 2, 3, 4, 5]
+
+    def test_a_failed_build_fails_each_check_that_reaches_its_size(self, monkeypatch):
+        def build(n):
+            if n == 6:
+                raise ClanError("no poset of size 6")
+            return weak_order_poset(n)
+
+        monkeypatch.setattr(weak_order, "weak_order_poset", build)
+        results = verify.run_suite(6)
+        assert [r.name for r in results] == list(verify.CHECK_NAMES)
+        # rooks and delannoy are capped at 5, below the failed build
+        for r in results:
+            if r.name in ("rooks", "delannoy"):
+                assert r.passed and r.detail.endswith(" for n<= 5"), r
+            else:
+                assert not r.passed and r.detail == "no poset of size 6", r
 
 
 class TestRankPolynomial:
