@@ -1,4 +1,4 @@
-"""Core clan data type and its elementary transforms.
+"""Core clan data type, its parsing and its DIII conditions.
 
 A clan is a string of ``+``/``-`` signs and paired natural numbers in which
 every number appears exactly twice; the two occurrences of a number are
@@ -38,18 +38,23 @@ def json_fields(
     kinds: Mapping[str, type],
 ) -> list[Any]:
     """The values of the JSON object ``data`` at the keys of ``kinds``, in
-    order.  Each must be exactly of its kind, so nothing is coerced: an int
+    order.  ``data`` must be an object with exactly those keys, and each
+    value exactly of its kind, so nothing is coerced or ignored: an int
     field refuses a bool, a float or a string.  Anything malformed raises
     ``ClanError``."""
+    if type(data) is not dict:
+        raise ClanError(f"malformed {what} JSON: expected an object, got {data!r}")
     values = []
     for key, kind in kinds.items():
-        try:
-            value = data[key]
-        except (KeyError, TypeError) as exc:
-            raise ClanError(f"malformed {what} JSON: {exc}") from None
+        if key not in data:
+            raise ClanError(f"malformed {what} JSON: missing key {key!r}")
+        value = data[key]
         if type(value) is not kind:
             raise ClanError(f"malformed {what} JSON: {key!r} must be {kind.__name__}, got {value!r}")
         values.append(value)
+    for key in data:
+        if key not in kinds:
+            raise ClanError(f"malformed {what} JSON: unexpected key {key!r}")
     return values
 
 
@@ -201,12 +206,6 @@ class Clan:
 
     # -- serialization ----------------------------------------------------
 
-    def compact(self) -> str:
-        """One character per symbol; only valid while labels stay below 10."""
-        if sum(type(q) is int for q in self._table) > 18:  # more than 9 labels
-            raise ClanError("compact form requires all labels <= 9")
-        return self.spaced().replace(" ", "")
-
     def spaced(self) -> str:
         """Whitespace-separated token form; valid for arbitrary labels."""
         return spaced_texts(self.n, [self._table])[0]
@@ -214,25 +213,6 @@ class Clan:
     def text(self) -> str:
         """Compact form when possible, spaced form otherwise."""
         return text_from_spaced(self.spaced())
-
-    # -- elementary transforms --------------------------------------------
-
-    def reverse(self) -> "Clan":
-        """The symbol sequence read backwards, re-canonicalized."""
-        return Clan(reversed(self.symbols))
-
-    def negative(self) -> "Clan":
-        """Swap every ``+`` with ``-``, leaving numbers untouched."""
-        return Clan(
-            _flip_sign(s) if s in (PLUS, MINUS) else s for s in self.symbols
-        )
-
-    def flip(self) -> "Clan":
-        """Exchange the two middle symbols (positions n and n+1)."""
-        n = self.n
-        syms = list(self.symbols)
-        syms[n - 1], syms[n] = syms[n], syms[n - 1]
-        return Clan(syms)
 
     # -- structure queries --------------------------------------------------
 

@@ -5,21 +5,21 @@ with the default permutation as a plain list and the families of four
 mate positions in position order. Entries are ``QSqrt2``, pairs of
 rationals, so membership in the special orthogonal group (form identity
 and unit determinant) is decided exactly, with no floating point
-anywhere. The kernels do not compute with those
-entries: they first scale the matrix by L, the lcm of every denominator,
-into sparse (L*a, L*b) int pairs, elements of Z[sqrt 2]. The form identity
-H^T J H = L^2 J is then checked on the upper triangle alone: entry (a, b)
-of H^T J H sums H[r][a] * H[m-1-r][b] over the rows r, and putting
-s = m-1-r turns that sum into entry (b, a), so the product is symmetric
-for any H. One pass over the row pairs (r, m-1-r) forms each product with
-b >= a once; every such entry off the antidiagonal must be zero, and all
-(m+1)//2 antidiagonal ones must be L^2. Determinants come from
-fraction-free (Bareiss) elimination, which divides
-exactly in Z[sqrt 2]. Once the form holds, the sign of the determinant
-follows from the intersection parity, the rank of the n x n lower-left
-block, with no 2n x 2n determinant. That rank is taken piece by piece
-(``_piece_rank``): permuting rows and columns makes the block
-block-diagonal over the connected pieces of its nonzero pattern, so its
+anywhere. ``QSqrt2`` holds no field arithmetic, as the kernels do not
+compute with those entries: they first scale the matrix by L, the lcm of
+every denominator, into sparse (L*a, L*b) int pairs, elements of
+Z[sqrt 2]. The form identity H^T J H = L^2 J is then checked on the
+upper triangle alone: entry (a, b) of H^T J H sums H[r][a] * H[m-1-r][b]
+over the rows r, and putting s = m-1-r turns that sum into entry (b, a),
+so the product is symmetric for any H. One pass over the row pairs
+(r, m-1-r) forms each product with b >= a once; every such entry off the
+antidiagonal must be zero, and all (m+1)//2 antidiagonal ones must be
+L^2. Determinants come from fraction-free (Bareiss) elimination, which
+divides exactly in Z[sqrt 2]. Once the form holds, the sign of the
+determinant follows from the intersection parity, the rank of the n x n
+lower-left block, with no 2n x 2n determinant. That rank is taken
+piece by piece (``_piece_rank``): permuting rows and columns makes the
+block block-diagonal over the connected pieces of its nonzero pattern, so its
 rank is the sum of theirs; a piece of one row or one column has rank 1,
 since the scaled rows hold only nonzero entries, and only a larger piece
 is eliminated. Every piece of a representative's block is a single row
@@ -38,11 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import Sequence
 
 from .clans import ClanError, DIIIClan
 
-_Scalar = Union[int, Fraction, "QSqrt2"]
 #: The nonzero entries of one row of L times a matrix, as (column, a, b)
 #: for a + b*sqrt(2) in Z[sqrt 2].
 _ScaledRow = tuple[tuple[int, int, int], ...]
@@ -52,7 +51,9 @@ _ScaledForm = tuple[int, tuple[_ScaledRow, ...]]
 
 @dataclass(frozen=True)
 class QSqrt2:
-    """An element a + b*sqrt(2) with rational a, b; exact field arithmetic."""
+    """An element a + b*sqrt(2) with rational a, b, held as ``Fraction``s.
+    It negates, prints and serializes, and does no other arithmetic: the
+    kernels compute on a matrix's integer form (``_scaled``)."""
 
     a: Fraction = Fraction(0)
     b: Fraction = Fraction(0)
@@ -63,47 +64,11 @@ class QSqrt2:
         if type(self.b) is not Fraction:
             object.__setattr__(self, "b", Fraction(self.b))
 
-    @classmethod
-    def of(cls, value: _Scalar) -> "QSqrt2":
-        if isinstance(value, QSqrt2):
-            return value
-        return cls(Fraction(value))
-
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)
 
-    def __add__(self, other: _Scalar) -> "QSqrt2":
-        o = QSqrt2.of(other)
-        return QSqrt2(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
     def __neg__(self) -> "QSqrt2":
         return QSqrt2(-self.a, -self.b)
-
-    def __sub__(self, other: _Scalar) -> "QSqrt2":
-        return self + (-QSqrt2.of(other))
-
-    def __rsub__(self, other: _Scalar) -> "QSqrt2":
-        return (-self) + QSqrt2.of(other)
-
-    def __mul__(self, other: _Scalar) -> "QSqrt2":
-        o = QSqrt2.of(other)
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSqrt2":
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return QSqrt2(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other: _Scalar) -> "QSqrt2":
-        return self * QSqrt2.of(other).inverse()
-
-    def __rtruediv__(self, other: _Scalar) -> "QSqrt2":
-        return QSqrt2.of(other) * self.inverse()
 
     def __str__(self) -> str:
         if not self.b:
@@ -173,16 +138,6 @@ class FlagMatrix:
         object.__setattr__(matrix, "_form", form)
         object.__setattr__(matrix, "_dimension", _block_dimension(form, clan.n))
         return matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def column(self, c: int) -> tuple[QSqrt2, ...]:
-        """Column c, counted from 1; any other index raises ``ClanError``."""
-        if type(c) is not int or not 1 <= c <= self.size:
-            raise ClanError(f"column index must be an int in 1..{self.size}, got {c!r}")
-        return tuple(self.rows[r][c - 1] for r in range(self.size))
 
     def pretty(self) -> str:
         cells = [[_PRETTY.get(e, str(e)) for e in row] for row in self.rows]

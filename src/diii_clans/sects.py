@@ -3,13 +3,12 @@ matchless clans, and the big-sect bijection with partial fixed-point-free
 involutions.
 
 Each sect is generated from its base's first-half signs as keys
-(``enumeration.sect_keys``) and kept as a ``ClanSet``; its base and its
-members are built as clans only when read."""
+(``enumeration.sect_keys``) and kept as a ``ClanSet``; its base stays a
+key, and its members are built as clans only when read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial
 from typing import Iterator
 
@@ -70,14 +69,10 @@ def base_clan_to_subset(base: DIIIClan) -> SchubertSubset:
 @dataclass(frozen=True)
 class Sect:
     """All clans sharing one matchless base clan: the base's key and the
-    members as a ``ClanSet``; neither is built as a clan until read."""
+    members as a ``ClanSet``, built as clans only when read."""
 
     base_key: Key
     clans: ClanSet
-
-    @cached_property
-    def base(self) -> DIIIClan:
-        return DIIIClan._from_key(self.base_key)
 
     @property
     def members(self) -> tuple[DIIIClan, ...]:
@@ -90,13 +85,6 @@ class Sect:
     def __iter__(self) -> Iterator[DIIIClan]:
         return iter(self.members)
 
-    def longest(self) -> DIIIClan:
-        """The unique member of maximal length."""
-        best = max(self.members, key=lambda c: c.length)
-        if sum(1 for c in self.members if c.length == best.length) != 1:
-            raise AssertionError(f"sect of {self.base} has no unique longest clan")
-        return best
-
 
 def _sect(signs: tuple[str, ...]) -> Sect:
     """The sect of the matchless base with first-half ``signs``, its members
@@ -107,7 +95,7 @@ def _sect(signs: tuple[str, ...]) -> Sect:
 def sects(n: int) -> list[Sect]:
     """Partition of all DIII (n,n)-clans by base clan, sorted by base (its
     first-half signs sort as its text does); no clan is built until a
-    sect's ``base`` or ``members`` is read."""
+    sect's ``members`` are read."""
     return [_sect(signs) for signs in sorted(sect_signs(n))]
 
 

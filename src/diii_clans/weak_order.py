@@ -32,22 +32,27 @@ counts twice in the numerator and once in the length, and z is kept:
   candidate is the input.
 
 As the D_n diagram automorphism swaps s_{n-1} and s_n, s_n is
-tau s_{n-1} tau for the flip tau of positions n and n+1 (``Clan.flip``):
-both trade n-1, n with n+1, n+2 or collapse x, x, -x, -x into (n-1, n+1),
-(n, n+2). tau commutes with the mirror, so a flipped clan is skew-symmetric
-with no antipodal mates, which is all the rule above reads. tau flips the
-parity, which an s_{n-1} step keeps, and keeps the length formula: n and
-n+1 hold two signs, or ends of a pair and its mirror, whose spreads,
-crossing and straddling change by 2 - 1 - 1 = 0 (or -2 + 1 + 1). So s_n
-ascends a clan exactly when s_{n-1} ascends its flip; checked against the
-raw two-candidate rule on every clan with n <= 8.
+tau s_{n-1} tau for the flip tau of positions n and n+1. tau commutes
+with the mirror, so a flipped clan is skew-symmetric with no antipodal
+mates, which is all the rule above reads. tau flips the parity, which an
+s_{n-1} step keeps, and keeps the length formula: n and n+1 hold two
+signs, or ends of a pair and its mirror, whose spreads, crossing and
+straddling change by 2 - 1 - 1 = 0 (or -2 + 1 + 1). So s_n ascends a
+clan exactly when s_{n-1} ascends its flip, and its image is the flip of
+that image. s_{n-1} trades n-1 with n and n+1 with n+2, or collapses the
+signs there into (n-1, n) and (n+1, n+2); conjugated by tau, that is one
+trade, of n-1 with n+1 and n with n+2, or the collapse into (n-1, n+1)
+and (n, n+2). Checked against the raw two-candidate rule on every clan
+with n <= 8.
 
 Every step reads one table, the key a clan carries (``Clan._key``: per
 position, the sign or the 1-based mate position), and writes its image's
 key straight from it (``_step``): a collapse writes its two fresh pairs,
 and a swap trades the entries at i, i+1 and at their mirrors, the
-back-pointers of their mates following them (``_swapped``). tau is that
-trade at n and n+1, so s_n runs on keys as tau s_{n-1} tau.
+back-pointers of their mates following them. For s_n the rule reads the
+entries at n-1 and n+1 with n and n+1 traded in each mate, as tau's key
+holds them at n-1 and n, and writes the one trade above, so the key is
+copied once.
 ``apply_reflection`` builds a clan from the image key once
 (``DIIIClan._from_key``), with its length preset to the input's plus one.
 The weak order poset builds no clan at all: it steps each enumerated key
@@ -106,46 +111,41 @@ def clan_length(clan: Clan) -> LengthStats:
     )
 
 
-def _swapped(key: Key, a: int, b: int) -> Key:
-    """The key with the symbols at positions a and b traded, and those at
-    their mirrors, each mate's back-pointer following its end. No two of
-    the moved positions may be mates: so it is for every swap ``_image``
-    accepts, and for tau, ``_swapped(key, n, n + 1)``, on a skew-symmetric
-    key with no antipodal mates."""
+def _step(i: int, key: Key) -> Key | None:
+    """The key of s_i's image on the DIII clan with this key when s_i
+    ascends, else None, decided in O(1) by the rule in the module
+    docstring from the entries at a and a + 1: a sign, or the mates q_a
+    and q_b. For i < n, a = i and the trade is of a with c = i + 1. s_n is
+    tau s_{n-1} tau: a = n - 1 and the entries are those of tau's key, the
+    key's at n - 1 and n + 1 with n and n + 1 traded in each mate, and the
+    trade is of a with c = n + 1."""
     m = len(key)
-    to = {a: b, b: a, m + 1 - a: m + 1 - b, m + 1 - b: m + 1 - a}
-    out = list(key)
-    for p, r in to.items():
-        q = key[p - 1]
-        if type(q) is int:
-            out[q - 1] = r
-        out[r - 1] = q
-    return tuple(out)
-
-
-def _image(i: int, key: Key) -> Key | None:
-    """The key of s_i's image, i < n, when it is one longer, else None,
-    decided in O(1) by the rule in the module docstring from the key's
-    entries at positions a = i and b = i + 1: a sign, or the mates q_a
-    and q_b."""
-    m = len(key)
-    a, b = i, i + 1
-    qa, qb = key[a - 1], key[b - 1]
+    n = m // 2
+    if i < n:
+        a, c = i, i + 1
+        qa, qb = key[a - 1], key[a]
+    elif n == 1:
+        return None
+    else:
+        a, c = n - 1, n + 1
+        tau = {n: n + 1, n + 1: n}
+        qa, qb = tau.get(key[a - 1], key[a - 1]), tau.get(key[n], key[n])
+    b = a + 1
     sign_a, sign_b = type(qa) is str, type(qb) is str
     if sign_a and sign_b:
         if qa == qb:
             return None  # the swap moves nothing
-        # the collapse into (a, b) and its mirror: spread +2, no crossing;
+        # the collapse into (a, c) and its mirror: spread +2, no crossing;
         # it trades one minus for one contained pair, keeping the parity
         out = list(key)
-        out[a - 1], out[b - 1], out[m - b], out[m - a] = b, a, m + 1 - a, m + 1 - b
+        out[a - 1], out[c - 1], out[m - c], out[m - a] = c, a, m + 1 - a, m + 1 - c
         return tuple(out)
     if sign_a:
         ascends = qb > b  # the number at b moves away from its mate
     elif sign_b:
         ascends = qa < a
-    elif qa == b or qa == m - i:
-        # mates of each other, or pairs (a, m-i) and (b, m+1-i) that mirror
+    elif qa == b or qa == m - a:
+        # mates of each other, or pairs (a, m-a) and (b, m+1-a) that mirror
         # each other (either fixes the other): the swap keeps every pair
         return None
     else:
@@ -156,20 +156,18 @@ def _image(i: int, key: Key) -> Key | None:
         crossing = (qa < qb < a) if qa < a else (qb < a or qb > qa)
         t = -1 if crossing else 1
         ascends = sa + sb - t == 1
-    return _swapped(key, a, b) if ascends else None
-
-
-def _step(i: int, key: Key) -> Key | None:
-    """The key of s_i's image on the DIII clan with this key when s_i
-    ascends, else None. s_n is tau s_{n-1} tau, tau being
-    ``_swapped(key, n, n + 1)``."""
-    n = len(key) // 2
-    if i < n:
-        return _image(i, key)
-    if n == 1:
+    if not ascends:
         return None
-    image = _image(n - 1, _swapped(key, n, n + 1))
-    return None if image is None else _swapped(image, n, n + 1)
+    # trade a with c and their mirrors, each mate's back-pointer following
+    # its end; no two of the four are mates, or the step returned above
+    to = {a: c, c: a, m + 1 - a: m + 1 - c, m + 1 - c: m + 1 - a}
+    out = list(key)
+    for p, r in to.items():
+        q = key[p - 1]
+        if type(q) is int:
+            out[q - 1] = r
+        out[r - 1] = q
+    return tuple(out)
 
 
 def apply_reflection(i: int, clan: DIIIClan) -> DIIIClan:
@@ -204,9 +202,6 @@ class RankPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def total(self) -> int:
-        return sum(self.coeffs)
 
     def __str__(self) -> str:
         terms = []
@@ -298,17 +293,6 @@ class WeakOrderPoset:
         o = self.offsets
         lowers = (k for k in range(len(self)) for _ in range(o[k], o[k + 1]))
         return zip(lowers, self.uppers, self.labels)
-
-    @cached_property
-    def covers(self) -> tuple[tuple[DIIIClan, DIIIClan, int], ...]:
-        """(lower, upper, reflection index), sorted by lower node and index;
-        both ends are node objects."""
-        nodes = self.nodes
-        return tuple((nodes[l], nodes[u], i) for l, u, i in self._edges())
-
-    def lengths(self) -> dict[DIIIClan, int]:
-        """Each node's length, from the length formula."""
-        return {c: c.length for c in self.nodes}
 
     @cached_property
     def _grades(self) -> tuple[int, ...]:

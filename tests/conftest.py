@@ -2,6 +2,7 @@ import io
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from diii_clans import Clan, DIIIClan, FlagMatrix, QSqrt2, assemble_clan, representative_matrix
 from diii_clans.flags import ZERO
+from oracles import _q_add, _q_mul
 
 
 def count_clan_builds(monkeypatch) -> list:
@@ -106,6 +108,16 @@ def raw(rows):
     return [[(e.a, e.b) for e in row] for row in rows]
 
 
+def q_add(x, y):
+    """x + y in Q(sqrt 2), by the oracles' arithmetic on (a, b) pairs."""
+    return QSqrt2(*_q_add((x.a, x.b), (y.a, y.b)))
+
+
+def q_mul(x, y):
+    """x * y in Q(sqrt 2), by the oracles' arithmetic on (a, b) pairs."""
+    return QSqrt2(*_q_mul((x.a, x.b), (y.a, y.b)))
+
+
 def from_columns(clan, cols):
     m = len(cols)
     return FlagMatrix(clan, tuple(tuple(col[r] for col in cols) for r in range(m)))
@@ -118,7 +130,7 @@ def perturbed_representatives(draw):
     clan = draw(diii_clans(max_n=4))
     m = 2 * clan.n
     matrix = representative_matrix(clan)
-    cols = [list(matrix.column(c)) for c in range(1, m + 1)]
+    cols = [list(col) for col in zip(*matrix.rows)]
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("swap", "negate", "add")))
         i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
@@ -127,7 +139,7 @@ def perturbed_representatives(draw):
         elif op == "negate":
             cols[i] = [-e for e in cols[i]]
         else:
-            cols[j] = [e + f for e, f in zip(cols[j], cols[i])]
+            cols[j] = [q_add(e, f) for e, f in zip(cols[j], cols[i])]
     return from_columns(clan, cols)
 
 
@@ -144,7 +156,10 @@ def dense_matrices(draw):
     if dependent:
         coefficient = irrational_elements | st.just(ZERO)
         coeffs = draw(st.lists(coefficient, min_size=len(rows), max_size=len(rows)))
-        combination = [sum((k * r[c] for k, r in zip(coeffs, rows)), ZERO) for c in range(ncols)]
+        combination = [
+            reduce(q_add, (q_mul(k, r[c]) for k, r in zip(coeffs, rows)), ZERO)
+            for c in range(ncols)
+        ]
         rows.insert(draw(st.integers(0, len(rows))), combination)
     return rows
 
@@ -167,7 +182,7 @@ def block_diagonal_matrices(draw):
         piece = draw(st.lists(entries, min_size=nrows, max_size=nrows))
         if nrows > 1 and draw(st.booleans()):
             k = draw(irrational_elements)
-            piece[-1] = [k * e for e in piece[0]]
+            piece[-1] = [q_mul(k, e) for e in piece[0]]
         cols = range(start, start + width)
         pieces.append(
             [[row[c - start] if c in cols else ZERO for c in range(ncols)] for row in piece]
@@ -181,7 +196,7 @@ def block_diagonal_matrices(draw):
         first, second = draw(st.sampled_from(pieces[i])), draw(st.sampled_from(pieces[j]))
         if draw(st.booleans()):
             h, k = draw(irrational_elements), draw(irrational_elements)
-            join = [h * e + k * f for e, f in zip(first, second)]
+            join = [q_add(q_mul(h, e), q_mul(k, f)) for e, f in zip(first, second)]
         else:
             a = draw(st.sampled_from([c for c, e in enumerate(first) if e]))
             b = draw(st.sampled_from([c for c, e in enumerate(second) if e]))

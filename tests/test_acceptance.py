@@ -112,10 +112,8 @@ def test_criterion_4_sects():
         assert len(parts) == 2 ** (n - 1)
         assert sum(len(s) for s in parts) == count_formula(n)
         for sect in parts:
-            top = sect.longest()
-            assert sum(
-                1 for c in sect if clan_length(c).length == clan_length(top).length
-            ) == 1
+            lengths = [clan_length(c).length for c in sect]
+            assert lengths.count(max(lengths)) == 1
         big = big_sect(n)
         assert len(big) == epsilon_count(n) == involution_numbers[n - 1]
         for clan in big:

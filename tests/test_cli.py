@@ -366,6 +366,9 @@ class TestConvert:
             ("rooks", '{"size":2,"perm":[true,2.9]}'),
             ("pyramid", '{"n":2,"rooks":[{"side":"L","i":"a","j":2}]}'),
             ("pyramid", '{"n":1.7,"rooks":[{"side":"L","i":true,"j":1}]}'),
+            ("rooks", '{"size":2,"perm":[1,2],"n":1}'),
+            ("pyramid", '{"n":1,"rooks":[{"side":"L","i":1,"j":1,"k":0}]}'),
+            ("pyramid", '{"n":2,"rooks":[1]}'),
         ],
     )
     def test_mistyped_json_is_data_error(self, capsys, source, payload):

@@ -194,10 +194,10 @@ MUTANTS = (
         "            pass\n",
         ("verify", "3", "weak-order"),
         "the image key loses a mate's back-pointer: a moved end's partner still "
-        "points at the position it left, so s_2 on ++-- (s_1 between two middle "
-        "flips, the second moving an end of the pair the collapse made) leaves "
-        "the DIII clans and the poset build raises; run_suite then fails every "
-        "check that reaches n = 2 with that message",
+        "points at the position it left, so s_1 on +1212- (trading the sign at 1 "
+        "with the end at 2) and s_3 on 1-12+2 (the one trade of 2 with 4 and 3 "
+        "with 5) leave the DIII clans and the n = 3 poset build raises; "
+        "run_suite then fails every check that reaches n = 3 with that message",
     ),
     Mutant(
         "path verdict stored without a scan",

@@ -90,10 +90,83 @@ def unused_exports(names: list[str], lines: list[str], library_use: str) -> list
     return unused
 
 
+#: Methods Python calls through an operator, a builtin or a protocol
+#: rather than by name, each with what calls it.
+PROTOCOL_METHODS = {
+    "__init__": "calling the class",
+    "__post_init__": "the __init__ a dataclass writes, once it has set the fields",
+    "__eq__": "==, and set and dict membership with __hash__",
+    "__hash__": "set and dict membership",
+    "__repr__": "repr()",
+    "__str__": "str(), print() and f-strings",
+    "__len__": "len()",
+    "__iter__": "for loops, unpacking and tuple()",
+    "__getitem__": "subscripts",
+    "__contains__": "the in operator",
+    "__bool__": "truth tests, as _scaled's test of each entry",
+    "__call__": "calling a value, as pfpf_to_clan's x(p)",
+    "__neg__": "unary minus, as the flags module's -INV_SQRT2 and -ONE",
+}
+
+
+def class_methods(source: str, name: str) -> list[str]:
+    """The methods and properties the class ``name`` defines at the top
+    level of ``source``, and the names it binds to them
+    (``__radd__ = __add__``), read with ``ast``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            methods = []
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods.append(item.name)
+                elif isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    methods += [t.id for t in item.targets if isinstance(t, ast.Name)]
+            return methods
+    raise AssertionError(f"no class {name}")
+
+
+def exported_methods(sources: dict[str, str]) -> list[str]:
+    """``Class.method`` for each public method, property and dunder of
+    every exported class, as ``sources`` (by module name) define them."""
+    methods = []
+    for name in diii_clans.__all__:
+        if isinstance(getattr(diii_clans, name), type):
+            for method in class_methods(sources[diii_clans._HOME[name]], name):
+                if not method.startswith("_") or method.endswith("__"):
+                    methods.append(f"{name}.{method}")
+    return methods
+
+
+def unused_methods(
+    methods: list[str], lines: list[str], library_use: str, traced: set[str]
+) -> list[str]:
+    """The ``Class.method`` names of ``methods`` that are no protocol
+    method, that no line of ``lines`` reads as ``.method``, that
+    ``library_use`` does not name as ``.method`` or ``method`` in
+    backquotes, and that ``traced`` does not hold. A method is matched by
+    its name alone, so reading another class's method of that name counts."""
+    unused = []
+    for qualified in methods:
+        method = qualified.rpartition(".")[2]
+        if method in PROTOCOL_METHODS or qualified in traced:
+            continue
+        read = re.compile(rf"\.{re.escape(method)}\b")
+        named = re.compile(rf"[.`]{re.escape(method)}\b")
+        if not any(read.search(line) for line in lines) and not named.search(library_use):
+            unused.append(qualified)
+    return unused
+
+
+def package_sources() -> dict[str, str]:
+    """The source of each package module, by module name."""
+    paths = sorted((ROOT / "src" / "diii_clans").glob("*.py"))
+    return {p.stem: p.read_text() for p in paths}
+
+
 def package_lines() -> list[str]:
     """The lines of every package module but ``__init__.py``."""
-    paths = sorted((ROOT / "src" / "diii_clans").glob("*.py"))
-    return [line for p in paths if p.name != "__init__.py" for line in p.read_text().splitlines()]
+    sources = package_sources()
+    return [line for m, text in sources.items() if m != "__init__" for line in text.splitlines()]
 
 
 def library_use_section() -> str:
@@ -103,9 +176,28 @@ def library_use_section() -> str:
     return section
 
 
+def benchmark_spans() -> ModuleType:
+    """``clanbench/spans.py``, loaded from its file."""
+    path = ROOT / "clanbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("clanbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def traced_methods() -> set[str]:
+    """The ``Class.method`` names the benchmark's tracer wraps; they stay
+    while it names them."""
+    return {name for names in benchmark_spans().TARGETS.values() for name in names if "." in name}
+
+
 def test_every_export_is_used_by_the_package_or_documented():
     names = diii_clans.__all__
-    assert unused_exports(names, package_lines(), library_use_section()) == []
+    lines, library_use = package_lines(), library_use_section()
+    assert unused_exports(names, lines, library_use) == []
+    methods = exported_methods(package_sources())
+    assert {"Clan.text", "QSqrt2.__neg__", "WeakOrderPoset.n"} <= set(methods)
+    assert unused_methods(methods, lines, library_use, traced_methods()) == []
 
 
 def test_export_guard_reports_a_dead_export_added_back():
@@ -120,6 +212,36 @@ def test_export_guard_reports_a_dead_export_added_back():
     assert unused_exports(names, used, library_use_section()) == []
     documented = library_use_section() + "`signed_involution_pair` pairs a board"
     assert unused_exports(names, lines, documented) == []
+
+    # a public method and arithmetic dunders added back to an exported
+    # class are reported; a protocol method is not
+    added = (
+        "    def column(self, c):\n"
+        "        return tuple(row[c - 1] for row in self.rows)\n\n"
+        "    def __len__(self):\n"
+        "        return len(self.rows)\n\n"
+        "    def __add__(self, other):\n"
+        "        return self\n\n"
+        "    __radd__ = __add__\n\n"
+    )
+    sources = package_sources()
+    anchor = "    def pretty(self) -> str:\n"
+    sources["flags"] = sources["flags"].replace(anchor, added + anchor)
+    methods = exported_methods(sources)
+    lines = package_lines() + added.splitlines()
+    library_use, traced = library_use_section(), traced_methods()
+    assert "FlagMatrix.__len__" in methods
+    assert unused_methods(methods, lines, library_use, traced) == [
+        "FlagMatrix.column", "FlagMatrix.__add__", "FlagMatrix.__radd__"
+    ]
+    # a read elsewhere, a mention in "Library use" or the tracer clears it
+    cleared = (
+        unused_methods(methods, lines + ["    col = matrix.column(1)"], library_use, traced),
+        unused_methods(methods, lines, library_use + "`column(c)` reads one", traced),
+        unused_methods(methods, lines, library_use, traced | {"FlagMatrix.column"}),
+    )
+    for unused in cleared:
+        assert unused == ["FlagMatrix.__add__", "FlagMatrix.__radd__"]
 
 
 #: The constructors that may set fields of a frozen value past its checks.
@@ -264,10 +386,7 @@ def test_benchmark_tracer_installs_over_the_imported_package():
 def test_benchmark_span_targets_resolve():
     # the benchmark's tracer wraps these names; a vanished one would
     # otherwise show only in a traced benchmark run
-    path = ROOT / "clanbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("clanbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = benchmark_spans()
     assert spans.TARGETS
     for module, names in spans.TARGETS.items():
         mod = importlib.import_module(f"diii_clans.{module}")

@@ -76,6 +76,21 @@ class TestPyramidType:
         data = REFERENCE_PYRAMID.to_json_dict()
         assert Pyramid.from_json_dict(data) == REFERENCE_PYRAMID
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"n": 1, "rooks": [], "size": 2}, "unexpected key 'size'"),
+            ({"n": 1, "rooks": [{"side": "L", "i": 1, "j": 1, "k": 0}]}, "unexpected key 'k'"),
+            ({"n": 1, "rooks": [{"side": "L", "i": 1}]}, "missing key 'j'"),
+            ({"n": 2, "rooks": [1]}, "expected an object, got 1"),
+            ({"n": 2, "rooks": [["L", 1, 1]]}, r"expected an object, got \['L', 1, 1\]"),
+            ([1, []], r"expected an object, got \[1, \[\]\]"),
+        ],
+    )
+    def test_json_outside_its_format_is_refused(self, data, message):
+        with pytest.raises(ClanError, match=f"^malformed pyramid JSON: {message}$"):
+            Pyramid.from_json_dict(data)
+
 
 class TestClanPyramidBijection:
     def test_reference_pyramid_encoding(self):
@@ -279,6 +294,13 @@ class TestPlacements:
     def test_json_round_trip(self):
         placement = pyramid_to_placement(REFERENCE_PYRAMID)
         assert RookPlacement.from_json_dict(placement.to_json_dict()) == placement
+
+    def test_json_outside_its_format_is_refused(self):
+        data = pyramid_to_placement(REFERENCE_PYRAMID).to_json_dict()
+        with pytest.raises(ClanError, match="^malformed placement JSON: unexpected key 'n'$"):
+            RookPlacement.from_json_dict({**data, "n": 2})
+        with pytest.raises(ClanError, match="^malformed placement JSON: expected an object"):
+            RookPlacement.from_json_dict(data["perm"])
 
 
 class TestPartitionPairs:
