@@ -35,10 +35,10 @@ _EXPORTS = {
         "representative_matrix", "verify_special_orthogonal",
     ),
     "pyramids": (
-        "PartitionPair", "Pyramid", "PyramidCell", "PyramidParityError",
-        "RookPlacement", "clan_to_pyramid", "extend_odd",
-        "partition_pair_to_pyramid", "placement_to_clan", "pyramid_to_clan",
-        "pyramid_to_partition_pair", "pyramid_to_placement", "rotate_placement",
+        "PartitionPair", "Pyramid", "PyramidParityError", "RookPlacement",
+        "clan_to_pyramid", "extend_odd", "partition_pair_to_pyramid",
+        "placement_to_clan", "pyramid_to_clan", "pyramid_to_partition_pair",
+        "pyramid_to_placement", "rotate_placement",
     ),
     "sects": (
         "PartialFPFInvolution", "SchubertSubset", "Sect", "base_clan_to_subset",

@@ -14,7 +14,7 @@ earlier diagonal steps: a first-half label lies in [2, 2*m_i - 1], i.e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, ascii_int
 from .enumeration import assemble_clan
@@ -81,12 +81,6 @@ class WeightedDelannoyPath:
     def n(self) -> int:
         return sum(1 for s in self.steps if s.direction in (EAST, DIAGONAL))
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self) -> Iterator[LabeledStep]:
-        return iter(self.steps)
-
     def to_word(self) -> str:
         return " ".join(s.to_token() for s in self.steps)
 
@@ -96,9 +90,6 @@ class WeightedDelannoyPath:
         if not tokens:
             raise PathError("empty path word")
         return cls(tuple(LabeledStep.from_token(t) for t in tokens))
-
-    def __str__(self) -> str:
-        return self.to_word()
 
 
 def validate_path(path: WeightedDelannoyPath | Sequence[LabeledStep]) -> tuple[bool, int | None]:

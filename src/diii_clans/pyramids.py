@@ -4,14 +4,16 @@ A pyramid is the bottom triangle of a 2n x 2n board cut out by both main
 diagonals, with rows numbered 1 (longest) to n (apex) and a left/right cell
 in row i for each column index i..n on either side of the center line.
 Unfolding a pyramid across both diagonals recovers a placement of 2n
-non-attacking rooks invariant under both reflections.
+non-attacking rooks invariant under both reflections. A rook is a plain
+``(side, row, col)`` triple, side ``"L"`` or ``"R"``, and every map here
+passes the triples through as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, json_fields
 from .enumeration import assemble_clan
@@ -25,74 +27,61 @@ class PyramidParityError(ClanError):
     of the same placement is the one that decodes."""
 
 
-@dataclass(frozen=True, order=True)
-class PyramidCell:
-    side: str
-    row: int
-    col: int
-
-    def __post_init__(self):
-        if self.side not in (LEFT, RIGHT):
-            raise ClanError(f"side must be {LEFT!r} or {RIGHT!r}")
-        if type(self.row) is not int or type(self.col) is not int:
-            raise ClanError(f"cell row and col must be ints, got {self.row!r}, {self.col!r}")
-        if not 1 <= self.row <= self.col:
-            raise ClanError(f"cell ({self.side},{self.row},{self.col}) needs row <= col")
-
-    def mirrored(self) -> "PyramidCell":
-        return PyramidCell(RIGHT if self.side == LEFT else LEFT, self.row, self.col)
-
-
 @dataclass(frozen=True)
 class Pyramid:
     """Rooks in the triangle, one touching each of the indices 1..n.
 
-    Every k in 1..n must occur in the {row, col} set of exactly one rook;
-    in particular no two rooks share a row.
+    A rook is a ``(side, row, col)`` triple of ``"L"`` or ``"R"`` and ints
+    1 <= row <= col <= n, checked here and nowhere else. Every k in 1..n
+    must occur in the {row, col} set of exactly one rook; in particular no
+    two rooks share a row. A message writes a rook as ``(L,1,3)``.
     """
 
     n: int
-    rooks: frozenset[PyramidCell]
+    rooks: frozenset[tuple[str, int, int]]
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise ClanError(f"pyramid size must be an int, got {self.n!r}")
-        if type(self.rooks) is not frozenset or not all(
-            isinstance(cell, PyramidCell) for cell in self.rooks
+        n, rooks = self.n, self.rooks
+        if type(n) is not int:
+            raise ClanError(f"pyramid size must be an int, got {n!r}")
+        if type(rooks) is not frozenset or not all(
+            type(cell) is tuple and len(cell) == 3 for cell in rooks
         ):
-            raise ClanError(f"pyramid rooks must be a frozenset of cells, got {self.rooks!r}")
-        seen: dict[int, PyramidCell] = {}
-        for cell in self.rooks:
-            row, col = cell.row, cell.col
-            if col > self.n:
-                raise ClanError(f"cell {cell} outside pyramid of size {self.n}")
+            raise ClanError(f"pyramid rooks must be a frozenset of cells, got {rooks!r}")
+        seen: dict[int, tuple[str, int, int]] = {}
+        for cell in rooks:
+            side, row, col = cell
+            if side not in (LEFT, RIGHT):
+                raise ClanError(f"side must be {LEFT!r} or {RIGHT!r}")
+            if type(row) is not int or type(col) is not int:
+                raise ClanError(f"cell row and col must be ints, got {row!r}, {col!r}")
+            if not 1 <= row <= col:
+                raise ClanError("cell ({},{},{}) needs row <= col".format(*cell))
+            if col > n:
+                raise ClanError("cell ({},{},{}) outside pyramid of size {}".format(*cell, n))
             if row in seen or col in seen:
                 k = next(k for k in {row, col} if k in seen)
-                raise ClanError(f"index {k} covered by both {seen[k]} and {cell}")
+                raise ClanError(
+                    "index {} covered by both ({},{},{}) and ({},{},{})".format(k, *seen[k], *cell)
+                )
             seen[row] = seen[col] = cell
-        if len(seen) != self.n:  # each index seen is in 1..n
-            missing = [k for k in range(1, self.n + 1) if k not in seen]
+        if len(seen) != n:  # each index seen is in 1..n
+            missing = [k for k in range(1, n + 1) if k not in seen]
             raise ClanError(f"indices {missing} not covered by any rook")
 
-    def __iter__(self) -> Iterator[PyramidCell]:
-        return iter(sorted(self.rooks))
-
     def mirror(self) -> "Pyramid":
-        return Pyramid(self.n, frozenset(c.mirrored() for c in self.rooks))
+        other = {LEFT: RIGHT, RIGHT: LEFT}
+        return Pyramid(self.n, frozenset((other[s], i, j) for s, i, j in self.rooks))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rooks": [
-                {"side": c.side, "i": c.row, "j": c.col} for c in sorted(self.rooks)
-            ],
-        }
+        rooks = [{"side": side, "i": i, "j": j} for side, i, j in sorted(self.rooks)]
+        return {"n": self.n, "rooks": rooks}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Pyramid":
         n, rooks = json_fields(data, "pyramid", {"n": int, "rooks": list})
         cells = (json_fields(r, "pyramid", {"side": str, "i": int, "j": int}) for r in rooks)
-        return cls(n, frozenset(PyramidCell(*fields) for fields in cells))
+        return cls(n, frozenset(tuple(fields) for fields in cells))
 
 
 def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
@@ -102,29 +91,29 @@ def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
     clan = clan.to_diii()
     n = clan.n
     switch = LEFT
-    rooks: list[PyramidCell] = []
+    rooks: list[tuple[str, int, int]] = []
     key = clan._key()
     for i in range(n, 0, -1):
         j = key[i - 1]  # the sign at i, or the mate position
         if j == PLUS:
-            rooks.append(PyramidCell(switch, i, i))
+            rooks.append((switch, i, i))
         elif j == MINUS:
             switch = RIGHT if switch == LEFT else LEFT
-            rooks.append(PyramidCell(switch, i, i))
+            rooks.append((switch, i, i))
         elif j > n and 2 * n + 1 - j > i:
-            rooks.append(PyramidCell(switch, i, 2 * n + 1 - j))
+            rooks.append((switch, i, 2 * n + 1 - j))
         elif i < j <= n:
             switch = RIGHT if switch == LEFT else LEFT
-            rooks.append(PyramidCell(switch, i, j))
+            rooks.append((switch, i, j))
         # otherwise the pair is recorded at another row
     return Pyramid(n, frozenset(rooks))
 
 
 def _decode(n: int, cells: Sequence[tuple[str, int, int]], switch: str) -> DIIIClan:
-    """The scan of ``pyramid_to_clan`` over plain ``(side, row, col)``
-    rooks in distinct rows, apex first, with the switch starting on side
-    ``switch`` (RIGHT decodes the mirror pyramid). ``assemble_clan``
-    refuses an index covered twice ("assigned twice") or not at all."""
+    """The scan of ``pyramid_to_clan`` over rooks in distinct rows, apex
+    first, with the switch starting on side ``switch`` (RIGHT decodes the
+    mirror pyramid). ``assemble_clan`` refuses an index covered twice
+    ("assigned twice") or not at all."""
     flips = 0
     contained: list[tuple[int, int]] = []
     straddling: list[tuple[int, int]] = []
@@ -157,8 +146,7 @@ def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
     when the decoded clan fails the parity rule, in which case the mirror
     pyramid decodes.
     """
-    cells = [(c.side, c.row, c.col) for c in pyramid.rooks]
-    cells.sort(key=itemgetter(1), reverse=True)
+    cells = sorted(pyramid.rooks, key=itemgetter(1), reverse=True)
     return _decode(pyramid.n, cells, LEFT)
 
 
@@ -209,9 +197,8 @@ def pyramid_to_placement(pyramid: Pyramid) -> RookPlacement:
     """Unfold across both diagonals into the full board."""
     m = 2 * pyramid.n
     perm = [0] * m  # perm[col - 1] is the row of the rook in column col
-    for cell in pyramid.rooks:
-        r = cell.row
-        c = cell.col if cell.side == LEFT else m + 1 - cell.col
+    for side, r, j in pyramid.rooks:
+        c = j if side == LEFT else m + 1 - j
         for row, col in ((r, c), (c, r), (m + 1 - c, m + 1 - r), (m + 1 - r, m + 1 - c)):
             if perm[col - 1] not in (0, row):
                 raise AssertionError("pyramid unfolding produced conflicting rooks")
@@ -240,12 +227,12 @@ def _triangle(perm: Sequence[int]) -> list[tuple[str, int, int]]:
 def placement_to_clan(placement: RookPlacement) -> DIIIClan:
     """Of the two pyramids of a placement, decode the one giving a DIII clan.
 
-    The rooks are read off the board as tuples (``_triangle``); no
-    ``PyramidCell`` or ``Pyramid`` is built, and the decode enforces the
-    pyramid's coverage rule. The mirror's scan is the scan with the switch
-    starting RIGHT. Each flip trades sides, so a scan
-    has an even flip count exactly when it ends on its starting side: the
-    start to decode is the side of the last rook, in row 1.
+    The rooks are read off the board (``_triangle``); no ``Pyramid`` is
+    built, and the decode enforces the pyramid's coverage rule. The
+    mirror's scan is the scan with the switch starting RIGHT. Each flip
+    trades sides, so a scan has an even flip count exactly when it ends on
+    its starting side: the start to decode is the side of the last rook,
+    in row 1.
     """
     cells = _triangle(placement.perm)
     return _decode(len(placement.perm) // 2, cells, cells[-1][0] if cells else LEFT)
@@ -341,18 +328,12 @@ def pyramid_to_partition_pair(pyramid: Pyramid) -> PartitionPair:
     left: set[int] = set()
     right: set[int] = set()
     blocks: set[frozenset[int]] = set()
-    for cell in pyramid.rooks:
-        if cell.row == cell.col:
-            (left if cell.side == LEFT else right).add(cell.row)
-            blocks.add(frozenset({cell.row}))
-        else:
-            if cell.side == LEFT:
-                left.add(cell.col)
-                right.add(cell.row)
-            else:
-                right.add(cell.col)
-                left.add(cell.row)
-            blocks.add(frozenset({cell.row, cell.col}))
+    for side, row, col in pyramid.rooks:
+        own, other = (left, right) if side == LEFT else (right, left)
+        own.add(col)
+        if row != col:
+            other.add(row)
+        blocks.add(frozenset({row, col}))
     if not left or not right:
         raise ClanError(
             "pyramid of the all-plus-then-all-minus clan has no partition pair"
@@ -368,5 +349,5 @@ def partition_pair_to_pyramid(pair: PartitionPair) -> Pyramid:
         i, j = block if len(block) == 2 else (*block, *block)
         if i > j:
             i, j = j, i
-        rooks.append(PyramidCell(LEFT if j in pair.left else RIGHT, i, j))
+        rooks.append((LEFT if j in pair.left else RIGHT, i, j))
     return Pyramid(pair.n, frozenset(rooks))

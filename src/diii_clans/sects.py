@@ -221,9 +221,6 @@ class PartialFPFInvolution:
                 values[a - 1], values[b - 1] = b, a
         return cls(tuple(values))
 
-    def __str__(self) -> str:
-        return self.to_text()
-
 
 def clan_to_pfpf(clan: DIIIClan) -> PartialFPFInvolution:
     """Encode a big-sect clan by its first-half pairs: each family

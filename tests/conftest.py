@@ -35,20 +35,20 @@ def count_clan_builds(monkeypatch) -> list:
 
 
 def count_checks(monkeypatch) -> Counter:
-    """Count, until ``monkeypatch.undo()``, every checked ``PyramidCell``
-    and ``Pyramid`` built (one ``__post_init__`` each) and every scan of a
-    path's steps (``delannoy._scan``, once per path built), under the keys
-    ``"PyramidCell"``, ``"Pyramid"`` and ``"scan"``."""
+    """Count, until ``monkeypatch.undo()``, every checked ``Pyramid`` built
+    (one ``__post_init__`` each) and every scan of a path's steps
+    (``delannoy._scan``, once per path built), under the keys ``"Pyramid"``
+    and ``"scan"``."""
     from diii_clans import delannoy, pyramids
 
     counts: Counter = Counter()
-    for cls in (pyramids.PyramidCell, pyramids.Pyramid):
+    check = pyramids.Pyramid.__post_init__
 
-        def counting_check(self, check=cls.__post_init__, name=cls.__name__):
-            counts[name] += 1
-            check(self)
+    def counting_check(self):
+        counts["Pyramid"] += 1
+        check(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counting_check)
+    monkeypatch.setattr(pyramids.Pyramid, "__post_init__", counting_check)
     scan = delannoy._scan
 
     def counting_scan(steps):

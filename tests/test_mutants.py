@@ -155,6 +155,17 @@ MUTANTS = (
         "1212; a singleton block (i == j) is unchanged",
     ),
     Mutant(
+        "pyramid cell test without its row <= col half",
+        "pyramids.py",
+        "            if not 1 <= row <= col:\n",
+        "            if not 1 <= row:\n",
+        ("pytest", "tests/test_validate_once.py::TestMessagesKept::test_pyramid[row-above-col]"),
+        "a rook above the diagonal, such as (L,3,2), is then checked only for its "
+        "coverage: in a pyramid of size 3 it covers 2 and 3 and is refused as "
+        "leaving 1 uncovered, not as needing row <= col; every rook the package "
+        "builds has row <= col, so verify cannot see it",
+    ),
+    Mutant(
         "Delannoy decode trades the middle after N",
         "delannoy.py",
         "            if outer.direction == EAST:\n                _swap_middle(open_)\n",

@@ -90,22 +90,34 @@ def unused_exports(names: list[str], lines: list[str], library_use: str) -> list
     return unused
 
 
-#: Methods Python calls through an operator, a builtin or a protocol
-#: rather than by name, each with what calls it.
+#: Methods Python calls on every value, through a constructor, equality,
+#: hashing or repr, rather than by name, each with what calls it.
 PROTOCOL_METHODS = {
     "__init__": "calling the class",
     "__post_init__": "the __init__ a dataclass writes, once it has set the fields",
     "__eq__": "==, and set and dict membership with __hash__",
     "__hash__": "set and dict membership",
     "__repr__": "repr()",
-    "__str__": "str(), print() and f-strings",
-    "__len__": "len()",
-    "__iter__": "for loops, unpacking and tuple()",
-    "__getitem__": "subscripts",
-    "__contains__": "the in operator",
-    "__bool__": "truth tests, as _scaled's test of each entry",
-    "__call__": "calling a value, as pfpf_to_clan's x(p)",
-    "__neg__": "unary minus, as the flags module's -INV_SQRT2 and -ONE",
+}
+
+#: The other dunders an exported class keeps, which an operator, a builtin
+#: or a statement calls, each with a file and the text there that calls it.
+PROTOCOL_CALLERS = {
+    ("Clan", "__str__"): ("src/diii_clans/verify.py", 'f"pyramid round trip at {clan}"'),
+    ("Clan", "__len__"): ("README.md", "len(clan), clan[3], list(clan)[:3]"),
+    ("Clan", "__iter__"): ("README.md", "len(clan), clan[3], list(clan)[:3]"),
+    ("Clan", "__getitem__"): ("README.md", "len(clan), clan[3], list(clan)[:3]"),
+    ("ClanSet", "__len__"): ("src/diii_clans/sects.py", "return len(self.clans)"),
+    ("ClanSet", "__iter__"): ("README.md", "sum(1 for c in clans if c.is_matchless())"),
+    ("ClanSet", "__contains__"): ("README.md", "len(clans), clan in clans"),
+    ("QSqrt2", "__bool__"): ("src/diii_clans/flags.py", "if e else None"),
+    ("QSqrt2", "__neg__"): ("src/diii_clans/flags.py", "_NEG_INV_SQRT2 = -INV_SQRT2"),
+    ("QSqrt2", "__str__"): ("src/diii_clans/flags.py", "_PRETTY.get(e, str(e))"),
+    ("RankPolynomial", "__str__"): ("src/diii_clans/cli.py", "print(from_rec)"),
+    ("Sect", "__len__"): ("src/diii_clans/cli.py", 'print(f"size: {len(sect)}")'),
+    ("Sect", "__iter__"): ("src/diii_clans/verify.py", "for clan in big:"),
+    ("PartialFPFInvolution", "__call__"): ("src/diii_clans/sects.py", "if not x(p)"),
+    ("WeakOrderPoset", "__len__"): ("src/diii_clans/verify.py", "enum = len(poset)"),
 }
 
 
@@ -140,15 +152,17 @@ def exported_methods(sources: dict[str, str]) -> list[str]:
 def unused_methods(
     methods: list[str], lines: list[str], library_use: str, traced: set[str]
 ) -> list[str]:
-    """The ``Class.method`` names of ``methods`` that are no protocol
-    method, that no line of ``lines`` reads as ``.method``, that
+    """The ``Class.method`` names of ``methods`` that are neither a
+    protocol method of every value nor a dunder ``PROTOCOL_CALLERS`` names
+    for its class, that no line of ``lines`` reads as ``.method``, that
     ``library_use`` does not name as ``.method`` or ``method`` in
-    backquotes, and that ``traced`` does not hold. A method is matched by
-    its name alone, so reading another class's method of that name counts."""
+    backquotes, and that ``traced`` does not hold. Any other method is
+    matched by its name alone, so reading another class's method of that
+    name counts."""
     unused = []
     for qualified in methods:
-        method = qualified.rpartition(".")[2]
-        if method in PROTOCOL_METHODS or qualified in traced:
+        cls, _, method = qualified.rpartition(".")
+        if method in PROTOCOL_METHODS or (cls, method) in PROTOCOL_CALLERS or qualified in traced:
             continue
         read = re.compile(rf"\.{re.escape(method)}\b")
         named = re.compile(rf"[.`]{re.escape(method)}\b")
@@ -213,8 +227,9 @@ def test_export_guard_reports_a_dead_export_added_back():
     documented = library_use_section() + "`signed_involution_pair` pairs a board"
     assert unused_exports(names, lines, documented) == []
 
-    # a public method and arithmetic dunders added back to an exported
-    # class are reported; a protocol method is not
+    # a public method and dunders added back to an exported class are
+    # reported, though len() would call __len__; a protocol method of every
+    # value is not
     added = (
         "    def column(self, c):\n"
         "        return tuple(row[c - 1] for row in self.rows)\n\n"
@@ -223,6 +238,8 @@ def test_export_guard_reports_a_dead_export_added_back():
         "    def __add__(self, other):\n"
         "        return self\n\n"
         "    __radd__ = __add__\n\n"
+        "    def __repr__(self):\n"
+        "        return 'FlagMatrix(...)'\n\n"
     )
     sources = package_sources()
     anchor = "    def pretty(self) -> str:\n"
@@ -230,10 +247,9 @@ def test_export_guard_reports_a_dead_export_added_back():
     methods = exported_methods(sources)
     lines = package_lines() + added.splitlines()
     library_use, traced = library_use_section(), traced_methods()
-    assert "FlagMatrix.__len__" in methods
-    assert unused_methods(methods, lines, library_use, traced) == [
-        "FlagMatrix.column", "FlagMatrix.__add__", "FlagMatrix.__radd__"
-    ]
+    assert {"FlagMatrix.__len__", "FlagMatrix.__repr__"} <= set(methods)
+    dead = ["FlagMatrix.column", "FlagMatrix.__len__", "FlagMatrix.__add__", "FlagMatrix.__radd__"]
+    assert unused_methods(methods, lines, library_use, traced) == dead
     # a read elsewhere, a mention in "Library use" or the tracer clears it
     cleared = (
         unused_methods(methods, lines + ["    col = matrix.column(1)"], library_use, traced),
@@ -241,7 +257,24 @@ def test_export_guard_reports_a_dead_export_added_back():
         unused_methods(methods, lines, library_use, traced | {"FlagMatrix.column"}),
     )
     for unused in cleared:
-        assert unused == ["FlagMatrix.__add__", "FlagMatrix.__radd__"]
+        assert unused == dead[1:]
+    # a dunder deleted as dead is reported when it comes back, and the
+    # same dunder named for another class does not clear it
+    sources = package_sources()
+    anchor = "    def mirror(self) -> \"Pyramid\":\n"
+    iterate = "    def __iter__(self):\n        return iter(sorted(self.rooks))\n\n"
+    sources["pyramids"] = sources["pyramids"].replace(anchor, iterate + anchor)
+    methods = exported_methods(sources)
+    assert ("Sect", "__iter__") in PROTOCOL_CALLERS and "Pyramid.__iter__" in methods
+    lines = package_lines() + iterate.splitlines()
+    assert unused_methods(methods, lines, library_use, traced) == ["Pyramid.__iter__"]
+
+
+def test_each_protocol_caller_is_still_there():
+    methods = exported_methods(package_sources())
+    for (cls, method), (path, text) in PROTOCOL_CALLERS.items():
+        assert f"{cls}.{method}" in methods, (cls, method)
+        assert text in (ROOT / path).read_text(), (cls, method, path)
 
 
 #: The constructors that may set fields of a frozen value past its checks.

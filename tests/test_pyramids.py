@@ -6,7 +6,6 @@ from diii_clans import (
     ClanError,
     PartitionPair,
     Pyramid,
-    PyramidCell,
     PyramidParityError,
     RookPlacement,
     clan_to_pyramid,
@@ -32,45 +31,34 @@ from oracles import (
     raw_is_diii,
 )
 
-REFERENCE_PYRAMID = Pyramid(
-    4,
-    frozenset(
-        {PyramidCell("L", 4, 4), PyramidCell("R", 2, 2), PyramidCell("L", 1, 3)}
-    ),
-)
+REFERENCE_PYRAMID = Pyramid(4, frozenset({("L", 4, 4), ("R", 2, 2), ("L", 1, 3)}))
 
 
 class TestPyramidType:
     def test_bounds_checked(self):
         with pytest.raises(ClanError):
-            PyramidCell("L", 3, 2)
+            Pyramid(3, frozenset({("L", 3, 2)}))
         with pytest.raises(ClanError, match="side"):
-            PyramidCell("M", 1, 1)
+            Pyramid(1, frozenset({("M", 1, 1)}))
         with pytest.raises(ClanError, match="outside"):
-            Pyramid(2, frozenset({PyramidCell("L", 1, 3), PyramidCell("R", 2, 2)}))
+            Pyramid(2, frozenset({("L", 1, 3), ("R", 2, 2)}))
         # exact ints only: True == 1 and 1.0 == 1 would otherwise pass
         for row, col in ((True, 1.0), (1, 1.0), (True, 1), ("1", 1)):
             with pytest.raises(ClanError, match="must be ints"):
-                PyramidCell("L", row, col)
+                Pyramid(1, frozenset({("L", row, col)}))
         for n in (1.0, True, "1"):
             with pytest.raises(ClanError, match="size must be an int"):
-                Pyramid(n, frozenset({PyramidCell("L", 1, 1)}))
+                Pyramid(n, frozenset({("L", 1, 1)}))
 
     def test_coverage_condition(self):
         # index 2 covered twice, index 3 not at all
         with pytest.raises(ClanError, match="covered by both"):
             Pyramid(
                 3,
-                frozenset(
-                    {
-                        PyramidCell("L", 1, 2),
-                        PyramidCell("L", 2, 3),
-                        PyramidCell("R", 3, 3),
-                    }
-                ),
+                frozenset({("L", 1, 2), ("L", 2, 3), ("R", 3, 3)}),
             )
         with pytest.raises(ClanError, match="not covered"):
-            Pyramid(2, frozenset({PyramidCell("L", 1, 1)}))
+            Pyramid(2, frozenset({("L", 1, 1)}))
 
     def test_json_round_trip(self):
         data = REFERENCE_PYRAMID.to_json_dict()
@@ -102,15 +90,11 @@ class TestClanPyramidBijection:
             pyramid_to_clan(REFERENCE_PYRAMID.mirror())
 
     def test_single_plus(self):
-        assert clan_to_pyramid(parse_diii("+-")).rooks == frozenset(
-            {PyramidCell("L", 1, 1)}
-        )
-        assert pyramid_to_clan(Pyramid(1, frozenset({PyramidCell("L", 1, 1)}))).text() == "+-"
+        assert clan_to_pyramid(parse_diii("+-")).rooks == frozenset({("L", 1, 1)})
+        assert pyramid_to_clan(Pyramid(1, frozenset({("L", 1, 1)}))).text() == "+-"
 
     def test_hand_traced_straddling_pair(self):
-        assert clan_to_pyramid(parse_diii("1212")).rooks == frozenset(
-            {PyramidCell("L", 1, 2)}
-        )
+        assert clan_to_pyramid(parse_diii("1212")).rooks == frozenset({("L", 1, 2)})
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_round_trip_and_injectivity(self, n):
@@ -140,23 +124,18 @@ class TestClanPyramidBijection:
             pyramid_to_clan(pyramid.mirror())
 
     def test_mirror_swaps_every_side(self):
-        mirrored = Pyramid(
-            4,
-            frozenset(
-                {PyramidCell("R", 4, 4), PyramidCell("L", 2, 2), PyramidCell("R", 1, 3)}
-            ),
-        )
+        mirrored = Pyramid(4, frozenset({("R", 4, 4), ("L", 2, 2), ("R", 1, 3)}))
         assert REFERENCE_PYRAMID.mirror() == mirrored
         assert mirrored.mirror() == REFERENCE_PYRAMID
 
 
 def extract_pyramid(placement):
     """The bottom-triangle pyramid of a placement (rows r with r <= c and
-    r <= m+1-c) as checked cells, from the rooks ``pyramids._triangle``
+    r <= m+1-c) as a checked ``Pyramid`` of the rooks ``pyramids._triangle``
     finds: the second decode route, through ``Pyramid`` and
-    ``pyramid_to_clan``, beside ``placement_to_clan``'s tuples."""
+    ``pyramid_to_clan``, beside ``placement_to_clan``'s direct decode."""
     cells = pyramids._triangle(placement.perm)
-    return Pyramid(placement.size // 2, frozenset(PyramidCell(*cell) for cell in cells))
+    return Pyramid(placement.size // 2, frozenset(cells))
 
 
 def decode_either(pyramid):
@@ -205,9 +184,9 @@ class TestSingleDecode:
         for board in boards:
             placement_to_clan(board)
             placement_to_clan(rotate_placement(board))
-        assert counts["PyramidCell"] == counts["Pyramid"] == 0
+        assert counts["Pyramid"] == 0
         extract_pyramid(boards[0])
-        assert counts["PyramidCell"] == 4 and counts["Pyramid"] == 1
+        assert counts["Pyramid"] == 1
 
     def test_empty_board_is_a_clan_error(self):
         with pytest.raises(ClanError, match="at least two symbols"):

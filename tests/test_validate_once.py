@@ -30,7 +30,6 @@ from diii_clans import (
     PartitionPair,
     PathError,
     Pyramid,
-    PyramidCell,
     RookPlacement,
     WeightedDelannoyPath,
     clan_to_path,
@@ -93,16 +92,24 @@ def reference_pyramid_check(n, rooks):
     missing-index scan."""
     if type(n) is not int:
         raise ClanError(f"pyramid size must be an int, got {n!r}")
-    if type(rooks) is not frozenset or not all(isinstance(c, PyramidCell) for c in rooks):
+    if type(rooks) is not frozenset or not all(type(c) is tuple and len(c) == 3 for c in rooks):
         raise ClanError(f"pyramid rooks must be a frozenset of cells, got {rooks!r}")
     seen = {}
     for cell in rooks:
-        if cell.col > n:
-            raise ClanError(f"cell {cell} outside pyramid of size {n}")
-        for k in {cell.row, cell.col}:
+        side, row, col = cell
+        text = f"({side},{row},{col})"
+        if side != L and side != R:
+            raise ClanError("side must be 'L' or 'R'")
+        if not (type(row) is int and type(col) is int):
+            raise ClanError(f"cell row and col must be ints, got {row!r}, {col!r}")
+        if row < 1 or row > col:
+            raise ClanError(f"cell {text} needs row <= col")
+        if col > n:
+            raise ClanError(f"cell {text} outside pyramid of size {n}")
+        for k in {row, col}:
             if k in seen:
-                raise ClanError(f"index {k} covered by both {seen[k]} and {cell}")
-            seen[k] = cell
+                raise ClanError(f"index {k} covered by both {seen[k]} and {text}")
+            seen[k] = text
     missing = [k for k in range(1, n + 1) if k not in seen]
     if missing:
         raise ClanError(f"indices {missing} not covered by any rook")
@@ -306,26 +313,57 @@ class TestMessagesKept:
     @pytest.mark.parametrize(
         "n, rooks, message",
         [
-            (1.0, frozenset({PyramidCell(L, 1, 1)}), "pyramid size must be an int, got 1.0"),
+            (1.0, frozenset({(L, 1, 1)}), "pyramid size must be an int, got 1.0"),
             (1, frozenset({1}), "pyramid rooks must be a frozenset of cells, got frozenset({1})"),
             (
                 2,
-                frozenset({PyramidCell(L, 1, 3), PyramidCell(R, 2, 2)}),
-                "cell PyramidCell(side='L', row=1, col=3) outside pyramid of size 2",
+                frozenset({(L, 1, 3), (R, 2, 2)}),
+                "cell (L,1,3) outside pyramid of size 2",
             ),
             (
                 4,
-                frozenset({PyramidCell(L, 1, 2), PyramidCell(R, 4, 4)}),
+                frozenset({(L, 1, 2), (R, 4, 4)}),
                 "indices [3] not covered by any rook",
             ),
             (3, frozenset(), "indices [1, 2, 3] not covered by any rook"),
+            pytest.param(3, frozenset({("M", 1, 1)}), "side must be 'L' or 'R'", id="side-M"),
+            pytest.param(
+                3,
+                frozenset({(L, True, 1)}),
+                "cell row and col must be ints, got True, 1",
+                id="row-bool",
+            ),
+            pytest.param(
+                3,
+                frozenset({(L, 1, 1.0)}),
+                "cell row and col must be ints, got 1, 1.0",
+                id="col-float",
+            ),
+            pytest.param(
+                3, frozenset({(L, 3, 2)}), "cell (L,3,2) needs row <= col", id="row-above-col"
+            ),
+            pytest.param(3, frozenset({(L, 0, 0)}), "cell (L,0,0) needs row <= col", id="row-zero"),
+            pytest.param(
+                3,
+                frozenset({(L, 1)}),
+                "pyramid rooks must be a frozenset of cells, got frozenset({('L', 1)})",
+                id="two-tuple",
+            ),
+            # a list is unhashable, so a list cell can only come in a list of rooks
+            pytest.param(
+                3,
+                [[L, 1, 1]],
+                "pyramid rooks must be a frozenset of cells, got [['L', 1, 1]]",
+                id="list-cell",
+            ),
         ],
     )
     def test_pyramid(self, n, rooks, message):
         assert outcome(Pyramid, n, rooks) == (ClanError, message)
+        assert outcome(reference_pyramid_check, n, rooks) == (ClanError, message)
 
     def test_pyramid_container_error_comes_first(self):
-        rooks = frozenset({PyramidCell(L, 1, 1), PyramidCell(R, 1, 1), 7})
+        rooks = frozenset({(L, 1, 1), (R, 1, 1), 7})
         kind, message = outcome(Pyramid, 2, rooks)
         assert kind is ClanError and message.startswith("pyramid rooks must be a frozenset")
 
@@ -479,11 +517,17 @@ _permutations = st.integers(0, 8).flatmap(lambda m: st.permutations(range(1, m +
 _placements = st.integers(1, 4).flatmap(lambda n: st.sampled_from(list(doubly_symmetric(2 * n))))
 _near_perms = st.lists(st.integers(-1, 7) | st.booleans(), max_size=7)
 _cells = st.builds(
-    lambda side, row, extra: PyramidCell(side, row, row + extra),
+    lambda side, row, extra: (side, row, row + extra),
     st.sampled_from((L, R)),
     st.integers(1, 6),
     st.integers(0, 4),
 )
+# cells that break a rule of their own, or are no 3-tuple at all
+_bad_cells = st.tuples(
+    st.sampled_from((L, R, "M")),
+    st.integers(-1, 6) | st.booleans() | st.just(1.0),
+    st.integers(-1, 6) | st.booleans() | st.just(1.0),
+) | st.tuples(st.sampled_from((L, R))) | st.integers()
 _pairs = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=4)
 
 
@@ -497,7 +541,10 @@ class TestSameVerdictAsTheReference:
         assert verdict(RookPlacement, perm) == outcome(reference_placement_check, perm)
 
     @settings(deadline=None)
-    @given(st.integers(0, 6), st.frozensets(_cells, max_size=5))
+    @given(
+        st.integers(0, 6),
+        st.frozensets(_cells, max_size=5) | st.frozensets(_cells | _bad_cells, max_size=5),
+    )
     def test_pyramid(self, n, rooks):
         assert verdict(Pyramid, n, rooks) == outcome(reference_pyramid_check, n, rooks)
 
@@ -508,9 +555,7 @@ class TestSameVerdictAsTheReference:
         hits = 0
         for row, col in ((3, 9), (5, 10), (6, 9), (4, 11), (7, 8)):
             for a, b, c in product((L, R), repeat=3):
-                rooks = frozenset(
-                    {PyramidCell(a, row, row), PyramidCell(b, col, col), PyramidCell(c, row, col)}
-                )
+                rooks = frozenset({(a, row, row), (b, col, col), (c, row, col)})
                 kind, message = outcome(Pyramid, col, rooks)
                 assert (kind, message) == outcome(reference_pyramid_check, col, rooks)
                 hits += message.startswith(f"index {col} covered by both")
