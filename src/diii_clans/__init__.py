@@ -23,8 +23,8 @@ _EXPORTS = {
         "parse_diii",
     ),
     "delannoy": (
-        "LabeledStep", "PathError", "WeightedDelannoyPath", "clan_to_path",
-        "path_to_clan", "validate_path",
+        "PathError", "WeightedDelannoyPath", "clan_to_path", "path_to_clan",
+        "validate_path",
     ),
     "enumeration": (
         "ClanSet", "assemble_clan", "count_by_pairs", "count_formula",

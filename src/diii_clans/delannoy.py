@@ -1,6 +1,8 @@
 """Weighted Delannoy paths and the clan <-> path bijection.
 
-A word of labeled N/E/D steps encodes a DIII clan through repeated outer
+A path is a tuple of step tokens: ``"N"``, ``"E"``, or the int label
+(at least 2) of a diagonal step; its word writes a diagonal step as
+``D:<label>``. The word encodes a DIII clan through repeated outer
 reductions: each loop inspects the last symbol of the current clan, emits a
 mirrored pair of steps at the two open ends of the path, strips the symbols
 it consumed, and recurses on the shrunken clan.
@@ -29,70 +31,58 @@ class PathError(ClanError):
 
 
 @dataclass(frozen=True)
-class LabeledStep:
-    direction: str
-    label: int = 1
-
-    def __post_init__(self):
-        if self.direction not in (NORTH, EAST, DIAGONAL):
-            raise PathError(f"unknown direction {self.direction!r}")
-        if type(self.label) is not int:
-            raise PathError(f"step label must be an int, got {self.label!r}")
-        if self.direction in (NORTH, EAST):
-            if self.label != 1:
-                raise PathError(f"{self.direction} steps carry label 1")
-        elif self.label < 2:
-            raise PathError("diagonal labels start at 2")
-
-    def to_token(self) -> str:
-        if self.direction == DIAGONAL:
-            return f"{DIAGONAL}:{self.label}"
-        return self.direction
-
-    @classmethod
-    def from_token(cls, token: str) -> "LabeledStep":
-        if token in (NORTH, EAST):
-            return cls(token)
-        if token.startswith(f"{DIAGONAL}:"):
-            label = ascii_int(token[2:])
-            if label is None:
-                raise PathError(f"bad diagonal label in {token!r}")
-            return cls(DIAGONAL, label)
-        raise PathError(f"unknown step token {token!r}")
-
-
-@dataclass(frozen=True)
 class WeightedDelannoyPath:
-    """A word of labeled steps. The constructor scans them once for the
+    """A tuple of step tokens, checked here and nowhere else. The
+    constructor refuses any other step, then scans the steps once for the
     conditions of ``validate_path`` and stores the verdict in ``_verdict``,
     outside equality, hash and repr."""
 
-    steps: tuple[LabeledStep, ...]
+    steps: tuple[str | int, ...]
     _verdict: tuple[bool, int | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.steps) is not tuple or not all(
-            isinstance(s, LabeledStep) for s in self.steps
-        ):
-            raise PathError(f"path steps must be a tuple of steps, got {self.steps!r}")
-        object.__setattr__(self, "_verdict", _scan(self.steps))
+        steps = self.steps
+        if type(steps) is not tuple:
+            raise PathError(f"path steps must be a tuple of steps, got {steps!r}")
+        for step in steps:
+            if type(step) is int and step >= 2 or step == NORTH or step == EAST:
+                continue
+            if type(step) is str:
+                raise PathError(f"unknown step token {step!r}")
+            if type(step) in (bool, float):
+                raise PathError(f"step label must be an int, got {step!r}")
+            raise PathError(f"path steps must be a tuple of steps, got {steps!r}")
+        object.__setattr__(self, "_verdict", _scan(steps))
 
     @property
     def n(self) -> int:
-        return sum(1 for s in self.steps if s.direction in (EAST, DIAGONAL))
+        return len(self.steps) - self.steps.count(NORTH)
 
     def to_word(self) -> str:
-        return " ".join(s.to_token() for s in self.steps)
+        return " ".join(f"{DIAGONAL}:{s}" if type(s) is int else s for s in self.steps)
 
     @classmethod
     def from_word(cls, word: str) -> "WeightedDelannoyPath":
         tokens = word.split()
         if not tokens:
             raise PathError("empty path word")
-        return cls(tuple(LabeledStep.from_token(t) for t in tokens))
+        steps: list[str | int] = []
+        for token in tokens:
+            if token == NORTH or token == EAST:
+                steps.append(token)
+            elif token.startswith(f"{DIAGONAL}:"):
+                label = ascii_int(token[2:])
+                if label is None:
+                    raise PathError(f"bad diagonal label in {token!r}")
+                if label < 2:
+                    raise PathError("diagonal labels start at 2")
+                steps.append(label)
+            else:
+                raise PathError(f"unknown step token {token!r}")
+        return cls(tuple(steps))
 
 
-def validate_path(path: WeightedDelannoyPath | Sequence[LabeledStep]) -> tuple[bool, int | None]:
+def validate_path(path: WeightedDelannoyPath | Sequence[str | int]) -> tuple[bool, int | None]:
     """Check the four defining conditions in order; return (ok, first
     violated condition number).
 
@@ -103,47 +93,38 @@ def validate_path(path: WeightedDelannoyPath | Sequence[LabeledStep]) -> tuple[b
     4. the word has even length and its middle is either an E step or the
        labeled pair (D,3)(D,2).
 
-    Any other input goes through the ``WeightedDelannoyPath`` container
-    check first (a sequence as the tuple of its items), so it raises
-    ``PathError`` unless every item is a ``LabeledStep``. A path's verdict
-    is taken when it is built, so this reads it.
+    Any other input goes through the ``WeightedDelannoyPath`` check first (a
+    sequence as the tuple of its items), so it raises ``PathError`` unless
+    every item is a step token. A path's verdict is taken when it is built,
+    so this reads it.
     """
     if not isinstance(path, WeightedDelannoyPath):
         path = WeightedDelannoyPath(tuple(path) if isinstance(path, Sequence) else path)
     return path._verdict
 
 
-def _scan(steps: Sequence[LabeledStep]) -> tuple[bool, int | None]:
-    """The four conditions of ``validate_path``, checked on ``steps``."""
+def _scan(steps: tuple[str | int, ...]) -> tuple[bool, int | None]:
+    """The four conditions of ``validate_path``, checked on step tokens."""
     r = len(steps)
-    north = sum(1 for s in steps if s.direction == NORTH)
-    east = sum(1 for s in steps if s.direction == EAST)
-    if r == 0 or north != east:
+    north = steps.count(NORTH)
+    if r == 0 or north != steps.count(EAST):
         return False, 1
-    n = east + sum(1 for s in steps if s.direction == DIAGONAL)
-    for i in range(1, r + 1):
-        a, b = steps[i - 1], steps[r - i]
-        if (a.direction == NORTH) != (b.direction == EAST):
+    n = r - north  # the E and diagonal steps
+    for a, b in zip(steps, reversed(steps)):
+        if (a == NORTH) != (b == EAST):
             return False, 2
     diagonals_before = 0
     for i in range(1, r // 2 + 1):
-        step = steps[i - 1]
-        if step.direction == DIAGONAL:
+        label = steps[i - 1]
+        if type(label) is int:  # at least 2, as the constructor checked
             bound = 2 * n + 1 - 2 * (i + diagonals_before)
-            if not 2 <= step.label <= bound:
-                return False, 3
-            mirror = steps[r - i]
-            if mirror.direction != DIAGONAL or mirror.label != bound + 2 - step.label:
+            if label > bound or steps[r - i] != bound + 2 - label:
                 return False, 3
             diagonals_before += 1
     if r % 2 != 0:
         return False, 4
     mid = steps[r // 2 - 1]
-    if mid.direction == EAST:
-        pass
-    elif mid == LabeledStep(DIAGONAL, 3) and steps[r // 2] == LabeledStep(DIAGONAL, 2):
-        pass
-    else:
+    if mid != EAST and (mid != 3 or steps[r // 2] != 2):
         return False, 4
     return True, None
 
@@ -171,30 +152,29 @@ def clan_to_path(clan: DIIIClan) -> WeightedDelannoyPath:
     emits a labeled diagonal pair and strips its whole family (``_strip``).
     ``open_`` lists the positions still to reduce, in the order of the
     shrinking clan, and each is read off the clan's key: its sign, or its
-    mate, found by place in ``open_``.  Every N or E step is the same step
-    object.  The result is checked when it is built, and ``validate_path``
-    reads that verdict.
+    mate, found by place in ``open_``.  The steps are appended as tokens:
+    ``"N"``, ``"E"``, or a diagonal step's label.  The result is checked
+    when it is built, and ``validate_path`` reads that verdict.
     """
     key = clan.to_diii()._key()
     open_ = list(range(1, len(key) + 1))
-    north, east = LabeledStep(NORTH), LabeledStep(EAST)
-    head: list[LabeledStep] = []
-    tail: list[LabeledStep] = []
+    head: list[str | int] = []
+    tail: list[str | int] = []
     while open_:
         last = key[open_.pop() - 1]
         if last == MINUS:
-            head.append(east)
-            tail.append(north)
+            head.append(EAST)
+            tail.append(NORTH)
             del open_[0]
         elif last == PLUS:
-            head.append(north)
-            tail.append(east)
+            head.append(NORTH)
+            tail.append(EAST)
             del open_[0]
             _swap_middle(open_)
         else:
             j = open_.index(last) + 1  # place of the matching mate
-            tail.append(LabeledStep(DIAGONAL, j))
-            head.append(LabeledStep(DIAGONAL, len(open_) + 2 - j))
+            tail.append(j)
+            head.append(len(open_) + 2 - j)
             _strip(open_, j)
     head.extend(reversed(tail))
     path = WeightedDelannoyPath(tuple(head))
@@ -227,18 +207,17 @@ def path_to_clan(path: WeightedDelannoyPath) -> DIIIClan:
     for k in range(1, r // 2 + 1):
         outer = steps[r - k]
         last = open_.pop()
-        if outer.direction == DIAGONAL:
-            j = outer.label
-            a, b = sorted((open_[j - 1], last))  # mates; their mirrors are the other pair
+        if type(outer) is int:  # the label j of a diagonal step
+            a, b = sorted((open_[outer - 1], last))  # mates; their mirrors are the other pair
             if b <= n or a > n:  # contained, in the first half or mirrored from it
                 contained.append((a, b) if b <= n else (mirror - b, mirror - a))
             else:
                 straddling.append((min(a, mirror - b), max(a, mirror - b)))
-            _strip(open_, j)
+            _strip(open_, outer)
         else:
             first = open_.pop(0)
             p = min(first, last)  # an outer N strips a trailing minus, an outer E a plus
-            signs[p] = PLUS if p == (first if outer.direction == NORTH else last) else MINUS
-            if outer.direction == EAST:
+            signs[p] = PLUS if p == (first if outer == NORTH else last) else MINUS
+            if outer == EAST:
                 _swap_middle(open_)
     return assemble_clan(n, contained, straddling, signs)

@@ -12,8 +12,9 @@ passes the triples through as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, json_fields
 from .enumeration import assemble_clan
@@ -48,26 +49,39 @@ class Pyramid:
             type(cell) is tuple and len(cell) == 3 for cell in rooks
         ):
             raise ClanError(f"pyramid rooks must be a frozenset of cells, got {rooks!r}")
+        if self._first_fault(rooks) is not None:
+            # a frozenset's order follows the string hash, so the message
+            # names the first fault in sorted order (entry by entry, an int
+            # by value before any other entry, which goes by its repr)
+            ordered = sorted(
+                rooks, key=lambda cell: [(0, x) if type(x) is int else (1, repr(x)) for x in cell]
+            )
+            raise ClanError(self._first_fault(ordered))
+
+    def _first_fault(self, cells: Iterable[tuple]) -> str | None:
+        """The message of the first fault met reading ``cells`` in order,
+        or None when the rooks make a pyramid."""
+        n = self.n
         seen: dict[int, tuple[str, int, int]] = {}
-        for cell in rooks:
+        for cell in cells:
             side, row, col = cell
             if side not in (LEFT, RIGHT):
-                raise ClanError(f"side must be {LEFT!r} or {RIGHT!r}")
+                return f"side must be {LEFT!r} or {RIGHT!r}"
             if type(row) is not int or type(col) is not int:
-                raise ClanError(f"cell row and col must be ints, got {row!r}, {col!r}")
+                return f"cell row and col must be ints, got {row!r}, {col!r}"
             if not 1 <= row <= col:
-                raise ClanError("cell ({},{},{}) needs row <= col".format(*cell))
+                return "cell ({},{},{}) needs row <= col".format(*cell)
             if col > n:
-                raise ClanError("cell ({},{},{}) outside pyramid of size {}".format(*cell, n))
+                return "cell ({},{},{}) outside pyramid of size {}".format(*cell, n)
             if row in seen or col in seen:
                 k = next(k for k in {row, col} if k in seen)
-                raise ClanError(
-                    "index {} covered by both ({},{},{}) and ({},{},{})".format(k, *seen[k], *cell)
+                return "index {} covered by both ({},{},{}) and ({},{},{})".format(
+                    k, *seen[k], *cell
                 )
             seen[row] = seen[col] = cell
         if len(seen) != n:  # each index seen is in 1..n
             missing = [k for k in range(1, n + 1) if k not in seen]
-            raise ClanError(f"indices {missing} not covered by any rook")
+            return f"indices {missing} not covered by any rook"
 
     def mirror(self) -> "Pyramid":
         other = {LEFT: RIGHT, RIGHT: LEFT}
@@ -80,8 +94,11 @@ class Pyramid:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Pyramid":
         n, rooks = json_fields(data, "pyramid", {"n": int, "rooks": list})
-        cells = (json_fields(r, "pyramid", {"side": str, "i": int, "j": int}) for r in rooks)
-        return cls(n, frozenset(tuple(fields) for fields in cells))
+        cells = [tuple(json_fields(r, "pyramid", {"side": str, "i": int, "j": int})) for r in rooks]
+        if len(set(cells)) != len(cells):
+            twice = next(cell for k, cell in enumerate(cells) if cell in cells[:k])
+            raise ClanError("rook ({},{},{}) listed twice".format(*twice))
+        return cls(n, frozenset(cells))
 
 
 def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
@@ -274,9 +291,10 @@ class PartitionPair:
 
     def __post_init__(self):
         left, right, blocks = self.left, self.right, self.blocks
-        if type(blocks) is not frozenset or not all(
-            type(part) is frozenset and {*map(type, part)} <= {int}
-            for part in (left, right, *blocks)
+        if not (
+            type(left) is type(right) is type(blocks) is frozenset
+            and {*map(type, blocks)} <= {frozenset}
+            and {*map(type, chain(left, right, *blocks))} <= {int}
         ):
             raise ClanError(
                 "partition pair sides and blocks must be frozensets of ints, "
@@ -291,12 +309,12 @@ class PartitionPair:
         if min(min(left), min(right)) < 1 or max(max(left), max(right)) > n:
             raise ClanError(f"partition blocks must cover 1..{n}")
         covered: set[int] = set()
-        for block in blocks:  # set tests that allocate no set
+        for block in blocks:  # one pass, allocating no set per block
             if not 1 <= len(block) <= 2:
                 raise ClanError(f"block {set(block)} has more than two elements")
             if not covered.isdisjoint(block):
                 raise ClanError("second partition has overlapping blocks")
-            covered.update(block)
+            covered |= block
             if len(block) == 2 and (block <= left or block <= right):
                 raise ClanError(
                     f"block {set(block)} does not straddle the two-block partition"

@@ -253,16 +253,14 @@ def delannoy_direction_words(n):
 
 def candidate_weighted_words(n):
     """Every labeling of every direction word with diagonal labels in the
-    loose range 2..2n+1; a complete superset of the valid words."""
+    loose range 2..2n+1, as step tokens (``"N"``, ``"E"`` or a diagonal
+    step's int label); a complete superset of the valid words."""
     for dirs in delannoy_direction_words(n):
         d_positions = [k for k, d in enumerate(dirs) if d == "D"]
-        if not d_positions:
-            yield tuple((d, 1) for d in dirs)
-            continue
         for labels in product(range(2, 2 * n + 2), repeat=len(d_positions)):
-            word = [(d, 1) for d in dirs]
+            word = list(dirs)
             for pos, lab in zip(d_positions, labels):
-                word[pos] = ("D", lab)
+                word[pos] = lab
             yield tuple(word)
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from diii_clans import (
     DIIIClan,
-    LabeledStep,
     PyramidParityError,
     apply_reflection,
     big_sect,
@@ -180,7 +179,7 @@ def test_criterion_7_delannoy():
         accepted = sum(
             1
             for word in candidate_weighted_words(n)
-            if validate_path([LabeledStep(d, l) for d, l in word])[0]
+            if validate_path(list(word))[0]
         )
         assert accepted == count_formula(n)
 

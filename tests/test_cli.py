@@ -375,6 +375,41 @@ class TestConvert:
         code, out, err = run(capsys, "convert", "--from", source, payload)
         assert code == 1 and out == "" and err.startswith("error:")
 
+    def test_repeated_rook_is_data_error(self, capsys):
+        payload = '{"n":1,"rooks":[{"side":"L","i":1,"j":1},{"side":"L","i":1,"j":1}]}'
+        code, out, err = run(capsys, "convert", "--from", "pyramid", payload)
+        assert (code, out) == (1, "")
+        assert err == "error: rook (L,1,1) listed twice\n"
+
+    def test_pyramid_error_does_not_follow_the_hash_seed(self):
+        # three faults in one pyramid; its rooks are a frozenset of strings
+        # and ints, whose order the string hash sets
+        payload = json.dumps(
+            {
+                "n": 3,
+                "rooks": [
+                    {"side": "L", "i": 1, "j": 2},
+                    {"side": "L", "i": 2, "j": 3},
+                    {"side": "R", "i": 3, "j": 3},
+                ],
+            }
+        )
+        src = str(Path(diii_clans.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        errors = set()
+        for seed in ("1", "2", "3"):
+            done = subprocess.run(
+                [sys.executable, "-B", "-m", "diii_clans.cli", "convert", "--from", "pyramid"]
+                + [payload],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert (done.returncode, done.stdout) == (1, "")
+            errors.add(done.stderr)
+        assert errors == {"error: index 2 covered by both (L,1,2) and (L,2,3)\n"}
+
     @pytest.mark.parametrize(
         "source, payload",
         [("rooks", '{"size":0,"perm":[]}'), ("pyramid", '{"n":0,"rooks":[]}')],

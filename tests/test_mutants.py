@@ -155,6 +155,20 @@ MUTANTS = (
         "1212; a singleton block (i == j) is unchanged",
     ),
     Mutant(
+        "partition pair check without its straddle test",
+        "pyramids.py",
+        "len(block) == 2 and (block <= left or block <= right)",
+        "False",
+        (
+            "pytest",
+            "tests/test_validate_once.py::TestMessagesKept::test_partition_pair"
+            "[left10-right10-blocks10-block {1, 3} does not straddle the two-block partition]",
+        ),
+        "a two-point block inside one side is then let through, so {1, 3} | {2} "
+        "with the blocks {1, 3} and {2} becomes a pair; every pair the package "
+        "builds straddles, so verify cannot see it",
+    ),
+    Mutant(
         "pyramid cell test without its row <= col half",
         "pyramids.py",
         "            if not 1 <= row <= col:\n",
@@ -168,8 +182,8 @@ MUTANTS = (
     Mutant(
         "Delannoy decode trades the middle after N",
         "delannoy.py",
-        "            if outer.direction == EAST:\n                _swap_middle(open_)\n",
-        "            if outer.direction == NORTH:\n                _swap_middle(open_)\n",
+        "            if outer == EAST:\n                _swap_middle(open_)\n",
+        "            if outer == NORTH:\n                _swap_middle(open_)\n",
         ("verify", "3", "delannoy"),
         "the reduction trades the middle pair after a trailing plus, whose "
         "outer step is E; trading it after N puts later signs at the wrong "
@@ -213,7 +227,7 @@ MUTANTS = (
     Mutant(
         "path verdict stored without a scan",
         "delannoy.py",
-        'object.__setattr__(self, "_verdict", _scan(self.steps))',
+        'object.__setattr__(self, "_verdict", _scan(steps))',
         'object.__setattr__(self, "_verdict", (True, None))',
         ("pytest", "tests/test_delannoy.py::TestValidation::test_reversed_middle_pair_fails_condition_4"),
         "the constructor stores the one verdict validate_path returns, so every "

@@ -13,7 +13,6 @@ import pytest
 import diii_clans
 from diii_clans import (
     ClanError,
-    LabeledStep,
     PartialFPFInvolution,
     PartitionPair,
     PathError,
@@ -437,7 +436,8 @@ def test_benchmark_span_targets_resolve():
         (lambda: Pyramid(1, frozenset({1})), ClanError),
         (lambda: validate_path(WeightedDelannoyPath((1, 2))), PathError),
         (lambda: validate_path((1, 2)), PathError),
-        (lambda: validate_path([LabeledStep("E"), "N"]), PathError),
+        # a word's token is not a step
+        (lambda: validate_path(["E", "D:2"]), PathError),
         (lambda: validate_path(5), PathError),
         (lambda: SchubertSubset(2, frozenset({True, 2})), ClanError),
         (lambda: SchubertSubset(2, {1, 2}), ClanError),
