@@ -20,6 +20,8 @@ of signs and digits is read as data, never as an option.  Size and index
 arguments are ASCII digits with an optional leading ``-`` (``_int``).
 ``convert --from pfpf`` refuses ``--n`` above ``_PFPF_MAX_N``.
 
+``main`` finds a command's handler, ``_cmd_<command>`` with ``-`` read as
+``_``, by its module attribute.
 Each handler imports the functions it calls when it runs, and ``json``
 only where a command reads or writes JSON, so start-up loads no module a
 command does not use (``count`` never loads ``flags`` or ``fractions``).
@@ -400,16 +402,13 @@ def _cmd_big_sect(args) -> int:
     return 0
 
 
-def _parse_json(payload: str) -> dict:
+def _parse_json(payload: str):
     import json
 
     try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
+        return json.loads(payload)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ClanError(f"bad JSON payload: {exc}") from None
-    if not isinstance(data, dict):
-        raise ClanError("JSON payload must be an object")
-    return data
 
 
 #: The largest ``--n`` of ``convert --from pfpf``, refused above before
@@ -488,21 +487,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "length": _cmd_length,
-    "act": _cmd_act,
-    "poset": _cmd_poset,
-    "rank-poly": _cmd_rank_poly,
-    "sects": _cmd_sects,
-    "big-sect": _cmd_big_sect,
-    "convert": _cmd_convert,
-    "flag": _cmd_flag,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
@@ -511,7 +495,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.threads < 1:
         _build_parser().error("--threads must be at least 1")
     try:
-        code = _HANDLERS[args.command](args)
+        code = globals()["_cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
     except ClanError as exc:

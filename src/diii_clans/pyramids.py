@@ -12,7 +12,7 @@ passes the triples through as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -21,6 +21,10 @@ from .enumeration import assemble_clan
 
 LEFT = "L"
 RIGHT = "R"
+#: The other side of each side: a pyramid's mirror, a switch's flip.
+_OTHER = {LEFT: RIGHT, RIGHT: LEFT}
+#: The most uncovered indices a pyramid's error message lists.
+_MISSING_LISTED = 10
 
 
 class PyramidParityError(ClanError):
@@ -35,7 +39,9 @@ class Pyramid:
     A rook is a ``(side, row, col)`` triple of ``"L"`` or ``"R"`` and ints
     1 <= row <= col <= n, checked here and nowhere else. Every k in 1..n
     must occur in the {row, col} set of exactly one rook; in particular no
-    two rooks share a row. A message writes a rook as ``(L,1,3)``.
+    two rooks share a row. A message writes a rook as ``(L,1,3)``, and
+    names at most ``_MISSING_LISTED`` uncovered indices, so its cost follows
+    the rooks, never n.
     """
 
     n: int
@@ -45,6 +51,8 @@ class Pyramid:
         n, rooks = self.n, self.rooks
         if type(n) is not int:
             raise ClanError(f"pyramid size must be an int, got {n!r}")
+        if n < 0:
+            raise ClanError(f"pyramid size must be nonnegative, got {n}")
         if type(rooks) is not frozenset or not all(
             type(cell) is tuple and len(cell) == 3 for cell in rooks
         ):
@@ -79,13 +87,15 @@ class Pyramid:
                     k, *seen[k], *cell
                 )
             seen[row] = seen[col] = cell
-        if len(seen) != n:  # each index seen is in 1..n
-            missing = [k for k in range(1, n + 1) if k not in seen]
-            return f"indices {missing} not covered by any rook"
+        if len(seen) != n:  # each index seen is in 1..n, so n - len(seen) are not
+            # the first few, found within _MISSING_LISTED + len(seen) steps
+            missing = list(islice((k for k in range(1, n + 1) if k not in seen), _MISSING_LISTED))
+            more = n - len(seen) - len(missing)
+            tail = f" and {more} more" if more else ""
+            return f"indices {missing}{tail} not covered by any rook"
 
     def mirror(self) -> "Pyramid":
-        other = {LEFT: RIGHT, RIGHT: LEFT}
-        return Pyramid(self.n, frozenset((other[s], i, j) for s, i, j in self.rooks))
+        return Pyramid(self.n, frozenset((_OTHER[s], i, j) for s, i, j in self.rooks))
 
     def to_json_dict(self) -> dict:
         rooks = [{"side": side, "i": i, "j": j} for side, i, j in sorted(self.rooks)]
@@ -95,10 +105,12 @@ class Pyramid:
     def from_json_dict(cls, data: dict) -> "Pyramid":
         n, rooks = json_fields(data, "pyramid", {"n": int, "rooks": list})
         cells = [tuple(json_fields(r, "pyramid", {"side": str, "i": int, "j": int})) for r in rooks]
-        if len(set(cells)) != len(cells):
-            twice = next(cell for k, cell in enumerate(cells) if cell in cells[:k])
-            raise ClanError("rook ({},{},{}) listed twice".format(*twice))
-        return cls(n, frozenset(cells))
+        seen = set()
+        for cell in cells:
+            if cell in seen:
+                raise ClanError("rook ({},{},{}) listed twice".format(*cell))
+            seen.add(cell)
+        return cls(n, frozenset(seen))
 
 
 def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
@@ -115,12 +127,12 @@ def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
         if j == PLUS:
             rooks.append((switch, i, i))
         elif j == MINUS:
-            switch = RIGHT if switch == LEFT else LEFT
+            switch = _OTHER[switch]
             rooks.append((switch, i, i))
         elif j > n and 2 * n + 1 - j > i:
             rooks.append((switch, i, 2 * n + 1 - j))
         elif i < j <= n:
-            switch = RIGHT if switch == LEFT else LEFT
+            switch = _OTHER[switch]
             rooks.append((switch, i, j))
         # otherwise the pair is recorded at another row
     return Pyramid(n, frozenset(rooks))

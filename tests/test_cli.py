@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import diii_clans
 from diii_clans import PartialFPFInvolution, count_recurrence, enumerate_diii, pfpf_to_clan
+from diii_clans import cli
 from diii_clans.cli import _COMMANDS, _GLOBAL, _PFPF_MAX_N, _build_parser, _read_argv, main
 
 from conftest import RecordingStream, count_clan_builds
@@ -375,6 +377,45 @@ class TestConvert:
         code, out, err = run(capsys, "convert", "--from", source, payload)
         assert code == 1 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "source, what", [("pyramid", "pyramid"), ("rooks", "placement")]
+    )
+    @pytest.mark.parametrize("payload", ["[1]", '"x"', "7", "null"])
+    def test_non_object_payload_names_the_format(self, capsys, source, what, payload):
+        code, out, err = run(capsys, "convert", "--from", source, payload)
+        assert (code, out) == (1, "")
+        expected = repr(json.loads(payload))
+        assert err == f"error: malformed {what} JSON: expected an object, got {expected}\n"
+
+    @pytest.mark.parametrize("depth", [1_000, 50_000])
+    @pytest.mark.parametrize("source", ["pyramid", "rooks"])
+    def test_deeply_nested_json_is_one_error_line(self, capsys, source, depth):
+        payload = "[" * depth + "]" * depth
+        code, out, err = run(capsys, "convert", "--from", source, payload)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad JSON payload: ") and err.count("\n") == 1
+
+    def test_huge_pyramid_size_costs_no_more_than_its_payload(self):
+        # every index is missing; the message lists the first few
+        src = str(Path(diii_clans.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-B", "-m", "diii_clans.cli", "convert", "--from", "pyramid"]
+            + ['{"n":1000000000,"rooks":[]}'],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: indices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 999999990 more "
+            "not covered by any rook\n"
+        )
+        assert len(done.stderr.encode()) < 1024 and elapsed < 1.0, elapsed
+
     def test_repeated_rook_is_data_error(self, capsys):
         payload = '{"n":1,"rooks":[{"side":"L","i":1,"j":1},{"side":"L","i":1,"j":1}]}'
         code, out, err = run(capsys, "convert", "--from", "pyramid", payload)
@@ -680,6 +721,13 @@ def _command_argvs(draw):
 
 
 class TestCommandTable:
+    def test_each_command_has_one_handler(self):
+        # main finds _cmd_<command> by module attribute; no handler is
+        # left without a command
+        handlers = {name for name in vars(cli) if name.startswith("_cmd_")}
+        assert handlers == {"_cmd_" + c.replace("-", "_") for c in _COMMANDS}
+        assert all(callable(getattr(cli, name)) for name in handlers)
+
     @settings(max_examples=500, deadline=None)
     @given(_command_argvs())
     def test_table_pass_defers_or_matches_argparse(self, argv):

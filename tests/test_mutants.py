@@ -234,6 +234,41 @@ MUTANTS = (
         "path then passes, D:2 D:3 among them; verify builds only valid paths",
     ),
     Mutant(
+        "assembled key's parity without its contained pairs",
+        "enumeration.py",
+        "    if (minus + len(contained_pairs)) % 2 != 0:\n",
+        "    if minus % 2 != 0:\n",
+        ("verify", "3", "rooks"),
+        "first-half parity counts minus signs and contained pairs; counting the "
+        "signs alone refuses every clan with one of each, such as 11-+22, so "
+        "decoding its pyramid raises ClanError inside the rooks check (and the "
+        "sects and delannoy checks, which decode through assemble_key too)",
+    ),
+    Mutant(
+        "placement check's fast path without its antidiagonal test",
+        "pyramids.py",
+        " and [perm[m - v] for v in perm] == rows[::-1]",
+        "",
+        (
+            "pytest",
+            "tests/test_validate_once.py::TestMessagesKept::test_placement"
+            "[perm6-placement is not symmetric across the antidiagonal]",
+        ),
+        "every involution then passes, so (2, 1, 3, 4), symmetric across the "
+        "main diagonal only, becomes a RookPlacement; every placement the "
+        "package builds is doubly symmetric, so verify cannot see it",
+    ),
+    Mutant(
+        "suite's size range one short",
+        "verify.py",
+        "posets[:top]",
+        "posets[: top - 1]",
+        ("pytest", "tests/test_flags.py::test_check_flags_runs_to_seven"),
+        "each check then stops one size below its cap or n, yet its PASS line "
+        "still names that size, so verify 8 prints the same lines; the flags "
+        "check, counted, runs at 1..6 and not 1..7",
+    ),
+    Mutant(
         "built matrix's dimension taken as n",
         "flags.py",
         '_block_dimension(form, self.clan.n))',

@@ -44,6 +44,7 @@ from diii_clans.clans import _parse_symbols, ascii_int
 from diii_clans.delannoy import _swap_middle
 from diii_clans.enumeration import _put_pair, _put_sign, assemble_key
 from diii_clans.flags import INV_SQRT2, ONE, ZERO, QSqrt2, _form_holds, _scaled
+from diii_clans.pyramids import _MISSING_LISTED
 
 from conftest import (
     count_checks,
@@ -89,9 +90,13 @@ def reference_placement_check(perm):
 def reference_pyramid_check(n, rooks):
     """The pyramid rules with a {row, col} set per rook and a full
     missing-index scan, reading the rooks in sorted order: entry by entry,
-    ints by value before any other entry, which goes by its repr."""
+    ints by value before any other entry, which goes by its repr. The
+    message lists the first ``_MISSING_LISTED`` missing indices and counts
+    the rest."""
     if type(n) is not int:
         raise ClanError(f"pyramid size must be an int, got {n!r}")
+    if n < 0:
+        raise ClanError(f"pyramid size must be nonnegative, got {n}")
     if type(rooks) is not frozenset or not all(type(c) is tuple and len(c) == 3 for c in rooks):
         raise ClanError(f"pyramid rooks must be a frozenset of cells, got {rooks!r}")
     seen = {}
@@ -115,6 +120,9 @@ def reference_pyramid_check(n, rooks):
                 raise ClanError(f"index {k} covered by both {seen[k]} and {text}")
             seen[k] = text
     missing = [k for k in range(1, n + 1) if k not in seen]
+    if len(missing) > _MISSING_LISTED:
+        listed, more = missing[:_MISSING_LISTED], len(missing) - _MISSING_LISTED
+        raise ClanError(f"indices {listed} and {more} more not covered by any rook")
     if missing:
         raise ClanError(f"indices {missing} not covered by any rook")
 
@@ -330,6 +338,28 @@ class TestMessagesKept:
                 "indices [3] not covered by any rook",
             ),
             (3, frozenset(), "indices [1, 2, 3] not covered by any rook"),
+            pytest.param(
+                -1, frozenset(), "pyramid size must be nonnegative, got -1", id="negative-size"
+            ),
+            pytest.param(
+                -2,
+                frozenset({(L, 1, 1)}),
+                "pyramid size must be nonnegative, got -2",
+                id="negative-size-before-its-rooks",
+            ),
+            # as many missing as are listed: the whole list, as before
+            pytest.param(
+                12,
+                frozenset({(L, 1, 2)}),
+                "indices [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] not covered by any rook",
+                id="missing-all-listed",
+            ),
+            pytest.param(
+                13,
+                frozenset({(L, 1, 2)}),
+                "indices [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 1 more not covered by any rook",
+                id="missing-one-past-the-list",
+            ),
             pytest.param(3, frozenset({("M", 1, 1)}), "side must be 'L' or 'R'", id="side-M"),
             pytest.param(
                 3,
@@ -374,17 +404,33 @@ class TestMessagesKept:
         assert outcome(Pyramid, n, rooks) == (ClanError, message)
         assert outcome(reference_pyramid_check, n, rooks) == (ClanError, message)
 
+    def test_pyramid_missing_of_a_billion(self):
+        # the reference would scan every index; the check lists the first
+        # few and counts the rest
+        message = (
+            "indices [1, 3, 5, 6, 7, 8, 9, 10, 11, 12] and 999999988 more "
+            "not covered by any rook"
+        )
+        assert outcome(Pyramid, 10**9, frozenset({(R, 2, 2), (L, 4, 4)})) == (ClanError, message)
+
     @pytest.mark.parametrize(
         "rooks, message",
         [
             ([(L, 1, 1), (L, 1, 1)], "rook (L,1,1) listed twice"),
             ([(L, 1, 2), (R, 3, 3), (R, 3, 3), (L, 1, 2)], "rook (R,3,3) listed twice"),
+            # 20,000 distinct rooks, then the first again, found in one pass
+            ([(L, k, k) for k in range(1, 20_001)] + [(L, 1, 1)], "rook (L,1,1) listed twice"),
         ],
-        ids=["one-rook-twice", "first-repeat-named"],
+        ids=["one-rook-twice", "first-repeat-named", "late-repeat-among-many"],
     )
     def test_pyramid_json_lists_each_rook_once(self, rooks, message):
         data = {"n": 3, "rooks": [{"side": s, "i": i, "j": j} for s, i, j in rooks]}
         assert outcome(Pyramid.from_json_dict, data) == (ClanError, message)
+
+    def test_pyramid_json_checks_every_rook_before_a_repeat(self):
+        rooks = [{"side": L, "i": 1, "j": 1}, {"side": L, "i": 1, "j": 1}, {"side": L, "i": "a"}]
+        kind, message = outcome(Pyramid.from_json_dict, {"n": 1, "rooks": rooks})
+        assert kind is ClanError and message.startswith("malformed pyramid JSON")
 
     def test_pyramid_container_error_comes_first(self):
         rooks = frozenset({(L, 1, 1), (R, 1, 1), 7})
@@ -566,7 +612,7 @@ class TestSameVerdictAsTheReference:
 
     @settings(deadline=None)
     @given(
-        st.integers(0, 6),
+        st.integers(-2, 6) | st.integers(10, 14),
         st.frozensets(_cells, max_size=5) | st.frozensets(_cells | _bad_cells, max_size=5),
     )
     def test_pyramid(self, n, rooks):
