@@ -402,12 +402,25 @@ def _cmd_big_sect(args) -> int:
     return 0
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's members as a dict; a key given twice raises
+    ``ClanError``, where ``json.loads`` would keep the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ClanError(f"key {key!r} given twice")
+        data[key] = value
+    return data
+
+
 def _parse_json(payload: str):
     import json
 
+    # ValueError covers JSONDecodeError, an int past the int/str digit
+    # limit, and a key given twice (ClanError)
     try:
-        return json.loads(payload)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(payload, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
         raise ClanError(f"bad JSON payload: {exc}") from None
 
 

@@ -192,7 +192,7 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
                 scaled[r], scaled[s] = ((q, 0, 1), sp), (sq, sp)
     # each column writes one row, so an empty column leaves an empty row
     if None in scaled:
-        raise AssertionError("flag construction left empty rows")
+        raise ClanError("flag construction left empty rows")
     return FlagMatrix._from_form(clan, tuple(map(tuple, rows)), (scale, tuple(scaled)))
 
 

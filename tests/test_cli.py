@@ -395,6 +395,44 @@ class TestConvert:
         assert (code, out) == (1, "")
         assert err.startswith("error: bad JSON payload: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "source, payload",
+        [
+            ("pyramid", '{"n":%s,"rooks":[]}'),
+            ("rooks", '{"size":%s,"perm":[]}'),
+            ("pyramid", '{"n":1,"rooks":[{"side":"L","i":1,"j":%s}]}'),
+        ],
+        ids=["pyramid-n", "rooks-size", "rook-j"],
+    )
+    def test_over_long_json_integer_is_one_error_line(self, capsys, source, payload):
+        # past the int/str digit limit of 4,300 digits json.loads raises a
+        # plain ValueError
+        code, out, err = run(capsys, "convert", "--from", source, payload % ("1" * 5_000))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad JSON payload: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "source, payload, key",
+        [
+            ("pyramid", '{"n":3,"n":1,"rooks":[{"side":"L","i":1,"j":1}]}', "n"),
+            ("pyramid", '{"n":1,"rooks":[{"side":"R","i":1,"j":1,"side":"L"}]}', "side"),
+            ("pyramid", '{"n":1,"rooks":[{"side":"L","i":1,"i":1,"j":1}]}', "i"),
+            ("rooks", '{"size":2,"perm":[9,9],"perm":[2,1]}', "perm"),
+            ("rooks", '{"size":2,"size":2,"perm":[2,1]}', "size"),
+            ("rooks", '{"size":2,"perm":[{"a":1,"a":1},1]}', "a"),
+        ],
+        ids=[
+            "pyramid-top", "pyramid-rook", "pyramid-rook-same-value",
+            "rooks-top", "rooks-top-same-value", "rooks-nested",
+        ],
+    )
+    def test_repeated_json_key_is_refused(self, capsys, source, payload, key):
+        # json.loads alone keeps a repeated key's last value, so all but the
+        # nested one would convert
+        code, out, err = run(capsys, "convert", "--from", source, payload)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad JSON payload: key {key!r} given twice\n"
+
     def test_huge_pyramid_size_costs_no_more_than_its_payload(self):
         # every index is missing; the message lists the first few
         src = str(Path(diii_clans.__file__).parents[1])

@@ -279,6 +279,47 @@ MUTANTS = (
         "the form and has determinant -1, passes the SO check; a "
         "representative is built by _from_form, so verify cannot see it",
     ),
+    Mutant(
+        "Delannoy diagonal label one short",
+        "delannoy.py",
+        "head.append(len(open_) + 2 - j)",
+        "head.append(len(open_) + 1 - j)",
+        ("verify", "3", "delannoy"),
+        "the first-half label of a diagonal pair drops by one, so its mirror "
+        "no longer carries the complementary label: 1212 becomes D:2 D:2, not "
+        "D:3 D:2; the path stores that verdict when it is built, and the "
+        "delannoy check reads it",
+    ),
+    Mutant(
+        "pyramid unfolding's last mirror one column short",
+        "pyramids.py",
+        "(m + 1 - r, m + 1 - c)):",
+        "(m + 1 - r, m - c)):",
+        ("verify", "3", "rooks"),
+        "the rook mirrored across both diagonals lands one column left, so the "
+        "n = 1 pyramid (L,1,1) unfolds to (2, 2), which RookPlacement refuses "
+        "as not a permutation inside the rooks check",
+    ),
+    Mutant(
+        "pfpf decode reverses the base signs",
+        "sects.py",
+        "signs = {p: base_signs[p - 1] for p",
+        "signs = {p: base_signs[n - p] for p",
+        ("verify", "3", "sects"),
+        "for odd n the base's plus at n moves to 1, which keeps the first-half "
+        "parity, so an unmatched big-sect clan such as --+-++ decodes to a "
+        "DIII clan of another sect and the sects check's pfpf round trip fails",
+    ),
+    Mutant(
+        "flag row of a family's minus column left unwritten",
+        "flags.py",
+        "                scaled[r], scaled[s] = (sp, (q, 0, 1)), (sp, sq)\n",
+        "                scaled[r] = (sp, (q, 0, 1))\n",
+        ("verify", "3", "flags"),
+        "when p < q, as in every first column pair of a family, row s gets no "
+        "scaled entries, so the first clan with a mate pair (1212) leaves an "
+        "empty row and representative_matrix raises ClanError in the flags check",
+    ),
 )
 
 

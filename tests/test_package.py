@@ -338,6 +338,44 @@ def test_field_write_guard_reports_a_memo_added_back():
     assert misplaced_field_writes(writes) == ["delannoy.validate_path", "delannoy.FlagMatrix.form"]
 
 
+def assertions(module: str, source: str) -> list[str]:
+    """``module:line`` of each ``assert`` statement and each ``raise
+    AssertionError`` in ``source``, in line order."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+            lines.append(node.lineno)
+    return [f"{module}:{line}" for line in sorted(lines)]
+
+
+def test_package_raises_no_assertion_error():
+    # each invariant has one check, a constructor's or a verify check's,
+    # and raises ClanError; a second check raising AssertionError would fire
+    # first and print a traceback in place of verify's FAIL line
+    sources = package_sources()
+    assert [a for module, text in sources.items() for a in assertions(module, text)] == []
+
+
+def test_assertion_guard_reports_one_added_back():
+    source = (
+        "def clan_to_path(clan):\n"
+        "    path = WeightedDelannoyPath(tuple(head))\n"
+        "    ok, violated = validate_path(path)\n"
+        "    if not ok:\n"
+        "        raise AssertionError(f'generated path violates condition {violated}')\n"
+        "    assert path.steps\n"
+        "    if 0 in perm:\n"
+        "        raise AssertionError\n"
+        "    return path\n"
+    )
+    assert assertions("delannoy", source) == ["delannoy:5", "delannoy:6", "delannoy:8"]
+    # a ClanError raised in its place is not reported
+    assert assertions("delannoy", source.replace("AssertionError", "ClanError")) == ["delannoy:6"]
+
+
 def run_fresh(code: str, *paths: Path) -> str:
     """Stdout of ``code`` in a fresh interpreter that writes no bytecode,
     with the package source and ``paths`` on its path."""
