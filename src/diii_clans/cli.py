@@ -413,13 +413,23 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal's value; one of more digits than the
+    interpreter converts raises ``ClanError``, naming both counts."""
+    digits = len(text) - text.startswith("-")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ClanError(f"an integer of {digits} digits is past the limit of {limit} digits")
+    return int(text)
+
+
 def _parse_json(payload: str):
     import json
 
-    # ValueError covers JSONDecodeError, an int past the int/str digit
-    # limit, and a key given twice (ClanError)
+    # ValueError covers JSONDecodeError, and a key given twice or an
+    # over-long integer (ClanError)
     try:
-        return json.loads(payload, object_pairs_hook=_unique_keys)
+        return json.loads(payload, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except (ValueError, RecursionError) as exc:
         raise ClanError(f"bad JSON payload: {exc}") from None
 
@@ -477,15 +487,13 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_flag(args) -> int:
-    import json
-
     from .flags import representative_matrix
 
     matrix = representative_matrix(parse_diii(args.clan))
     if args.format == "pretty":
-        print(matrix.pretty())
+        matrix.write_pretty(sys.stdout)
     else:
-        print(json.dumps(matrix.to_json_dict()))
+        matrix.write_json(sys.stdout)
     return 0
 
 

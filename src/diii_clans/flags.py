@@ -1,44 +1,29 @@
 """Exact representative flag matrices over the field {a + b*sqrt(2)}.
 
-``representative_matrix`` writes a clan's matrix straight from its key,
-with the default permutation as a plain list and the families of four
-mate positions in position order. Entries are ``QSqrt2``, pairs of
-rationals, so membership in the special orthogonal group (form identity
-and unit determinant) is decided exactly, with no floating point
-anywhere. ``QSqrt2`` holds no field arithmetic, as the kernels do not
-compute with those entries: they first scale the matrix by L, the lcm of
-every denominator, into sparse (L*a, L*b) int pairs, elements of
-Z[sqrt 2]. The form identity H^T J H = L^2 J is then checked on the
-upper triangle alone: entry (a, b) of H^T J H sums H[r][a] * H[m-1-r][b]
-over the rows r, and putting s = m-1-r turns that sum into entry (b, a),
-so the product is symmetric for any H. One pass over the row pairs
-(r, m-1-r) forms each product with b >= a once; every such entry off the
-antidiagonal must be zero, and all (m+1)//2 antidiagonal ones must be
-L^2. Determinants come from fraction-free (Bareiss) elimination, which
-divides exactly in Z[sqrt 2]. Once the form holds, the sign of the
-determinant follows from the intersection parity, the rank of the n x n
-lower-left block, with no 2n x 2n determinant. That rank is taken
-piece by piece (``_piece_rank``): permuting rows and columns makes the
-block block-diagonal over the connected pieces of its nonzero pattern, so its
-rank is the sum of theirs; a piece of one row or one column has rank 1,
-since the scaled rows hold only nonzero entries, and only a larger piece
-is eliminated. Every piece of a representative's block is a single row
-(the tests check every clan with n <= 7 and sample n <= 16), so verifying
-one eliminates nothing.
-
-A ``FlagMatrix`` is complete when it is built: the constructor scales
-its rows and ranks its block once. ``representative_matrix`` writes the
-integer form in the loop that writes the entries, so no one reads them
-again, and ``verify.check_flags`` compares it with the form read afresh
-from the rows.
+A ``FlagMatrix`` is held as its integer form alone: L, the least common
+denominator of its entries, and the sparse rows of L times it, each
+nonzero entry as (column, L*a, L*b) in Z[sqrt 2]. ``representative_matrix``
+writes that form straight from a clan's key; ``FlagMatrix(clan, rows)``
+scales rows of ``QSqrt2`` entries, pairs of rationals, once (``_scaled``),
+and ``rows``, ``write_pretty`` and ``write_json`` render them back. So
+membership in the special orthogonal group is decided exactly, with no
+floating point and no field arithmetic: the form identity H^T J H = L^2 J
+on the upper triangle of that symmetric product (``_form_holds``), and the
+sign of the determinant from the intersection parity, the rank of the
+n x n lower-left block. That rank is the sum of the ranks of the block's
+connected pieces (``_piece_rank``); only a piece larger than one row and
+one column goes through fraction-free (Bareiss) elimination, which
+divides exactly in Z[sqrt 2]. Every piece of a representative's block is
+a single row (the tests check every clan with n <= 7 and sample n <= 16),
+so verifying one eliminates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from .clans import ClanError, DIIIClan
 
@@ -47,6 +32,7 @@ from .clans import ClanError, DIIIClan
 _ScaledRow = tuple[tuple[int, int, int], ...]
 #: A matrix's integer form as ``_scaled`` gives it: L and the rows of L times it.
 _ScaledForm = tuple[int, tuple[_ScaledRow, ...]]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -87,30 +73,30 @@ ONE = QSqrt2(Fraction(1))
 INV_SQRT2 = QSqrt2(Fraction(0), Fraction(1, 2))  # 1/sqrt(2) = sqrt(2)/2
 _NEG_INV_SQRT2 = -INV_SQRT2
 
-_PRETTY = {
-    ZERO: "0",
-    ONE: "1",
-    -ONE: "-1",
-    INV_SQRT2: "1/√2",
-    _NEG_INV_SQRT2: "-1/√2",
-}
+_PRETTY = {ZERO: "0", ONE: "1", -ONE: "-1", INV_SQRT2: "1/√2", _NEG_INV_SQRT2: "-1/√2"}
+#: Each entry ``_PRETTY`` names as the one object rendered rows hold for it.
+_SHARED = {e: e for e in _PRETTY}
 
 
 @dataclass(frozen=True)
 class FlagMatrix:
-    """A 2n x 2n matrix over Q(sqrt 2) representing an isotropic flag;
-    rows[r][c] is the entry in row r+1, column c+1. Rows of any other
-    shape, or not held in tuples, raise ``ClanError``, and so does any entry
-    but a ``QSqrt2``. The constructor stores the integer form (``_scaled``)
-    and the intersection dimension, outside equality, hashing and the repr."""
+    """A 2n x 2n matrix over Q(sqrt 2) representing an isotropic flag,
+    built from ``rows``, where rows[r][c] is the entry in row r+1, column
+    c+1. Rows of any other shape, or not held in tuples, raise
+    ``ClanError``, and so does any entry but a ``QSqrt2``. The matrix is
+    held as its integer form (``_scaled``), which equality and hashing
+    read; the intersection dimension is taken once, outside equality,
+    hashing and the repr."""
 
     clan: DIIIClan
-    rows: tuple[tuple[QSqrt2, ...], ...]
-    _form: _ScaledForm = field(init=False, repr=False, compare=False)
+    # init-only; the ``rows`` property renders them back, and is also the
+    # default the class attribute gives this argument, which the shape test refuses
+    rows: InitVar[tuple[tuple[QSqrt2, ...], ...]]
+    _form: _ScaledForm = field(init=False, repr=False)
     _dimension: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        m, rows = 2 * self.clan.n, self.rows
+    def __post_init__(self, rows):
+        m = 2 * self.clan.n
         # the length test reads only rows the type test passed
         if not (
             type(rows) is tuple
@@ -126,32 +112,60 @@ class FlagMatrix:
         object.__setattr__(self, "_dimension", _block_dimension(form, self.clan.n))
 
     @classmethod
-    def _from_form(
-        cls, clan: DIIIClan, rows: tuple[tuple[QSqrt2, ...], ...], form: _ScaledForm
-    ) -> "FlagMatrix":
-        """The matrix of ``rows`` with the integer form ``form``, neither
-        tested nor read: the one unchecked ``FlagMatrix`` constructor, for
-        ``representative_matrix``, which writes both together."""
+    def _from_form(cls, clan: DIIIClan, form: _ScaledForm) -> "FlagMatrix":
+        """The matrix with the integer form ``form``, not tested: the one
+        unchecked ``FlagMatrix`` constructor, for ``representative_matrix``,
+        which writes the form with L the least common denominator."""
         matrix = cls.__new__(cls)
         object.__setattr__(matrix, "clan", clan)
-        object.__setattr__(matrix, "rows", rows)
         object.__setattr__(matrix, "_form", form)
         object.__setattr__(matrix, "_dimension", _block_dimension(form, clan.n))
         return matrix
 
-    def pretty(self) -> str:
-        cells = [[_PRETTY.get(e, str(e)) for e in row] for row in self.rows]
-        width = max(len(s) for row in cells for s in row)
-        return "\n".join(
-            "[ " + "  ".join(s.rjust(width) for s in row) + " ]" for row in cells
-        )
+    @property
+    def rows(self) -> tuple[tuple[QSqrt2, ...], ...]:
+        """The entries, rendered from the integer form: rows[r][c] is the
+        entry in row r+1, column c+1."""
+        return tuple(map(tuple, self._dense(self._cells(lambda e: e))))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.clan.n,
-            "clan": self.clan.spaced(),
-            "entries": [[e.to_json_dict() for e in row] for row in self.rows],
-        }
+    def write_pretty(self, out: TextIO) -> None:
+        """One line a row, each entry right-justified to the widest."""
+        texts = self._cells(lambda e: _PRETTY.get(e, str(e)))
+        width = max(map(len, texts.values()))
+        for row in self._dense({key: text.rjust(width) for key, text in texts.items()}):
+            out.write("[ " + "  ".join(row) + " ]\n")
+
+    def write_json(self, out: TextIO) -> None:
+        """What ``json.dumps`` gives for ``{"n", "clan", "entries"}``, the
+        entries as ``QSqrt2.to_json_dict`` gives them, a row per write."""
+        import json
+
+        head = json.dumps({"n": self.clan.n, "clan": self.clan.spaced(), "entries": []})
+        sep = head[:-2] + "["
+        for row in self._dense(self._cells(lambda e: json.dumps(e.to_json_dict()))):
+            out.write(sep + ", ".join(row) + "]")
+            sep = ", ["
+        out.write("]}\n")
+
+    def _cells(self, render: Callable[[QSqrt2], _T]) -> dict[tuple[int, int], _T]:
+        """render(e) for zero and each distinct entry e, keyed by its scaled
+        (L*a, L*b); e is the object ``_SHARED`` holds for it, if any."""
+        scale, rows = self._form
+        cells = {(0, 0): render(ZERO)}
+        for a, b in {(a, b) for row in rows for _, a, b in row}:
+            e = QSqrt2(Fraction(a, scale), Fraction(b, scale))
+            cells[a, b] = render(_SHARED.get(e, e))
+        return cells
+
+    def _dense(self, cells: dict[tuple[int, int], _T]) -> Iterator[list[_T]]:
+        """Each row in turn as the list of its m entries' cells."""
+        rows = self._form[1]
+        m = len(rows)
+        for row in rows:
+            dense = [cells[0, 0]] * m
+            for c, a, b in row:
+                dense[c] = cells[a, b]
+            yield dense
 
 
 def representative_matrix(clan: DIIIClan) -> FlagMatrix:
@@ -160,31 +174,25 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     family of four mate positions, both read off the clan's key
     (``Clan._default_mapping``, ``Clan._families``).
 
-    The same loop writes the matrix's integer form, as ``_scaled`` would
-    read it: L is 2 when there is a family (its entries are
-    +-sqrt(2)/2) and 1 otherwise, a sign column's one entry scales to
-    (L, 0) and a family's entries to (0, +-1). sigma is a permutation, so
-    each row takes its entries from one sign or one family pair: at most
-    two, put in column order by one compare."""
+    Only the integer form is written: L is 2 when there is a family (its
+    entries are +-sqrt(2)/2) and 1 otherwise, a sign column's one entry
+    scales to (L, 0) and a family's entries to (0, +-1). sigma is a
+    permutation, so each row takes its entries from one sign or one family
+    pair: at most two, put in column order by one compare."""
     clan = clan.to_diii()
     key = clan._key()
     m = len(key)
     sigma = clan._default_mapping()
     families = clan._families()
     scale = 2 if families else 1
-    rows = [[ZERO] * m for _ in range(m)]
     scaled: list[_ScaledRow | None] = [None] * m
     for pos, q in enumerate(key):
         if type(q) is str:
-            r = sigma[pos] - 1
-            rows[r][pos] = ONE
-            scaled[r] = ((pos, scale, 0),)
+            scaled[sigma[pos] - 1] = ((pos, scale, 0),)
     for (i, j, jj, ii) in families:
         # columns p and q: (e_r + e_s)/sqrt2 and (e_r - e_s)/sqrt2
         for p, q in ((i - 1, j - 1), (ii - 1, jj - 1)):
             r, s = sigma[p] - 1, sigma[q] - 1
-            rows[r][p] = rows[r][q] = rows[s][p] = INV_SQRT2
-            rows[s][q] = _NEG_INV_SQRT2
             sp, sq = (p, 0, 1), (q, 0, -1)
             if p < q:
                 scaled[r], scaled[s] = (sp, (q, 0, 1)), (sp, sq)
@@ -193,7 +201,7 @@ def representative_matrix(clan: DIIIClan) -> FlagMatrix:
     # each column writes one row, so an empty column leaves an empty row
     if None in scaled:
         raise ClanError("flag construction left empty rows")
-    return FlagMatrix._from_form(clan, tuple(map(tuple, rows)), (scale, tuple(scaled)))
+    return FlagMatrix._from_form(clan, (scale, tuple(scaled)))
 
 
 def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> _ScaledForm:
@@ -203,32 +211,25 @@ def _scaled(rows: Sequence[Sequence[QSqrt2]]) -> _ScaledForm:
     nonzero entry a + b*sqrt(2) of row r, in column order, so every scaled
     entry lies in Z[sqrt 2] and zeros are dropped. L and the scaled rows
     together determine the matrix, and the pair is hashable. An entry that
-    is not a ``QSqrt2`` raises ``ClanError``.
+    is not a ``QSqrt2`` raises ``ClanError``. The shared ZERO is skipped by
+    identity, any other zero by value.
     """
-    # each distinct entry is read once, keyed by id; ``held`` keeps it alive
-    # so no id is reused in the call, even by rows made on demand. The
-    # shared ZERO is skipped by identity, any other zero by value.
-    seen: dict[int, tuple[int, int, int, int] | None] = {}
-    held, nonzero = [], []
+    nonzero = []
     for row in rows:
         kept = []
         for c, e in enumerate(row):
-            if e is ZERO:
-                continue
-            key = id(e)
-            if key not in seen:
+            if e is not ZERO:
                 if not isinstance(e, QSqrt2):
                     raise ClanError(f"a flag matrix entry must be QSqrt2, not {type(e).__name__}")
-                held.append(e)
-                a, b = e.a, e.b
-                seen[key] = (a.numerator, a.denominator, b.numerator, b.denominator) if e else None
-            if seen[key]:
-                kept.append((c, key))
+                if e:
+                    kept.append((c, e.a, e.b))
         nonzero.append(kept)
-    scale = lcm(*{d for p in seen.values() if p for d in (p[1], p[3])})
-    ints = {key: (p[0] * (scale // p[1]), p[2] * (scale // p[3])) for key, p in seen.items() if p}
-    scaled = tuple(tuple((c, *ints[key]) for c, key in row) for row in nonzero)
-    return scale, scaled
+    scale = lcm(*{x.denominator for row in nonzero for _, a, b in row for x in (a, b)})
+    return scale, tuple(
+        tuple((c, a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+              for c, a, b in row)
+        for row in nonzero
+    )
 
 
 def _eliminate(rows: Sequence[_ScaledRow], ncols: int) -> tuple[int, int, tuple[int, int]]:
@@ -282,19 +283,29 @@ def _eliminate(rows: Sequence[_ScaledRow], ncols: int) -> tuple[int, int, tuple[
 
 
 def _piece_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
-    """The rank of sparse integer rows as ``_scaled`` gives them, as the
-    sum of the ranks of their pieces.
+    """The rank of sparse integer rows as ``_scaled`` gives them, read in
+    their first ``ncols`` columns, as the sum of the ranks of their pieces.
 
     A piece is a connected component of the graph joining each row to the
     columns of its nonzero entries; union-find over the columns merges the
     columns each row touches. Permuting rows and columns makes the matrix
     block-diagonal over its pieces, so its rank is the sum of theirs. Rows
-    hold only nonzero entries, so a piece with one row, or with one column
-    (every row a single entry), has rank 1; any other piece is ranked by
-    ``_eliminate``. An empty row belongs to no piece.
+    hold only nonzero entries, so a piece with one row, or with one column,
+    has rank 1; any other is ranked by ``_eliminate``. An empty row belongs
+    to no piece, and when no two rows share a column each row is a piece.
     """
-    parent = list(range(ncols))
+    kept = []
     for row in rows:
+        # entries are in column order: only a row ending past ncols has any to drop
+        if row and row[-1][0] >= ncols:
+            row = [entry for entry in row if entry[0] < ncols]
+        if row:
+            kept.append(row)
+    columns = [c for row in kept for c, _, _ in row]
+    if len(set(columns)) == len(columns):
+        return len(kept)
+    parent = list(range(ncols))
+    for row in kept:
         if len(row) > 1:
             root = row[0][0]
             while parent[root] != root:
@@ -305,12 +316,11 @@ def _piece_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
                 if c != root:
                     parent[c] = root
     pieces: dict[int, list[_ScaledRow]] = {}
-    for row in rows:
-        if row:
-            c = row[0][0]
-            while parent[c] != c:
-                c = parent[c]
-            pieces.setdefault(c, []).append(row)
+    for row in kept:
+        c = row[0][0]
+        while parent[c] != c:
+            c = parent[c]
+        pieces.setdefault(c, []).append(row)
     rank = 0
     for piece in pieces.values():
         if len(piece) == 1 or all(len(row) == 1 for row in piece):
@@ -335,11 +345,8 @@ def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
 def verify_special_orthogonal(matrix: FlagMatrix) -> bool:
     """Exact check of G^T J G = J (J the antidiagonal ones) and det G = 1.
 
-    The form is checked on the scaled integer form H = L G of ``_scaled``:
-    G^T J G = J exactly when H^T J H = L^2 J, an identity over Z[sqrt 2].
-    H^T J H is symmetric, so only its entries (a, b) with a <= b are
-    formed, each a sum of products of nonzero entries as int pairs
-    (``_form_holds``).
+    G^T J G = J exactly when H^T J H = L^2 J for the integer form H = L G,
+    an identity over Z[sqrt 2] (``_form_holds``).
 
     Once the form holds, det G = 1 is decided without eliminating G. Let
     m = 2n and E = span(e_1..e_n), maximal isotropic for J.
@@ -365,60 +372,48 @@ def _form_holds(scaled: _ScaledForm) -> bool:
     which is (H^T J H)[b][a], so H^T J H is symmetric for any H and its
     entries with a <= b decide the identity. One pass over the row pairs
     (r, m-1-r) forms each product H[r][a] * H[m-1-r][b] with b >= a once,
-    summing the (rational, sqrt(2)) parts keyed by (a, b). Every touched
-    entry off the antidiagonal must be (0, 0), and every antidiagonal one
-    (L^2, 0). An entry no product touches is zero, so all (m+1)//2
-    antidiagonal entries with a <= b must be touched.
+    summing the (rational, sqrt(2)) parts under the key a*m + b. All
+    (m+1)//2 antidiagonal entries with a <= b must be (L^2, 0), so each
+    must be touched, as an entry no product touches is zero; every other
+    touched entry must be (0, 0).
     """
     scale, rows = scaled
     m = len(rows)
-    upper: dict[tuple[int, int], tuple[int, int]] = {}
+    upper: dict[int, tuple[int, int]] = {}
+    get = upper.get
     for r, row in enumerate(rows):
         mirror = rows[m - 1 - r]
         for a, ga, gb in row:
             for b, ha, hb in mirror:
                 if b >= a:
                     x, y = ga * ha + 2 * gb * hb, ga * hb + gb * ha
-                    if (a, b) in upper:
-                        px, py = upper[a, b]
-                        upper[a, b] = (px + x, py + y)
-                    else:
-                        upper[a, b] = (x, y)
+                    key = a * m + b
+                    entry = get(key)
+                    upper[key] = (x, y) if entry is None else (entry[0] + x, entry[1] + y)
     antidiagonal = (scale * scale, 0)
-    touched = 0
-    for (a, b), entry in upper.items():
-        if a + b != m - 1:
-            if entry != (0, 0):
-                return False
-        elif entry == antidiagonal:
-            touched += 1
-        else:
+    for a in range((m + 1) // 2):
+        if upper.pop(a * m + m - 1 - a, None) != antidiagonal:
             return False
-    return touched == (m + 1) // 2
+    return set(upper.values()) <= {(0, 0)}
 
 
 def intersection_dimension(matrix: FlagMatrix) -> int:
-    """Nullity of the lower-left block G[n:, :n], that is n - its rank.
+    """Nullity of the lower-left block G[n:, :n], that is n - its rank,
+    taken when the matrix is built (``_block_dimension``).
 
     A combination of the first n columns lies in span(e_1..e_n) exactly
     when its last n coordinates vanish. So when those columns are
     independent, as they are once G^T J G = J holds, this is the dimension
     of the meet of their span with span(e_1..e_n). Otherwise it counts the
     dependencies too: the zero 2 x 2 matrix gives 1, while the meet is {0}.
-    The matrix's constructor takes it (``_block_dimension``).
     """
     return matrix._dimension
 
 
 def _block_dimension(form: _ScaledForm, n: int) -> int:
-    """n minus the rank of the lower-left n x n block of L G, read off the
-    integer form. Its rank is the sum of the ranks of its connected pieces
-    (``_piece_rank``), exactly, since permuting rows and columns makes it
-    block-diagonal over them; a piece of one row or one column has rank 1,
-    and only a larger piece goes through Bareiss elimination.
-    """
-    block = [[entry for entry in row if entry[0] < n] for row in form[1][n:]]
-    return n - _piece_rank(block, n)
+    """n minus the rank of the lower-left n x n block of L G: the rows
+    below row n read in their first n columns (``_piece_rank``)."""
+    return n - _piece_rank(form[1][n:], n)
 
 
 def intersection_parity(matrix: FlagMatrix) -> int:

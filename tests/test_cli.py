@@ -406,10 +406,13 @@ class TestConvert:
     )
     def test_over_long_json_integer_is_one_error_line(self, capsys, source, payload):
         # past the int/str digit limit of 4,300 digits json.loads raises a
-        # plain ValueError
+        # plain ValueError, whose text names a Python call a CLI user cannot make
         code, out, err = run(capsys, "convert", "--from", source, payload % ("1" * 5_000))
         assert (code, out) == (1, "")
         assert err.startswith("error: bad JSON payload: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
+        limit = sys.get_int_max_str_digits()
+        assert f"of 5000 digits is past the limit of {limit} digits" in err
 
     @pytest.mark.parametrize(
         "source, payload, key",

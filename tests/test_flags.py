@@ -1,3 +1,5 @@
+import io
+import json
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import reduce
@@ -495,6 +497,50 @@ class TestScaled:
         assert _scaled(rows) == per_entry_scaled(expected)
 
 
+def dense_pretty(matrix):
+    """``flag``'s pretty text from the dense rows: every entry's text,
+    right-justified to the widest of them."""
+    cells = [[flags._PRETTY.get(e, str(e)) for e in row] for row in matrix.rows]
+    width = max(len(text) for row in cells for text in row)
+    return "".join("[ " + "  ".join(text.rjust(width) for text in row) + " ]\n" for row in cells)
+
+
+def dense_json(matrix):
+    """``flag --format json``'s text from the dense rows, by one ``json.dumps``."""
+    entries = [[e.to_json_dict() for e in row] for row in matrix.rows]
+    return json.dumps({"n": matrix.clan.n, "clan": matrix.clan.spaced(), "entries": entries}) + "\n"
+
+
+def written(write):
+    out = io.StringIO()
+    write(out)
+    return out.getvalue()
+
+
+class TestWriters:
+    """``write_pretty`` and ``write_json`` stream a row at a time what the
+    dense rows give."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_representatives(self, n):
+        for clan in enumerate_diii(n):
+            matrix = representative_matrix(clan)
+            assert written(matrix.write_pretty) == dense_pretty(matrix)
+            assert written(matrix.write_json) == dense_json(matrix)
+
+    @given(square_matrices())
+    def test_any_matrix(self, matrix):
+        assert written(matrix.write_pretty) == dense_pretty(matrix)
+        assert written(matrix.write_json) == dense_json(matrix)
+
+    def test_all_zero_and_zero_free_matrices(self):
+        clan = parse_diii("+-")
+        for cols in ([[ZERO, ZERO], [ZERO, ZERO]], [[QSqrt2(1, 1), -ONE], [INV_SQRT2, QSqrt2(Fraction(1, 2))]]):
+            matrix = from_columns(clan, cols)
+            assert written(matrix.write_pretty) == dense_pretty(matrix)
+            assert written(matrix.write_json) == dense_json(matrix)
+
+
 class TestEntryTypes:
     @pytest.mark.parametrize("kind", (int, float, Fraction))
     def test_entries_of_another_type_are_clan_errors(self, kind):
@@ -556,7 +602,9 @@ class TestIntegerForm:
         calls = []
         post_init, scaled = FlagMatrix.__post_init__, flags._scaled
         monkeypatch.setattr(
-            FlagMatrix, "__post_init__", lambda self: calls.append("shape") or post_init(self)
+            FlagMatrix,
+            "__post_init__",
+            lambda self, rows: calls.append("shape") or post_init(self, rows),
         )
         monkeypatch.setattr(flags, "_scaled", lambda rows: calls.append("scaled") or scaled(rows))
         matrix = representative_matrix(parse_diii("+1212-"))
@@ -568,7 +616,7 @@ class TestIntegerForm:
                 assert intersection_parity(m) == 1
         assert calls == ["shape", "scaled"]
 
-    def test_form_takes_no_part_in_equality_hash_or_repr(self):
+    def test_equality_and_hash_read_the_clan_and_form(self):
         clan = parse_diii("+1212-")
         used = representative_matrix(clan)
         fresh = FlagMatrix(clan, representative_matrix(clan).rows)
@@ -579,12 +627,48 @@ class TestIntegerForm:
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         assert "_form" not in repr(used) and "_dimension" not in repr(used)
-        assert used.to_json_dict() == fresh.to_json_dict()
+        # the same rows for another clan, or other rows for the same clan
+        other = FlagMatrix(parse_diii("+++---"), REFERENCE_MATRIX)
+        assert other._form == used._form and other != used
+        assert FlagMatrix(clan, swap_columns(REFERENCE_MATRIX, 0)) != used
+
+
+def raw_seeded_form(clan):
+    """The integer form of the representative, built column by column from
+    the raw symbols (``raw_flag_data``): L is 2 when there is a family and 1
+    otherwise, a sign column holds (L, 0) in row sigma(p), and a family's
+    columns p, q hold (0, 1) in row sigma(p) and (0, 1), (0, -1) in row
+    sigma(q). Positions and rows here are 0-based."""
+    m = 2 * clan.n
+    symbols = tuple(clan.spaced().split())
+    mapping, families = raw_flag_data(symbols)
+    sigma = [v - 1 for v in mapping]
+    scale = 2 if families else 1
+    rows = [[] for _ in range(m)]
+    for pos, symbol in enumerate(symbols):
+        if symbol in "+-":
+            rows[sigma[pos]].append((pos, scale, 0))
+    for (i, j, jj, ii) in families:
+        for p, q in ((i - 1, j - 1), (ii - 1, jj - 1)):
+            rows[sigma[p]] += [(p, 0, 1), (q, 0, 1)]
+            rows[sigma[q]] += [(p, 0, 1), (q, 0, -1)]
+    return scale, tuple(tuple(sorted(row)) for row in rows)
 
 
 class TestSeededForm:
-    """``representative_matrix`` writes the integer form with the rows;
-    it must be the one ``_scaled`` reads off them."""
+    """``representative_matrix`` writes the integer form alone: it must be
+    the form built apart from the raw symbols, and the rows it renders
+    must scale back to it."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_raw_form(self, n):
+        for clan in enumerate_diii(n):
+            assert representative_matrix(clan)._form == raw_seeded_form(clan)
+
+    @settings(max_examples=50, deadline=None)
+    @given(diii_clans(min_n=8, max_n=16))
+    def test_equals_the_raw_form_beyond_exhaustive_sizes(self, clan):
+        assert representative_matrix(clan)._form == raw_seeded_form(clan)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_equals_the_scaled_rows(self, n):
@@ -599,19 +683,31 @@ class TestSeededForm:
         matrix = representative_matrix(clan)
         assert matrix._form == _scaled(matrix.rows)
 
+    def test_rendered_rows_share_the_named_entries(self):
+        rows = representative_matrix(parse_diii("+1212-")).rows
+        assert rows == REFERENCE_MATRIX
+        named = {id(e) for e in (ZERO, ONE, INV_SQRT2, flags._NEG_INV_SQRT2)}
+        assert all(id(e) in named for row in rows for e in row)
+
     def test_a_representative_is_read_by_no_one(self, monkeypatch):
+        # building and verifying a representative reads only its form: no
+        # QSqrt2 is made and nothing is scaled; its rows build it again
         calls = []
-        scaled = flags._scaled
+        init, scaled = QSqrt2.__init__, flags._scaled
+        monkeypatch.setattr(
+            QSqrt2, "__init__", lambda self, *args: calls.append("QSqrt2") or init(self, *args)
+        )
         monkeypatch.setattr(flags, "_scaled", lambda rows: calls.append("_scaled") or scaled(rows))
-        for clan in (*enumerate_diii(3), *enumerate_diii(4)):
+        for clan in (clan for n in range(1, 6) for clan in enumerate_diii(n)):
             matrix = representative_matrix(clan)
             assert verify_special_orthogonal(matrix)
             assert intersection_parity(matrix) == clan.n % 2
             assert calls == []
             built = FlagMatrix(clan, matrix.rows)
+            assert built == matrix and hash(built) == hash(matrix)
             assert verify_special_orthogonal(built)
             assert intersection_parity(built) == clan.n % 2
-            assert calls == ["_scaled"]
+            assert "QSqrt2" in calls and calls.count("_scaled") == 1
             calls.clear()
 
 
@@ -633,7 +729,7 @@ def test_check_flags_runs_to_seven(monkeypatch):
     assert ran == [1, 2, 3, 4, 5, 6, 7]
 
 
-@pytest.mark.parametrize("wrong", ("another clan's form", "the form at twice the scale"))
+@pytest.mark.parametrize("wrong", ("another clan's form",))
 def test_check_flags_refuses_a_wrong_seeded_form(monkeypatch, wrong):
     posets = tuple(weak_order_poset(n) for n in range(1, 4))
     first, last = posets[2].nodes[0], posets[2].nodes[-1]
@@ -641,16 +737,11 @@ def test_check_flags_refuses_a_wrong_seeded_form(monkeypatch, wrong):
 
     def seeded_wrong(clan):
         matrix = build(clan)
-        if clan in (first, last):
-            if wrong == "another clan's form":
-                scaled = build(last if clan == first else first)._form
-            else:
-                scale, rows = matrix._form
-                scaled = 2 * scale, tuple(tuple((c, 2 * a, 2 * b) for c, a, b in row) for row in rows)
-            matrix = FlagMatrix._from_form(clan, matrix.rows, scaled)
+        if clan == first:
+            matrix = FlagMatrix._from_form(clan, build(last)._form)
         return matrix
 
-    # either wrong form passes the SO check and the parity on its own
+    # the wrong form passes the SO check and the parity on its own
     assert verify_special_orthogonal(seeded_wrong(first))
     assert intersection_parity(seeded_wrong(first)) == 1
     monkeypatch.setattr(flags, "representative_matrix", seeded_wrong)
@@ -658,4 +749,4 @@ def test_check_flags_refuses_a_wrong_seeded_form(monkeypatch, wrong):
         check_flags(n, poset)
     with pytest.raises(CheckFailed) as failed:
         check_flags(3, posets[2])
-    assert str(failed.value) == f"{first} carries a wrong integer form"
+    assert str(failed.value) == "n=3: matrices not distinct"

@@ -51,6 +51,27 @@ MUTANTS = (
         "pieces counts 1 more though it depends on them: e1, e2, e1 + e2 ranks 3",
     ),
     Mutant(
+        "piece rank reads the columns past ncols",
+        "flags.py",
+        "        if row and row[-1][0] >= ncols:\n",
+        "        if False:\n",
+        ("pytest", "tests/test_flags.py::TestIntersection::test_reference_matrix_dimension"),
+        "the block's rows then keep their entries in columns n..2n-1, so a row "
+        "with no entry in the block counts as a piece of rank 1 (or names a "
+        "column past the union-find), and the lower-left block of the pinned "
+        "+1212- matrix no longer has nullity 1",
+    ),
+    Mutant(
+        "piece rank without its shared-column test",
+        "flags.py",
+        "    if len(set(columns)) == len(columns):\n",
+        "    if True:\n",
+        ("pytest", "tests/test_flags.py::TestPieceRank::test_a_later_row_merges_two_pieces"),
+        "every nonempty row then counts as a piece of rank 1, so e1, e2, e1 + e2 "
+        "ranks 3; no two rows of a representative's block share a column, so "
+        "verify cannot see it",
+    ),
+    Mutant(
         "one-column piece counted as its row count",
         "flags.py",
         "            rank += 1\n        else:\n",
@@ -90,12 +111,13 @@ MUTANTS = (
     Mutant(
         "antidiagonal count read as m // 2",
         "flags.py",
-        "    return touched == (m + 1) // 2\n",
-        "    return touched == m // 2\n",
+        "    for a in range((m + 1) // 2):\n",
+        "    for a in range(m // 2):\n",
         ("pytest", "tests/test_validate_once.py::TestFormCheck::test_table"),
         "for even m the two counts agree, so every representative still holds; "
-        "an odd m has (m + 1) // 2 antidiagonal entries with a <= b, so [[1]] "
-        "and the 3 x 3 antidiagonal fail",
+        "an odd m has (m + 1) // 2 antidiagonal entries with a <= b, and the "
+        "centre one, left among the entries that must be 0, fails [[1]] and "
+        "the 3 x 3 antidiagonal",
     ),
     Mutant(
         "tokenizer accepts label 0",

@@ -109,7 +109,7 @@ PROTOCOL_CALLERS = {
     ("ClanSet", "__len__"): ("src/diii_clans/sects.py", "return len(self.clans)"),
     ("ClanSet", "__iter__"): ("README.md", "sum(1 for c in clans if c.is_matchless())"),
     ("ClanSet", "__contains__"): ("README.md", "len(clans), clan in clans"),
-    ("QSqrt2", "__bool__"): ("src/diii_clans/flags.py", "if e else None"),
+    ("QSqrt2", "__bool__"): ("src/diii_clans/flags.py", "                if e:\n"),
     ("QSqrt2", "__neg__"): ("src/diii_clans/flags.py", "_NEG_INV_SQRT2 = -INV_SQRT2"),
     ("QSqrt2", "__str__"): ("src/diii_clans/flags.py", "_PRETTY.get(e, str(e))"),
     ("RankPolynomial", "__str__"): ("src/diii_clans/cli.py", "print(from_rec)"),
@@ -241,7 +241,7 @@ def test_export_guard_reports_a_dead_export_added_back():
         "        return 'FlagMatrix(...)'\n\n"
     )
     sources = package_sources()
-    anchor = "    def pretty(self) -> str:\n"
+    anchor = "    def write_pretty(self, out: TextIO) -> None:\n"
     sources["flags"] = sources["flags"].replace(anchor, added + anchor)
     methods = exported_methods(sources)
     lines = package_lines() + added.splitlines()
