@@ -315,7 +315,8 @@ class DIIIClan(Clan):
         """The DIII clan whose ``_key()`` is ``key``, storing only the key
         and ``length``: the one unchecked clan constructor. Its keys are
         DIII by construction, written by ``enumeration.assemble_key``, the
-        sect generator or ``apply_reflection``, which knows the length."""
+        sect generator, the pyramid scan or ``apply_reflection``, which
+        knows the length."""
         clan = cls.__new__(cls)
         clan._table = key
         clan._length = length

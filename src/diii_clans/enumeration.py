@@ -86,9 +86,10 @@ def assemble_key(
     """The key (``Clan._key``) of a DIII clan from first-half data; the
     second half follows by skew-symmetry.
 
-    This is the package's one checked place for skew-symmetric completion:
-    ``assemble_clan`` and every decoder from first-half data build through
-    it, and it writes the rules of the sect generator's two writers inline.
+    This is the package's checked place for skew-symmetric completion:
+    ``assemble_clan`` and the decoders from first-half data build through
+    it (the pyramid scan writes with the sect generator's two writers,
+    whose rules it writes inline).
 
     ``contained_pairs`` are mate pairs (i, j) with i < j <= n; each also
     yields the mirror pair (2n+1-j, 2n+1-i) in the second half.

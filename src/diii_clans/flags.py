@@ -380,7 +380,6 @@ def _form_holds(scaled: _ScaledForm) -> bool:
     scale, rows = scaled
     m = len(rows)
     upper: dict[int, tuple[int, int]] = {}
-    get = upper.get
     for r, row in enumerate(rows):
         mirror = rows[m - 1 - r]
         for a, ga, gb in row:
@@ -388,8 +387,11 @@ def _form_holds(scaled: _ScaledForm) -> bool:
                 if b >= a:
                     x, y = ga * ha + 2 * gb * hb, ga * hb + gb * ha
                     key = a * m + b
-                    entry = get(key)
-                    upper[key] = (x, y) if entry is None else (entry[0] + x, entry[1] + y)
+                    if key in upper:  # seldom: most keys are new
+                        entry = upper[key]
+                        upper[key] = (entry[0] + x, entry[1] + y)
+                    else:
+                        upper[key] = (x, y)
     antidiagonal = (scale * scale, 0)
     for a in range((m + 1) // 2):
         if upper.pop(a * m + m - 1 - a, None) != antidiagonal:

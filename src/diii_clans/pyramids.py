@@ -7,6 +7,11 @@ Unfolding a pyramid across both diagonals recovers a placement of 2n
 non-attacking rooks invariant under both reflections. A rook is a plain
 ``(side, row, col)`` triple, side ``"L"`` or ``"R"``, and every map here
 passes the triples through as they are.
+
+The public constructors, ``from_json_dict`` and ``extend_odd`` check
+every value they build. A map whose checked input implies its output's
+check builds it with ``_unchecked`` and says why; ``verify`` rebuilds
+those outputs through the constructors. Both decoders write a clan's key.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, json_fields
-from .enumeration import assemble_clan
+from .enumeration import _put_pair, _put_sign
 
 LEFT = "L"
 RIGHT = "R"
@@ -25,6 +30,15 @@ RIGHT = "R"
 _OTHER = {LEFT: RIGHT, RIGHT: LEFT}
 #: The most uncovered indices a pyramid's error message lists.
 _MISSING_LISTED = 10
+
+
+def _unchecked(cls: type, *fields):
+    """A ``cls`` of these fields, in order, not tested: the one unchecked
+    constructor here, for a map whose checked input implies the check."""
+    value = object.__new__(cls)
+    for name, field in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(value, name, field)
+    return value
 
 
 class PyramidParityError(ClanError):
@@ -95,7 +109,8 @@ class Pyramid:
             return f"indices {missing}{tail} not covered by any rook"
 
     def mirror(self) -> "Pyramid":
-        return Pyramid(self.n, frozenset((_OTHER[s], i, j) for s, i, j in self.rooks))
+        """The rooks on the other sides: the same coverage."""
+        return _unchecked(Pyramid, self.n, frozenset((_OTHER[s], i, j) for s, i, j in self.rooks))
 
     def to_json_dict(self) -> dict:
         rooks = [{"side": side, "i": i, "j": j} for side, i, j in sorted(self.rooks)]
@@ -116,7 +131,8 @@ class Pyramid:
 def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
     """Scan the first half from position n down to 1, placing one rook per
     surviving symbol.  The switch starts on the left and trades sides at
-    every minus sign and at the opening mate of every contained pair."""
+    every minus sign and at the opening mate of every contained pair. Each
+    index is a sign or a mate, never antipodal, of one rook: the pyramid holds."""
     clan = clan.to_diii()
     n = clan.n
     switch = LEFT
@@ -135,34 +151,37 @@ def clan_to_pyramid(clan: DIIIClan) -> Pyramid:
             switch = _OTHER[switch]
             rooks.append((switch, i, j))
         # otherwise the pair is recorded at another row
-    return Pyramid(n, frozenset(rooks))
+    return _unchecked(Pyramid, n, frozenset(rooks))
 
 
 def _decode(n: int, cells: Sequence[tuple[str, int, int]], switch: str) -> DIIIClan:
     """The scan of ``pyramid_to_clan`` over rooks in distinct rows, apex
     first, with the switch starting on side ``switch`` (RIGHT decodes the
-    mirror pyramid). ``assemble_clan`` refuses an index covered twice
-    ("assigned twice") or not at all."""
-    flips = 0
-    contained: list[tuple[int, int]] = []
-    straddling: list[tuple[int, int]] = []
-    signs: dict[int, str] = {}
+    mirror pyramid), writing the key with the sect generator's writers.
+    n index writes that leave no position empty cover each index once."""
+    key: list = [None] * (2 * n)
+    flips = pairs = 0
     for side, row, col in cells:
         flipped = side != switch
         if flipped:
             switch = side
             flips += 1
         if col == row:
-            signs[row] = MINUS if flipped else PLUS
-        else:
-            (contained if flipped else straddling).append((row, col))
+            _put_sign(key, row, MINUS if flipped else PLUS)
+        else:  # a contained pair (row, col), or mates at row and 2n+1-col
+            _put_pair(key, row, col if flipped else 2 * n + 1 - col)
+            pairs += 1
     # each flip puts a minus sign or a contained pair in the first half, so
     # the parity rule holds exactly when the flip count is even
     if flips % 2 != 0:
         raise PyramidParityError(
             "decoded clan violates the parity rule; reflect the pyramid"
         )
-    return assemble_clan(n, contained, straddling, signs)
+    if len(cells) + pairs != n or None in key:
+        raise ClanError(f"rooks do not cover each index 1..{n} once")
+    if not key:
+        raise ClanError("a clan must contain at least two symbols")
+    return DIIIClan._from_key(tuple(key))
 
 
 def pyramid_to_clan(pyramid: Pyramid) -> DIIIClan:
@@ -223,15 +242,16 @@ class RookPlacement:
 
 
 def pyramid_to_placement(pyramid: Pyramid) -> RookPlacement:
-    """Unfold across both diagonals into the full board; the result is
-    checked by ``RookPlacement`` alone."""
+    """Unfold across both diagonals into the full board. A rook writes
+    its orbit under both reflections, and a pyramid covers each index
+    once, so each column gets one row: the board holds."""
     m = 2 * pyramid.n
     perm = [0] * m  # perm[col - 1] is the row of the rook in column col
     for side, r, j in pyramid.rooks:
         c = j if side == LEFT else m + 1 - j
         for row, col in ((r, c), (c, r), (m + 1 - c, m + 1 - r), (m + 1 - r, m + 1 - c)):
             perm[col - 1] = row
-    return RookPlacement(tuple(perm))
+    return _unchecked(RookPlacement, tuple(perm))
 
 
 def _triangle(perm: Sequence[int]) -> list[tuple[str, int, int]]:
@@ -266,9 +286,10 @@ def placement_to_clan(placement: RookPlacement) -> DIIIClan:
 
 def rotate_placement(placement: RookPlacement) -> RookPlacement:
     """The quarter-turn image: the other representative of the equivalence
-    class of a doubly symmetric placement."""
+    class of a doubly symmetric placement: w0(i) = m+1-i after it, which
+    commutes with it, so the image holds."""
     m = placement.size
-    return RookPlacement(tuple(m + 1 - r for r in placement.perm))
+    return _unchecked(RookPlacement, tuple(m + 1 - r for r in placement.perm))
 
 
 def extend_odd(placement: RookPlacement) -> RookPlacement:
@@ -351,10 +372,9 @@ class PartitionPair:
 def pyramid_to_partition_pair(pyramid: Pyramid) -> PartitionPair:
     """Diagonal rooks put their index on their own side; off-diagonal rooks
     put the column index on their side and the row index opposite.  Blocks
-    are the rook coordinate sets."""
-    left: set[int] = set()
-    right: set[int] = set()
-    blocks: set[frozenset[int]] = set()
+    are the rook coordinate sets. A pyramid covers each index once, so
+    sides and blocks partition 1..n and a block straddles: the pair holds."""
+    left, right, blocks = set(), set(), set()
     for side, row, col in pyramid.rooks:
         own, other = (left, right) if side == LEFT else (right, left)
         own.add(col)
@@ -365,16 +385,17 @@ def pyramid_to_partition_pair(pyramid: Pyramid) -> PartitionPair:
         raise ClanError(
             "pyramid of the all-plus-then-all-minus clan has no partition pair"
         )
-    return PartitionPair(frozenset(left), frozenset(right), frozenset(blocks))
+    return _unchecked(PartitionPair, frozenset(left), frozenset(right), frozenset(blocks))
 
 
 def partition_pair_to_pyramid(pair: PartitionPair) -> Pyramid:
     """Rebuild the pyramid: a block {i, j}, i <= j, gives a rook in row i,
-    column j on the side of j, so a singleton gives a diagonal rook."""
+    column j on the side of j, so a singleton gives a diagonal rook. The
+    blocks partition 1..n, so the pyramid holds."""
     rooks = []
     for block in pair.blocks:
         i, j = block if len(block) == 2 else (*block, *block)
         if i > j:
             i, j = j, i
         rooks.append((LEFT if j in pair.left else RIGHT, i, j))
-    return Pyramid(pair.n, frozenset(rooks))
+    return _unchecked(Pyramid, pair.n, frozenset(rooks))

@@ -179,13 +179,8 @@ def check_sects(n: int, poset: WeakOrderPoset) -> None:
 
 def check_rooks(n: int, poset: WeakOrderPoset) -> None:
     from .pyramids import (
-        PyramidParityError,
-        clan_to_pyramid,
-        extend_odd,
-        placement_to_clan,
-        pyramid_to_clan,
-        pyramid_to_placement,
-        rotate_placement,
+        PyramidParityError, RookPlacement, clan_to_pyramid, extend_odd, placement_to_clan,
+        pyramid_to_clan, pyramid_to_placement, rotate_placement,
     )
 
     classes = set()
@@ -194,6 +189,7 @@ def check_rooks(n: int, poset: WeakOrderPoset) -> None:
         if pyramid_to_clan(pyramid) != clan:
             raise CheckFailed(f"pyramid round trip at {clan}")
         placement = pyramid_to_placement(pyramid)
+        RookPlacement(placement.perm)  # the unfolding's own check, once a clan
         if placement_to_clan(placement) != clan:
             raise CheckFailed(f"placement round trip at {clan}")
         rotated = rotate_placement(placement)
@@ -216,7 +212,9 @@ def check_rooks(n: int, poset: WeakOrderPoset) -> None:
 
 
 def check_partition_pairs(n: int, poset: WeakOrderPoset) -> None:
-    from .pyramids import clan_to_pyramid, partition_pair_to_pyramid, pyramid_to_partition_pair
+    from .pyramids import (
+        PartitionPair, clan_to_pyramid, partition_pair_to_pyramid, pyramid_to_partition_pair
+    )
 
     excluded = DIIIClan([PLUS] * n + [MINUS] * n)
     seen = set()
@@ -229,6 +227,7 @@ def check_partition_pairs(n: int, poset: WeakOrderPoset) -> None:
                 continue
             raise CheckFailed("excluded clan produced a pair")
         pair = pyramid_to_partition_pair(pyramid)
+        PartitionPair(pair.left, pair.right, pair.blocks)  # the map's own check
         if partition_pair_to_pyramid(pair) != pyramid:
             raise CheckFailed(f"pair round trip fails at {clan}")
         seen.add((pair.partition(), pair.blocks))
@@ -272,11 +271,11 @@ def check_flags(n: int, poset: WeakOrderPoset) -> None:
 PLAN = (
     ("counting", None, "formula=recurrence=enumeration"),
     ("rank-polynomials", None, "poset=recurrence"),
-    ("weak-order", 6, "idempotence/braid/grading/extremes"),
+    ("weak-order", 8, "idempotence/braid/grading/extremes"),
     ("sects", None, "partition/big-sect/pfpf"),
-    ("rooks", 5, "bijections and brute counts"),
-    ("partition-pairs", 6, "bijection and counts"),
-    ("delannoy", 5, "round trips"),
+    ("rooks", 8, "bijections and brute counts"),
+    ("partition-pairs", 8, "bijection and counts"),
+    ("delannoy", 8, "round trips"),
     ("flags", 7, "exact SO and parity"),
 )
 CHECK_NAMES = tuple(name for name, _, _ in PLAN)

@@ -35,20 +35,25 @@ def count_clan_builds(monkeypatch) -> list:
 
 
 def count_checks(monkeypatch) -> Counter:
-    """Count, until ``monkeypatch.undo()``, every checked ``Pyramid`` built
-    (one ``__post_init__`` each) and every scan of a path's steps
-    (``delannoy._scan``, once per path built), under the keys ``"Pyramid"``
-    and ``"scan"``."""
+    """Count, until ``monkeypatch.undo()``, every checked ``Pyramid``,
+    ``RookPlacement`` and ``PartitionPair`` built (one ``__post_init__``
+    each), under its class name, and every scan of a path's steps
+    (``delannoy._scan``, once per path built), under the key ``"scan"``."""
     from diii_clans import delannoy, pyramids
 
     counts: Counter = Counter()
-    check = pyramids.Pyramid.__post_init__
 
-    def counting_check(self):
-        counts["Pyramid"] += 1
-        check(self)
+    def counted(cls):
+        check = cls.__post_init__
 
-    monkeypatch.setattr(pyramids.Pyramid, "__post_init__", counting_check)
+        def counting_check(self):
+            counts[cls.__name__] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_check)
+
+    for cls in (pyramids.Pyramid, pyramids.RookPlacement, pyramids.PartitionPair):
+        counted(cls)
     scan = delannoy._scan
 
     def counting_scan(steps):

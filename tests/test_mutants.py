@@ -260,11 +260,12 @@ MUTANTS = (
         "enumeration.py",
         "    if (minus + len(contained_pairs)) % 2 != 0:\n",
         "    if minus % 2 != 0:\n",
-        ("verify", "3", "rooks"),
+        ("verify", "3", "sects"),
         "first-half parity counts minus signs and contained pairs; counting the "
-        "signs alone refuses every clan with one of each, such as 11-+22, so "
-        "decoding its pyramid raises ClanError inside the rooks check (and the "
-        "sects and delannoy checks, which decode through assemble_key too)",
+        "signs alone refuses every clan with one of each, such as 1-12+2, so "
+        "the pfpf decode of such a big-sect clan raises ClanError inside the "
+        "sects check (and the delannoy check, whose decode builds through "
+        "assemble_key too; the pyramid decodes count their flips instead)",
     ),
     Mutant(
         "placement check's fast path without its antidiagonal test",
@@ -319,8 +320,56 @@ MUTANTS = (
         "(m + 1 - r, m - c)):",
         ("verify", "3", "rooks"),
         "the rook mirrored across both diagonals lands one column left, so the "
-        "n = 1 pyramid (L,1,1) unfolds to (2, 2), which RookPlacement refuses "
-        "as not a permutation inside the rooks check",
+        "n = 1 pyramid (L,1,1) unfolds to (2, 2), which the rooks check, "
+        "rebuilding the unfolded perm through RookPlacement, refuses as not a "
+        "permutation",
+    ),
+    Mutant(
+        "rebuilt pyramid one size too large",
+        "pyramids.py",
+        "_unchecked(Pyramid, pair.n, frozenset(rooks))",
+        "_unchecked(Pyramid, pair.n + 1, frozenset(rooks))",
+        ("verify", "3", "partition-pairs"),
+        "the pyramid rebuilt from a pair leaves its last index uncovered, which "
+        "the Pyramid constructor would refuse; the map builds it unchecked, and "
+        "the partition-pairs round trip compares it with the clan's pyramid",
+    ),
+    Mutant(
+        "quarter turn one row short",
+        "pyramids.py",
+        "tuple(m + 1 - r for r in placement.perm)",
+        "tuple(m - r for r in placement.perm)",
+        ("verify", "3", "rooks"),
+        "the turned board holds row 0 and misses row m, which the RookPlacement "
+        "constructor would refuse; the map builds it unchecked, and decoding it "
+        "inside the rooks check reads a rook in row 0, so the pyramid scan's "
+        "cover count refuses it",
+    ),
+    Mutant(
+        "partition pair leaves a right rook's row off the left side",
+        "pyramids.py",
+        "            other.add(row)\n",
+        "            (other if side == LEFT else own).add(row)\n",
+        ("verify", "3", "partition-pairs"),
+        "an off-diagonal right rook's two points then both lie on the right, a "
+        "block that does not straddle; the round trip reads only the side of a "
+        "block's larger point, so it still closes, and only the partition-pairs "
+        "check's rebuild through PartitionPair refuses the pair",
+    ),
+    Mutant(
+        "pyramid scan without its cover count",
+        "pyramids.py",
+        "    if len(cells) + pairs != n or None in key:\n",
+        "    if None in key:\n",
+        (
+            "pytest",
+            "tests/test_pyramids.py::TestSingleDecode::"
+            "test_decode_refuses_a_cover_that_is_not_exact",
+        ),
+        "an index covered twice can still leave no position empty, as the later "
+        "write overwrites the earlier: (L,2,2) then (L,1,2) decodes to 1212; "
+        "rooks from a checked pyramid or placement cover each index once, so "
+        "verify cannot see it",
     ),
     Mutant(
         "pfpf decode reverses the base signs",

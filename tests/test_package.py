@@ -277,7 +277,7 @@ def test_each_protocol_caller_is_still_there():
 
 
 #: The constructors that may set fields of a frozen value past its checks.
-UNCHECKED_CONSTRUCTORS = {"flags.FlagMatrix._from_form"}
+UNCHECKED_CONSTRUCTORS = {"flags.FlagMatrix._from_form", "pyramids._unchecked"}
 
 
 def frozen_field_writes(module: str, source: str) -> list[str]:

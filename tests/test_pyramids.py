@@ -192,6 +192,18 @@ class TestSingleDecode:
         with pytest.raises(ClanError, match="at least two symbols"):
             placement_to_clan(RookPlacement(()))
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [("L", 2, 2), ("L", 1, 2)],  # 2 twice; the writes fill every position
+            [("R", 2, 2), ("L", 1, 2)],  # 2 twice, as a contained pair
+            [("L", 1, 1)],  # 2 never
+        ],
+    )
+    def test_decode_refuses_a_cover_that_is_not_exact(self, cells):
+        with pytest.raises(ClanError, match="do not cover"):
+            pyramids._decode(2, cells, "L")
+
     def test_odd_board_is_a_clan_error(self):
         with pytest.raises(ClanError, match="even board size"):
             extract_pyramid(RookPlacement((3, 2, 1)))
@@ -380,3 +392,57 @@ class TestPartitionPairs:
             assert len(block & pair.right) <= 1
         assert pair.left and pair.right
         assert partition_pair_to_pyramid(pair) == clan_to_pyramid(clan)
+
+
+def rebuilt(value):
+    """``value`` built again through its public, checked constructor."""
+    return type(value)(*(getattr(value, field) for field in value.__dataclass_fields__))
+
+
+def map_outputs(clan):
+    """Every value the maps build unchecked from ``clan``'s pyramid: the
+    pyramid, its mirror, the placement and its quarter turn, and, but for
+    the excluded clan, the partition pair and the pyramid rebuilt from it."""
+    pyramid = clan_to_pyramid(clan)
+    placement = pyramid_to_placement(pyramid)
+    outputs = [pyramid, pyramid.mirror(), placement, rotate_placement(placement)]
+    if clan.text() != "+" * clan.n + "-" * clan.n:
+        pair = pyramid_to_partition_pair(pyramid)
+        outputs += [pair, partition_pair_to_pyramid(pair)]
+    return outputs
+
+
+class TestUncheckedMaps:
+    """A map whose checked input implies its output's check builds the
+    output unchecked; the public constructor accepts each such output."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_output_passes_its_constructor(self, n):
+        for clan in enumerate_diii(n):
+            for value in map_outputs(clan):
+                assert rebuilt(value) == value, (clan, value)
+
+    @settings(deadline=None)
+    @given(diii_clans(max_n=24))
+    def test_every_output_passes_its_constructor_on_large_clans(self, clan):
+        for value in map_outputs(clan):
+            assert rebuilt(value) == value
+
+    def test_round_trips_run_no_constructor_check(self, monkeypatch):
+        # the per-clan chain of every bijection round trip
+        clans = list(enumerate_diii(5))
+        counts = count_checks(monkeypatch)
+        for clan in clans:
+            pyramid = clan_to_pyramid(clan)
+            assert pyramid_to_clan(pyramid) == clan
+            placement = pyramid_to_placement(pyramid)
+            rotated = rotate_placement(placement)
+            assert placement_to_clan(placement) == placement_to_clan(rotated) == clan
+            assert rotate_placement(rotated) == placement
+            if clan.text() != "+++++-----":
+                pair = pyramid_to_partition_pair(pyramid)
+                assert pyramid_to_clan(partition_pair_to_pyramid(pair)) == clan
+        assert counts == {}
+        for value in map_outputs(clans[-1]):
+            rebuilt(value)
+        assert counts == {"Pyramid": 3, "RookPlacement": 2, "PartitionPair": 1}

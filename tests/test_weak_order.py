@@ -455,19 +455,19 @@ class TestRunSuite:
 
     def test_a_failed_build_fails_each_check_that_reaches_its_size(self, monkeypatch):
         def build(n):
-            if n == 6:
-                raise ClanError("no poset of size 6")
+            if n == 8:
+                raise ClanError("no poset of size 8")
             return weak_order_poset(n)
 
         monkeypatch.setattr(weak_order, "weak_order_poset", build)
-        results = verify.run_suite(6)
+        results = verify.run_suite(8)
         assert [r.name for r in results] == list(verify.CHECK_NAMES)
-        # rooks and delannoy are capped at 5, below the failed build
+        # flags is capped at 7, below the failed build
         for r in results:
-            if r.name in ("rooks", "delannoy"):
-                assert r.passed and r.detail.endswith(" for n<= 5"), r
+            if r.name == "flags":
+                assert r.passed and r.detail.endswith(" for n<= 7"), r
             else:
-                assert not r.passed and r.detail == "no poset of size 6", r
+                assert not r.passed and r.detail == "no poset of size 8", r
 
 
 class TestRankPolynomial:
