@@ -314,9 +314,9 @@ class DIIIClan(Clan):
     def _from_key(cls, key: Key, length: int | None = None) -> "DIIIClan":
         """The DIII clan whose ``_key()`` is ``key``, storing only the key
         and ``length``: the one unchecked clan constructor. Its keys are
-        DIII by construction, written by ``enumeration.assemble_key``, the
-        sect generator, the pyramid scan or ``apply_reflection``, which
-        knows the length."""
+        DIII by construction, written with ``enumeration._put_sign`` and
+        ``_put_pair`` by ``assemble_clan``, the sect generator and the
+        decoders, or by ``apply_reflection``, which knows the length."""
         clan = cls.__new__(cls)
         clan._table = key
         clan._length = length

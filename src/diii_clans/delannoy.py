@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, ascii_int
-from .enumeration import assemble_clan
+from .enumeration import _put_pair, _put_sign
 
 NORTH = "N"
 EAST = "E"
@@ -185,35 +185,37 @@ def path_to_clan(path: WeightedDelannoyPath) -> DIIIClan:
 
     The path is checked with ``validate_path`` first. ``open_`` lists the
     positions still to decode, in the order of the symbols ``clan_to_path``
-    holds at that stage: each loop reads one outer step, gives the consumed
-    positions their signs or mates, then deletes them and trades the middle
-    pair as the reduction does (``_strip``). ``assemble_clan`` builds the clan from the
-    first-half data, checking coverage and parity.
+    holds at that stage: each loop reads one outer step, writes the
+    consumed positions with the sect generator's writers, then deletes them
+    and trades the middle pair as the reduction does (``_strip``). No path
+    that passes ``validate_path`` fails the coverage or parity test.
     """
     ok, violated = validate_path(path)
     if not ok:
         raise PathError(f"invalid weighted Delannoy path: condition {violated} violated")
     steps = path.steps
     r, n = len(steps), path.n
-    mirror = 2 * n + 1
-    open_ = list(range(1, mirror))
-    contained: list[tuple[int, int]] = []
-    straddling: list[tuple[int, int]] = []
-    signs: dict[int, str] = {}
+    key: list = [None] * (2 * n)
+    open_ = list(range(1, 2 * n + 1))
+    minus = contained = 0
     for k in range(1, r // 2 + 1):
         outer = steps[r - k]
         last = open_.pop()
         if type(outer) is int:  # the label j of a diagonal step
-            a, b = sorted((open_[outer - 1], last))  # mates; their mirrors are the other pair
-            if b <= n or a > n:  # contained, in the first half or mirrored from it
-                contained.append((a, b) if b <= n else (mirror - b, mirror - a))
-            else:
-                straddling.append((min(a, mirror - b), max(a, mirror - b)))
+            mate = open_[outer - 1]
+            _put_pair(key, mate, last)
+            contained += (mate <= n) == (last <= n)
             _strip(open_, outer)
         else:
             first = open_.pop(0)
             p = min(first, last)  # an outer N strips a trailing minus, an outer E a plus
-            signs[p] = PLUS if p == (first if outer == NORTH else last) else MINUS
+            sign = PLUS if p == (first if outer == NORTH else last) else MINUS
+            _put_sign(key, p, sign)
+            minus += sign == MINUS
             if outer == EAST:
                 _swap_middle(open_)
-    return assemble_clan(n, contained, straddling, signs)
+    if None in key:
+        raise PathError("the path leaves a position unassigned")
+    if (minus + contained) % 2:
+        raise PathError(f"odd first-half parity: {minus} minus signs, {contained} contained pairs")
+    return DIIIClan._from_key(tuple(key))

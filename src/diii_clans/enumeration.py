@@ -8,7 +8,9 @@ matches some ``-`` positions with later first-half positions, so every
 clan of that sect comes from exactly one set of such choices.  A
 ``ClanSet`` keeps the keys beside their spaced texts, each rendered once
 and used both as the sort key and as the output; a ``DIIIClan`` is built
-from a key only when one is asked for.
+from a key only when one is asked for.  Every key written from first-half
+data, here, in the decoders and in the weak-order collapse, goes through
+the two writers of the mirror rule, ``_put_sign`` and ``_put_pair``.
 """
 
 from __future__ import annotations
@@ -66,30 +68,26 @@ def count_recurrence(n: int) -> int:
 
 
 def _put_sign(key: list, p: int, sign: str) -> None:
-    """``sign`` at position p of the first half, the opposite sign at its
-    mirror 2n+1-p (the index -p from the end)."""
+    """``sign`` at position p, the opposite sign at its mirror 2n+1-p (the
+    index -p from the end)."""
     key[p - 1], key[-p] = sign, MINUS if sign == PLUS else PLUS
 
 
 def _put_pair(key: list, p: int, q: int) -> None:
-    """Mates at p <= n and q, and the mirror pair at 2n+1-q and 2n+1-p."""
+    """Mates at p and q, and the mirror pair at 2n+1-q and 2n+1-p."""
     m = len(key) + 1
     key[p - 1], key[q - 1], key[-q], key[-p] = q, p, m - p, m - q
 
 
-def assemble_key(
+def assemble_clan(
     n: int,
     contained_pairs: Sequence[tuple[int, int]],
     straddling_pairs: Sequence[tuple[int, int]],
     signs: Mapping[int, str],
-) -> Key:
-    """The key (``Clan._key``) of a DIII clan from first-half data; the
-    second half follows by skew-symmetry.
-
-    This is the package's checked place for skew-symmetric completion:
-    ``assemble_clan`` and the decoders from first-half data build through
-    it (the pyramid scan writes with the sect generator's two writers,
-    whose rules it writes inline).
+) -> DIIIClan:
+    """The DIII clan with the given first-half data, its key written with
+    ``_put_pair`` and ``_put_sign`` (the second half by skew-symmetry) and
+    built without re-validation (``DIIIClan._from_key``).
 
     ``contained_pairs`` are mate pairs (i, j) with i < j <= n; each also
     yields the mirror pair (2n+1-j, 2n+1-i) in the second half.
@@ -115,13 +113,13 @@ def assemble_key(
             raise ClanError(f"contained pair {(i, j)} out of range")
         if key[i - 1] is not None or key[j - 1] is not None:
             raise ClanError(f"position {i if key[i - 1] is not None else j} assigned twice")
-        key[i - 1], key[j - 1], key[-j], key[-i] = j, i, m - i, m - j
+        _put_pair(key, i, j)
     for i, j in straddling_pairs:
         if not 1 <= i < j <= n:
             raise ClanError(f"straddling pair {(i, j)} out of range")
         if key[i - 1] is not None or key[j - 1] is not None:
             raise ClanError(f"position {i if key[i - 1] is not None else m - j} assigned twice")
-        key[i - 1], key[-j], key[j - 1], key[-i] = m - j, i, m - i, j
+        _put_pair(key, i, m - j)
     minus = 0
     for pos, sign in signs.items():
         if not 1 <= pos <= n:
@@ -131,7 +129,7 @@ def assemble_key(
         if key[pos - 1] is not None:
             raise ClanError(f"position {pos} assigned twice")
         minus += sign == MINUS
-        key[pos - 1], key[-pos] = sign, MINUS if sign == PLUS else PLUS
+        _put_sign(key, pos, sign)
     if None in key:
         missing = [p for p, s in enumerate(key, start=1) if s is None]
         raise ClanError(f"positions {missing} left unassigned")
@@ -142,23 +140,15 @@ def assemble_key(
             f"not a DIII clan: odd parity in the first half ({minus} minus signs, "
             f"{len(contained_pairs)} contained pairs)"
         )
-    return tuple(key)
-
-
-def assemble_clan(
-    n: int,
-    contained_pairs: Sequence[tuple[int, int]],
-    straddling_pairs: Sequence[tuple[int, int]],
-    signs: Mapping[int, str],
-) -> DIIIClan:
-    """The DIII clan of ``assemble_key``'s key, built without re-validation
-    (``DIIIClan._from_key``)."""
-    return DIIIClan._from_key(assemble_key(n, contained_pairs, straddling_pairs, signs))
+    return DIIIClan._from_key(tuple(key))
 
 
 def base_key(signs: Sequence[str]) -> Key:
     """Key of the matchless clan with first-half ``signs``."""
-    return assemble_key(len(signs), [], [], dict(enumerate(signs, start=1)))
+    key: list = [None] * (2 * len(signs))
+    for p, sign in enumerate(signs, start=1):
+        _put_sign(key, p, sign)
+    return tuple(key)
 
 
 @dataclass(frozen=True)

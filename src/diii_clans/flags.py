@@ -10,12 +10,12 @@ membership in the special orthogonal group is decided exactly, with no
 floating point and no field arithmetic: the form identity H^T J H = L^2 J
 on the upper triangle of that symmetric product (``_form_holds``), and the
 sign of the determinant from the intersection parity, the rank of the
-n x n lower-left block. That rank is the sum of the ranks of the block's
-connected pieces (``_piece_rank``); only a piece larger than one row and
-one column goes through fraction-free (Bareiss) elimination, which
-divides exactly in Z[sqrt 2]. Every piece of a representative's block is
-a single row (the tests check every clan with n <= 7 and sample n <= 16),
-so verifying one eliminates nothing.
+n x n lower-left block (``_sparse_rank``). When no two rows of the block
+share a column, that rank is its count of nonzero rows; otherwise the
+block goes through fraction-free (Bareiss) elimination, which divides
+exactly in Z[sqrt 2]. No two rows of a representative's block share a
+column (the tests check every clan with n <= 7 and sample n <= 16), so
+verifying one eliminates nothing.
 """
 
 from __future__ import annotations
@@ -282,17 +282,11 @@ def _eliminate(rows: Sequence[_ScaledRow], ncols: int) -> tuple[int, int, tuple[
     return rank, sign, (pa, pb)
 
 
-def _piece_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
+def _sparse_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
     """The rank of sparse integer rows as ``_scaled`` gives them, read in
-    their first ``ncols`` columns, as the sum of the ranks of their pieces.
-
-    A piece is a connected component of the graph joining each row to the
-    columns of its nonzero entries; union-find over the columns merges the
-    columns each row touches. Permuting rows and columns makes the matrix
-    block-diagonal over its pieces, so its rank is the sum of theirs. Rows
-    hold only nonzero entries, so a piece with one row, or with one column,
-    has rank 1; any other is ranked by ``_eliminate``. An empty row belongs
-    to no piece, and when no two rows share a column each row is a piece.
+    their first ``ncols`` columns. Rows hold only nonzero entries, so when
+    no two rows share a column the nonempty rows are independent and the
+    rank is their count; otherwise it is ``_eliminate``'s.
     """
     kept = []
     for row in rows:
@@ -304,30 +298,7 @@ def _piece_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
     columns = [c for row in kept for c, _, _ in row]
     if len(set(columns)) == len(columns):
         return len(kept)
-    parent = list(range(ncols))
-    for row in kept:
-        if len(row) > 1:
-            root = row[0][0]
-            while parent[root] != root:
-                root = parent[root]
-            for c, _, _ in row[1:]:
-                while parent[c] != c:
-                    c = parent[c]
-                if c != root:
-                    parent[c] = root
-    pieces: dict[int, list[_ScaledRow]] = {}
-    for row in kept:
-        c = row[0][0]
-        while parent[c] != c:
-            c = parent[c]
-        pieces.setdefault(c, []).append(row)
-    rank = 0
-    for piece in pieces.values():
-        if len(piece) == 1 or all(len(row) == 1 for row in piece):
-            rank += 1
-        else:
-            rank += _eliminate(piece, ncols)[0]
-    return rank
+    return _eliminate(kept, ncols)[0]
 
 
 def exact_determinant(rows: Sequence[Sequence[QSqrt2]]) -> QSqrt2:
@@ -414,8 +385,8 @@ def intersection_dimension(matrix: FlagMatrix) -> int:
 
 def _block_dimension(form: _ScaledForm, n: int) -> int:
     """n minus the rank of the lower-left n x n block of L G: the rows
-    below row n read in their first n columns (``_piece_rank``)."""
-    return n - _piece_rank(form[1][n:], n)
+    below row n read in their first n columns (``_sparse_rank``)."""
+    return n - _sparse_rank(form[1][n:], n)
 
 
 def intersection_parity(matrix: FlagMatrix) -> int:

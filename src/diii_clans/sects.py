@@ -13,7 +13,7 @@ from math import factorial
 from typing import Iterator
 
 from .clans import MINUS, PLUS, ClanError, DIIIClan, Key, ascii_int
-from .enumeration import ClanSet, assemble_clan, base_key, sect_keys, sect_signs
+from .enumeration import ClanSet, _put_pair, _put_sign, base_key, sect_keys, sect_signs
 
 
 @dataclass(frozen=True)
@@ -238,16 +238,21 @@ def clan_to_pfpf(clan: DIIIClan) -> PartialFPFInvolution:
 
 
 def pfpf_to_clan(x: PartialFPFInvolution, n: int) -> DIIIClan:
-    """Decode into the big sect from first-half data: a block (i, j) is
-    the contained pair (i, n) when n is odd and j == n, and the straddling
-    pair (i, j) otherwise; unmatched positions keep the signs of the
-    big-sect base."""
+    """Decode into the big sect with the sect generator's writers: an
+    unmatched position keeps the big-sect base's sign, and a block (i, j)
+    is the contained pair (i, n) when n is odd and j == n, and otherwise
+    the straddling pair (i, j), mates at i and 2n+1-j.
+
+    A checked pfpf's blocks are disjoint, so each position is written once.
+    The base has an even number of minus signs; a straddling block takes
+    two, and the contained pair (i, n) one and the plus at n, so the
+    first-half parity stays even."""
     if x.n != n:
         raise ClanError(f"involution is on {x.n} letters, expected {n}")
-    contained: list[tuple[int, int]] = []
-    straddling: list[tuple[int, int]] = []
-    for (i, j) in x.blocks():
-        (contained if j == n and n % 2 == 1 else straddling).append((i, j))
-    base_signs = base_key(_big_sect_signs(n))
-    signs = {p: base_signs[p - 1] for p in range(1, n + 1) if not x(p)}
-    return assemble_clan(n, contained, straddling, signs)
+    key: list = [None] * (2 * n)
+    for p, sign in enumerate(_big_sect_signs(n), start=1):
+        if not x(p):
+            _put_sign(key, p, sign)
+    for i, j in x.blocks():
+        _put_pair(key, i, j if j == n and n % 2 == 1 else 2 * n + 1 - j)
+    return DIIIClan._from_key(tuple(key))

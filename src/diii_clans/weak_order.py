@@ -71,7 +71,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, TextIO
 
 from .clans import PLUS, Clan, ClanError, DIIIClan, Key, text_from_spaced, write_joined
-from .enumeration import ClanSet, assemble_clan, enumerate_diii
+from .enumeration import ClanSet, _put_pair, assemble_clan, enumerate_diii
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def _step(i: int, key: Key) -> Key | None:
         # the collapse into (a, c) and its mirror: spread +2, no crossing;
         # it trades one minus for one contained pair, keeping the parity
         out = list(key)
-        out[a - 1], out[c - 1], out[m - c], out[m - a] = c, a, m + 1 - a, m + 1 - c
+        _put_pair(out, a, c)
         return tuple(out)
     if sign_a:
         ascends = qb > b  # the number at b moves away from its mate

@@ -159,7 +159,7 @@ class TestKeys:
 class TestAssembly:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_generated_clans_equal_checked_construction(self, n):
-        # generate_diii builds through assemble_clan's unchecked path; the
+        # generate_diii builds each clan unchecked from its written key; the
         # public constructor re-validates each clan and recomputes it
         for clan in generate_diii(n):
             checked = DIIIClan(clan.symbols)

@@ -28,7 +28,7 @@ from diii_clans.flags import (
     ONE,
     ZERO,
     _eliminate,
-    _piece_rank,
+    _sparse_rank,
     _scaled,
     exact_determinant,
 )
@@ -142,9 +142,9 @@ def exact_rank(rows):
     return _eliminate(_scaled(rows)[1], len(rows[0]) if rows else 0)[0]
 
 
-def piece_rank(rows):
-    """The rank of a matrix over Q(sqrt 2) by ``_piece_rank``."""
-    return _piece_rank(_scaled(rows)[1], len(rows[0]) if rows else 0)
+def sparse_rank(rows):
+    """The rank of a matrix over Q(sqrt 2) by ``_sparse_rank``."""
+    return _sparse_rank(_scaled(rows)[1], len(rows[0]) if rows else 0)
 
 
 def block_dimension(rows):
@@ -405,38 +405,41 @@ class TestExactLinearAlgebra:
     def test_matches_dense_oracle(self, rows):
         rank, det = raw_rank_and_determinant(raw(rows))
         assert exact_rank(rows) == rank
-        assert piece_rank(rows) == rank
+        assert sparse_rank(rows) == rank
         if len(rows) == len(rows[0]):
             assert exact_determinant(rows) == QSqrt2(*det)
 
 
 class TestPieceRank:
-    """``_piece_rank`` must equal whole-matrix elimination (``exact_rank``).
+    """``_sparse_rank`` must equal whole-matrix elimination (``exact_rank``):
+    a row count when no two rows share a column, elimination otherwise.
     ``TestIntersection`` compares them on every representative block with
     n <= 7 and on perturbed representatives, ``TestExactLinearAlgebra`` on
-    dense matrices."""
+    dense matrices. Of the small matrices below, the first two have rows
+    sharing a column, so they are eliminated, and the third has empty rows,
+    which count nothing."""
 
     @settings(deadline=None)
     @given(block_diagonal_matrices())
     @example(rows=[[ONE, ZERO], [ZERO, ONE], [ONE, ONE]])
     @example(rows=[[ZERO, ONE], [ZERO, INV_SQRT2], [ZERO, QSqrt2(3)]])
     def test_matches_elimination_on_block_diagonal_matrices(self, rows):
-        assert piece_rank(rows) == exact_rank(rows)
+        assert sparse_rank(rows) == exact_rank(rows)
 
     def test_a_later_row_merges_two_pieces(self):
-        # e1, e2, then e1 + e2: three one-row pieces until the last row
-        # joins the first two
+        # e1, e2, then e1 + e2: the last row shares a column with each of
+        # the first two and depends on them
         rows = [[ONE, ZERO], [ZERO, ONE], [ONE, ONE]]
-        assert piece_rank(rows) == exact_rank(rows) == 2
+        assert sparse_rank(rows) == exact_rank(rows) == 2
 
     def test_a_one_column_piece_has_rank_one(self):
         rows = [[ZERO, ONE], [ZERO, INV_SQRT2], [ZERO, QSqrt2(3)]]
-        assert piece_rank(rows) == exact_rank(rows) == 1
+        assert sparse_rank(rows) == exact_rank(rows) == 1
 
     def test_empty_rows_belong_to_no_piece(self):
         rows = [[ZERO, ZERO], [ZERO, ONE], [ZERO, ZERO]]
-        assert piece_rank(rows) == exact_rank(rows) == 1
-        assert piece_rank([[ZERO, ZERO]]) == 0
+        assert sparse_rank(rows) == exact_rank(rows) == 1
+        assert sparse_rank([[ZERO, ZERO]]) == 0
 
     @settings(max_examples=50, deadline=None)
     @given(diii_clans(min_n=8, max_n=16))

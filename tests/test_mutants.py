@@ -42,24 +42,14 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "piece merge dropped",
-        "flags.py",
-        "                    parent[c] = root\n",
-        "                    pass\n",
-        ("pytest", "tests/test_flags.py::TestPieceRank::test_a_later_row_merges_two_pieces"),
-        "rows that share a column stay in separate pieces, so a row joining two "
-        "pieces counts 1 more though it depends on them: e1, e2, e1 + e2 ranks 3",
-    ),
-    Mutant(
         "piece rank reads the columns past ncols",
         "flags.py",
         "        if row and row[-1][0] >= ncols:\n",
         "        if False:\n",
         ("pytest", "tests/test_flags.py::TestIntersection::test_reference_matrix_dimension"),
         "the block's rows then keep their entries in columns n..2n-1, so a row "
-        "with no entry in the block counts as a piece of rank 1 (or names a "
-        "column past the union-find), and the lower-left block of the pinned "
-        "+1212- matrix no longer has nullity 1",
+        "with no entry in the block adds 1 to the rank, and the lower-left "
+        "block of the pinned +1212- matrix no longer has nullity 1",
     ),
     Mutant(
         "piece rank without its shared-column test",
@@ -67,18 +57,9 @@ MUTANTS = (
         "    if len(set(columns)) == len(columns):\n",
         "    if True:\n",
         ("pytest", "tests/test_flags.py::TestPieceRank::test_a_later_row_merges_two_pieces"),
-        "every nonempty row then counts as a piece of rank 1, so e1, e2, e1 + e2 "
-        "ranks 3; no two rows of a representative's block share a column, so "
-        "verify cannot see it",
-    ),
-    Mutant(
-        "one-column piece counted as its row count",
-        "flags.py",
-        "            rank += 1\n        else:\n",
-        "            rank += len(piece)\n        else:\n",
-        ("pytest", "tests/test_flags.py::TestPieceRank::test_a_one_column_piece_has_rank_one"),
-        "k nonzero rows in one column have rank 1, not k; one-row pieces (all a "
-        "representative has) are unchanged, so only a test matrix can catch it",
+        "every nonempty row then adds 1 to the rank, so e1, e2, e1 + e2 ranks 3; "
+        "no two rows of a representative's block share a column, so verify "
+        "cannot see it",
     ),
     Mutant(
         "form target L^2 read as L",
@@ -209,9 +190,10 @@ MUTANTS = (
         ("verify", "3", "delannoy"),
         "the reduction trades the middle pair after a trailing plus, whose "
         "outer step is E; trading it after N puts later signs at the wrong "
-        "positions, so decoding a valid path raises ClanError (first-half "
-        "parity) inside the Delannoy check, the one check that calls "
-        "path_to_clan, and run_suite reports it as that check's FAIL line",
+        "positions, so decoding the valid path of +1212- writes one first-half "
+        "minus and no contained pair, and path_to_clan's parity test raises "
+        "PathError inside the Delannoy check, the one check that calls "
+        "path_to_clan, which run_suite reports as that check's FAIL line",
     ),
     Mutant(
         "rank recurrence without its doubled middle term",
@@ -260,12 +242,25 @@ MUTANTS = (
         "enumeration.py",
         "    if (minus + len(contained_pairs)) % 2 != 0:\n",
         "    if minus % 2 != 0:\n",
-        ("verify", "3", "sects"),
+        (
+            "pytest",
+            "tests/test_enumeration.py::TestAssembly::test_odd_parity_raises_the_diii_error",
+        ),
         "first-half parity counts minus signs and contained pairs; counting the "
-        "signs alone refuses every clan with one of each, such as 1-12+2, so "
-        "the pfpf decode of such a big-sect clan raises ClanError inside the "
-        "sects check (and the delannoy check, whose decode builds through "
-        "assemble_key too; the pyramid decodes count their flips instead)",
+        "signs alone lets 0 minus signs and 1 contained pair through unrefused; "
+        "every decode writes its key with the sect generator's writers, not "
+        "through assemble_clan, so verify cannot see it",
+    ),
+    Mutant(
+        "Delannoy decode's parity without its contained pairs",
+        "delannoy.py",
+        "    if (minus + contained) % 2:\n",
+        "    if minus % 2:\n",
+        ("verify", "3", "delannoy"),
+        "first-half parity counts minus signs and contained pairs; counting the "
+        "signs alone refuses the valid path of every clan with one of each, "
+        "such as 1-12+2, so path_to_clan raises PathError inside the delannoy "
+        "check",
     ),
     Mutant(
         "placement check's fast path without its antidiagonal test",
@@ -374,8 +369,8 @@ MUTANTS = (
     Mutant(
         "pfpf decode reverses the base signs",
         "sects.py",
-        "signs = {p: base_signs[p - 1] for p",
-        "signs = {p: base_signs[n - p] for p",
+        "enumerate(_big_sect_signs(n), start=1)",
+        "enumerate(reversed(_big_sect_signs(n)), start=1)",
         ("verify", "3", "sects"),
         "for odd n the base's plus at n moves to 1, which keeps the first-half "
         "parity, so an unmatched big-sect clan such as --+-++ decodes to a "

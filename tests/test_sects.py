@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diii_clans import (
     ClanError,
     DIIIClan,
     PartialFPFInvolution,
     SchubertSubset,
+    assemble_clan,
     base_clan_to_subset,
     big_sect,
     big_sect_base,
@@ -23,6 +26,7 @@ from diii_clans import (
     sects,
     subset_to_base_clan,
 )
+from diii_clans.enumeration import base_key, sect_signs
 
 from oracles import naive_diii, raw_is_diii, raw_pair_data
 
@@ -243,22 +247,81 @@ class TestPartialFPFInvolutions:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_pfpf_decodes_into_the_big_sect(self, n):
         # enumerate partial FPF involutions directly and decode each
-        def extend(values, i):
-            if i > n:
-                yield tuple(values)
-                return
-            if values[i - 1] != 0:
-                yield from extend(values, i + 1)
-                return
-            values[i - 1] = 0
-            yield from extend(values, i + 1)
-            for j in range(i + 1, n + 1):
-                if values[j - 1] == 0:
-                    values[i - 1], values[j - 1] = j, i
-                    yield from extend(values, i + 1)
-                    values[i - 1], values[j - 1] = 0, 0
-
         members = set(big_sect(n).members)
-        all_x = {PartialFPFInvolution(v) for v in extend([0] * n, 1)}
+        all_x = set(all_pfpfs(n))
         assert len(all_x) == epsilon_count(n)
         assert {pfpf_to_clan(x, n) for x in all_x} == members
+
+
+def all_pfpfs(n):
+    """Every partial FPF involution on n letters, each once."""
+
+    def extend(values, i):
+        if i > n:
+            yield PartialFPFInvolution(tuple(values))
+            return
+        if values[i - 1] != 0:
+            yield from extend(values, i + 1)
+            return
+        yield from extend(values, i + 1)
+        for j in range(i + 1, n + 1):
+            if values[j - 1] == 0:
+                values[i - 1], values[j - 1] = j, i
+                yield from extend(values, i + 1)
+                values[i - 1], values[j - 1] = 0, 0
+
+    return extend([0] * n, 1)
+
+
+@st.composite
+def pfpfs(draw, max_n):
+    """A random partial FPF involution on 1..max_n letters."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    values = [0] * n
+    for k in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        values[a - 1], values[b - 1] = b, a
+    return PartialFPFInvolution(tuple(values))
+
+
+def assembled_pfpf_key(x, n):
+    """The key ``pfpf_to_clan`` wrote through ``assemble_clan``: a block
+    (i, n) of odd n as a contained pair, any other as a straddling pair,
+    each unmatched position with the big-sect base's sign."""
+    contained, straddling = [], []
+    for i, j in x.blocks():
+        (contained if j == n and n % 2 == 1 else straddling).append((i, j))
+    signs = big_sect_base(n).symbols
+    unmatched = {p: signs[p - 1] for p in range(1, n + 1) if not x(p)}
+    return assemble_clan(n, contained, straddling, unmatched)._key()
+
+
+class TestWritersMatchTheAssembledRoute:
+    """``pfpf_to_clan`` and ``base_key`` write their keys with the sect
+    generator's writers; each key equals the one ``assemble_clan`` writes
+    from the same first-half data."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_pfpf(self, n):
+        for x in all_pfpfs(n):
+            assert pfpf_to_clan(x, n)._key() == assembled_pfpf_key(x, n)
+
+    @settings(deadline=None)
+    @given(pfpfs(max_n=40))
+    def test_random_pfpf(self, x):
+        assert pfpf_to_clan(x, x.n)._key() == assembled_pfpf_key(x, x.n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_base(self, n):
+        # base_key is given the sign patterns of sect bases, an even number of minus
+        for signs in sect_signs(n):
+            assert base_key(signs) == assemble_clan(n, [], [], dict(enumerate(signs, 1)))._key()
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from("+-"), min_size=1, max_size=40))
+    def test_random_base(self, signs):
+        if signs.count("-") % 2:
+            signs[0] = "+" if signs[0] == "-" else "-"
+        n = len(signs)
+        assert base_key(signs) == assemble_clan(n, [], [], dict(enumerate(signs, 1)))._key()

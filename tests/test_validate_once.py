@@ -1,18 +1,18 @@
 """Each check on the bijection chain runs once, by the cheapest code, and
 still rejects what it rejected before.
 
-A path is scanned once, when it is built, ``assemble_key`` tests
-occupancy inline, and ``RookPlacement``, ``Pyramid`` and ``PartitionPair``
-test their rules in one pass. Each is compared here with a reference: the
-per-index, per-claim and per-block-set versions those checks ran before.
-``path_to_clan`` decodes a checked path through ``assemble_clan`` and is
-compared with the insertion decode it replaced. The placement decode,
-which builds no pyramid, is tested with the other decodes in
-test_pyramids.py. The flag form check forms only the upper triangle of
-H^T J H, and is compared with a check of every row in dense lists. The
-clan tokenizer splits its text once and looks each token up, and
-``FlagMatrix`` tests its rows' types and lengths as two sets; each is
-compared with the per-item loop it replaced.
+A path is scanned once, when it is built, ``assemble_clan`` tests
+occupancy inline as it writes its key, and ``RookPlacement``, ``Pyramid``
+and ``PartitionPair`` test their rules in one pass. Each is compared here
+with a reference: the per-index, per-claim and per-block-set versions
+those checks ran before. ``path_to_clan`` writes a checked path's key with
+the sect generator's writers and is compared with the insertion decode it
+replaced. The placement decode, which builds no pyramid, is tested with
+the other decodes in test_pyramids.py. The flag form check forms only the
+upper triangle of H^T J H, and is compared with a check of every row in
+dense lists. The clan tokenizer splits its text once and looks each token
+up, and ``FlagMatrix`` tests its rows' types and lengths as two sets; each
+is compared with the per-item loop it replaced.
 """
 
 from fractions import Fraction
@@ -31,6 +31,7 @@ from diii_clans import (
     Pyramid,
     RookPlacement,
     WeightedDelannoyPath,
+    assemble_clan,
     clan_to_path,
     clan_to_pyramid,
     enumerate_diii,
@@ -42,7 +43,7 @@ from diii_clans import (
 )
 from diii_clans.clans import _parse_symbols, ascii_int
 from diii_clans.delannoy import _swap_middle
-from diii_clans.enumeration import _put_pair, _put_sign, assemble_key
+from diii_clans.enumeration import _put_pair, _put_sign
 from diii_clans.flags import INV_SQRT2, ONE, ZERO, QSqrt2, _form_holds, _scaled
 from diii_clans.pyramids import _MISSING_LISTED
 
@@ -128,8 +129,8 @@ def reference_pyramid_check(n, rooks):
 
 
 def reference_assemble_key(n, contained_pairs, straddling_pairs, signs):
-    """``assemble_key`` claiming all four positions of a pair, then writing
-    them with the sect generator's writers."""
+    """The key ``assemble_clan`` writes, claiming all four positions of a
+    pair, then writing them with the sect generator's writers."""
     m = 2 * n + 1
     key = [None] * (2 * n)
 
@@ -167,6 +168,11 @@ def reference_assemble_key(n, contained_pairs, straddling_pairs, signs):
             f"{len(contained_pairs)} contained pairs)"
         )
     return tuple(key)
+
+
+def assembled_key(n, contained_pairs, straddling_pairs, signs):
+    """The key of the clan ``assemble_clan`` builds."""
+    return assemble_clan(n, contained_pairs, straddling_pairs, signs)._key()
 
 
 def reference_partition_pair_check(left, right, blocks):
@@ -462,7 +468,7 @@ class TestMessagesKept:
         ],
     )
     def test_assemble_key(self, n, contained, straddling, signs, message):
-        assert outcome(assemble_key, n, contained, straddling, signs) == (ClanError, message)
+        assert outcome(assembled_key, n, contained, straddling, signs) == (ClanError, message)
         assert outcome(reference_assemble_key, n, contained, straddling, signs) == (
             ClanError,
             message,
@@ -641,7 +647,7 @@ class TestSameVerdictAsTheReference:
     )
     def test_assemble_key(self, n, contained, straddling, signs):
         args = (n, contained, straddling, signs)
-        assert outcome(assemble_key, *args) == outcome(reference_assemble_key, *args)
+        assert outcome(assembled_key, *args) == outcome(reference_assemble_key, *args)
 
 
 _members = st.frozensets(st.integers(-1, 6), max_size=4)
@@ -694,9 +700,9 @@ def _words(n):
 
 
 class TestPathDecode:
-    """``path_to_clan`` reads a checked path from the outside in and builds
-    through ``assemble_clan``: the same clan, or the same error, as the
-    insertion decode, and no checked clan build."""
+    """``path_to_clan`` reads a checked path from the outside in and writes
+    its key with the sect generator's writers: the same clan, or the same
+    error, as the insertion decode, and no checked clan build."""
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_every_candidate_word(self, n):
@@ -728,6 +734,22 @@ class TestPathDecode:
             built.clear()
             path_to_clan(path)
             assert [kind for kind, _ in built] == ["_from_key"]
+
+    def test_a_forged_verdict_meets_the_parity_test(self):
+        # N E fails condition 4; stored as valid, its decode writes one
+        # minus in the first half and no pair, so the parity test refuses it
+        path = WeightedDelannoyPath(("N", "E"))
+        assert validate_path(path) == (False, 4)
+        object.__setattr__(path, "_verdict", (True, None))
+        with pytest.raises(PathError, match="odd first-half parity: 1 minus signs, 0 contained"):
+            path_to_clan(path)
+
+    def test_a_forged_verdict_meets_the_coverage_test(self):
+        # a lone E reads no step pair, so no position is written
+        path = WeightedDelannoyPath(("E",))
+        object.__setattr__(path, "_verdict", (True, None))
+        with pytest.raises(PathError, match="leaves a position unassigned"):
+            path_to_clan(path)
 
 
 class TestPathMemo:
