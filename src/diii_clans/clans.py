@@ -271,12 +271,32 @@ class Clan:
         The conditions: the clan equals the reverse of its negative; no
         number sits opposite its own mate; the count of minus signs plus
         mate pairs lying entirely in the first half is even.
+
+        One loop over the first half decides all three; only when it breaks
+        do the ordered scans below run, to name the first fault.
         """
-        n = self.n
-        m = 2 * n
         key = self._table
-        # skew-symmetry, position by position: a sign flips at 2n+1-p, and
-        # mate(2n+1-p) = 2n+1-mate(p)
+        m = len(key)
+        n = m // 2
+        contained = 0
+        for p, (q, r) in enumerate(zip(key[:n], key[::-1]), start=1):
+            if type(q) is str:
+                if r == q or type(r) is not str:
+                    break
+            elif r != m + 1 - q or q == m + 1 - p:
+                break
+            elif p < q <= n:
+                contained += 1
+        else:
+            minus = key[:n].count(MINUS)
+            if (minus + contained) % 2 == 0:
+                return None
+            return (
+                f"odd parity in the first half ({minus} minus signs, "
+                f"{contained} contained pairs)"
+            )
+        # skew-symmetry, position by position (a sign flips at 2n+1-p, and
+        # mate(2n+1-p) = 2n+1-mate(p)), then antipodal mates from n down
         for p in range(n):
             q = key[p]
             if key[m - 1 - p] != (_flip_sign(q) if type(q) is str else m + 1 - q):
@@ -284,15 +304,6 @@ class Clan:
         for p in range(n, 0, -1):
             if key[p - 1] == m + 1 - p:
                 return f"antipodal mates at positions ({p}, {m + 1 - p})"
-        half = key[:n]
-        minus_count = half.count(MINUS)
-        inner_pairs = sum(1 for p, q in enumerate(half, start=1) if type(q) is int and p < q <= n)
-        if (minus_count + inner_pairs) % 2 != 0:
-            return (
-                f"odd parity in the first half ({minus_count} minus signs, "
-                f"{inner_pairs} contained pairs)"
-            )
-        return None
 
     def to_diii(self) -> "DIIIClan":
         return self if isinstance(self, DIIIClan) else DIIIClan(self.symbols)

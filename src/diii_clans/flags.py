@@ -8,14 +8,14 @@ scales rows of ``QSqrt2`` entries, pairs of rationals, once (``_scaled``),
 and ``rows``, ``write_pretty`` and ``write_json`` render them back. So
 membership in the special orthogonal group is decided exactly, with no
 floating point and no field arithmetic: the form identity H^T J H = L^2 J
-on the upper triangle of that symmetric product (``_form_holds``), and the
-sign of the determinant from the intersection parity, the rank of the
-n x n lower-left block (``_sparse_rank``). When no two rows of the block
-share a column, that rank is its count of nonzero rows; otherwise the
-block goes through fraction-free (Bareiss) elimination, which divides
-exactly in Z[sqrt 2]. No two rows of a representative's block share a
-column (the tests check every clan with n <= 7 and sample n <= 16), so
-verifying one eliminates nothing.
+on the upper triangle of that symmetric product, from half its row pairs
+(``_form_holds``), and the sign of the determinant from the intersection
+parity, the rank of the n x n lower-left block (``_sparse_rank``). When
+no two rows of the block share a column, that rank is its count of rows
+with an entry in it; otherwise the block goes through fraction-free
+(Bareiss) elimination, which divides exactly in Z[sqrt 2]. No two rows
+of a representative's block share a column (the tests check every clan
+with n <= 7 and sample n <= 16), so verifying one eliminates nothing.
 """
 
 from __future__ import annotations
@@ -284,10 +284,14 @@ def _eliminate(rows: Sequence[_ScaledRow], ncols: int) -> tuple[int, int, tuple[
 
 def _sparse_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
     """The rank of sparse integer rows as ``_scaled`` gives them, read in
-    their first ``ncols`` columns. Rows hold only nonzero entries, so when
-    no two rows share a column the nonempty rows are independent and the
-    rank is their count; otherwise it is ``_eliminate``'s.
+    their first ``ncols`` columns. Rows hold only nonzero entries in column
+    order, so when no two rows share one of those columns the rows whose
+    first entry lies among them are independent and the rank is their
+    count; otherwise it is ``_eliminate``'s.
     """
+    columns = [c for row in rows for c, _, _ in row if c < ncols]
+    if len(set(columns)) == len(columns):
+        return len([row for row in rows if row and row[0][0] < ncols])
     kept = []
     for row in rows:
         # entries are in column order: only a row ending past ncols has any to drop
@@ -295,9 +299,6 @@ def _sparse_rank(rows: Sequence[_ScaledRow], ncols: int) -> int:
             row = [entry for entry in row if entry[0] < ncols]
         if row:
             kept.append(row)
-    columns = [c for row in kept for c, _, _ in row]
-    if len(set(columns)) == len(columns):
-        return len(kept)
     return _eliminate(kept, ncols)[0]
 
 
@@ -341,28 +342,39 @@ def _form_holds(scaled: _ScaledForm) -> bool:
     (H^T J H)[a][b] is the sum over rows r of H[r][a] * H[m-1-r][b].
     Putting s = m-1-r turns it into the sum of H[s][b] * H[m-1-s][a],
     which is (H^T J H)[b][a], so H^T J H is symmetric for any H and its
-    entries with a <= b decide the identity. One pass over the row pairs
-    (r, m-1-r) forms each product H[r][a] * H[m-1-r][b] with b >= a once,
-    summing the (rational, sqrt(2)) parts under the key a*m + b. All
-    (m+1)//2 antidiagonal entries with a <= b must be (L^2, 0), so each
-    must be touched, as an entry no product touches is zero; every other
-    touched entry must be (0, 0).
+    entries with a <= b decide the identity. For r < m-1-r, the product
+    H[r][a] * H[m-1-r][b] is the term of (a, b) from row r and of (b, a)
+    from row m-1-r, so one pass over half the row pairs adds it once to the
+    (rational, sqrt(2)) sums keyed min(a, b)*m + max(a, b), twice when
+    a == b; an odd size's centre row adds its products with b >= a once.
+    All (m+1)//2 antidiagonal entries with a <= b must be (L^2, 0), so
+    each must be touched, as an entry no product touches is zero; every
+    other touched entry must be (0, 0).
     """
     scale, rows = scaled
     m = len(rows)
     upper: dict[int, tuple[int, int]] = {}
-    for r, row in enumerate(rows):
+    for r in range((m + 1) // 2):
         mirror = rows[m - 1 - r]
-        for a, ga, gb in row:
+        centre = 2 * r == m - 1
+        for a, ga, gb in rows[r]:
             for b, ha, hb in mirror:
-                if b >= a:
-                    x, y = ga * ha + 2 * gb * hb, ga * hb + gb * ha
+                x, y = ga * ha + 2 * gb * hb, ga * hb + gb * ha
+                if a < b:
                     key = a * m + b
-                    if key in upper:  # seldom: most keys are new
-                        entry = upper[key]
-                        upper[key] = (entry[0] + x, entry[1] + y)
-                    else:
-                        upper[key] = (x, y)
+                elif centre:
+                    if b < a:
+                        continue
+                    key = a * m + a
+                elif b < a:
+                    key = b * m + a
+                else:
+                    x, y, key = 2 * x, 2 * y, a * m + a
+                if key in upper:  # seldom: most keys are new
+                    entry = upper[key]
+                    upper[key] = (entry[0] + x, entry[1] + y)
+                else:
+                    upper[key] = (x, y)
     antidiagonal = (scale * scale, 0)
     for a in range((m + 1) // 2):
         if upper.pop(a * m + m - 1 - a, None) != antidiagonal:

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from diii_clans import (
     Clan,
@@ -11,7 +14,14 @@ from diii_clans import (
 )
 
 from conftest import diii_clans
-from oracles import all_canonical_clans, naive_diii, raw_flag_data, raw_is_diii, raw_pair_data
+from oracles import (
+    all_canonical_clans,
+    canonical_raw,
+    naive_diii,
+    raw_flag_data,
+    raw_is_diii,
+    raw_pair_data,
+)
 
 
 class TestParsing:
@@ -117,6 +127,87 @@ class TestDIIIConditions:
     def test_clan_and_diii_clan_compare_equal(self):
         assert parse_diii("1212") == parse_clan("1212")
         assert hash(parse_diii("1212")) == hash(parse_clan("1212"))
+
+
+def ordered_scans_violation(key):
+    """The first violated DIII condition of a balanced clan's key, by three
+    ordered scans: skew-symmetry position by position, antipodal mates from
+    n down to 1, then the first-half parity. A frozen copy of the decider
+    from before it decided in one loop, kept for its messages."""
+    n = len(key) // 2
+    m = 2 * n
+    for p in range(n):
+        q = key[p]
+        flipped = ("-" if q == "+" else "+") if type(q) is str else m + 1 - q
+        if key[m - 1 - p] != flipped:
+            return "not skew-symmetric (clan differs from the reverse of its negative)"
+    for p in range(n, 0, -1):
+        if key[p - 1] == m + 1 - p:
+            return f"antipodal mates at positions ({p}, {m + 1 - p})"
+    half = key[:n]
+    minus_count = half.count("-")
+    inner_pairs = sum(1 for p, q in enumerate(half, start=1) if type(q) is int and p < q <= n)
+    if (minus_count + inner_pairs) % 2 != 0:
+        return (
+            f"odd parity in the first half ({minus_count} minus signs, "
+            f"{inner_pairs} contained pairs)"
+        )
+    return None
+
+
+def assert_decided_as_the_references(tokens):
+    """``diii_violation``, ``parse_diii`` and ``to_diii`` on the spaced text
+    of ``tokens`` agree with ``raw_is_diii`` on the verdict and with
+    ``ordered_scans_violation`` on the message."""
+    text = " ".join(map(str, tokens))
+    try:
+        clan = parse_clan(text)
+    except ClanError as exc:  # refused before the DIII conditions are read
+        with pytest.raises(ClanError) as refused:
+            parse_diii(text)
+        assert str(refused.value) == str(exc)
+        return
+    reason = clan.diii_violation()
+    assert reason == ordered_scans_violation(clan._key())
+    assert (reason is None) == raw_is_diii(canonical_raw(tokens))
+    if reason is None:
+        assert parse_diii(text)._key() == clan.to_diii()._key() == clan._key()
+    else:
+        for build in (lambda: parse_diii(text), clan.to_diii):
+            with pytest.raises(ClanError) as refused:
+                build()
+            assert str(refused.value) == f"not a DIII clan: {reason}"
+
+
+@st.composite
+def perturbed_diii_tokens(draw):
+    """The symbols of a DIII clan with n <= 40 with one entry moved: traded
+    with another position's, and, half the time, the mirror positions
+    traded too, which keeps skew-symmetry and so reaches the antipodal and
+    parity tests."""
+    syms = list(draw(diii_clans(max_n=40)).symbols)
+    m = len(syms)
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    syms[i], syms[j] = syms[j], syms[i]
+    if draw(st.booleans()) and {i, j}.isdisjoint({m - 1 - i, m - 1 - j}):
+        syms[m - 1 - i], syms[m - 1 - j] = syms[m - 1 - j], syms[m - 1 - i]
+    return syms
+
+
+class TestOneLoopDecider:
+    """The one-loop DIII decider against two references that do not share
+    it: ``raw_is_diii`` for the verdict, ``ordered_scans_violation`` for the
+    message."""
+
+    def test_every_short_text(self):
+        # every spaced text over {+, -, 1, 2, 3} of length <= 7
+        for length in range(1, 8):
+            for tokens in product(("+", "-", "1", "2", "3"), repeat=length):
+                assert_decided_as_the_references(tokens)
+
+    @given(perturbed_diii_tokens())
+    def test_one_entry_moved_in_a_valid_clan(self, tokens):
+        assert_decided_as_the_references(tokens)
 
 
 class TestMateTable:

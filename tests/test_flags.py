@@ -441,6 +441,21 @@ class TestPieceRank:
         assert sparse_rank(rows) == exact_rank(rows) == 1
         assert sparse_rank([[ZERO, ZERO]]) == 0
 
+    def test_shared_columns_send_rows_past_ncols_to_elimination(self, monkeypatch):
+        # read in the first two columns, rows 1 and 2 share column 1 and rows
+        # 2 and 4 column 2, so the rows are eliminated; rows 1, 3 and 4 reach
+        # past those columns, and row 3 has no entry among them
+        rows = [[ONE, ZERO, ONE], [INV_SQRT2, ONE, ZERO], [ZERO, ZERO, QSqrt2(0, 1)], [ZERO, ONE, ONE]]
+        calls = []
+        eliminate = flags._eliminate
+        monkeypatch.setattr(
+            flags, "_eliminate", lambda *args: calls.append(args) or eliminate(*args)
+        )
+        assert _sparse_rank(_scaled(rows)[1], 2) == exact_rank([row[:2] for row in rows]) == 2
+        [(kept, ncols)] = calls
+        # elimination reads only the entries within the columns, and no empty row
+        assert ncols == 2 and [[c for c, _, _ in row] for row in kept] == [[0], [0, 1], [1]]
+
     @settings(max_examples=50, deadline=None)
     @given(diii_clans(min_n=8, max_n=16))
     def test_a_representative_block_has_one_row_pieces_beyond_exhaustive_sizes(self, clan):

@@ -44,11 +44,11 @@ MUTANTS = (
     Mutant(
         "piece rank reads the columns past ncols",
         "flags.py",
-        "        if row and row[-1][0] >= ncols:\n",
-        "        if False:\n",
+        "        return len([row for row in rows if row and row[0][0] < ncols])\n",
+        "        return len([row for row in rows if row])\n",
         ("pytest", "tests/test_flags.py::TestIntersection::test_reference_matrix_dimension"),
-        "the block's rows then keep their entries in columns n..2n-1, so a row "
-        "with no entry in the block adds 1 to the rank, and the lower-left "
+        "the row count then takes every nonempty row, so a row whose entries "
+        "all lie in columns n..2n-1 adds 1 to the rank, and the lower-left "
         "block of the pinned +1212- matrix no longer has nullity 1",
     ),
     Mutant(
@@ -82,12 +82,25 @@ MUTANTS = (
     Mutant(
         "form triangle made strict",
         "flags.py",
-        "                if b >= a:\n",
-        "                if b > a:\n",
+        "                    if b < a:\n",
+        "                    if b <= a:\n",
         ("pytest", "tests/test_validate_once.py::TestFormCheck::test_table"),
-        "the diagonal of H^T J H is then never formed, so a form whose only "
-        "defect is a diagonal entry holds, and an odd size's centre entry, "
-        "on both diagonals, is never touched",
+        "an odd size's centre row, which pairs with itself, then forms no "
+        "diagonal product, so its centre entry, on both diagonals, is touched "
+        "only across the other row pairs and the 3 x 3 identity fails; an "
+        "even size has no centre row, so verify cannot see it",
+    ),
+    Mutant(
+        "diagonal product not doubled",
+        "flags.py",
+        "                    x, y, key = 2 * x, 2 * y, a * m + a\n",
+        "                    key = a * m + a\n",
+        ("pytest", "tests/test_validate_once.py::TestFormCheck::test_table"),
+        "rows r and m-1-r each give (a, a) the product H[r][a] * H[m-1-r][a]; "
+        "for an even size every diagonal entry must be 0, which halving alike "
+        "keeps, so only an odd size's centre row tells: the 3 x 3 isometry "
+        "whose entry (1, 1) is 2 * -1/2 from rows 1 and 3 plus 1 from the "
+        "centre row then reads 1/2 and is refused",
     ),
     Mutant(
         "antidiagonal count read as m // 2",
@@ -99,6 +112,25 @@ MUTANTS = (
         "an odd m has (m + 1) // 2 antidiagonal entries with a <= b, and the "
         "centre one, left among the entries that must be 0, fails [[1]] and "
         "the 3 x 3 antidiagonal",
+    ),
+    Mutant(
+        "DIII decider accepts an antipodal mate",
+        "clans.py",
+        "            elif r != m + 1 - q or q == m + 1 - p:\n",
+        "            elif r != m + 1 - q:\n",
+        ("pytest", "tests/test_clans.py::TestDIIIConditions::test_antipodal_mates_rejected"),
+        "a mate at the antipode agrees with its mirror, so the loop then ends "
+        "without a break and 1221, whose two pairs are antipodal and not "
+        "contained, passes; every clan verify builds is DIII, so it cannot see it",
+    ),
+    Mutant(
+        "DIII decider's parity without its contained pairs",
+        "clans.py",
+        "            if (minus + contained) % 2 == 0:\n",
+        "            if minus % 2 == 0:\n",
+        ("pytest", "tests/test_clans.py::TestDIIIConditions::test_contained_pair_parity_counts"),
+        "first-half parity counts minus signs and contained pairs; counting the "
+        "signs alone lets 1122, with 0 minus signs and 1 contained pair, pass",
     ),
     Mutant(
         "tokenizer accepts label 0",

@@ -870,6 +870,17 @@ class TestFormCheck:
             (((ONE, ZERO, ZERO), (ZERO, ZERO, ZERO), (ZERO, ZERO, ONE)), False),
             # only defect: the antidiagonal's corners (1, 3) and (3, 1) are 2
             (((QSqrt2(2), ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)), False),
+            # only defect: entry (2, 2) is 2 sqrt(2), formed across rows 2 and 3
+            (((ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO),
+              (ZERO, SQRT2, ONE, ZERO), (ZERO, ZERO, ZERO, ONE)), False),
+            # entry (2, 2) takes 2 * 2 from rows 1 and 4 and 2 * -2 from rows
+            # 2 and 3, which cancel
+            (((QSqrt2(2), QSqrt2(2), -ONE, ONE), (ZERO, QSqrt2(2), ZERO, ONE),
+              (-ONE, -ONE, ONE, -ONE), (ZERO, ONE, ZERO, ONE)), True),
+            # entry (1, 1) is 2 * -1/2 from rows 1 and 3 plus 1 from the centre
+            # row, and (2, 2), on the antidiagonal, 2 * 1/2 from rows 1 and 3
+            (((ONE, ONE, QSqrt2(Fraction(-1, 2))), (ONE, ZERO, QSqrt2(Fraction(1, 2))),
+              (QSqrt2(Fraction(-1, 2)), QSqrt2(Fraction(1, 2)), QSqrt2(Fraction(1, 4)))), True),
         ],
         ids=[
             "empty",
@@ -889,6 +900,9 @@ class TestFormCheck:
             "centre-defect-3",
             "centre-untouched-3",
             "corner-defect-3",
+            "diagonal-across-a-row-pair-4",
+            "two-row-pairs-cancel-on-the-diagonal-4",
+            "centre-and-a-row-pair-on-the-diagonal-3",
         ],
     )
     def test_table(self, rows, holds):
