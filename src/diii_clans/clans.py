@@ -72,10 +72,6 @@ def ascii_int(text: str) -> int | None:
         return None
 
 
-def _flip_sign(s: Symbol) -> Symbol:
-    return MINUS if s == PLUS else PLUS
-
-
 def _relabel(symbols: Iterable[Symbol]) -> tuple[Key, int]:
     """The key (``Clan._key``) of a symbol sequence and its number of
     distinct labels, in one pass. A label seen only once leaves a 0 in the
@@ -272,38 +268,36 @@ class Clan:
         number sits opposite its own mate; the count of minus signs plus
         mate pairs lying entirely in the first half is even.
 
-        One loop over the first half decides all three; only when it breaks
-        do the ordered scans below run, to name the first fault.
+        One loop over the first half decides all three. A skew fault is
+        named at once, as skew-symmetry is tested first; an antipodal mate
+        is remembered, so the message names the largest such position.
         """
         key = self._table
         m = len(key)
         n = m // 2
         contained = 0
+        antipodal = 0
+        # a sign flips at 2n+1-p, and mate(2n+1-p) = 2n+1-mate(p)
         for p, (q, r) in enumerate(zip(key[:n], key[::-1]), start=1):
             if type(q) is str:
-                if r == q or type(r) is not str:
-                    break
-            elif r != m + 1 - q or q == m + 1 - p:
-                break
-            elif p < q <= n:
-                contained += 1
-        else:
-            minus = key[:n].count(MINUS)
-            if (minus + contained) % 2 == 0:
-                return None
-            return (
-                f"odd parity in the first half ({minus} minus signs, "
-                f"{contained} contained pairs)"
-            )
-        # skew-symmetry, position by position (a sign flips at 2n+1-p, and
-        # mate(2n+1-p) = 2n+1-mate(p)), then antipodal mates from n down
-        for p in range(n):
-            q = key[p]
-            if key[m - 1 - p] != (_flip_sign(q) if type(q) is str else m + 1 - q):
-                return "not skew-symmetric (clan differs from the reverse of its negative)"
-        for p in range(n, 0, -1):
-            if key[p - 1] == m + 1 - p:
-                return f"antipodal mates at positions ({p}, {m + 1 - p})"
+                if r != q and type(r) is str:
+                    continue
+            elif r == m + 1 - q:
+                if q == m + 1 - p:
+                    antipodal = p
+                elif p < q <= n:
+                    contained += 1
+                continue
+            return "not skew-symmetric (clan differs from the reverse of its negative)"
+        if antipodal:
+            return f"antipodal mates at positions ({antipodal}, {m + 1 - antipodal})"
+        minus = key[:n].count(MINUS)
+        if (minus + contained) % 2 == 0:
+            return None
+        return (
+            f"odd parity in the first half ({minus} minus signs, "
+            f"{contained} contained pairs)"
+        )
 
     def to_diii(self) -> "DIIIClan":
         return self if isinstance(self, DIIIClan) else DIIIClan(self.symbols)

@@ -116,18 +116,19 @@ MUTANTS = (
     Mutant(
         "DIII decider accepts an antipodal mate",
         "clans.py",
-        "            elif r != m + 1 - q or q == m + 1 - p:\n",
-        "            elif r != m + 1 - q:\n",
+        "                if q == m + 1 - p:\n",
+        "                if False:\n",
         ("pytest", "tests/test_clans.py::TestDIIIConditions::test_antipodal_mates_rejected"),
-        "a mate at the antipode agrees with its mirror, so the loop then ends "
-        "without a break and 1221, whose two pairs are antipodal and not "
-        "contained, passes; every clan verify builds is DIII, so it cannot see it",
+        "a mate at the antipode agrees with its mirror, so the loop then "
+        "remembers no antipodal position and 1221, whose two pairs are "
+        "antipodal and not contained, passes; every clan verify builds is "
+        "DIII, so it cannot see it",
     ),
     Mutant(
         "DIII decider's parity without its contained pairs",
         "clans.py",
-        "            if (minus + contained) % 2 == 0:\n",
-        "            if minus % 2 == 0:\n",
+        "        if (minus + contained) % 2 == 0:\n",
+        "        if minus % 2 == 0:\n",
         ("pytest", "tests/test_clans.py::TestDIIIConditions::test_contained_pair_parity_counts"),
         "first-half parity counts minus signs and contained pairs; counting the "
         "signs alone lets 1122, with 0 minus signs and 1 contained pair, pass",

@@ -804,13 +804,19 @@ def near_isometries(draw):
     - trade columns c and d, and their mirrors m-1-c and m-1-d;
     - scale column c by t and its mirror by 1/t (the centre by -1);
     - add k times column c to column d and take k times column m-1-d from
-      column m-1-c, for d not c or its mirror.
+      column m-1-c, for d not c or its mirror;
+    - for an odd size with centre z, take k times column c from column z
+      and add k times the old column z and -k^2/2 times column c to column
+      m-1-c. This is the one operation that mixes the centre row with the
+      row pairs, so a diagonal entry of H^T J H takes the centre row's
+      square and a doubled row-pair product.
     """
     m = draw(st.integers(1, 6))
     cols = [[ONE if r == c else ZERO for r in range(m)] for c in range(m)]
     off_centre = [c for c in range(m) if 2 * c != m - 1]
+    ops = ("trade", "scale", "add") + (("centre",) if m % 2 else ())
     for _ in range(draw(st.integers(0, 4))):
-        op = draw(st.sampled_from(("trade", "scale", "add")))
+        op = draw(st.sampled_from(ops))
         c = draw(st.integers(0, m - 1))
         if op == "scale":
             t, u = draw(_unit_pairs) if c in off_centre else (-ONE, ONE)
@@ -818,6 +824,16 @@ def near_isometries(draw):
             cols[m - 1 - c] = [q_mul(u, e) for e in cols[m - 1 - c]]
             continue
         if c not in off_centre:
+            continue
+        if op == "centre":
+            z, k = m // 2, draw(_alphabet)
+            half_square = q_mul(QSqrt2(Fraction(-1, 2)), q_mul(k, k))
+            old_z = cols[z]
+            cols[z] = [q_add(e, q_mul(-k, f)) for e, f in zip(old_z, cols[c])]
+            cols[m - 1 - c] = [
+                q_add(q_add(e, q_mul(k, g)), q_mul(half_square, f))
+                for e, g, f in zip(cols[m - 1 - c], old_z, cols[c])
+            ]
             continue
         d = draw(st.sampled_from(off_centre))
         if op == "trade":
