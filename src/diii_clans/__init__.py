@@ -2,14 +2,14 @@
 order and its rank polynomial, sects, rook/partition/lattice-path
 bijections, and exact representative flag matrices.
 
-``import diii_clans`` loads only ``clans``, ``enumeration`` and ``sects``.
+``import diii_clans`` loads only ``clans``, ``enumeration`` and ``sects``,
+whose values are ``clans.Record``s: no ``dataclasses``, so no ``inspect``.
 The public names of ``delannoy``, ``flags``, ``pyramids`` and
 ``weak_order``, and those modules as attributes, are imported on first
 access (the module ``__getattr__`` of PEP 562), so a program that never
 touches a flag matrix never compiles ``flags`` or loads ``fractions``.
-``sects`` is loaded with the package because the package's ``sects`` is the
-function: importing the submodule ``diii_clans.sects`` later would rebind
-that attribute to the module.
+``sects`` loads with the package, as the package's ``sects`` is the function:
+importing ``diii_clans.sects`` later would rebind that attribute to the module.
 """
 
 from importlib import import_module

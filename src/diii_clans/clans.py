@@ -32,6 +32,47 @@ class ClanError(ValueError):
     """Raised for malformed clans and violated preconditions."""
 
 
+class Record:
+    """A frozen record, in place of a frozen dataclass (whose module loads
+    ``inspect`` and ``ast``): the annotated names, in order, are ``_fields``,
+    set from positional or keyword arguments, then ``__post_init__`` runs.
+    Equality, hash and repr read them as a dataclass's do; assignment raises."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        values = args + tuple(kwargs.pop(f) for f in self._fields[len(args) :] if f in kwargs)
+        if kwargs or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields} once each")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields once they are set; a subclass with checks overrides it."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def json_fields(
     data: Any,
     what: str,

@@ -3,13 +3,13 @@
 The grammar is declared once, in ``_COMMANDS`` (with the top-level
 ``--threads`` in ``_GLOBAL``): each command's help text and its arguments,
 as the keyword arguments of ``add_argument``.  ``main`` reads ``argv``
-against that table in one pass (``_read_argv``) and gets the namespace
-argparse would return.  Only for what the pass does not accept, help
-(``-h``), an abbreviated option and every usage error, does ``main`` build
-the argparse parser from the same table and let it parse, so help text
-and usage errors come from argparse, with exit status 2.  Building that
-parser costs more than most commands' work, and the common path never
-does.
+against that table in one pass (``_read_argv``) into the values argparse
+would return.  Only for what the pass does not accept, help (``-h``), an
+abbreviated option and every usage error, does ``main`` import argparse
+and build its parser from the same table, so help text and usage errors
+come from argparse, with exit status 2.  Loading argparse and building
+that parser cost more than most commands' work; the common path does
+neither.
 
 Data errors print a message to stderr and exit with status 1, and so does
 a reader that closes stdout early, with no message.  Output is
@@ -21,24 +21,27 @@ arguments are ASCII digits with an optional leading ``-`` (``_int``).
 ``convert --from pfpf`` refuses ``--n`` above ``_PFPF_MAX_N``.
 
 ``main`` finds a command's handler, ``_cmd_<command>`` with ``-`` read as
-``_``, by its module attribute.
-Each handler imports the functions it calls when it runs, and ``json``
-only where a command reads or writes JSON, so start-up loads no module a
-command does not use (``count`` never loads ``flags`` or ``fractions``).
+``_``, by its module attribute.  Each handler imports the functions it
+calls when it runs, and ``json`` only where a command reads or writes
+JSON, so start-up loads no module a command does not use (``count``
+never loads ``flags``, ``fractions`` or ``argparse``).
 ``verify`` is imported here, at the top: a tracer that wraps the
 package's functions from outside finds the modules in ``sys.modules``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
-from typing import Iterator, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .clans import ClanError, ascii_int, parse_diii, text_from_spaced, write_joined
 from .verify import run_suite
+
+if TYPE_CHECKING:
+    import argparse
 
 
 #: A clan text (or payload) that argparse would read as an option: a
@@ -49,10 +52,11 @@ _DASHED_TEXT = re.compile(r"-[-+0-9]+")
 def _int(text: str) -> int:
     """A size or index argument: ASCII digits (``ascii_int``) with an
     optional leading ``-``.  ``int`` alone would also read ``+5``, `` 5``,
-    ``1_0`` and other scripts' digits (``٥``)."""
+    ``1_0`` and other scripts' digits (``٥``); a refused one loads argparse."""
     negative = text.startswith("-")
     value = ascii_int(text[1:] if negative else text)
     if value is None:
+        import argparse
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return -value if negative else value
 
@@ -155,7 +159,9 @@ def _store(arg: _Arg, text: str, values: dict) -> bool:
     convert = arg.kwargs.get("type")
     try:
         value = text if convert is None else convert(text)
-    except argparse.ArgumentTypeError:
+    except Exception as exc:  # _int's refusal, whose failure path loaded argparse
+        if not isinstance(exc, sys.modules["argparse"].ArgumentTypeError):
+            raise
         return False
     choices = arg.kwargs.get("choices")
     if choices is not None and value not in choices:
@@ -185,7 +191,7 @@ def _read_option(
     return arg if _store(arg, text, values) else None
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The namespace ``_build_parser().parse_args(argv)`` returns, read off
     the table in one pass; None for help, an abbreviated or unknown option,
     a usage error, or any argv the pass does not read, which argparse then
@@ -227,33 +233,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         return None
     if not all(_store(a, t, values) for a, t in zip(positionals, texts)):
         return None
-    return argparse.Namespace(**values)
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads a dashed clan text such as ``-+`` as a
-    positional value, as it reads a negative number, while every real
-    option still parses on either side of it, and reads a lone ``--``
-    value as data. Its subparsers are of this class too."""
-
-    def _parse_optional(self, arg_string):
-        if (
-            arg_string != "--"
-            and arg_string not in self._option_string_actions
-            and _DASHED_TEXT.fullmatch(arg_string)
-        ):
-            return None
-        return super()._parse_optional(arg_string)
-
-    def _get_values(self, action, arg_strings):
-        # a lone "--" here is data: a value after the separator, or an
-        # option's "=--".  argparse would strip it as a separator and store
-        # an empty list
-        if action.nargs is None and arg_strings == ["--"]:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
+    return SimpleNamespace(**values)
 
 
 def _add_arguments(parser: argparse.ArgumentParser, args: tuple[_Arg, ...]) -> None:
@@ -267,7 +247,34 @@ def _add_arguments(parser: argparse.ArgumentParser, args: tuple[_Arg, ...]) -> N
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of the table, for help and usage errors."""
+    """The argparse parser of the table, for help and usage errors only."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser that reads a dashed clan text such as ``-+`` as a
+        positional value, as it reads a negative number, while every real
+        option still parses on either side of it, and reads a lone ``--``
+        value as data. Its subparsers are of this class too."""
+
+        def _parse_optional(self, arg_string):
+            if (
+                arg_string != "--"
+                and arg_string not in self._option_string_actions
+                and _DASHED_TEXT.fullmatch(arg_string)
+            ):
+                return None
+            return super()._parse_optional(arg_string)
+
+        def _get_values(self, action, arg_strings):
+            # a lone "--" here is data: a value after the separator, or an
+            # option's "=--".  argparse would strip it as a separator and store
+            # an empty list
+            if action.nargs is None and arg_strings == ["--"]:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(
         prog="diii-clans",
         description="DIII (n,n)-clan combinatorics: counting, weak order, "

@@ -16,13 +16,12 @@ the two writers of the mirror rule, ``_put_sign`` and ``_put_pair``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb, factorial
 from typing import Iterator, Mapping, Sequence
 
-from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, Key, Symbol, spaced_texts
+from .clans import MINUS, PLUS, Clan, ClanError, DIIIClan, Key, Record, Symbol, spaced_texts
 
 #: Number of DIII (n,n)-clans for n = 1, 2, 3, ...
 KNOWN_COUNTS = (1, 3, 10, 38, 156, 692, 3256)
@@ -151,8 +150,7 @@ def base_key(signs: Sequence[str]) -> Key:
     return tuple(key)
 
 
-@dataclass(frozen=True)
-class ClanSet:
+class ClanSet(Record):
     """A set of DIII (n,n)-clans, sorted by spaced text, kept as their keys
     (``Clan._key``) beside each key's spaced text, rendered once. The clans
     themselves are built on first access to ``clans``."""

@@ -8,16 +8,14 @@ key, and its members are built as clans only when read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan, Key, ascii_int
+from .clans import MINUS, PLUS, ClanError, DIIIClan, Key, Record, ascii_int
 from .enumeration import ClanSet, _put_pair, _put_sign, base_key, sect_keys, sect_signs
 
 
-@dataclass(frozen=True)
-class SchubertSubset:
+class SchubertSubset(Record):
     """An n-element subset of {1..2n} avoiding antipodal position pairs and
     dropping an even number of first-half positions."""
 
@@ -66,8 +64,7 @@ def base_clan_to_subset(base: DIIIClan) -> SchubertSubset:
     return SchubertSubset(base.n, members)
 
 
-@dataclass(frozen=True)
-class Sect:
+class Sect(Record):
     """All clans sharing one matchless base clan: the base's key and the
     members as a ``ClanSet``, built as clans only when read."""
 
@@ -165,8 +162,7 @@ def epsilon_recurrence(n: int) -> int:
     return cur
 
 
-@dataclass(frozen=True)
-class PartialFPFInvolution:
+class PartialFPFInvolution(Record):
     """A symmetric partial matching of {1..n} with no fixed points.
 
     ``values[i-1]`` is the partner of i, or 0 when i is unmatched.

@@ -23,12 +23,11 @@ which imports this module, compiles none of them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING
 
-from .clans import MINUS, PLUS, ClanError, DIIIClan
+from .clans import MINUS, PLUS, ClanError, DIIIClan, Record
 from .enumeration import KNOWN_COUNTS, count_by_pairs, count_formula, count_recurrence
 from .sects import (
     big_sect, clan_to_pfpf, epsilon_count, epsilon_recurrence, pfpf_to_clan, sect_sizes
@@ -38,8 +37,7 @@ if TYPE_CHECKING:
     from .weak_order import WeakOrderPoset
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

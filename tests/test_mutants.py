@@ -400,6 +400,16 @@ MUTANTS = (
         "verify cannot see it",
     ),
     Mutant(
+        "record constructor skips __post_init__",
+        "clans.py",
+        "        self.__post_init__()\n",
+        "",
+        ("pytest", "tests/test_sects.py::TestPartialFPFInvolutions::test_validation"),
+        "a record's fields are then set unchecked, so PartialFPFInvolution((1, 0)) "
+        "builds a matching with a fixed point; every pfpf the package builds is "
+        "valid, so verify cannot see it",
+    ),
+    Mutant(
         "pfpf decode reverses the base signs",
         "sects.py",
         "enumerate(_big_sect_signs(n), start=1)",

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from test_cli import USAGE_ERROR_DIGESTS
 
 import diii_clans
 from diii_clans import (
@@ -93,7 +95,7 @@ def unused_exports(names: list[str], lines: list[str], library_use: str) -> list
 #: hashing or repr, rather than by name, each with what calls it.
 PROTOCOL_METHODS = {
     "__init__": "calling the class",
-    "__post_init__": "the __init__ a dataclass writes, once it has set the fields",
+    "__post_init__": "the __init__ of a dataclass or a clans.Record, once it has set the fields",
     "__eq__": "==, and set and dict membership with __hash__",
     "__hash__": "set and dict membership",
     "__repr__": "repr()",
@@ -279,6 +281,10 @@ def test_each_protocol_caller_is_still_there():
 #: The constructors that may set fields of a frozen value past its checks.
 UNCHECKED_CONSTRUCTORS = {"flags.FlagMatrix._from_form", "pyramids._unchecked"}
 
+#: The record base's constructor: like the ``__init__`` a frozen dataclass
+#: writes, it sets the fields and then runs the class's ``__post_init__``.
+RECORD_CONSTRUCTOR = "clans.Record.__init__"
+
 
 def frozen_field_writes(module: str, source: str) -> list[str]:
     """``module.qualname`` of the function around each ``object.__setattr__``
@@ -305,10 +311,10 @@ def frozen_field_writes(module: str, source: str) -> list[str]:
 
 
 def misplaced_field_writes(writes: list[str]) -> list[str]:
-    """The writes outside a ``__post_init__`` and the unchecked constructors."""
-    return [
-        w for w in writes if not w.endswith(".__post_init__") and w not in UNCHECKED_CONSTRUCTORS
-    ]
+    """The writes outside a ``__post_init__``, the record constructor and
+    the unchecked constructors."""
+    allowed = UNCHECKED_CONSTRUCTORS | {RECORD_CONSTRUCTOR}
+    return [w for w in writes if not w.endswith(".__post_init__") and w not in allowed]
 
 
 def package_field_writes() -> list[str]:
@@ -320,7 +326,7 @@ def test_frozen_values_are_written_only_while_they_are_built():
     # a frozen value is complete when its constructor returns: a field set
     # later, say a memo checked by object identity, shows up here
     writes = package_field_writes()
-    assert UNCHECKED_CONSTRUCTORS <= set(writes)
+    assert UNCHECKED_CONSTRUCTORS | {RECORD_CONSTRUCTOR} <= set(writes)
     assert misplaced_field_writes(writes) == []
 
 
@@ -410,6 +416,35 @@ def test_start_up_loads_only_the_core_modules():
         "diii_clans.cli",
     }
     assert "fractions" not in loaded and "json" not in loaded
+    # the record base stands in for dataclasses (which loads inspect, ast
+    # and tokenize), and argparse loads only for help and usage errors
+    assert not {"dataclasses", "inspect", "argparse"} & loaded
+
+
+def test_argparse_loads_only_for_help_and_usage_errors():
+    run = (
+        "import contextlib, io, sys\n"
+        "from diii_clans import cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    try:\n"
+        "        code = cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'argparse' in sys.modules)\n"
+        "print(err.getvalue(), end='')\n"
+    )
+    assert run_fresh(run.format(argv=["count", "5"])) == "0 False\n"
+    # the digest pinned by test_cli's usage-error test, with COLUMNS=80
+    columns = "import os\nos.environ['COLUMNS'] = '80'\n"
+    out = run_fresh(columns + run.format(argv=["count", "x"]))
+    status, _, err = out.partition("\n")
+    assert status == "2 True"
+    assert err == (
+        "usage: diii-clans count [-h] n\n"
+        "diii-clans count: error: argument n: invalid int value: 'x'\n"
+    )
+    assert hashlib.sha256(err.encode()).hexdigest() == USAGE_ERROR_DIGESTS["count x"]
 
 
 def test_public_names_are_their_home_modules_objects():
